@@ -27,7 +27,6 @@ __all__ = [
     "Y_FLOOR",
     "mu_gamma",
     "sigma_y_branches",
-    "sigma_y_lower",
     "b_y_bound",
     "b_k_y0",
     "b_k_y0_limit",
@@ -199,17 +198,6 @@ def sigma_y_branches(
         branches["parabolic_other_cusp"] = m_y**2 / 4.0 + 1.0
         branches["parabolic_own_cusp"] = 1.0 / (4.0 * M_y**2) + 1.0
     return branches
-
-
-def sigma_y_lower(
-    domain: FundamentalDomain,
-    ell: float,
-    mu: float,
-    m_y: float | None = None,
-    M_y: float | None = None,
-) -> float:
-    value = min(sigma_y_branches(domain, ell, mu, m_y, M_y).values())
-    return max(value, 1.0)
 
 
 def b_y_bound(diam: float, vol: float) -> float:

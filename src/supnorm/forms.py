@@ -2,10 +2,11 @@
 
 Each supported weight has a one-dimensional space, generated by the
 discriminant form (weight 12) times monomials in the weight 4 and weight 6
-Eisenstein series.  Coefficients are exact integers; norms come from a
-deterministic Gauss-Legendre quadrature whose resolution can be doubled for
-cross-checking.  The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f>
-is what the verifier compares against the closed-form bounds.
+Eisenstein series.  Coefficients are exact integers.  A Petersson norm is an
+exact incomplete-gamma sum over the strip above y = 1 plus one fixed
+Gauss-Legendre rule on the sliver below it, cross-checked at doubled order.
+The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
+verifier compares against the closed-form bounds.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import gamma, gammaincc
 
 from . import domain as dom
 from .geometry import require_point
@@ -158,51 +160,57 @@ def tail_bound(coeffs, weight: int, y: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Petersson norm
+#
+# The standard domain splits at y = 1 into the full strip |x| <= 1/2 above
+# and the sliver sqrt(1 - x^2) <= y <= 1 below.
 
 
-def _gauss_nodes(lo: float, hi: float, order: int = 16):
+def _gauss_nodes(lo, hi, order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
 
-_Y_EDGES = (1.0, 1.2, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
+def _strip_integral(weight: int, coeffs) -> float:
+    """Integral of |f|^2 y^(weight-2) over the strip |x| <= 1/2, y >= 1.
+
+    Parseval in x leaves sum a_n^2 int_1^inf e^{-4 pi n y} y^(w-2) dy
+    = sum a_n^2 Gamma(w-1, 4 pi n) / (4 pi n)^(w-1), exact up to rounding.
+    """
+    s = weight - 1.0
+    a = np.array([float(c) for c in coeffs])
+    t = 4.0 * math.pi * np.arange(1, len(a) + 1)
+    return float(np.sum(a * a * (gamma(s) * gammaincc(s, t) / t**s)))
 
 
-def _norm_quadrature(weight: int, coeffs, resolution: int, y_cap: float = 20.0) -> float:
-    """Integral of |f|^2 y^(weight-2) over the standard domain, y <= y_cap."""
-    coeff_f = np.array([float(a) for a in coeffs])
-    total = 0.0
-    x_edges = np.linspace(-0.5, 0.5, 8 * resolution + 1)
-    for x_lo, x_hi in zip(x_edges[:-1], x_edges[1:]):
-        xs, wxs = _gauss_nodes(x_lo, x_hi, order=12)
-        for x, wx in zip(xs, wxs):
-            floor_y = math.sqrt(max(1.0 - x * x, 0.0))
-            edges = [floor_y] + [e for e in _Y_EDGES if floor_y < e <= y_cap]
-            ys, wys = [], []
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                sub = np.linspace(lo, hi, resolution + 1)
-                for s_lo, s_hi in zip(sub[:-1], sub[1:]):
-                    yy, ww = _gauss_nodes(s_lo, s_hi, order=16)
-                    ys.append(yy)
-                    wys.append(ww)
-            yv = np.concatenate(ys)
-            wv = np.concatenate(wys)
-            fv = evaluate_form(coeff_f, x + 1j * yv)
-            total += wx * float(np.sum(wv * np.abs(fv) ** 2 * yv ** (weight - 2)))
-    return float(total)
+def _sliver_integral(weight: int, coeffs, nx: int = 64, ny: int = 48) -> float:
+    """Integral of |f|^2 y^(weight-2) over sqrt(1 - x^2) <= y <= 1, |x| <= 1/2.
+
+    One tensor Gauss-Legendre rule: nx nodes in x, ny nodes in y on each
+    column; the integrand and the floor curve are analytic on the region.
+    """
+    xs, wx = _gauss_nodes(-0.5, 0.5, nx)
+    ys, wy = _gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
+    fv = evaluate_form(coeffs, xs[:, None] + 1j * ys)
+    return float(wx @ np.sum(wy * np.abs(fv) ** 2 * ys ** (weight - 2), axis=1))
 
 
-def _norm_tail(weight: int, coeffs, y_cap: float = 20.0) -> float:
-    # |f| <= S(y_cap) e^{-2 pi (y - y_cap)} above the cap, so the remaining
-    # strip contributes at most S^2 y_cap^(w-2) / (4 pi - (w-2)/y_cap).
-    s_cap = sum(abs(float(a)) * math.exp(-2.0 * math.pi * (n + 1) * y_cap)
-                for n, a in enumerate(coeffs))
-    s_cap += tail_bound(coeffs, weight, y_cap)
-    rate = 4.0 * math.pi - (weight - 2.0) / y_cap
-    if rate <= 0.0:
-        return math.inf
-    return s_cap**2 * y_cap ** (weight - 2.0) / rate
+def _truncation_error(weight: int, coeffs) -> float:
+    """Bound, via tail_bound, on the norm part of the coefficients beyond the stored ones.
+
+    On the standard domain y >= y0 = sqrt(3)/2.  With T = tail_bound and
+    S(y) = sum |a_n| e^{-2 pi n y}, the truncated form f_N obeys
+    ||f|^2 - |f_N|^2| <= T(y) (2 S(y0) + T(y)), and T(y) e^{2 pi (N+1) y}
+    decreases in y; with y^m <= y0^m e^{m (y - y0) / y0} the domain integral
+    is at most T(y0) (2 S(y0) + T(y0)) y0^m / (2 pi (N+1) - m / y0), m = w-2.
+    """
+    y0 = math.sqrt(3.0) / 2.0
+    n = len(coeffs)
+    m = weight - 2.0
+    t0 = tail_bound(coeffs, weight, y0)
+    s0 = sum(abs(float(a)) * math.exp(-2.0 * math.pi * (j + 1) * y0)
+             for j, a in enumerate(coeffs))
+    return t0 * (2.0 * s0 + t0) * y0**m / (2.0 * math.pi * (n + 1) - m / y0)
 
 
 @dataclass(frozen=True)
@@ -221,23 +229,27 @@ class CuspFormBasis:
             raise ValueError("Petersson norm must be positive")
 
 
-def build_basis(weight: int, n_coeffs: int = 128, resolution: int = 2) -> CuspFormBasis:
-    """Generator coefficients plus a quadrature Petersson norm with error estimate.
+def build_basis(weight: int, n_coeffs: int = 128) -> CuspFormBasis:
+    """Generator coefficients plus its Petersson norm with an error estimate.
 
-    The error estimate combines the difference between two quadrature
-    resolutions with the analytic bound for the strip above the truncation
-    height.
+    The norm is the exact strip sum above y = 1 plus a 64 x 48 Gauss-Legendre
+    rule on the sliver below.  The error estimate adds the change of the
+    sliver under a 128 x 96 rule to the bound for the coefficients beyond the
+    stored ones.
     """
     if n_coeffs < 64:
         raise ValueError(f"need at least 64 coefficients, got {n_coeffs}")
     if dom.dimension_d2k(dom.modular_group(), weight // 2) != 1:
         raise ValueError(f"weight {weight} space is not one-dimensional")
     coeffs = cusp_form_coefficients(weight, n_coeffs)
-    coarse = _norm_quadrature(weight, coeffs, resolution)
-    fine = _norm_quadrature(weight, coeffs, 2 * resolution)
-    err = abs(fine - coarse) + _norm_tail(weight, coeffs)
+    sliver = _sliver_integral(weight, coeffs)
+    err = abs(_sliver_integral(weight, coeffs, 128, 96) - sliver)
+    err += _truncation_error(weight, coeffs)
     return CuspFormBasis(
-        weight=weight, coefficients=coeffs, petersson_norm=fine, norm_error=err
+        weight=weight,
+        coefficients=coeffs,
+        petersson_norm=_strip_integral(weight, coeffs) + sliver,
+        norm_error=err,
     )
 
 
@@ -322,12 +334,7 @@ def mass_integral(basis: CuspFormBasis, rel_tol: float = 1e-7) -> float:
 
     def s_value(x: float, t: float) -> float:
         y = 1.0 / t
-        q = cmath.exp(2j * math.pi * (x + 1j * y))
-        val = 0j
-        for a in reversed(coeffs):
-            val = val * q + a
-        val *= q
-        return abs(val) ** 2 * y**weight / norm
+        return abs(evaluate_form(coeffs, complex(x, y))) ** 2 * y**weight / norm
 
     def column(x: float) -> float:
         top = 1.0 / math.sqrt(max(1.0 - x * x, 1e-300))

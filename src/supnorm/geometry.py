@@ -19,7 +19,6 @@ __all__ = [
     "displacement",
     "dist_hyp",
     "disk_volume",
-    "dist_point_to_segment",
 ]
 
 # Tolerance for the unit-determinant check after sign normalization.
@@ -260,8 +259,3 @@ class GeodesicSegment:
             )
             best = min(best, float(res.fun))
         return math.acosh(max(best, 1.0))
-
-
-def dist_point_to_segment(segment: GeodesicSegment, p: complex) -> float:
-    """Hyperbolic distance from a point to a geodesic boundary segment."""
-    return segment.dist_to(p)

@@ -10,7 +10,6 @@ alongside as a reference.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,8 +220,8 @@ def verify_all(
 ) -> VerificationReport:
     """Run the full verification battery; empty weight list yields an empty pass.
 
-    Per-weight pipelines run concurrently; the report merges deterministically
-    by (weight, check name), with the global checks first.
+    The global checks come first, then each weight's checks in ascending
+    weight order, computed one weight after another.
     """
     if domain is None:
         domain = modular_group()
@@ -245,10 +244,6 @@ def verify_all(
         _parabolic_item(constants, k=26, eps=0.01),
     ]
 
-    with ThreadPoolExecutor(max_workers=min(4, len(weights))) as pool:
-        futures = {
-            w: pool.submit(_weight_items, w, constants, domain, grid_size) for w in weights
-        }
-        for w in sorted(weights):
-            items.extend(futures[w].result())
+    for w in sorted(weights):
+        items.extend(_weight_items(w, constants, domain, grid_size))
     return VerificationReport(items=tuple(items))

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from supnorm.enumeration import IntegerMoebius
 from supnorm.forms import (
     SUPPORTED_WEIGHTS,
+    _sliver_integral,
+    _strip_integral,
     build_basis,
     cusp_form_coefficients,
     delta_coefficients,
@@ -22,6 +25,17 @@ from supnorm.forms import (
 
 # First coefficients of the weight-12 generator (classical values).
 TAU = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920, 534612, -370944)
+
+# Petersson norms from a panelled 2-D Gauss-Legendre quadrature of the whole
+# domain up to y = 20 (128 coefficients), an independent route to the same values.
+SEED_NORMS = {
+    12: 1.035362056804322e-06,
+    16: 2.169061347590636e-06,
+    18: 4.594736197639253e-06,
+    20: 8.265541531659709e-06,
+    22: 2.009981832743066e-05,
+    26: 2.053347168153725e-04,
+}
 
 
 def eta_product_oracle(n: int) -> list[int]:
@@ -99,17 +113,34 @@ class TestPeterssonNorm:
         assert basis.petersson_norm == pytest.approx(1.0353620568e-6, rel=1e-7)
         assert basis.norm_error < 1e-12
 
-    def test_resolution_doubling_consistency(self):
-        from supnorm.forms import _norm_quadrature
+    @pytest.mark.parametrize("weight", [12, 26])
+    def test_sliver_order_doubling(self, weight):
+        coeffs = cusp_form_coefficients(weight, 128)
+        coarse = _sliver_integral(weight, coeffs, 64, 48)
+        fine = _sliver_integral(weight, coeffs, 128, 96)
+        assert fine == pytest.approx(coarse, rel=1e-12, abs=0.0)
 
-        coeffs = cusp_form_coefficients(12, 128)
-        coarse = _norm_quadrature(12, coeffs, 1)
-        fine = _norm_quadrature(12, coeffs, 2)
-        assert abs(fine - coarse) <= 1e-9
+    @pytest.mark.parametrize("weight", [12, 26])
+    def test_strip_sum_against_quadrature(self, weight):
+        # Parseval in x: the strip y >= 1 contributes int_1^inf sum a_n^2 e^{-4 pi n y} y^(w-2)
+        coeffs = cusp_form_coefficients(weight, 128)
+        a2 = np.array([float(a) for a in coeffs]) ** 2
+        n = np.arange(1, len(a2) + 1)
+
+        def integrand(y):
+            return float(np.sum(a2 * np.exp(-4.0 * math.pi * n * y))) * y ** (weight - 2)
+
+        oracle, _ = quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert _strip_integral(weight, coeffs) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("weight", sorted(SEED_NORMS))
+    def test_matches_seed_quadrature(self, weight):
+        norm = build_basis(weight).petersson_norm
+        assert norm == pytest.approx(SEED_NORMS[weight], rel=1e-12, abs=0.0)
 
     def test_all_supported_weights_positive(self):
         for w in SUPPORTED_WEIGHTS:
-            basis = build_basis(w, n_coeffs=96, resolution=1)
+            basis = build_basis(w, n_coeffs=96)
             assert basis.petersson_norm > 0.0
             assert basis.norm_error < 1e-6 * basis.petersson_norm
 

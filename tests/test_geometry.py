@@ -13,7 +13,6 @@ from supnorm.geometry import (
     disk_volume,
     displacement,
     dist_hyp,
-    dist_point_to_segment,
 )
 
 from conftest import RHO, RHO_LEFT, ROOT3_HALF
@@ -136,31 +135,27 @@ class TestSegmentDistance:
     def test_left_ray_to_i(self):
         # min over y of (y/2 + 5/(8y)) equals sqrt(5)/2
         expected = math.acosh(math.sqrt(5.0) / 2.0)
-        assert dist_point_to_segment(S1, I) == pytest.approx(expected, rel=1e-12)
+        assert S1.dist_to(I) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.4812118250596035, abs=1e-12)
 
     def test_right_ray_to_left_corner(self):
         expected = math.acosh(math.sqrt(7.0 / 3.0))
-        assert dist_point_to_segment(S3, RHO_LEFT) == pytest.approx(expected, rel=1e-11)
+        assert S3.dist_to(RHO_LEFT) == pytest.approx(expected, rel=1e-11)
         assert expected == pytest.approx(0.9866469610448342, abs=1e-12)
 
     def test_arc_minimum_sits_at_endpoint(self):
         # closest point of the right arc to the left corner is i itself
-        assert dist_point_to_segment(S4, RHO_LEFT) == pytest.approx(
-            dist_hyp(I, RHO_LEFT), rel=1e-11
-        )
+        assert S4.dist_to(RHO_LEFT) == pytest.approx(dist_hyp(I, RHO_LEFT), rel=1e-11)
 
     def test_point_on_segment(self):
-        assert dist_point_to_segment(S1, complex(-0.5, 2.0)) == pytest.approx(0.0, abs=1e-9)
-        assert dist_point_to_segment(S2, RHO_LEFT) == pytest.approx(0.0, abs=1e-7)
+        assert S1.dist_to(complex(-0.5, 2.0)) == pytest.approx(0.0, abs=1e-9)
+        assert S2.dist_to(RHO_LEFT) == pytest.approx(0.0, abs=1e-7)
 
     def test_unbounded_ray_above(self):
         # optimal height lies far up the ray, beyond any bounded cut
         p = complex(3.0, 40.0)
-        d_ray = dist_point_to_segment(S1, p)
-        d_cut = dist_point_to_segment(
-            GeodesicSegment.vertical(-0.5, ROOT3_HALF, 10.0), p
-        )
+        d_ray = S1.dist_to(p)
+        d_cut = GeodesicSegment.vertical(-0.5, ROOT3_HALF, 10.0).dist_to(p)
         assert d_ray < d_cut
 
     @pytest.mark.parametrize("seed", range(10))
@@ -168,7 +163,7 @@ class TestSegmentDistance:
         rng = np.random.default_rng(2000 + seed)
         seg = [S1, S2, S3, S4][seed % 4]
         p = complex(rng.uniform(-2, 2), rng.uniform(0.2, 5))
-        d = dist_point_to_segment(seg, p)
+        d = seg.dist_to(p)
         for q in seg.endpoints():
             assert d <= dist_hyp(p, q) + 1e-10
 
