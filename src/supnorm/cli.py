@@ -71,6 +71,10 @@ def cmd_constants(args) -> int:
 
 def cmd_bounds(args) -> int:
     try:
+        if args.k_min > args.k_max:
+            raise ValueError(
+                f"empty weight range: --k-min {args.k_min} exceeds --k-max {args.k_max}"
+            )
         domain = _load(args)
         _, report = engine.run_algorithm(domain, Y0=args.Y0, k_min=args.k_min, k_max=args.k_max)
     except (LoadError, ValueError) as exc:
@@ -91,19 +95,22 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _parse_weights(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(w) for w in text.split(",")) if text else (12,)
+    except ValueError:
+        raise ValueError(f"--weights takes comma-separated integers, got {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     try:
         domain = _load(args)
-    except (LoadError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    weights = tuple(int(w) for w in args.weights.split(",")) if args.weights else (12,)
-    try:
+        weights = _parse_weights(args.weights)
         report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0, domain=domain)
     except UnsupportedDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except ValueError as exc:
+    except (LoadError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     print(report.to_text())

@@ -36,12 +36,6 @@ __all__ = [
     "volume_region",
 ]
 
-#: Samples taken per boundary segment when scanning for the minimum of
-#: Im(sigma_j^{-1} z); the result is rounded down by _HEIGHT_MARGIN so the
-#: reported m_Y is a true lower bound.
-_BOUNDARY_SAMPLES = 512
-_HEIGHT_MARGIN = 1e-9
-
 _MEMBERSHIP_TOL = 1e-9
 
 
@@ -251,6 +245,19 @@ def load_domain(source) -> FundamentalDomain:
     boundary = tuple(_parse_segment(s, i + 1) for i, s in enumerate(doc.get("boundary", [])))
     region = tuple(_parse_constraint(c, i + 1) for i, c in enumerate(doc.get("region", [])))
 
+    rect = doc.get("bounding_rect")
+    if rect is not None:
+        if not isinstance(rect, dict):
+            raise LoadError(f"bounding_rect must be an object, got {rect!r}")
+        missing = [f for f in ("x_min", "x_max", "y_min") if f not in rect]
+        if missing:
+            raise LoadError(f"bounding_rect misses field {missing[0]!r}")
+        rect = {
+            f: _as_number(rect[f], f"bounding_rect {f}")
+            for f in ("x_min", "x_max", "y_min", "y_max")
+            if f in rect
+        }
+
     trace = doc.get("min_hyperbolic_trace")
     if trace is not None:
         trace = _as_number(trace, "min_hyperbolic_trace")
@@ -262,7 +269,7 @@ def load_domain(source) -> FundamentalDomain:
         elliptic=elliptic,
         min_hyperbolic_trace=trace,
         region=region,
-        bounding_rect=doc.get("bounding_rect"),
+        bounding_rect=rect,
         name=str(doc.get("name", "domain")),
     )
     _validate(domain)
@@ -378,23 +385,30 @@ def _truncated_boundary(domain: FundamentalDomain, Y: float) -> list[GeodesicSeg
 def truncation_heights(domain: FundamentalDomain, Y: float) -> tuple[float, float]:
     """Constants (m_Y, M_Y) framing Im(sigma_j^{-1} z) on the truncated region.
 
-    m_Y is a sampled boundary minimum rounded down (the height function is
-    harmonic, so its minimum over the compact region sits on the boundary);
-    M_Y equals Y by construction of the cusp zones.
+    The height function is harmonic, so its minimum over the compact region
+    sits on the boundary.  sigma_j^{-1} maps each boundary piece into a
+    geodesic, along which Im is monotone (vertical line) or has a single
+    interior maximum (semicircle), so the minimum over a piece is attained
+    at one of its endpoints and m_Y is an exact endpoint minimum.  The
+    horizontal cut y = Y has the same endpoints as the tops of the cut
+    vertical rays, so it adds no candidates (its image is a horocycle arc
+    that avoids its point of tangency, where Im is also least at an
+    endpoint).  M_Y equals Y by construction of the cusp zones.
     """
     if domain.cocompact:
         raise ValueError("truncation heights only apply to domains with cusps")
-    lowest = Y
     inverses = [c.scaling.inverse() for c in domain.cusps]
-    for seg in _truncated_boundary(domain, Y):
-        for p in seg.sample(_BOUNDARY_SAMPLES):
-            for inv in inverses:
-                h = inv.apply(p).imag
-                if h < lowest:
-                    lowest = h
-    m_y = lowest - _HEIGHT_MARGIN
+    heights = [
+        inv.apply(p).imag
+        for seg in _truncated_boundary(domain, Y)
+        for p in seg.endpoints()
+        for inv in inverses
+    ]
+    m_y = min([Y, *heights])
     if not 0.0 < m_y < Y:
-        raise ValueError(f"degenerate truncation: m_Y={m_y!r} against Y={Y!r}")
+        raise ValueError(
+            f"the truncated region is empty: m_Y={m_y!r} does not lie in (0, Y={Y!r})"
+        )
     return m_y, Y
 
 
@@ -420,12 +434,8 @@ def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
     """
     if domain.bounding_rect is not None:
         r = domain.bounding_rect
-        try:
-            x0, x1 = float(r["x_min"]), float(r["x_max"])
-            a = float(r["y_min"])
-            b = min(float(r["y_max"]), Y) if "y_max" in r else Y
-        except KeyError as exc:
-            raise ValueError(f"bounding_rect misses field {exc}") from exc
+        x0, x1, a = r["x_min"], r["x_max"], r["y_min"]
+        b = min(r["y_max"], Y) if "y_max" in r else Y
     else:
         if domain.cocompact:
             raise ValueError(

@@ -35,8 +35,6 @@ __all__ = [
     "sup_bound_compact",
     "sup_bound_cusp",
     "cocompact_constants",
-    "sup_bound_weight2",
-    "minimize_weight2",
     "sup_lower_bound",
     "compute_constants",
     "run_algorithm",
@@ -312,30 +310,6 @@ def cocompact_constants(genus: int, ell: float) -> CocompactConstants:
     return CocompactConstants(C_gamma=C, delta_gamma=delta)
 
 
-def sup_bound_weight2(eps: float, Y: float, B_Y: float) -> float:
-    """Global weight-2 bound (1+eps)^2/(4 pi) + 3 (1+eps)^2 (2+eps)/eps * B_Y.
-
-    Valid for Y >= 1/(2 pi), where the cusp zones inherit the compact bound.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    if Y < 1.0 / (2.0 * math.pi):
-        raise ValueError(f"weight-2 bound needs Y >= 1/(2*pi), got Y={Y}")
-    return (1.0 + eps) ** 2 / (4.0 * math.pi) + 3.0 * (1.0 + eps) ** 2 * (2.0 + eps) / eps * B_Y
-
-
-def minimize_weight2(Y: float, B_Y: float, grid: int = 200) -> tuple[float, float]:
-    """Grid argmin of the weight-2 bound over a log grid of eps in (1e-3, 1-1e-3)."""
-    lo, hi = 1e-3, 1.0 - 1e-3
-    best_eps, best_val = lo, math.inf
-    for i in range(grid):
-        eps = lo * (hi / lo) ** (i / (grid - 1))
-        val = sup_bound_weight2(eps, Y, B_Y)
-        if val < best_val:
-            best_eps, best_val = eps, val
-    return best_eps, best_val
-
-
 def sup_lower_bound(k: int, domain: FundamentalDomain) -> LowerBound:
     """Lower bound d_{2k}/vol for the supremum; (k-1)/(2 pi) when genus >= 1."""
     if k < 1:
@@ -358,14 +332,14 @@ def _stage(step: int, label: str, fn, *args):
     """Run one pipeline stage, tagging failures with the step that produced them."""
     try:
         return fn(*args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"step {step} ({label}): {exc}") from exc
 
 
 def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveConstants:
     """Run the constants pipeline on a validated domain."""
-    if Y0 <= 0.0:
-        raise ValueError(f"need Y0 > 0, got {Y0}")
+    if not (math.isfinite(Y0) and Y0 > 0.0):
+        raise ValueError(f"need a finite Y0 > 0, got {Y0}")
     ell = _stage(2, "systole", dom.shortest_geodesic_length, domain)
     mu = mu_gamma(domain)
     theta = domain.theta_gamma()

@@ -138,21 +138,18 @@ def evaluate_form(coeffs, z):
     return val * q
 
 
-def _hecke_constant(coeffs, weight: int) -> float:
-    # Crude empirical Hecke constant: |a_n| <= C n^(weight/2 + 1/2) over the
-    # stored range, padded by a factor 2 for the unseen tail.
-    k_half = weight / 2.0 + 0.5
-    best = max(abs(float(a)) / (n + 1.0) ** k_half for n, a in enumerate(coeffs))
-    return 2.0 * best
-
-
 def tail_bound(coeffs, weight: int, y: float) -> float:
-    """Upper bound for sum_{n > N} |a_n| e^{-2 pi n y} beyond the stored terms."""
+    """Upper bound for sum_{n > N} |a_n| e^{-2 pi n y} beyond the stored terms.
+
+    Every supported space is one-dimensional, so its generator is a Hecke
+    eigenform and Deligne's bound |a_n| <= d(n) n^((w-1)/2) applies; with
+    d(n) <= 2 sqrt(n) this gives |a_n| <= 2 n^(w/2).  The term ratio of the
+    majorant decreases in n, so a geometric series caps the tail.
+    """
     n = len(coeffs)
-    c = _hecke_constant(coeffs, weight)
-    k_half = weight / 2.0 + 0.5
-    first = c * (n + 1.0) ** k_half * math.exp(-2.0 * math.pi * (n + 1.0) * y)
-    ratio = ((n + 2.0) / (n + 1.0)) ** k_half * math.exp(-2.0 * math.pi * y)
+    w_half = weight / 2.0
+    first = 2.0 * (n + 1.0) ** w_half * math.exp(-2.0 * math.pi * (n + 1.0) * y)
+    ratio = ((n + 2.0) / (n + 1.0)) ** w_half * math.exp(-2.0 * math.pi * y)
     if ratio >= 1.0:
         return math.inf
     return first / (1.0 - ratio)
@@ -165,8 +162,17 @@ def tail_bound(coeffs, weight: int, y: float) -> float:
 # and the sliver sqrt(1 - x^2) <= y <= 1 below.
 
 
-def _gauss_nodes(lo, hi, order: int):
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one eigensolve per order."""
     x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(lo, hi, order: int):
+    x, w = _legendre_rule(order)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 __all__ = [
     "MoebiusMap",
     "GeodesicSegment",
@@ -204,21 +202,6 @@ class GeodesicSegment:
         on_circle = abs(abs(p - self.center) - self.radius) <= tol
         return on_circle and self.x_min - tol <= p.real <= self.x_max + tol
 
-    def sample(self, n: int) -> list[complex]:
-        """n points spread along the segment (unbounded rays sampled geometrically)."""
-        if n < 2:
-            raise ValueError("need at least two sample points")
-        if self.kind == "vertical":
-            if self.unbounded:
-                # Geometric spacing reaches far up the ray without wasting points.
-                top = max(10.0 * self.y_min, 100.0)
-                ratio = (top / self.y_min) ** (1.0 / (n - 1))
-                return [complex(self.foot, self.y_min * ratio**i) for i in range(n)]
-            step = (self.y_max - self.y_min) / (n - 1)
-            return [complex(self.foot, self.y_min + i * step) for i in range(n)]
-        xs = [self.x_min + i * (self.x_max - self.x_min) / (n - 1) for i in range(n)]
-        return [self._arc_point(x) for x in xs]
-
     def dist_to(self, p: complex) -> float:
         """Infimum of dist_hyp(p, q) over points q of the segment."""
         p = require_point(p)
@@ -236,26 +219,14 @@ class GeodesicSegment:
         return math.acosh(max(cosh_d, 1.0))
 
     def _dist_arc(self, p: complex) -> float:
-        # Parameterize by the circle angle; the distance to a point is convex
-        # along a geodesic, so a bounded scalar minimization is reliable.  The
-        # endpoint values are evaluated exactly as a safeguard.
-        th_hi = math.acos(min(max((self.x_min - self.center) / self.radius, -1.0), 1.0))
-        th_lo = math.acos(min(max((self.x_max - self.center) / self.radius, -1.0), 1.0))
-
-        def cosh_dist(theta: float) -> float:
-            q = complex(
-                self.center + self.radius * math.cos(theta),
-                self.radius * math.sin(theta),
-            )
-            return 1.0 + abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
-
-        best = min(cosh_dist(th_lo), cosh_dist(th_hi))
-        if th_hi - th_lo > 1e-13:
-            res = minimize_scalar(
-                cosh_dist,
-                bounds=(th_lo, th_hi),
-                method="bounded",
-                options={"xatol": 1e-13},
-            )
-            best = min(best, float(res.fun))
-        return math.acosh(max(best, 1.0))
+        # With q = center + r e^{i theta} and u = Re p - center,
+        # cosh d(p, q) = (|p - center|^2 + r^2 - 2 r u cos theta) / (2 Im(p) r sin theta),
+        # whose only critical point on (0, pi) is the minimum at
+        # cos theta* = 2 r u / (|p - center|^2 + r^2); clamp it into the arc.
+        r = self.radius
+        u = p.real - self.center
+        cos_star = 2.0 * r * u / (u * u + p.imag**2 + r * r)
+        cos_t = min(max(cos_star, (self.x_min - self.center) / r), (self.x_max - self.center) / r)
+        q = complex(self.center + r * cos_t, r * math.sqrt(1.0 - cos_t * cos_t))
+        cosh_d = 1.0 + abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
+        return math.acosh(max(cosh_d, 1.0))

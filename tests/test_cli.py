@@ -18,6 +18,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_input_error(code, out, err):
+    """Exit 2 with a one-line message and no traceback."""
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 class TestConstants:
     def test_default_domain_csv(self, capsys):
         code, out, _ = run(capsys, "constants")
@@ -40,6 +48,19 @@ class TestConstants:
         assert table["m_Y"] == "absent"
         assert table["B_Y0"] == "absent"
         assert float(table["delta_gamma"]) == pytest.approx(0.405465, abs=1e-6)
+
+    @pytest.mark.parametrize("y0", ["inf", "nan", "-1", "1e200"])
+    def test_invalid_y0(self, capsys, y0):
+        assert_input_error(*run(capsys, "constants", "--Y0", y0))
+
+    @pytest.mark.parametrize(
+        "rect", [{"x_min": 0.0, "x_max": 2.0, "y_min": None}, [0.0, 2.0, 1.0, 1.5]]
+    )
+    def test_malformed_bounding_rect(self, capsys, tmp_path, rect):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({"genus": 2, "cusps": [], "min_hyperbolic_trace": 3.0,
+                                    "bounding_rect": rect}))
+        assert_input_error(*run(capsys, "constants", "--domain", str(path)))
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "constants.json"
@@ -73,6 +94,9 @@ class TestBounds:
         lines = out.strip().split("\n")
         assert len(lines) == 3  # header + compact + cusp zone
 
+    def test_inverted_weight_range(self, capsys):
+        assert_input_error(*run(capsys, "bounds", "--k-min", "5", "--k-max", "3"))
+
     def test_plot_files(self, capsys, tmp_path):
         prefix = tmp_path / "curve"
         code, _, _ = run(capsys, "bounds", "--k-min", "2", "--k-max", "5",
@@ -104,6 +128,12 @@ class TestVerify:
     def test_bad_weight_exit_code(self, capsys):
         code, _, err = run(capsys, "verify", "--weights", "14")
         assert code == 2
+
+    def test_non_integer_weight(self, capsys):
+        assert_input_error(*run(capsys, "verify", "--weights", "12,abc"))
+
+    def test_infinite_y0(self, capsys):
+        assert_input_error(*run(capsys, "verify", "--Y0", "inf"))
 
     def test_small_verify_run(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from supnorm.domain import (
@@ -85,6 +86,21 @@ class TestLoading:
         assert is_modular_group(psl2z)
         assert not is_modular_group(genus2_domain)
 
+    @pytest.mark.parametrize(
+        "rect,match",
+        [
+            ({"x_min": 0.0, "x_max": 2.0, "y_min": None}, "y_min"),
+            ({"x_min": 0.0, "x_max": "2", "y_min": 1.0}, "x_max"),
+            ({"x_min": 0.0, "x_max": 2.0, "y_min": 1.0, "y_max": True}, "y_max"),
+            ({"x_min": 0.0, "y_min": 1.0}, "x_max"),
+            ([0.0, 2.0, 1.0, 1.5], "object"),
+            ("rect", "object"),
+        ],
+    )
+    def test_bounding_rect_validated(self, rect, match):
+        with pytest.raises(LoadError, match=match):
+            load_domain({"genus": 2, "cusps": [], "bounding_rect": rect})
+
     def test_shipped_fixture_file(self):
         from pathlib import Path
 
@@ -155,9 +171,31 @@ class TestClassify:
 class TestTruncation:
     def test_modular_heights(self, psl2z):
         m_y, M_y = truncation_heights(psl2z, Y_STD)
-        assert m_y == pytest.approx(ROOT3_HALF, abs=2e-6)
-        assert m_y < ROOT3_HALF  # rounded down, a true lower bound
+        assert m_y == pytest.approx(ROOT3_HALF, rel=1e-15, abs=0.0)
         assert M_y == Y_STD
+
+    @pytest.mark.parametrize("Y", [1.0, 1.5, 2.0, Y_STD, 10.0])
+    def test_endpoints_match_dense_sampling(self, psl2z, Y):
+        # Im is monotone or concave along each boundary geodesic, so no sampled
+        # point may sit below the endpoint minimum, and the corners attain it.
+        m_y, _ = truncation_heights(psl2z, Y)
+        sampled = Y
+        for seg in psl2z.boundary:
+            if seg.kind == "vertical":
+                ys = np.linspace(seg.y_min, min(seg.y_max, Y), 4096)
+            else:
+                xs = np.linspace(seg.x_min, seg.x_max, 4096)
+                ys = np.sqrt(np.maximum(seg.radius**2 - (xs - seg.center) ** 2, 0.0))
+            sampled = min(sampled, float(ys.min()))
+        assert m_y <= sampled
+        assert m_y == pytest.approx(sampled, rel=1e-15, abs=0.0)
+
+    def test_empty_region_rejected(self, psl2z):
+        # at Y = sqrt(3)/2 only the corners remain below the cut
+        with pytest.raises(ValueError, match="empty"):
+            truncation_heights(psl2z, ROOT3_HALF)
+        with pytest.raises(ValueError, match="empty"):
+            truncation_heights(psl2z, 0.5)
 
     def test_cocompact_rejected(self, genus2_domain):
         with pytest.raises(ValueError):

@@ -17,14 +17,12 @@ from supnorm.engine import (
     b_y_bound,
     cocompact_constants,
     compute_constants,
-    minimize_weight2,
     mu_gamma,
     poincare_bound_compact,
     run_algorithm,
     sigma_y_branches,
     sup_bound_compact,
     sup_bound_cusp,
-    sup_bound_weight2,
     sup_lower_bound,
     spectral_gap_bound,
 )
@@ -266,30 +264,6 @@ class TestCocompactConstants:
     def test_genus_domain(self):
         with pytest.raises(ValueError):
             cocompact_constants(1, 1.0)
-
-
-class TestWeightTwoBound:
-    def test_half_eps_value(self):
-        B = 5.194455
-        expected = 2.25 / (4 * math.pi) + 3 * 2.25 * 2.5 / 0.5 * B
-        assert sup_bound_weight2(0.5, 4.13, B) == pytest.approx(expected, rel=1e-14)
-
-    def test_small_eps_divergence(self):
-        B = 5.0
-        v1 = sup_bound_weight2(1e-3, 4.0, B)
-        # pole behaviour ~ 6 B / eps
-        assert v1 == pytest.approx(6.0 * B / 1e-3, rel=0.01)
-
-    def test_grid_minimizer(self):
-        Y, B = 4.13, 5.19
-        eps_star, best = minimize_weight2(Y, B)
-        for i in range(200):
-            eps = 1e-3 * ((1 - 1e-3) / 1e-3) ** (i / 199)
-            assert best <= sup_bound_weight2(eps, Y, B) + 1e-12
-
-    def test_height_precondition(self):
-        with pytest.raises(ValueError):
-            sup_bound_weight2(0.5, 0.1, 5.0)
 
 
 class TestLowerBound:

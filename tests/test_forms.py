@@ -105,6 +105,22 @@ class TestEvaluation:
         coeffs = delta_coefficients(64)
         assert tail_bound(coeffs, 12, 2.0) < tail_bound(coeffs, 12, 1.0) < 1e-100
 
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_deligne_coefficient_bound(self, weight):
+        coeffs = cusp_form_coefficients(weight, 256)
+        for n, a in enumerate(coeffs, start=1):
+            divisors = sum(1 for d in range(1, n + 1) if n % d == 0)
+            assert abs(a) <= divisors * n ** ((weight - 1) / 2.0) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_tail_covers_computed_coefficients(self, weight):
+        # the bound from 64 stored terms must cover the next 192 computed ones
+        coeffs = cusp_form_coefficients(weight, 256)
+        y = math.sqrt(3.0) / 2.0
+        actual = sum(abs(float(coeffs[n - 1])) * math.exp(-2.0 * math.pi * n * y)
+                     for n in range(65, 257))
+        assert tail_bound(coeffs[:64], weight, y) >= actual
+
 
 class TestPeterssonNorm:
     def test_weight_twelve_value(self):

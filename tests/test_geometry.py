@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from supnorm.geometry import (
     GeodesicSegment,
@@ -166,6 +167,51 @@ class TestSegmentDistance:
         d = seg.dist_to(p)
         for q in seg.endpoints():
             assert d <= dist_hyp(p, q) + 1e-10
+
+    @given(
+        st.floats(min_value=-3.0, max_value=3.0),
+        st.floats(min_value=0.1, max_value=4.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        points,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_arc_against_dense_sampling(self, center, radius, s, t, p):
+        # Sample the arc densely; the closest sample is at most half the
+        # largest gap between neighbouring samples farther than the infimum.
+        lo, hi = sorted((s, t))
+        span = 0.98 * radius
+        x_min, x_max = center - span + 2 * span * lo, center - span + 2 * span * hi
+        if x_max - x_min < 1e-6:
+            return
+        seg = GeodesicSegment.arc(center, radius, x_min, x_max)
+        xs = np.linspace(x_min, x_max, 4001)
+        qs = xs + 1j * np.sqrt(radius**2 - (xs - center) ** 2)
+        dists = [dist_hyp(p, q) for q in qs]
+        gap = max(dist_hyp(a, b) for a, b in zip(qs[:-1], qs[1:]))
+        d = seg.dist_to(p)
+        assert d <= min(dists) + 1e-12
+        assert min(dists) <= d + gap / 2.0 + 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arc_against_scalar_optimizer(self, seed):
+        # the closed form is the exact minimum the bounded optimizer approximates
+        rng = np.random.default_rng(3000 + seed)
+        for _ in range(50):
+            center, radius = rng.uniform(-2, 2), rng.uniform(0.2, 3)
+            a, b = np.sort(rng.uniform(center - 0.99 * radius, center + 0.99 * radius, 2))
+            seg = GeodesicSegment.arc(center, radius, a, b)
+            p = complex(rng.uniform(-4, 4), rng.uniform(0.05, 4))
+
+            def cosh_dist(theta):
+                q = complex(center + radius * math.cos(theta), radius * math.sin(theta))
+                return 1.0 + abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
+
+            th_lo, th_hi = math.acos((b - center) / radius), math.acos((a - center) / radius)
+            res = minimize_scalar(cosh_dist, bounds=(th_lo, th_hi), method="bounded",
+                                  options={"xatol": 1e-13})
+            best = min(cosh_dist(th_lo), cosh_dist(th_hi), float(res.fun))
+            assert seg.dist_to(p) == pytest.approx(math.acosh(best), rel=1e-12, abs=1e-12)
 
     def test_contains(self):
         assert S1.contains(complex(-0.5, 1.7))
