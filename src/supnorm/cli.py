@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import engine, kernels
@@ -81,7 +82,7 @@ def cmd_bounds(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.format == "json":
-        _emit(_json_dumps(report.to_json_dict()), args.out)
+        _emit(_json_dumps(asdict(report)), args.out)
     else:
         _emit(report.to_csv(), args.out)
     if args.plot_prefix:
@@ -120,17 +121,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
-    results = kernels.run_kernel_checks(
-        k_max=args.k_max, transform_tol=args.transform_tol
-    )
+    try:
+        results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.name}: {res.detail}")
         all_ok = all_ok and res.passed
     if args.out:
-        doc = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
-        Path(args.out).write_text(_json_dumps(doc), encoding="utf-8")
+        Path(args.out).write_text(_json_dumps([asdict(r) for r in results]), encoding="utf-8")
     return EXIT_OK if all_ok else EXIT_KERNEL
 
 

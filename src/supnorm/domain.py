@@ -146,7 +146,27 @@ class FundamentalDomain:
 def _as_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise LoadError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise LoadError(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def _as_integer(value, lowest: int, what: str) -> int:
+    # Integers enter float arithmetic downstream, so they must be exact there.
+    if isinstance(value, bool) or not isinstance(value, int) or not lowest <= value < 2**53:
+        raise LoadError(f"{what} must be an integer in [{lowest}, 2**53), got {value!r}")
+    return value
+
+
+def _as_list(doc: dict, key: str, item_type: type, what: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, item_type) for v in value):
+        raise LoadError(f"{key} must be a list of {what}, got {value!r}")
+    return value
 
 
 def _parse_scaling(rows, index: int) -> MoebiusMap:
@@ -155,7 +175,7 @@ def _parse_scaling(rows, index: int) -> MoebiusMap:
     except (TypeError, ValueError):
         raise LoadError(f"cusp {index}: scaling matrix must be two rows of two numbers")
     try:
-        return MoebiusMap(float(a), float(b), float(c), float(d))
+        return MoebiusMap(*(_as_number(v, "scaling entry") for v in (a, b, c, d)))
     except ValueError as exc:
         raise LoadError(f"cusp {index}: {exc}") from exc
 
@@ -206,44 +226,47 @@ def load_domain(source) -> FundamentalDomain:
     if isinstance(source, (str, Path)):
         try:
             doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise LoadError(f"cannot read domain file {source}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise LoadError(f"domain file {source} is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            # ValueError: undecodable bytes in the file or a NUL in the path
+            raise LoadError(f"cannot read domain file {source}: {exc}") from exc
     elif isinstance(source, dict):
         doc = source
     else:
         raise LoadError(f"unsupported domain source {type(source).__name__}")
+    if not isinstance(doc, dict):
+        raise LoadError(f"domain document must be a JSON object, got {doc!r}")
 
     if "genus" not in doc:
         raise LoadError("domain document lacks the required field 'genus'")
-    genus = doc["genus"]
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 0:
-        raise LoadError(f"genus must be a nonnegative integer, got {genus!r}")
+    genus = _as_integer(doc["genus"], 0, "genus")
 
     cusps = tuple(
         CuspData(label=f"cusp{i + 1}", scaling=_parse_scaling(rows, i + 1))
-        for i, rows in enumerate(doc.get("cusps", []))
+        for i, rows in enumerate(_as_list(doc, "cusps", list, "scaling matrices"))
     )
 
     elliptic = []
-    for i, desc in enumerate(doc.get("elliptic", [])):
+    for i, desc in enumerate(_as_list(doc, "elliptic", dict, "objects")):
         try:
             x = _as_number(desc["x"], "elliptic x")
             y = _as_number(desc["y"], "elliptic y")
-            order = desc["order"]
+            order = _as_integer(desc["order"], 2, f"elliptic point {i + 1}: order")
             rep = bool(desc.get("is_class_rep", True))
         except KeyError as exc:
             raise LoadError(f"elliptic point {i + 1}: missing field {exc}") from exc
-        if isinstance(order, bool) or not isinstance(order, int) or order < 2:
-            raise LoadError(f"elliptic point {i + 1}: order must be an integer >= 2, got {order!r}")
         if y <= 0.0:
             raise LoadError(f"elliptic point {i + 1}: must lie in the upper half-plane")
         elliptic.append(EllipticPoint(location=complex(x, y), order=order, is_class_rep=rep))
     elliptic = tuple(elliptic)
 
-    boundary = tuple(_parse_segment(s, i + 1) for i, s in enumerate(doc.get("boundary", [])))
-    region = tuple(_parse_constraint(c, i + 1) for i, c in enumerate(doc.get("region", [])))
+    boundary = tuple(
+        _parse_segment(s, i + 1) for i, s in enumerate(_as_list(doc, "boundary", dict, "objects"))
+    )
+    region = tuple(
+        _parse_constraint(c, i + 1) for i, c in enumerate(_as_list(doc, "region", dict, "objects"))
+    )
 
     rect = doc.get("bounding_rect")
     if rect is not None:

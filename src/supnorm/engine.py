@@ -10,9 +10,8 @@ counting constants built from them, then per-weight bound rows (9)-(10).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import domain as dom
 from .domain import FundamentalDomain
@@ -135,24 +134,11 @@ class EffectiveConstants:
         return [{"name": n, "value": v, "step": s} for n, v, s in rows]
 
     def to_dict(self) -> dict:
-        out = {
-            "domain_name": self.domain_name,
-            "genus": self.genus,
-            "n_cusps": self.n_cusps,
-            "covolume": self.covolume,
-            "elliptic_excess": self.elliptic_excess,
-            "ell_gamma": self.ell_gamma,
-            "theta_gamma": self.theta_gamma,
+        return {
+            **asdict(self),
             "mu_gamma": None if math.isinf(self.mu_gamma) else self.mu_gamma,
-            "sigma_Y": self.sigma_Y,
             "sigma_branches": dict(sorted(self.sigma_branches.items())),
         }
-        for name in (
-            "Y0", "Y", "m_Y", "M_Y", "diam_Y", "diam_Y0",
-            "vol_Y", "vol_Y0", "B_Y", "B_Y0", "C_gamma", "delta_gamma",
-        ):
-            out[name] = getattr(self, name)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -434,37 +420,6 @@ class BoundReport:
             lower = "" if row.lower is None else format_float(row.lower)
             lines.append(f"{row.k},{row.region},{format_float(row.upper)},{lower},{row.source}")
         return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "domain_name": self.domain_name,
-            "Y0": self.Y0,
-            "Y": self.Y,
-            "rows": [
-                {
-                    "k": r.k,
-                    "region": r.region,
-                    "upper": r.upper,
-                    "lower": r.lower,
-                    "source": r.source,
-                }
-                for r in self.rows
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "BoundReport":
-        rows = tuple(
-            BoundRow(
-                k=r["k"],
-                region=r["region"],
-                upper=r["upper"],
-                lower=r["lower"],
-                source=r["source"],
-            )
-            for r in doc["rows"]
-        )
-        return cls(domain_name=doc["domain_name"], Y0=doc["Y0"], Y=doc["Y"], rows=rows)
 
     def regions(self) -> list[str]:
         return sorted({r.region for r in self.rows})

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
+#: Relative accuracy of both nested quadratures in mass_integral.
+_MASS_REL_TOL = 1e-7
 
 
 def _series_multiply(a: list[int], b: list[int], n: int) -> list[int]:
@@ -326,7 +328,7 @@ def standard_grid(n: int = 100, Y: float | None = None, k: int | None = None) ->
     return SampleGrid(points=np.concatenate(cols), tags=np.concatenate(tags))
 
 
-def mass_integral(basis: CuspFormBasis, rel_tol: float = 1e-7) -> float:
+def mass_integral(basis: CuspFormBasis) -> float:
     """Integral of S_{2k} over the standard domain against the hyperbolic area.
 
     Petersson orthonormality forces the exact value d_{2k} = 1, which makes
@@ -346,8 +348,8 @@ def mass_integral(basis: CuspFormBasis, rel_tol: float = 1e-7) -> float:
         top = 1.0 / math.sqrt(max(1.0 - x * x, 1e-300))
         # d(mu) = dx dy / y^2 = dx dt under t = 1/y
         val, _ = quad(lambda t: s_value(x, t), 0.0, top, epsabs=1e-12,
-                      epsrel=rel_tol, limit=200)
+                      epsrel=_MASS_REL_TOL, limit=200)
         return val
 
-    total, _ = quad(column, -0.5, 0.5, epsabs=1e-10, epsrel=rel_tol, limit=200)
+    total, _ = quad(column, -0.5, 0.5, epsabs=1e-10, epsrel=_MASS_REL_TOL, limit=200)
     return total

@@ -46,6 +46,13 @@ _SERIES_GUARD = 10**6
 #: integral for five consecutive panels terminates a tail integration.
 _PANEL_TINY = 1e-20
 _PANEL_QUIET = 5
+_PANEL_LIMIT = 2000
+#: Relative accuracy of the difference-kernel and integrated-exponential
+#: integrals, and of the time integral in resolvent_via_heat.
+_RADIAL_REL_TOL = 1e-10
+_TRANSFORM_REL_TOL = 1e-7
+#: Largest relative gap allowed between the two difference-kernel routes.
+_DUAL_TOL = 1e-6
 
 
 class AccuracyError(RuntimeError):
@@ -187,7 +194,7 @@ def _acosh_cosh_ratio(r: float, rho: float) -> float:
     return math.acosh(math.exp(log_x))
 
 
-def _integrate_panels(f, width: float, rel_tol: float, panel_limit: int = 2000):
+def _integrate_panels(f, width: float, rel_tol: float):
     """Integrate f over [0, inf) with fixed-width panels and a tail stop rule.
 
     Returns (value, error_estimate).  Panels stop once _PANEL_QUIET consecutive
@@ -198,7 +205,7 @@ def _integrate_panels(f, width: float, rel_tol: float, panel_limit: int = 2000):
     quiet = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for i in range(panel_limit):
+        for i in range(_PANEL_LIMIT):
             lo = i * width
             hi = lo + width
             eps_abs = max(_PANEL_TINY * abs(total), 1e-300)
@@ -212,6 +219,24 @@ def _integrate_panels(f, width: float, rel_tol: float, panel_limit: int = 2000):
             else:
                 quiet = 0
     raise AccuracyError("panel integration did not terminate", estimate=total)
+
+
+def _radial_integral(k: int, rho: float, log_weight, rel_tol: float):
+    """Integral over r > rho of e^{log_weight(r)} T_2k(cosh(r/2)/cosh(rho/2))
+    / sqrt(cosh r - cosh rho), through r = rho + u^2.
+
+    Returns (value, error_estimate).  At k = 0 the Chebyshev factor is
+    log cosh 0 = 0 exactly.
+    """
+
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        r = rho + u * u
+        log_t = _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
+        return 2.0 * u * math.exp(log_weight(r) + log_t - _log_sqrt_gap(rho, u))
+
+    return _integrate_panels(integrand, width=1.0, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +278,19 @@ def resolvent_G(k: int, s: float, sigma: float) -> float:
     return math.exp(log_pref) * _hyp2f1_series(s + k, s - k, 2.0 * s, 1.0 / sigma)
 
 
-def _difference_quadrature(k: int, s: float, sigma: float, rel_tol: float = 1e-10) -> float:
+def _difference_quadrature(k: int, s: float, sigma: float) -> float:
     """Difference kernel through its direct radial integral representation."""
     rho = 2.0 * math.acosh(math.sqrt(sigma))
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        r = rho + u * u
-        log_num = -(s - 0.5) * r + math.log(-math.expm1(-r))
-        log_t = _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
-        return 2.0 * u * math.exp(log_num + log_t - _log_sqrt_gap(rho, u))
-
-    value, _ = _integrate_panels(integrand, width=1.0, rel_tol=rel_tol)
+    value, _ = _radial_integral(
+        k, rho, lambda r: -(s - 0.5) * r + math.log(-math.expm1(-r)), _RADIAL_REL_TOL
+    )
     return value / (2.0 * math.pi * math.sqrt(2.0))
+
+
+def _difference_routes(k: int, s: float, sigma: float) -> tuple[float, float]:
+    """(series, quadrature) values of G_k(s) - G_k(s+1) at displacement sigma."""
+    series_value = resolvent_G(k, s, sigma) - resolvent_G(k, s + 1.0, sigma)
+    return series_value, _difference_quadrature(k, s, sigma)
 
 
 def g_k_difference(k: int, s: float, sigma: float) -> float:
@@ -277,9 +301,8 @@ def g_k_difference(k: int, s: float, sigma: float) -> float:
     relative, otherwise a ConsistencyError carrying both values is raised.
     Returns route (a).
     """
-    series_value = resolvent_G(k, s, sigma) - resolvent_G(k, s + 1.0, sigma)
-    quad_value = _difference_quadrature(k, s, sigma)
-    if abs(series_value - quad_value) > 1e-6 * max(abs(series_value), 1e-30):
+    series_value, quad_value = _difference_routes(k, s, sigma)
+    if abs(series_value - quad_value) > _DUAL_TOL * max(abs(series_value), 1e-30):
         raise ConsistencyError(
             f"difference-kernel routes disagree at k={k}, s={s}, sigma={sigma}",
             series_value,
@@ -288,7 +311,7 @@ def g_k_difference(k: int, s: float, sigma: float) -> float:
     return series_value
 
 
-def integrated_exponential_lhs(k: int, eps: float, rho: float, rel_tol: float = 1e-10) -> float:
+def integrated_exponential_lhs(k: int, eps: float, rho: float) -> float:
     """Radial integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) e^{kr} / sqrt-gap at s = k+eps.
 
     Bounded above by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
@@ -296,15 +319,9 @@ def integrated_exponential_lhs(k: int, eps: float, rho: float, rel_tol: float = 
     if rho <= 0.0:
         raise ValueError("need rho > 0")
     s = k + eps
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        r = rho + u * u
-        log_num = -(s - 0.5) * r + math.log(-math.expm1(-r)) + k * r
-        return 2.0 * u * math.exp(log_num - _log_sqrt_gap(rho, u))
-
-    value, _ = _integrate_panels(integrand, width=1.0, rel_tol=rel_tol)
+    value, _ = _radial_integral(
+        0, rho, lambda r: -(s - 0.5) * r + math.log(-math.expm1(-r)) + k * r, _RADIAL_REL_TOL
+    )
     return value
 
 
@@ -322,22 +339,9 @@ def heat_kernel(k: int, t: float, rho: float, rel_target: float = 1e-8) -> float
         raise ValueError(f"heat kernel needs t > 0, got {t}")
     if rho < 0.0:
         raise ValueError(f"heat kernel needs rho >= 0, got {rho}")
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        r = rho + u * u
-        log_num = math.log(r) - r * r / (4.0 * t)
-        if rho == 0.0:
-            # gap identity still applies with sinh(rho + h) -> sinh(h)
-            h = 0.5 * u * u
-            log_gap = 0.5 * (_LOG2 + 2.0 * _logsinh(h))
-        else:
-            log_gap = _log_sqrt_gap(rho, u)
-        log_t2k = _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
-        return 2.0 * u * math.exp(log_num + log_t2k - log_gap)
-
-    raw, err = _integrate_panels(integrand, width=1.0, rel_tol=min(rel_target * 1e-2, 1e-9))
+    raw, err = _radial_integral(
+        k, rho, lambda r: math.log(r) - r * r / (4.0 * t), min(rel_target * 1e-2, 1e-9)
+    )
     pref = math.sqrt(2.0) * math.exp(-t / 4.0) / (4.0 * math.pi * t) ** 1.5
     value = pref * raw
     if err > rel_target * max(abs(raw), 1e-300):
@@ -348,7 +352,7 @@ def heat_kernel(k: int, t: float, rho: float, rel_target: float = 1e-8) -> float
     return value
 
 
-def resolvent_via_heat(k: int, s: float, sigma: float, rel_tol: float = 1e-7) -> float:
+def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     """Resolvent value recovered as the time integral of the heat kernel.
 
     Integrates e^{-(s-1/2)^2 t} e^{t/4} K_k(t; rho) over t > 0 with
@@ -370,7 +374,7 @@ def resolvent_via_heat(k: int, s: float, sigma: float, rel_tol: float = 1e-7) ->
     # Decay rate of the tail: (s-1/2)^2 - (k-1/2)^2 > 0.
     rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
     width = max(0.25, min(2.0, 3.0 / rate))
-    value, _ = _integrate_panels(integrand, width=width, rel_tol=rel_tol)
+    value, _ = _integrate_panels(integrand, width=width, rel_tol=_TRANSFORM_REL_TOL)
     return value
 
 
@@ -389,19 +393,20 @@ def _check(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
-def run_kernel_checks(
-    k_max: int = 12,
-    transform_tol: float = 1e-4,
-    dual_tol: float = 1e-6,
-) -> list[CheckResult]:
+def run_kernel_checks(k_max: int = 12, transform_tol: float = 1e-4) -> list[CheckResult]:
     """Run the kernel inequality and consistency grids; returns one result each.
 
     The grids follow the validity ranges of the underlying statements:
     0 < eps < 1 for the difference-kernel bounds, Z >= 1 for the Stirling
-    ratio, x >= 1 for the Chebyshev comparison.
+    ratio, x >= 1 for the Chebyshev comparison.  Raises ValueError unless
+    k_max >= 1 and transform_tol is finite and positive.
     """
+    if k_max < 1:
+        raise ValueError(f"need k_max >= 1, got {k_max}")
+    if not (math.isfinite(transform_tol) and transform_tol > 0.0):
+        raise ValueError(f"need a finite transform tolerance > 0, got {transform_tol}")
     results: list[CheckResult] = []
-    ks = sorted({1, 2, 3, 6} | {min(max(k_max, 1), 50)})
+    ks = sorted({1, 2, 3, 6} | {min(k_max, 50)})
 
     # Chebyshev growth: T_{2k}(cosh(r/2)) <= e^{k r}.
     worst = -math.inf
@@ -439,11 +444,10 @@ def run_kernel_checks(
         for eps in (0.1, 0.5):
             for sigma in (1.5, 2.0, 10.0):
                 s = k + eps
-                series_value = resolvent_G(k, s, sigma) - resolvent_G(k, s + 1.0, sigma)
-                quad_value = _difference_quadrature(k, s, sigma)
+                series_value, quad_value = _difference_routes(k, s, sigma)
                 rel = abs(series_value - quad_value) / max(abs(series_value), 1e-30)
                 worst_dual = max(worst_dual, rel)
-                dual_ok = dual_ok and rel <= dual_tol
+                dual_ok = dual_ok and rel <= _DUAL_TOL
                 cap = 3.0 / (2.0 * math.pi * eps) * sigma ** -(k + eps)
                 worst_decay = max(worst_decay, series_value / cap)
                 decay_ok = decay_ok and series_value <= cap * (1.0 + 1e-12)
@@ -451,7 +455,7 @@ def run_kernel_checks(
         _check(
             "difference_kernel_dual_route",
             dual_ok,
-            f"max relative gap {worst_dual:.3e} (tolerance {dual_tol:g})",
+            f"max relative gap {worst_dual:.3e} (tolerance {_DUAL_TOL:g})",
         )
     )
     results.append(

@@ -10,7 +10,7 @@ alongside as a reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,29 +63,7 @@ class VerificationReport:
         return all(item.passed for item in self.items)
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "items": [
-                {
-                    "name": i.name,
-                    "passed": i.passed,
-                    "detail": i.detail,
-                    "weight": i.weight,
-                }
-                for i in self.items
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "VerificationReport":
-        return cls(
-            items=tuple(
-                VerificationItem(
-                    name=i["name"], passed=i["passed"], detail=i["detail"], weight=i["weight"]
-                )
-                for i in doc["items"]
-            )
-        )
+        return {"passed": self.passed, **asdict(self)}
 
     def to_text(self) -> str:
         lines = []

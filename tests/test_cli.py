@@ -7,9 +7,11 @@ from pathlib import Path
 import pytest
 
 from supnorm.cli import main
-from supnorm.engine import BoundReport
+from supnorm.domain import modular_group
+from supnorm.engine import BoundReport, BoundRow, run_algorithm
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "supnorm" / "data"
+PSL2Z_DOC = json.loads((DATA / "psl2z.json").read_text())
 
 
 def run(capsys, *argv):
@@ -62,6 +64,24 @@ class TestConstants:
                                     "bounding_rect": rect}))
         assert_input_error(*run(capsys, "constants", "--domain", str(path)))
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            5,
+            {**PSL2Z_DOC, "cusps": 5},
+            {**PSL2Z_DOC, "boundary": [5]},
+            {**PSL2Z_DOC, "elliptic": [5]},
+            {**PSL2Z_DOC, "elliptic": {"x": 1}},
+            {**PSL2Z_DOC, "region": [None]},
+        ],
+        ids=["top_level_number", "cusps_number", "boundary_item", "elliptic_item",
+             "elliptic_object", "region_null"],
+    )
+    def test_malformed_domain_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        assert_input_error(*run(capsys, "constants", "--domain", str(path)))
+
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "constants.json"
         code, _, _ = run(capsys, "constants", "--format", "json", "--out", str(out_path))
@@ -84,7 +104,9 @@ class TestBounds:
         code, _, _ = run(capsys, "bounds", "--format", "json", "--k-min", "2",
                          "--k-max", "30", "--out", str(out_path))
         assert code == 0
-        report = BoundReport.from_json_dict(json.loads(out_path.read_text()))
+        doc = json.loads(out_path.read_text())
+        report = BoundReport(**{**doc, "rows": tuple(BoundRow(**r) for r in doc["rows"])})
+        assert report == run_algorithm(modular_group(), Y0=2.0, k_min=2, k_max=30)[1]
         sources = {r.source for r in report.rows}
         assert sources == {"compact_poincare", "cusp_max_principle", "cusp_faddeev_tail"}
 
@@ -155,3 +177,49 @@ class TestKernelCheck:
         code, out, _ = run(capsys, "kernel-check", "--transform-tol", "1e-16")
         assert code == 4
         assert "[FAIL] heat_resolvent_transform" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_invalid_transform_tolerance(self, capsys, tol):
+        assert_input_error(*run(capsys, "kernel-check", f"--transform-tol={tol}"))
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_invalid_k_max(self, capsys, k_max):
+        assert_input_error(*run(capsys, "kernel-check", f"--k-max={k_max}"))
+
+
+def test_json_key_order(capsys, tmp_path):
+    """Key order of every JSON document, as the hand-written serializers had it."""
+    ledger_keys = [
+        "domain_name", "genus", "n_cusps", "covolume", "elliptic_excess", "ell_gamma",
+        "theta_gamma", "mu_gamma", "sigma_Y", "sigma_branches", "Y0", "Y", "m_Y", "M_Y",
+        "diam_Y", "diam_Y0", "vol_Y", "vol_Y0", "B_Y", "B_Y0", "C_gamma", "delta_gamma",
+    ]
+    for extra in ([], ["--domain", str(DATA / "genus2_cocompact.json")]):
+        code, out, _ = run(capsys, "constants", "--format", "json", *extra)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["domain", "constants", "ledger"]
+        assert list(doc["constants"]) == ledger_keys
+        branches = list(doc["constants"]["sigma_branches"])
+        assert branches == sorted(branches)
+        assert all(list(row) == ["name", "value", "step"] for row in doc["ledger"])
+    assert doc["constants"]["mu_gamma"] is None
+
+    code, out, _ = run(capsys, "bounds", "--k-max", "8", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == ["domain_name", "Y0", "Y", "rows"]
+    assert all(list(r) == ["k", "region", "upper", "lower", "source"] for r in doc["rows"])
+
+    out_path = tmp_path / "verify.json"
+    code, _, _ = run(capsys, "verify", "--weights", "12", "--grid", "20", "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert list(doc) == ["passed", "items"]
+    assert all(list(i) == ["name", "passed", "detail", "weight"] for i in doc["items"])
+
+    out_path = tmp_path / "kernels.json"
+    code, _, _ = run(capsys, "kernel-check", "--out", str(out_path))
+    assert code == 0
+    doc = json.loads(out_path.read_text())
+    assert all(list(r) == ["name", "passed", "detail"] for r in doc)

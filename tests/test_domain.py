@@ -1,9 +1,14 @@
 """Tests for domain loading, validation, and derived geometric quantities."""
 
+import copy
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supnorm.domain import (
     LoadError,
@@ -23,6 +28,48 @@ from supnorm.domain import (
 from conftest import ROOT3_HALF
 
 Y_STD = 16.0 / math.sqrt(15.0)
+PSL2Z_DOC = json.loads(
+    (Path(__file__).resolve().parent.parent / "src" / "supnorm" / "data" / "psl2z.json").read_text()
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document, as the key path leading to it."""
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_fixtures(draw):
+    """psl2z.json with one to three positions replaced by a random value or deleted."""
+    doc = copy.deepcopy(PSL2Z_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = draw(json_values)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(json_values)
+    return doc
 
 
 class TestLoading:
@@ -100,6 +147,14 @@ class TestLoading:
     def test_bounding_rect_validated(self, rect, match):
         with pytest.raises(LoadError, match=match):
             load_domain({"genus": 2, "cusps": [], "bounding_rect": rect})
+
+    @given(mutated_fixtures())
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_fixture_raises_only_load_error(self, doc):
+        try:
+            load_domain(doc)
+        except LoadError:
+            pass
 
     def test_shipped_fixture_file(self):
         from pathlib import Path

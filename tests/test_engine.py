@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import mpmath
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from supnorm.domain import load_domain
 from supnorm.engine import (
     BoundReport,
+    BoundRow,
     CompactBranchApplies,
     EffectiveConstants,
     Y_FLOOR,
@@ -366,8 +368,8 @@ class TestPipeline:
 class TestReportSerialization:
     def test_json_round_trip(self, psl2z):
         _, report = run_algorithm(psl2z, Y0=2.0, k_min=2, k_max=8)
-        doc = json.loads(json.dumps(report.to_json_dict()))
-        again = BoundReport.from_json_dict(doc)
+        doc = json.loads(json.dumps(asdict(report)))
+        again = BoundReport(**{**doc, "rows": tuple(BoundRow(**r) for r in doc["rows"])})
         assert again == report
 
     def test_csv_shape(self, psl2z):
