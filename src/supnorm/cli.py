@@ -143,22 +143,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, bounds=False):
+    def common(p, tables=False):
         p.add_argument("--domain", metavar="PATH", default=None,
                        help="domain description file (default: built-in modular group)")
         p.add_argument("--Y0", type=float, default=2.0, help="base truncation height")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if tables:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", default=None, help="write output here")
-        if bounds:
-            p.add_argument("--k-min", type=int, default=2)
-            p.add_argument("--k-max", type=int, default=30)
 
     p = sub.add_parser("constants", help="compute the effective-constants ledger")
-    common(p)
+    common(p, tables=True)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="emit the per-weight bound table")
-    common(p, bounds=True)
+    common(p, tables=True)
+    p.add_argument("--k-min", type=int, default=2)
+    p.add_argument("--k-max", type=int, default=30)
     p.add_argument("--plot-prefix", metavar="PATH", default=None,
                    help="also write per-region k,bound CSV files with this prefix")
     p.set_defaults(func=cmd_bounds)

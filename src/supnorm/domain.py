@@ -20,7 +20,6 @@ from .geometry import GeodesicSegment, MoebiusMap, require_point
 
 __all__ = [
     "LoadError",
-    "MembershipError",
     "CuspData",
     "EllipticPoint",
     "FundamentalDomain",
@@ -29,7 +28,6 @@ __all__ = [
     "is_modular_group",
     "covolume",
     "dimension_d2k",
-    "classify",
     "shortest_geodesic_length",
     "truncation_heights",
     "diameter_upper_bound",
@@ -41,10 +39,6 @@ _MEMBERSHIP_TOL = 1e-9
 
 class LoadError(ValueError):
     """A domain document violates the schema or a domain invariant."""
-
-
-class MembershipError(ValueError):
-    """A point handed to a region operation lies outside the domain."""
 
 
 @dataclass(frozen=True)
@@ -376,20 +370,6 @@ def shortest_geodesic_length(domain: FundamentalDomain) -> float:
     if trace <= 2.0:
         raise ValueError(f"trace {trace} does not belong to a hyperbolic element (need > 2)")
     return 2.0 * math.acosh(trace / 2.0)
-
-
-def classify(domain: FundamentalDomain, Y: float, z: complex) -> int:
-    """Region tag of z: 0 for the compact part, j >= 1 for the j-th cusp zone.
-
-    z must lie in the domain; the tag is j exactly when Im(sigma_j^{-1} z) >= Y.
-    """
-    z = require_point(z)
-    if not domain.contains(z):
-        raise MembershipError(f"point {z} is not in the fundamental domain")
-    for j, cusp in enumerate(domain.cusps, start=1):
-        if cusp.scaling.inverse().apply(z).imag >= Y - 1e-12:
-            return j
-    return 0
 
 
 def _truncated_boundary(domain: FundamentalDomain, Y: float) -> list[GeodesicSegment]:

@@ -15,12 +15,12 @@ from dataclasses import asdict, dataclass, field
 
 from . import domain as dom
 from .domain import FundamentalDomain
+from .kernels import parabolic_sum_bound
 
 __all__ = [
     "CompactBranchApplies",
     "EffectiveConstants",
     "CocompactConstants",
-    "LowerBound",
     "BoundRow",
     "BoundReport",
     "Y_FLOOR",
@@ -44,8 +44,6 @@ __all__ = [
 #: Y^2/4 >= 64/15, i.e. Y >= 16/sqrt(15).
 Y_FLOOR = 16.0 / math.sqrt(15.0)
 
-_E54 = math.exp(1.25)
-
 
 class CompactBranchApplies(Exception):
     """Signal that the cusp zone inherits the compact bound (Y >= k/(2*pi))."""
@@ -63,14 +61,6 @@ class CompactBranchApplies(Exception):
 class CocompactConstants:
     C_gamma: float
     delta_gamma: float
-
-
-@dataclass(frozen=True)
-class LowerBound:
-    """Lower bound d_{2k}/vol for the sup, with the genus simplification if any."""
-
-    value: float | None
-    genus_simplified: float | None = None
 
 
 @dataclass(frozen=True)
@@ -192,9 +182,14 @@ def b_y_bound(diam: float, vol: float) -> float:
 
 
 def b_k_y0(k: int, Y0: float, B_Y0: float, eps: float) -> float:
-    """Cusp-zone tail constant at positive eps."""
-    if k < 1 or Y0 <= 0.0 or eps <= 0.0:
-        raise ValueError(f"need k >= 1, Y0 > 0, eps > 0; got k={k}, Y0={Y0}, eps={eps}")
+    """Cusp-zone tail constant
+    pi Y0^{-4-2 eps} B_{Y0} 4^{-k+3} (2+eps)/(1+eps) (k/(2 pi))^{4+2 eps}.
+
+    The theorem states it for 0 < eps < 1; eps = 0 gives its limit, which is
+    the value the bounds use (see spectral_gap_bound).
+    """
+    if k < 1 or Y0 <= 0.0 or eps < 0.0:
+        raise ValueError(f"need k >= 1, Y0 > 0, eps >= 0; got k={k}, Y0={Y0}, eps={eps}")
     return (
         math.pi
         * Y0 ** (-4.0 - 2.0 * eps)
@@ -207,20 +202,22 @@ def b_k_y0(k: int, Y0: float, B_Y0: float, eps: float) -> float:
 
 
 def b_k_y0_limit(k: int, Y0: float, B_Y0: float) -> float:
-    """eps -> 0 limit: 2 pi Y0^{-4} B_{Y0} 4^{-k+3} (k/(2 pi))^4."""
-    if k < 1 or Y0 <= 0.0:
-        raise ValueError(f"need k >= 1 and Y0 > 0; got k={k}, Y0={Y0}")
-    return 2.0 * math.pi * Y0**-4.0 * B_Y0 * 4.0 ** (-k + 3) * (k / (2.0 * math.pi)) ** 4
+    """eps -> 0 limit of b_k_y0: 2 pi Y0^{-4} B_{Y0} 4^{-k+3} (k/(2 pi))^4."""
+    return b_k_y0(k, Y0, B_Y0, 0.0)
 
 
 def poincare_bound_compact(k: int, eps: float, constants: EffectiveConstants) -> float:
     """Upper bound for the displacement sum over nontrivial elements, on the
     compact part: 4 pi (2+eps)/(1+eps) B_Y sigma_Y^{-(k-2)} plus the elliptic
-    stabilizer excess."""
+    stabilizer excess.
+
+    The theorem states it for 0 < eps < 1; eps = 0 gives its limit,
+    8 pi B_Y sigma_Y^{-(k-2)} plus the excess (see spectral_gap_bound).
+    """
     if k < 2:
         raise ValueError(f"compact series bound needs k >= 2, got {k}")
-    if eps <= 0.0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    if eps < 0.0:
+        raise ValueError(f"need eps >= 0, got {eps}")
     main = (
         4.0 * math.pi * (2.0 + eps) / (1.0 + eps) * constants.B_Y * constants.sigma_Y ** -(k - 2)
     )
@@ -228,14 +225,19 @@ def poincare_bound_compact(k: int, eps: float, constants: EffectiveConstants) ->
 
 
 def spectral_gap_bound(k: int, eps: float, poincare_value: float) -> float:
-    """Sup-norm bound given a Poincare-series bound P, at positive eps.
+    """Sup-norm bound given a Poincare-series bound P:
 
     (2k-1+eps)(1+eps)/(4 pi) + 3 (2k+eps)(2k-1+eps)(1+eps) / (4 pi (k+eps)) * P.
+
+    The theorem proves it for every 0 < eps < 1, with P the eps-form of the
+    series bound.  S_2k does not depend on eps and the bound is continuous at
+    eps = 0, so its value there, (2k-1)/(4 pi) + 3 (2k-1)/(2 pi) * P(0), bounds
+    S_2k too; that is the bound the tables report.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"the difference-kernel bound needs 0 < eps < 1, got {eps}")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"the difference-kernel bound needs 0 <= eps < 1, got {eps}")
     if poincare_value < 0.0:
         raise ValueError(f"series bound must be nonnegative, got {poincare_value}")
     lead = (2.0 * k - 1.0 + eps) * (1.0 + eps) / (4.0 * math.pi)
@@ -250,18 +252,19 @@ def spectral_gap_bound(k: int, eps: float, poincare_value: float) -> float:
 
 
 def sup_bound_compact(k: int, constants: EffectiveConstants) -> float:
-    """eps -> 0 bound on the compact part:
+    """eps -> 0 bound on the compact part, spectral_gap_bound of
+    poincare_bound_compact at eps = 0:
     (2k-1)/(4 pi) (1 + 6 * elliptic excess) + 12 (2k-1) B_Y sigma_Y^{-(k-2)}."""
     if k < 2:
         raise ValueError(f"compact bound needs k >= 2, got {k}")
     if constants.B_Y is None:
         raise ValueError("constants carry no B_Y; run the pipeline first")
-    lead = (2.0 * k - 1.0) / (4.0 * math.pi) * (1.0 + 6.0 * constants.elliptic_excess)
-    return lead + 12.0 * (2.0 * k - 1.0) * constants.B_Y * constants.sigma_Y ** -(k - 2)
+    return spectral_gap_bound(k, 0.0, poincare_bound_compact(k, 0.0, constants))
 
 
 def sup_bound_cusp(k: int, constants: EffectiveConstants) -> float:
-    """Large-weight cusp-zone bound, valid only when Y < k/(2 pi).
+    """Large-weight cusp-zone bound, valid only when Y < k/(2 pi): spectral_gap_bound
+    at eps = 0 of the cusp tail b_k_y0_limit plus the translation-sum bound.
 
     Raises CompactBranchApplies when Y >= k/(2 pi): there the maximum
     principle pushes the cusp supremum into the compact part.
@@ -273,9 +276,7 @@ def sup_bound_cusp(k: int, constants: EffectiveConstants) -> float:
     if constants.Y >= k / (2.0 * math.pi):
         raise CompactBranchApplies(k, constants.Y)
     tail = b_k_y0_limit(k, constants.Y0, constants.B_Y0)
-    return (2.0 * k - 1.0) / (4.0 * math.pi) + 3.0 * (2.0 * k - 1.0) / (2.0 * math.pi) * (
-        tail + math.sqrt(k) * _E54 / math.sqrt(math.pi)
-    )
+    return spectral_gap_bound(k, 0.0, tail + parabolic_sum_bound(k, 0.0))
 
 
 def cocompact_constants(genus: int, ell: float) -> CocompactConstants:
@@ -296,18 +297,15 @@ def cocompact_constants(genus: int, ell: float) -> CocompactConstants:
     return CocompactConstants(C_gamma=C, delta_gamma=delta)
 
 
-def sup_lower_bound(k: int, domain: FundamentalDomain) -> LowerBound:
-    """Lower bound d_{2k}/vol for the supremum; (k-1)/(2 pi) when genus >= 1."""
+def sup_lower_bound(k: int, domain: FundamentalDomain) -> float | None:
+    """Lower bound d_{2k}/vol for the supremum."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    simplified = (k - 1) / (2.0 * math.pi) if domain.genus >= 1 else None
     if k == 1:
         # The dimension formula is wrong at weight 2; only the vacuous
         # genus bound survives.
-        return LowerBound(value=0.0 if domain.genus >= 1 else None,
-                          genus_simplified=simplified)
-    value = dom.dimension_d2k(domain, k) / dom.covolume(domain)
-    return LowerBound(value=value, genus_simplified=simplified)
+        return 0.0 if domain.genus >= 1 else None
+    return dom.dimension_d2k(domain, k) / dom.covolume(domain)
 
 
 # ---------------------------------------------------------------------------
@@ -342,12 +340,12 @@ def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveCo
             raise ValueError(
                 "cocompact genus <= 1 domains need an explicit bounding_rect"
             )
-        branches = sigma_y_branches(domain, ell, mu, None, None)
+        branches = _stage(5, "displacement floor", sigma_y_branches, domain, ell, mu, None, None)
         sigma = max(min(branches.values()), 1.0)
-        B_Y = b_y_bound(diam, vol)
+        B_Y = _stage(8, "counting constants", b_y_bound, diam, vol)
         decay = None
         if domain.torsionfree and domain.genus >= 2:
-            decay = cocompact_constants(domain.genus, ell)
+            decay = _stage(8, "counting constants", cocompact_constants, domain.genus, ell)
         return EffectiveConstants(
             domain_name=domain.name,
             genus=domain.genus,
@@ -393,8 +391,8 @@ def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveCo
         diam_Y0=diam_y0,
         vol_Y=vol_y,
         vol_Y0=vol_y0,
-        B_Y=b_y_bound(diam_y, vol_y),
-        B_Y0=b_y_bound(diam_y0, vol_y0),
+        B_Y=_stage(8, "counting constants", b_y_bound, diam_y, vol_y),
+        B_Y0=_stage(8, "counting constants", b_y_bound, diam_y0, vol_y0),
     )
 
 
@@ -461,11 +459,11 @@ def run_algorithm(
             else:
                 upper = sup_bound_compact(k, constants)
                 source = "compact_poincare"
-            rows.append(BoundRow(k=k, region="F", upper=upper, lower=lower.value, source=source))
+            rows.append(BoundRow(k=k, region="F", upper=upper, lower=lower, source=source))
             continue
         compact_upper = sup_bound_compact(k, constants)
         rows.append(
-            BoundRow(k=k, region="F_Y", upper=compact_upper, lower=lower.value,
+            BoundRow(k=k, region="F_Y", upper=compact_upper, lower=lower,
                      source="compact_poincare")
         )
         for j in range(1, domain.n_cusps + 1):

@@ -75,21 +75,6 @@ class IntegerMoebius:
         return (self.a, self.b, self.c, self.d)
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
-
-
 def _sigma_batch(a, b, c: int, d: int, z: complex) -> np.ndarray:
     """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2.
 
@@ -131,10 +116,10 @@ def _scan(z: complex, R: float):
             continue
         spread = math.sqrt(rem)
         for d in range(math.ceil(-c * x - spread), math.floor(-c * x + spread) + 1):
-            if math.gcd(c, abs(d)) != 1:
+            if math.gcd(c, d) != 1:
                 continue
-            _, u, v = _xgcd(d, c)
-            a0, b0 = u, -v
+            a0 = pow(d, -1, c)
+            b0 = (a0 * d - 1) // c
             w = (a0 * z + b0) / (c * z + d)
             wx, wy = w.real, w.imag
             disc = 4.0 * pad * y * wy - (y + wy) ** 2

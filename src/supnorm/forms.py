@@ -21,7 +21,6 @@ from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
 from . import domain as dom
-from .geometry import require_point
 
 __all__ = [
     "SUPPORTED_WEIGHTS",
@@ -32,7 +31,6 @@ __all__ = [
     "build_basis",
     "evaluate_form",
     "tail_bound",
-    "s2k_eval",
     "s2k_on_grid",
     "SampleGrid",
     "standard_grid",
@@ -265,33 +263,22 @@ def build_basis(weight: int, n_coeffs: int = 128) -> CuspFormBasis:
 # The averaged sup-norm quantity
 
 
-def s2k_eval(basis: CuspFormBasis, z: complex) -> float:
-    """S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> with a certified truncation error.
-
-    Raises when the stored coefficients cannot pin the value to 1e-10
-    relative (the point sits too low for the expansion length).
-    """
-    z = require_point(z)
-    f = evaluate_form(basis.coefficients, z)
-    tail = tail_bound(basis.coefficients, basis.weight, z.imag)
-    mag = abs(f)
-    if not tail * (2.0 * mag + tail) <= 1e-10 * mag * mag:
-        raise ValueError(
-            f"q-expansion with {len(basis.coefficients)} terms cannot certify the value "
-            f"at Im z = {z.imag:.4g}; more coefficients needed"
-        )
-    return mag * mag * z.imag ** basis.weight / basis.petersson_norm
-
-
 def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
-    """Vectorized S_{2k} over grid points (tail certified at the lowest point)."""
+    """S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> over an array of points.
+
+    Raises when the stored coefficients cannot pin every value to 1e-10
+    relative (tail certified at the lowest point against the smallest |f|).
+    """
     y_min = float(np.min(points.imag))
     probe = evaluate_form(basis.coefficients, points)
     tail = tail_bound(basis.coefficients, basis.weight, y_min)
     mags = np.abs(probe)
     smallest = float(np.min(mags))
     if not tail * (2.0 * smallest + tail) <= 1e-10 * smallest * smallest:
-        raise ValueError("grid reaches too low for the stored expansion length")
+        raise ValueError(
+            f"q-expansion with {len(basis.coefficients)} terms cannot certify the values "
+            f"at Im z = {y_min:.4g}; more coefficients needed"
+        )
     return mags**2 * points.imag ** basis.weight / basis.petersson_norm
 
 

@@ -16,7 +16,6 @@ __all__ = [
     "require_point",
     "displacement",
     "dist_hyp",
-    "disk_volume",
 ]
 
 # Tolerance for the unit-determinant check after sign normalization.
@@ -51,13 +50,6 @@ def dist_hyp(z: complex, w: complex) -> float:
     c = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
     # Guard against cosh values dipping below 1 through rounding.
     return math.acosh(max(c, 1.0))
-
-
-def disk_volume(r: float) -> float:
-    """Hyperbolic area of a disk of radius r: 4*pi*sinh^2(r/2)."""
-    if r < 0.0:
-        raise ValueError(f"disk radius must be nonnegative, got {r}")
-    return 4.0 * math.pi * math.sinh(r / 2.0) ** 2
 
 
 @dataclass(frozen=True)

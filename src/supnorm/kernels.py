@@ -1,6 +1,6 @@
-"""Special-function layer: digamma combinations, Chebyshev and Stirling
-inequalities, the hypergeometric resolvent kernel, the difference kernel, the
-heat kernel, and the integral transform tying them together.
+"""Special-function layer: Chebyshev and Stirling inequalities, the
+hypergeometric resolvent kernel, the difference kernel, the heat kernel, and
+the integral transform tying them together.
 
 All kernel integrals share the same endpoint structure: an integrable
 1/sqrt(cosh r - cosh rho) singularity at r = rho, removed by the substitution
@@ -17,15 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import digamma as _scipy_digamma
 from scipy.special import gammaln
 
 __all__ = [
     "AccuracyError",
     "ConsistencyError",
-    "digamma",
-    "digamma_combo",
-    "r_factor",
     "chebyshev_T2k",
     "GammaRatio",
     "gamma_ratio_bound",
@@ -76,39 +72,6 @@ class ConsistencyError(RuntimeError):
 # Elementary pieces
 
 
-def digamma(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"digamma is restricted to positive arguments here, got {x}")
-    return float(_scipy_digamma(x))
-
-
-def digamma_combo(k: int, eps: float) -> float:
-    """psi(2k+e) + psi(e) - psi(2k+1+e) - psi(1+e) in closed form.
-
-    Two applications of the recurrence psi(x+1) - psi(x) = 1/x collapse the
-    four terms to -2(k+e)/(e(2k+e)); the closed form is cross-checked against
-    the four-call evaluation before being returned.
-    """
-    if k < 1 or eps <= 0.0:
-        raise ValueError(f"need k >= 1 and eps > 0, got k={k}, eps={eps}")
-    value = -2.0 * (k + eps) / (eps * (2.0 * k + eps))
-    direct = (
-        digamma(2.0 * k + eps) + digamma(eps) - digamma(2.0 * k + 1.0 + eps) - digamma(1.0 + eps)
-    )
-    if abs(value - direct) > 1e-9 * abs(value):
-        raise ConsistencyError(
-            f"digamma combination mismatch at k={k}, eps={eps}", value, direct
-        )
-    return value
-
-
-def r_factor(k: int, eps: float) -> float:
-    """Spectral normalization 2(k+e) / (e (2k+e)(2k-1+e)(1+e))."""
-    if k < 1 or eps <= 0.0:
-        raise ValueError(f"need k >= 1 and eps > 0, got k={k}, eps={eps}")
-    return 2.0 * (k + eps) / (eps * (2.0 * k + eps) * (2.0 * k - 1.0 + eps) * (1.0 + eps))
-
-
 def chebyshev_T2k(k: int, x: float) -> float:
     """Chebyshev value T_{2k}(x) = cosh(2k arccosh x) for x >= 1."""
     if x < 1.0:
@@ -134,9 +97,13 @@ def gamma_ratio_bound(Z: float) -> GammaRatio:
 
 
 def parabolic_sum_bound(k: int, eps: float) -> float:
-    """Closed bound k e^{5/4} / (sqrt(pi) sqrt(k+eps)) for the translation sum."""
-    if k < 1 or eps <= 0.0:
-        raise ValueError(f"need k >= 1 and eps > 0, got k={k}, eps={eps}")
+    """Closed bound k e^{5/4} / (sqrt(pi) sqrt(k+eps)) for the translation sum.
+
+    The theorem states it for 0 < eps < 1; eps = 0 gives its limit
+    sqrt(k) e^{5/4} / sqrt(pi), which the eps -> 0 sup-norm bound uses.
+    """
+    if k < 1 or eps < 0.0:
+        raise ValueError(f"need k >= 1 and eps >= 0, got k={k}, eps={eps}")
     return k * math.exp(1.25) / (math.sqrt(math.pi) * math.sqrt(k + eps))
 
 

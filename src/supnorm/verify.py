@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine
-from .domain import FundamentalDomain, covolume, dimension_d2k, is_modular_group, modular_group
+from .domain import FundamentalDomain, is_modular_group, modular_group
 from .enumeration import (
     VerificationFailure,
     counting_check,
@@ -177,7 +177,7 @@ def _weight_items(weight: int, constants, domain, grid_size: int) -> list[Verifi
         )
     )
 
-    floor = dimension_d2k(domain, k) / covolume(domain)
+    floor = engine.sup_lower_bound(k, domain)
     items.append(
         VerificationItem(
             "lower_bound",

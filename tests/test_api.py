@@ -1,0 +1,61 @@
+"""Guard on the public API: every exported name has a caller inside the package."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "supnorm"
+
+# Exported names whose only callers are tests, each kept for a reason.
+KEPT_FOR_TESTS = {
+    "enumerate_ball": "coset enumeration checked element by element against raw entry search",
+    "g_k_difference": "series route checked against the quadrature route",
+    "faddeev_transfer": "transfer factor checked against exact enumerated sums",
+    "displacement": "test oracle for the enumeration and the geometry primitives",
+    "dist_hyp": "test oracle for the geodesic segment distances",
+}
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _defined_names(node: ast.stmt) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {t.id for t in targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _references() -> dict[str, set[tuple[str, str]]]:
+    """Loaded name -> {(module, top-level name whose definition holds the reference)}."""
+    refs: dict[str, set[tuple[str, str]]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owners = _defined_names(stmt) or {""}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                refs.setdefault(name, set()).update((path.stem, o) for o in owners)
+    return refs
+
+
+def test_every_export_has_a_package_caller():
+    """Exports without a caller in src/ are exactly the ones kept for tests."""
+    refs = _references()
+    uncalled = []
+    for path in sorted(SRC.glob("*.py")):
+        for name in _exports(ast.parse(path.read_text(encoding="utf-8"))):
+            if not refs.get(name, set()) - {(path.stem, name)}:
+                uncalled.append(name)
+    assert sorted(uncalled) == sorted(KEPT_FOR_TESTS)

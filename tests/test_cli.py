@@ -82,6 +82,23 @@ class TestConstants:
         path.write_text(json.dumps(doc))
         assert_input_error(*run(capsys, "constants", "--domain", str(path)))
 
+    @pytest.mark.parametrize("command", ["constants", "bounds"])
+    @pytest.mark.parametrize(
+        "doc,step",
+        [
+            ({"genus": 1000, "cusps": [], "min_hyperbolic_trace": 3.0}, 8),
+            ({"genus": 3, "cusps": [], "min_hyperbolic_trace": 2.0000001}, 8),
+            ({"genus": 2, "cusps": [], "min_hyperbolic_trace": 1e300}, 5),
+        ],
+        ids=["large_genus", "short_systole", "long_systole"],
+    )
+    def test_cocompact_overflow(self, capsys, tmp_path, doc, step, command):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--domain", str(path))
+        assert_input_error(code, out, err)
+        assert err.startswith(f"error: step {step} ")
+
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "constants.json"
         code, _, _ = run(capsys, "constants", "--format", "json", "--out", str(out_path))
@@ -156,6 +173,11 @@ class TestVerify:
 
     def test_infinite_y0(self, capsys):
         assert_input_error(*run(capsys, "verify", "--Y0", "inf"))
+
+    def test_no_format_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--format", "json"])
+        assert exc.value.code == 2
 
     def test_small_verify_run(self, capsys, tmp_path):
         out_path = tmp_path / "verify.json"

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 from supnorm.domain import (
     LoadError,
-    MembershipError,
-    classify,
     covolume,
     diameter_upper_bound,
     dimension_d2k,
@@ -197,30 +195,6 @@ class TestDimension:
             vol = covolume(domain)
             for k in range(2, 20):
                 assert dimension_d2k(domain, k) >= (k - 1) * vol / (2.0 * math.pi) - 1e-12
-
-
-class TestClassify:
-    def test_compact_point(self, psl2z):
-        assert classify(psl2z, Y_STD, 1j) == 0
-
-    def test_cusp_point(self, psl2z):
-        assert classify(psl2z, Y_STD, 5j) == 1
-
-    def test_outside_domain(self, psl2z):
-        with pytest.raises(MembershipError):
-            classify(psl2z, Y_STD, 0.9j)
-
-    def test_monotone_in_height(self, psl2z):
-        tags = [classify(psl2z, Y_STD, complex(0.0, 1.0 + 0.2 * i)) for i in range(40)]
-        assert tags == sorted(tags)
-        assert tags[0] == 0 and tags[-1] == 1
-
-    def test_partition(self, psl2z):
-        for x in (-0.4, 0.0, 0.3):
-            for y in (1.0, 2.0, 4.0, 6.0):
-                tag = classify(psl2z, Y_STD, complex(x, y))
-                assert tag in (0, 1)
-                assert (tag == 1) == (y >= Y_STD - 1e-12)
 
 
 class TestTruncation:

@@ -28,6 +28,7 @@ from supnorm.engine import (
     sup_lower_bound,
     spectral_gap_bound,
 )
+from supnorm.kernels import parabolic_sum_bound
 
 E54 = math.exp(1.25)
 
@@ -180,7 +181,39 @@ class TestSpectralGapBound:
         with pytest.raises(ValueError):
             spectral_gap_bound(3, 1.0, 1.0)
         with pytest.raises(ValueError):
-            spectral_gap_bound(3, 0.0, 1.0)
+            spectral_gap_bound(3, -1e-3, 1.0)
+
+
+class TestEpsZeroLimit:
+    """eps = 0 evaluates each eps-form at its hand-written eps -> 0 limit."""
+
+    def test_matches_written_limits(self, psl2z_constants):
+        c = psl2z_constants
+        for k in (2, 6, 26):
+            P = 3.7
+            assert spectral_gap_bound(k, 0.0, P) == pytest.approx(
+                (2 * k - 1) / (4 * math.pi) + 3 * (2 * k - 1) / (2 * math.pi) * P,
+                rel=1e-14, abs=0.0,
+            )
+            assert poincare_bound_compact(k, 0.0, c) == pytest.approx(
+                8 * math.pi * c.B_Y * c.sigma_Y ** -(k - 2) + c.elliptic_excess,
+                rel=1e-14, abs=0.0,
+            )
+            assert b_k_y0(k, 2.0, c.B_Y0, 0.0) == pytest.approx(
+                2 * math.pi * 2.0**-4 * c.B_Y0 * 4.0 ** (-k + 3) * (k / (2 * math.pi)) ** 4,
+                rel=1e-14, abs=0.0,
+            )
+            assert parabolic_sum_bound(k, 0.0) == pytest.approx(
+                math.sqrt(k) * E54 / math.sqrt(math.pi), rel=1e-14, abs=0.0
+            )
+
+    def test_negative_eps_rejected(self, psl2z_constants):
+        with pytest.raises(ValueError):
+            poincare_bound_compact(6, -1e-3, psl2z_constants)
+        with pytest.raises(ValueError):
+            b_k_y0(6, 2.0, 4.0, -1e-3)
+        with pytest.raises(ValueError):
+            parabolic_sum_bound(6, -1e-3)
 
 
 class TestCompactBound:
@@ -270,18 +303,14 @@ class TestCocompactConstants:
 
 class TestLowerBound:
     def test_genus_simplification(self, genus2_domain):
-        lb = sup_lower_bound(6, genus2_domain)
-        assert lb.genus_simplified == pytest.approx(5.0 / (2 * math.pi), rel=1e-14)
-        assert lb.value == pytest.approx(11.0 / (4 * math.pi), rel=1e-12)
+        assert sup_lower_bound(6, genus2_domain) == pytest.approx(11.0 / (4 * math.pi), rel=1e-12)
 
     def test_modular_weight_twelve(self, psl2z):
-        lb = sup_lower_bound(6, psl2z)
-        assert lb.value == pytest.approx(3.0 / math.pi, rel=1e-12)
-        assert lb.genus_simplified is None
+        assert sup_lower_bound(6, psl2z) == pytest.approx(3.0 / math.pi, rel=1e-12)
 
     def test_weight_two_vacuous(self, genus2_domain, psl2z):
-        assert sup_lower_bound(1, genus2_domain).value == 0.0
-        assert sup_lower_bound(1, psl2z).value is None
+        assert sup_lower_bound(1, genus2_domain) == 0.0
+        assert sup_lower_bound(1, psl2z) is None
 
 
 class TestPipeline:

@@ -17,7 +17,6 @@ from supnorm.forms import (
     eisenstein_coefficients,
     evaluate_form,
     mass_integral,
-    s2k_eval,
     s2k_on_grid,
     standard_grid,
     tail_bound,
@@ -183,28 +182,23 @@ class TestAveragedQuantity:
         samples = [0.23 + 1.1j, -0.41 + 0.95j, 0.05 + 2.2j]
         checked = 0
         for z in samples:
-            base = s2k_eval(basis12, z)
+            base = s2k_on_grid(basis12, np.array([z]))[0]
             for m in words:
                 image = m.apply(z)
                 if image.imag < 0.3:
                     continue
-                assert s2k_eval(basis12, image) == pytest.approx(base, rel=1e-8)
+                assert s2k_on_grid(basis12, np.array([image]))[0] == pytest.approx(
+                    base, rel=1e-8
+                )
                 checked += 1
         assert checked >= 12
 
     def test_low_point_rejected(self, basis12):
         with pytest.raises(ValueError, match="coefficients"):
-            s2k_eval(basis12, 0.1 + 0.05j)
+            s2k_on_grid(basis12, np.array([0.1 + 0.05j]))
 
     def test_mass_identity(self, basis12):
         assert mass_integral(basis12) == pytest.approx(1.0, abs=1e-4)
-
-    def test_grid_evaluation_matches_pointwise(self, basis12):
-        grid = standard_grid(20)
-        values = s2k_on_grid(basis12, grid.points)
-        for idx in (0, 57, 213, 399):
-            z = grid.points[idx]
-            assert values[idx] == pytest.approx(s2k_eval(basis12, z), rel=1e-12)
 
     def test_grid_points_inside_domain(self, psl2z):
         grid = standard_grid(30, Y=4.1312, k=26)

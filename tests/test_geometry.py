@@ -11,7 +11,6 @@ from scipy.optimize import minimize_scalar
 from supnorm.geometry import (
     GeodesicSegment,
     MoebiusMap,
-    disk_volume,
     displacement,
     dist_hyp,
 )
@@ -219,23 +218,3 @@ class TestSegmentDistance:
         assert S2.contains(I)
         assert S2.contains(RHO_LEFT)
         assert not S2.contains(RHO)
-
-
-class TestDiskVolume:
-    def test_zero(self):
-        assert disk_volume(0.0) == 0.0
-
-    def test_radius_two(self):
-        # 4 pi sinh^2(1) = 2 pi (cosh 2 - 1)
-        expected = 2.0 * math.pi * (math.cosh(2.0) - 1.0)
-        assert disk_volume(2.0) == pytest.approx(expected, rel=1e-15)
-        assert expected == pytest.approx(17.355387381771436, abs=1e-10)
-
-    def test_monotone(self):
-        radii = np.linspace(0.1, 6.0, 25)
-        vols = [disk_volume(r) for r in radii]
-        assert all(b > a for a, b in zip(vols, vols[1:]))
-
-    def test_negative_radius(self):
-        with pytest.raises(ValueError):
-            disk_volume(-0.1)

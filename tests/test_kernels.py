@@ -8,38 +8,18 @@ from scipy.special import gammaln
 
 from supnorm.kernels import (
     chebyshev_T2k,
-    digamma,
-    digamma_combo,
     faddeev_transfer,
     g_k_difference,
     gamma_ratio_bound,
     heat_kernel,
     integrated_exponential_lhs,
     parabolic_sum_bound,
-    r_factor,
     resolvent_G,
     resolvent_via_heat,
     run_kernel_checks,
 )
 
 E54 = math.exp(1.25)
-
-
-def digamma_at_one_oracle(n: int = 200000) -> float:
-    # psi(1) = -(lim H_n - ln n), with the Euler-Maclaurin correction terms
-    h = math.fsum(1.0 / m for m in range(1, n + 1))
-    gamma = h - math.log(n) - 1.0 / (2.0 * n) + 1.0 / (12.0 * n * n)
-    return -gamma
-
-
-def digamma_asymptotic_oracle(x: float) -> float:
-    # ln x - 1/(2x) - sum B_{2n} / (2n x^{2n}); adequate for x >= 10
-    inv2 = 1.0 / (x * x)
-    series = inv2 * (
-        1.0 / 12.0
-        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0)))
-    )
-    return math.log(x) - 1.0 / (2.0 * x) - series
 
 
 def stirling_lgamma_oracle(x: float) -> float:
@@ -57,25 +37,6 @@ def stirling_lgamma_oracle(x: float) -> float:
     return (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + series - shift
 
 
-class TestDigamma:
-    def test_at_one(self):
-        assert digamma(1.0) == pytest.approx(digamma_at_one_oracle(), abs=1e-12)
-
-    def test_functional_equation(self):
-        assert digamma(2.0) == pytest.approx(digamma(1.0) + 1.0, abs=1e-14)
-        for x in (0.3, 1.7, 9.2):
-            assert digamma(x + 1.0) - digamma(x) == pytest.approx(1.0 / x, rel=1e-12)
-
-    def test_against_asymptotic_series(self):
-        assert digamma(10.5) == pytest.approx(digamma_asymptotic_oracle(10.5), abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-1.5)
-
-
 class TestLogGamma:
     # the library log-gamma backing the kernel prefactors, against the
     # Stirling-series recursion
@@ -84,44 +45,6 @@ class TestLogGamma:
         assert float(gammaln(x)) == pytest.approx(
             stirling_lgamma_oracle(x), rel=1e-12, abs=1e-12
         )
-
-
-class TestDigammaCombo:
-    def test_small_case(self):
-        assert digamma_combo(1, 0.5) == pytest.approx(-2.4, rel=1e-14)
-
-    def test_k6(self):
-        assert digamma_combo(6, 0.1) == pytest.approx(-2.0 * 6.1 / (0.1 * 12.1), rel=1e-14)
-
-    def test_matches_four_term_sum(self):
-        for k in (1, 3, 10):
-            for eps in (0.01, 0.3, 0.9):
-                direct = (
-                    digamma(2 * k + eps)
-                    + digamma(eps)
-                    - digamma(2 * k + 1 + eps)
-                    - digamma(1 + eps)
-                )
-                assert digamma_combo(k, eps) == pytest.approx(direct, rel=1e-9)
-
-    def test_always_negative(self):
-        for k in (1, 2, 5, 20):
-            for eps in (1e-4, 0.1, 0.99):
-                assert digamma_combo(k, eps) < 0.0
-
-
-class TestRFactor:
-    def test_unit_case(self):
-        assert r_factor(1, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-15)
-
-    def test_scaled_limit(self):
-        for k in (1, 4, 9):
-            assert 1e-8 * r_factor(k, 1e-8) == pytest.approx(1.0 / (2 * k - 1), rel=1e-6)
-
-    def test_positive(self):
-        for k in (1, 2, 7):
-            for eps in (0.01, 0.5, 0.99):
-                assert r_factor(k, eps) > 0.0
 
 
 class TestChebyshev:
