@@ -3,18 +3,19 @@
 A domain is loaded from a JSON document (see ``load_domain``) or taken from
 the built-in modular-group instance.  Once constructed it is immutable, and
 all derived quantities (covolume, truncation constants, region volumes) are
-pure functions of it.
+pure functions of it.  Every one of them is a closed form: region volumes
+are sums of arcsines between breakpoints of the region floor.  No quadrature
+runs here; scipy backs only the mass-integral check in forms.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-
-from scipy.integrate import quad
 
 from .geometry import GeodesicSegment, MoebiusMap, require_point
 
@@ -121,16 +122,6 @@ class FundamentalDomain:
         if not strips:
             raise LoadError(f"domain {self.name!r} has no strip constraint")
         return max(c.x_min for c in strips), min(c.x_max for c in strips)
-
-    def floor_height(self, x: float) -> float:
-        """Lower y-boundary of the region above abscissa x (0 if unconstrained)."""
-        lo = 0.0
-        for c in self.region:
-            if c.kind == "outside_disk":
-                gap = c.radius**2 - (x - c.center) ** 2
-                if gap > 0.0:
-                    lo = max(lo, math.sqrt(gap))
-        return lo
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +409,12 @@ def truncation_heights(domain: FundamentalDomain, Y: float) -> tuple[float, floa
 def _base_chart_ok(domain: FundamentalDomain) -> None:
     if not domain.region:
         raise ValueError(
-            f"domain {domain.name!r} has no region description; region quadrature unavailable"
+            f"domain {domain.name!r} has no region description; region geometry unavailable"
         )
     for cusp in domain.cusps:
         if not cusp.scaling.is_identity(tol=1e-9):
             raise ValueError(
-                "region quadrature supports cusps placed at infinity in the base chart; "
+                "region geometry supports cusps placed at infinity in the base chart; "
                 f"{cusp.label} has a nontrivial scaling map"
             )
 
@@ -457,45 +448,44 @@ def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
 def volume_region(domain: FundamentalDomain, Y: float | None = None) -> float:
     """Hyperbolic volume of the region truncated at height Y (full domain if None).
 
-    The area form dx dy / y^2 integrates exactly in y between the region floor
-    and the truncation height, which leaves a one-dimensional adaptive
-    quadrature in x; this is the (x, 1/y) substitution, under which the
-    improper cusp direction becomes a finite interval.
+    Above abscissa x the area form dx dy / y^2 integrates to 1/h(x) - 1/Y,
+    where the floor h is the highest excluded arc sqrt(r^2 - (x-c)^2).  The
+    strip edges, each disk's c - r, c and c + r, the points where a circle
+    crosses height Y and the pairwise circle intersections cut the strip into
+    pieces on which one arc is highest and h stays on one side of Y, so each
+    piece integrates in closed form through arcsin((x-c)/r).
     """
     if domain.cocompact:
         return covolume(domain)
     _base_chart_ok(domain)
     x0, x1 = domain.strip_bounds()
     cap = math.inf if Y is None else Y
+    disks = [(c.center, c.radius) for c in domain.region if c.kind == "outside_disk"]
+    cuts = {x0, x1}
+    for c, r in disks:
+        cuts.update((c - r, c, c + r))
+        if r > cap:
+            h = math.sqrt(r * r - cap * cap)
+            cuts.update((c - h, c + h))
+    for (c1, r1), (c2, r2) in itertools.combinations(disks, 2):
+        if c1 != c2:
+            cuts.add((r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1)))
+    breaks = sorted(v for v in cuts if x0 <= v <= x1)
 
-    def column(x: float) -> float:
-        lo = domain.floor_height(x)
-        if lo <= 0.0:
-            raise ValueError(f"region is not bounded away from the real axis at x={x}")
-        if cap <= lo:
-            return 0.0
-        return 1.0 / lo - (0.0 if math.isinf(cap) else 1.0 / cap)
+    def arc(x: float, c: float, r: float) -> float:
+        return math.asin(min(max((x - c) / r, -1.0), 1.0))
 
-    breaks = sorted(
-        {x0, x1}
-        | {
-            v
-            for c in domain.region
-            if c.kind == "outside_disk"
-            for v in (c.center - c.radius, c.center, c.center + c.radius)
-            if x0 < v < x1
-        }
-    )
     total = 0.0
-    achieved = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        val, err = quad(column, lo, hi, epsabs=1e-10, epsrel=1e-8, limit=300)
-        total += val
-        achieved += err
-    if achieved > max(1e-8, 1e-6 * abs(total)):
-        raise ValueError(
-            f"volume quadrature did not converge: estimate {total!r}, error {achieved!r}"
+        mid = 0.5 * (lo + hi)
+        floor, c, r = max(
+            ((math.sqrt(r * r - (mid - c) ** 2), c, r) for c, r in disks if abs(mid - c) < r),
+            default=(0.0, 0.0, 0.0),
         )
+        if floor <= 0.0:
+            raise ValueError(f"region is not bounded away from the real axis at x={mid}")
+        if floor < cap:
+            total += arc(hi, c, r) - arc(lo, c, r) - (hi - lo) / cap
     if total <= 0.0:
         raise ValueError(
             f"truncation height {Y} sits below the domain floor; the region is empty"

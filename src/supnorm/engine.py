@@ -297,14 +297,10 @@ def cocompact_constants(genus: int, ell: float) -> CocompactConstants:
     return CocompactConstants(C_gamma=C, delta_gamma=delta)
 
 
-def sup_lower_bound(k: int, domain: FundamentalDomain) -> float | None:
-    """Lower bound d_{2k}/vol for the supremum."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if k == 1:
-        # The dimension formula is wrong at weight 2; only the vacuous
-        # genus bound survives.
-        return 0.0 if domain.genus >= 1 else None
+def sup_lower_bound(k: int, domain: FundamentalDomain) -> float:
+    """Lower bound d_{2k}/vol for the supremum, for weight 2k >= 4."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, the dimension formula fails at weight 2; got k={k}")
     return dom.dimension_d2k(domain, k) / dom.covolume(domain)
 
 

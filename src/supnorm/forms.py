@@ -3,10 +3,13 @@
 Each supported weight has a one-dimensional space, generated by the
 discriminant form (weight 12) times monomials in the weight 4 and weight 6
 Eisenstein series.  Coefficients are exact integers.  A Petersson norm is an
-exact incomplete-gamma sum over the strip above y = 1 plus one fixed
-Gauss-Legendre rule on the sliver below it, cross-checked at doubled order.
+incomplete-gamma sum over the strip above y = 1, finite because the weight is
+an integer, plus one fixed Gauss-Legendre rule on the sliver below it,
+cross-checked at doubled order; the kernel panels use the same cached rule.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
-verifier compares against the closed-form bounds.
+verifier compares against the closed-form bounds.  Only the mass integral,
+the independent check of the norm, uses scipy's adaptive quadrature, and it
+imports scipy when it runs.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gamma, gammaincc
 
 from . import domain as dom
 
@@ -181,12 +182,16 @@ def _strip_integral(weight: int, coeffs) -> float:
     """Integral of |f|^2 y^(weight-2) over the strip |x| <= 1/2, y >= 1.
 
     Parseval in x leaves sum a_n^2 int_1^inf e^{-4 pi n y} y^(w-2) dy
-    = sum a_n^2 Gamma(w-1, 4 pi n) / (4 pi n)^(w-1), exact up to rounding.
+    = sum a_n^2 Gamma(w-1, 4 pi n) / (4 pi n)^(w-1).  For the integer
+    s = w - 1 that ratio is the finite positive sum
+    e^{-t} sum_{m=1}^{s} (s-1)!/(s-m)! t^{-m} at t = 4 pi n, here in Horner form.
     """
-    s = weight - 1.0
     a = np.array([float(c) for c in coeffs])
     t = 4.0 * math.pi * np.arange(1, len(a) + 1)
-    return float(np.sum(a * a * (gamma(s) * gammaincc(s, t) / t**s)))
+    acc = np.ones_like(t)
+    for i in range(1, weight - 1):
+        acc = 1.0 + i / t * acc
+    return float(np.sum(a * a * np.exp(-t) * acc / t))
 
 
 def _sliver_integral(weight: int, coeffs, nx: int = 64, ny: int = 48) -> float:
@@ -323,6 +328,8 @@ def mass_integral(basis: CuspFormBasis) -> float:
     Uses nested adaptive quadrature in (x, 1/y), independent of the
     Gauss-Legendre scheme behind the stored norm.
     """
+    from scipy.integrate import quad
+
     coeffs = [float(a) for a in basis.coefficients]
     weight = basis.weight
     norm = basis.petersson_norm

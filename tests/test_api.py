@@ -1,7 +1,13 @@
 """Guard on the public API: every exported name has a caller inside the package."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "supnorm"
 
@@ -59,3 +65,26 @@ def test_every_export_has_a_package_caller():
             if not refs.get(name, set()) - {(path.stem, name)}:
                 uncalled.append(name)
     assert sorted(uncalled) == sorted(KEPT_FOR_TESTS)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "",
+        'main(["constants"])',
+        'main(["bounds", "--k-max", "60"])',
+        'main(["kernel-check", "--k-max", "50"])',
+    ],
+)
+def test_cli_runs_without_scipy(call):
+    """Only the mass-integral oracle behind verify may import scipy."""
+    code = (
+        "import json, sys\n"
+        "from supnorm.cli import main\n"
+        f"{call}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,17 +1,20 @@
 """Tests for domain loading, validation, and derived geometric quantities."""
 
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from supnorm.domain import (
     LoadError,
+    RegionConstraint,
     covolume,
     diameter_upper_bound,
     dimension_d2k,
@@ -301,6 +304,63 @@ class TestVolumeRegion:
         assert volume_region(genus2_domain, None) == pytest.approx(
             covolume(genus2_domain), rel=1e-15
         )
+
+
+def adaptive_volume(x0, x1, disks, Y):
+    """Region volume by adaptive quadrature of 1/floor - 1/Y in x.
+
+    The integrand has kinks where two arcs cross and where an arc crosses Y;
+    without them among the breakpoints the quadrature can miss by percents.
+    """
+
+    def column(x):
+        floor = max((math.sqrt(r * r - (x - c) ** 2) for c, r in disks if abs(x - c) < r),
+                    default=0.0)
+        return max(1.0 / floor - (0.0 if Y is None else 1.0 / Y), 0.0)
+
+    cuts = {v for c, r in disks for v in (c - r, c, c + r)}
+    cuts |= {c + s * math.sqrt(r * r - Y * Y) for c, r in disks for s in (-1, 1)
+             if Y is not None and r > Y}
+    cuts |= {(r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1))
+             for (c1, r1) in disks for (c2, r2) in disks if c1 != c2}
+    breaks = sorted({x0, x1} | {v for v in cuts if x0 < v < x1})
+    return sum(quad(column, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)[0]
+               for lo, hi in zip(breaks[:-1], breaks[1:]))
+
+
+@st.composite
+def disk_regions(draw):
+    """A strip covered by one to four excluded disks, and a cap height near one radius."""
+    x0 = draw(st.floats(-1.0, 0.0))
+    x1 = x0 + draw(st.floats(0.2, 1.5))
+    disks = draw(st.lists(st.tuples(st.floats(x0 - 0.5, x1 + 0.5), st.floats(0.2, 2.0)),
+                          min_size=1, max_size=4))
+    # every abscissa of the strip lies 0.02 inside some disk, which keeps the
+    # floor off zero and the quadrature off the 1/sqrt endpoint singularity
+    reach = x0
+    for lo, hi in sorted((c - r, c + r) for c, r in disks):
+        if lo < reach - 0.02:
+            reach = max(reach, hi)
+    assume(reach > x1 + 0.02)
+    radius = draw(st.sampled_from([r for _, r in disks]))
+    Y = draw(st.sampled_from([None, 0.7 * radius, radius, 1.3 * radius]))
+    return x0, x1, disks, Y
+
+
+@settings(max_examples=60, deadline=None)
+@given(disk_regions())
+def test_volume_region_matches_adaptive_quadrature(case):
+    x0, x1, disks, Y = case
+    region = (RegionConstraint("strip", x_min=x0, x_max=x1),) + tuple(
+        RegionConstraint("outside_disk", center=c, radius=r) for c, r in disks
+    )
+    domain = dataclasses.replace(modular_group(), region=region)
+    want = adaptive_volume(x0, x1, disks, Y)
+    if want <= 1e-12:
+        with pytest.raises(ValueError, match="below the domain floor"):
+            volume_region(domain, Y)
+    else:
+        assert volume_region(domain, Y) == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_theta_gamma(psl2z, genus2_domain):

@@ -308,9 +308,11 @@ class TestLowerBound:
     def test_modular_weight_twelve(self, psl2z):
         assert sup_lower_bound(6, psl2z) == pytest.approx(3.0 / math.pi, rel=1e-12)
 
-    def test_weight_two_vacuous(self, genus2_domain, psl2z):
-        assert sup_lower_bound(1, genus2_domain) == 0.0
-        assert sup_lower_bound(1, psl2z) is None
+    def test_weight_two_rejected(self, genus2_domain, psl2z):
+        # the dimension formula fails at weight 2, so no floor is offered there
+        for domain in (genus2_domain, psl2z):
+            with pytest.raises(ValueError, match="k >= 2"):
+                sup_lower_bound(1, domain)
 
 
 class TestPipeline:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gamma, gammaincc
 
 from supnorm.enumeration import IntegerMoebius
 from supnorm.forms import (
@@ -147,6 +148,16 @@ class TestPeterssonNorm:
 
         oracle, _ = quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
         assert _strip_integral(weight, coeffs) == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_strip_sum_against_incomplete_gamma(self, weight):
+        # the regularized incomplete gamma function of scipy, against the finite sum
+        s = weight - 1.0
+        coeffs = cusp_form_coefficients(weight, 128)
+        a2 = np.array([float(a) for a in coeffs]) ** 2
+        t = 4.0 * math.pi * np.arange(1, len(a2) + 1)
+        oracle = float(np.sum(a2 * gamma(s) * gammaincc(s, t) / t**s))
+        assert _strip_integral(weight, coeffs) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("weight", sorted(SEED_NORMS))
     def test_matches_seed_quadrature(self, weight):

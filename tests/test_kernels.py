@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import gammaln
 
 from supnorm.kernels import (
+    AccuracyError,
+    _radial_integral,
     chebyshev_T2k,
     faddeev_transfer,
     g_k_difference,
@@ -37,14 +40,21 @@ def stirling_lgamma_oracle(x: float) -> float:
     return (x - 0.5) * math.log(x) - x + 0.5 * math.log(2.0 * math.pi) + series - shift
 
 
+LGAMMA_POINTS = [1.0, 1.5, 2.5, 7.3, 10.5, 100.1, 5000.0]
+
+
 class TestLogGamma:
-    # the library log-gamma backing the kernel prefactors, against the
-    # Stirling-series recursion
-    @pytest.mark.parametrize("x", [1.0, 1.5, 2.5, 7.3, 10.5, 100.1, 5000.0])
+    # log-gamma routes against the Stirling-series recursion
+    @pytest.mark.parametrize("x", LGAMMA_POINTS)
     def test_against_stirling_series(self, x):
         assert float(gammaln(x)) == pytest.approx(
             stirling_lgamma_oracle(x), rel=1e-12, abs=1e-12
         )
+
+    @pytest.mark.parametrize("x", LGAMMA_POINTS)
+    def test_math_lgamma_against_stirling_series(self, x):
+        # math.lgamma backs the kernel prefactors
+        assert math.lgamma(x) == pytest.approx(stirling_lgamma_oracle(x), rel=1e-12, abs=1e-12)
 
 
 class TestChebyshev:
@@ -160,11 +170,66 @@ class TestHeatKernel:
         with pytest.raises(ValueError):
             heat_kernel(1, 1.0, -0.5)
 
+    def test_overflow_raises_accuracy_error(self):
+        # e^{k r - r^2/(4t)} peaks near e^{10^4} at k = 50, t = 1
+        with pytest.raises(AccuracyError, match="not finite"):
+            heat_kernel(50, 1.0, 0.4)
+
+    def test_array_of_times_matches_scalar_calls(self):
+        ts = np.array([0.05, 0.3, 1.0, 4.0])
+        values = heat_kernel(2, ts, 0.7)
+        assert values.shape == ts.shape
+        for t, v in zip(ts, values):
+            assert v == pytest.approx(heat_kernel(2, float(t), 0.7), rel=1e-12)
+
     @pytest.mark.parametrize("k,s,sigma", [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5)])
     def test_transform_recovers_resolvent(self, k, s, sigma):
         direct = resolvent_G(k, s, sigma)
         via_heat = resolvent_via_heat(k, s, sigma)
         assert via_heat == pytest.approx(direct, rel=1e-4)
+
+
+def _adaptive_radial(k, rho, log_weight):
+    """The radial integral by adaptive quadrature on unit u-panels, in scalar log space."""
+    log2 = math.log(2.0)
+
+    def logcosh(x):
+        return abs(x) - log2 + math.log1p(math.exp(-2.0 * abs(x)))
+
+    def logsinh(x):
+        return x - log2 + math.log(-math.expm1(-2.0 * x))
+
+    def integrand(u):
+        r = rho + u * u
+        log_ratio = max(logcosh(r / 2.0) - logcosh(rho / 2.0), 0.0)
+        a = math.acosh(math.exp(log_ratio)) if log_ratio < 30.0 else log_ratio + log2
+        log_gap = log2 + logsinh(rho + u * u / 2.0) + logsinh(u * u / 2.0)
+        return 2.0 * u * math.exp(log_weight(r) + logcosh(2 * k * a) - 0.5 * log_gap)
+
+    total = 0.0
+    for i in range(40):
+        total += quad(integrand, i, i + 1.0, epsabs=1e-14 * total, epsrel=1e-12, limit=200)[0]
+    return total
+
+
+class TestRadialIntegral:
+    # the fixed-node panel rule against scipy's adaptive quadrature
+    @pytest.mark.parametrize(
+        "k,rho,log_weight",
+        [
+            (1, 1.76, lambda r: -1.5 * r + math.log(-math.expm1(-r))),
+            (6, 0.96, lambda r: -5.6 * r + math.log(-math.expm1(-r))),
+            (0, 3.6, lambda r: -1.6 * r + math.log(-math.expm1(-r)) + 2 * r),
+            (3, 0.4, lambda r: math.log(r) - r * r / 4.0),
+            (1, 1.5, lambda r: math.log(r) - r * r / 0.8),
+        ],
+        ids=["difference-k1", "difference-k6", "integrated-exp", "heat-t1", "heat-t0.2"],
+    )
+    def test_against_adaptive_quad(self, k, rho, log_weight):
+        vector_weight = np.vectorize(log_weight)
+        value, err = _radial_integral(k, rho, vector_weight)
+        assert value == pytest.approx(_adaptive_radial(k, rho, log_weight), rel=1e-10)
+        assert err <= 1e-10 * value
 
 
 class TestParabolicBound:
