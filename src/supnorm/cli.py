@@ -4,8 +4,8 @@ Subcommands: ``constants`` (effective-constants ledger), ``bounds``
 (per-weight bound table), ``verify`` (direct numerical verification on the
 modular group), ``kernel-check`` (kernel inequality grids).
 
-Exit status: 0 success, 1 verification failure, 2 input error,
-3 unsupported verification target, 4 kernel-check failure.
+Exit status: 0 success, 1 verification failure, 2 input error or unwritable
+output path, 3 unsupported verification target, 4 kernel-check failure.
 """
 
 from __future__ import annotations
@@ -46,12 +46,7 @@ def _json_dumps(doc) -> str:
 
 
 def cmd_constants(args) -> int:
-    try:
-        domain = _load(args)
-        constants = engine.compute_constants(domain, Y0=args.Y0)
-    except (LoadError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    constants = engine.compute_constants(_load(args), Y0=args.Y0)
     if args.format == "json":
         _emit(_json_dumps({"domain": constants.domain_name, "constants": constants.to_dict(),
                            "ledger": constants.to_ledger()}), args.out)
@@ -71,16 +66,9 @@ def cmd_constants(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    try:
-        if args.k_min > args.k_max:
-            raise ValueError(
-                f"empty weight range: --k-min {args.k_min} exceeds --k-max {args.k_max}"
-            )
-        domain = _load(args)
-        _, report = engine.run_algorithm(domain, Y0=args.Y0, k_min=args.k_min, k_max=args.k_max)
-    except (LoadError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.k_min > args.k_max:
+        raise ValueError(f"empty weight range: --k-min {args.k_min} exceeds --k-max {args.k_max}")
+    _, report = engine.run_algorithm(_load(args), Y0=args.Y0, k_min=args.k_min, k_max=args.k_max)
     if args.format == "json":
         _emit(_json_dumps(asdict(report)), args.out)
     else:
@@ -104,16 +92,9 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def cmd_verify(args) -> int:
-    try:
-        domain = _load(args)
-        weights = _parse_weights(args.weights)
-        report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0, domain=domain)
-    except UnsupportedDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except (LoadError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    domain = _load(args)
+    weights = _parse_weights(args.weights)
+    report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0, domain=domain)
     print(report.to_text())
     if args.out:
         Path(args.out).write_text(_json_dumps(report.to_json_dict()), encoding="utf-8")
@@ -121,11 +102,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
-    try:
-        results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
     all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -179,9 +156,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
+    """Run one subcommand; bad input and unwritable output paths end in a one-line error."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UnsupportedDomainError as exc:
+        return _fail(exc, EXIT_UNSUPPORTED)
+    except (LoadError, ValueError, OSError) as exc:
+        return _fail(exc, EXIT_INPUT)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,15 @@
 """Exact enumeration of modular-group elements by displacement, and the
 direct series evaluations built on it.
 
-The ball {gamma : sigma(z, gamma z) <= R} is enumerated through the coset
-structure over bottom rows: expanding 4 y^2 (sigma - 1) = |c z^2 + (d-a) z - b|^2
-and discarding nonnegative squares gives sigma >= |c z + d|^2 / 4 + 1/2 for
-every group element, so |c| and then d run over finite ranges; within a coset
-the elements differ by integer translations, for which the displacement is an
-explicit quadratic in the shift.  A raw entry-bounded search stays in the test
-suite as the oracle for this enumeration.
+The ball {gamma : sigma(z, gamma z) <= R} is enumerated row by row over the
+bottom-row entry c.  Expanding 4 y^2 (sigma - 1) = |c z^2 + (d-a) z - b|^2 and
+discarding nonnegative squares gives sigma >= |c z + d|^2 / 4 + 1/2, so c and
+then d run over finite ranges.  Each coprime (c, d) is one coset T^n gamma_0
+of the translations T, and sigma(z, gamma_0 z + n) <= R confines n to an
+interval around Re(z - gamma_0 z).  Each row is one array pass: coset bases,
+shift intervals, flattened elements and their exact displacements.  A raw
+entry-bounded search stays in the test suite as the oracle for this
+enumeration.
 """
 
 from __future__ import annotations
@@ -75,12 +77,12 @@ class IntegerMoebius:
         return (self.a, self.b, self.c, self.d)
 
 
-def _sigma_batch(a, b, c: int, d: int, z: complex) -> np.ndarray:
-    """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2.
+def _sigma_batch(a, b, c: int, d, z: complex) -> np.ndarray:
+    """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2, in real parts.
 
-    a, b may be integer arrays (one coset, several translation shifts); the
-    same expression serves as the final filter in the raw-entry test oracle,
-    so boundary cases are decided identically on both routes.
+    One call covers one bottom row c; a, b, d are integer arrays holding its
+    elements.  The raw-entry test oracle evaluates the same identity in
+    complex arithmetic.
     """
     x, y = z.real, z.imag
     re = c * (x * x - y * y) + (d - a) * x - b
@@ -88,53 +90,49 @@ def _sigma_batch(a, b, c: int, d: int, z: complex) -> np.ndarray:
     return 1.0 + (re * re + im * im) / (4.0 * y * y)
 
 
-def _scan(z: complex, R: float):
-    """Yield (c, d, a0, b0, shifts, sigmas) per coset intersecting the ball.
+def _coset_bases(c: int, x: float, y: float, pad: float):
+    """Coset representatives (a0, b0, d) of row c whose d can reach the ball.
 
-    The c = 0 coset is reported with (c, d, a0, b0) = (0, 1, 1, 0) and shifts
-    running over the translation exponents (shift 0 is the identity).  The
-    candidate ranges come from padded necessary-condition envelopes; the
-    exact displacement identity makes the final cut.
+    Row 0 is the translation coset of the identity.  For c >= 1 the d come
+    from sigma >= |c z + d|^2 / 4 + 1/2 and are kept when coprime to c.
+    """
+    if c == 0:
+        return np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
+    spread = math.sqrt(max(4.0 * pad - 2.0 - (c * y) ** 2, 0.0))
+    d = np.arange(math.ceil(-c * x - spread), math.floor(-c * x + spread) + 1)
+    d = d[np.gcd(d, c) == 1]
+    a0 = np.array([pow(v, -1, c) for v in d.tolist()], dtype=np.int64)
+    return a0, (a0 * d - 1) // c, d
+
+
+def _scan(z: complex, R: float):
+    """Yield (a, b, c, d, sigmas) per bottom row c = 0, 1, ..., c_max.
+
+    One array pass per row: the coset bases, their images w = gamma_0 z, the
+    shift ranges [lo, hi] that a padded necessary condition leaves for the
+    elements T^n gamma_0 (its discriminant clipped at zero), and one
+    displacement batch cut exactly at R.  Within a row the elements come in
+    ascending d, then ascending shift; row 0 holds the translations, the
+    identity among them.
     """
     z = require_point(z)
-    if R < 1.0:
-        return
     x, y = z.real, z.imag
     pad = R * (1.0 + 1e-9) + 1e-9
-
-    n_max = math.floor(math.sqrt(max(4.0 * (pad - 1.0), 0.0)) * y)
-    shifts = np.arange(-n_max, n_max + 1)
-    sigmas = _sigma_batch(1, shifts, 0, 1, z)
-    keep = sigmas <= R
-    if np.any(keep):
-        yield 0, 1, 1, 0, shifts[keep], sigmas[keep]
-
     c_max = math.floor(math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y)
-    for c in range(1, c_max + 1):
-        rem = 4.0 * pad - 2.0 - (c * y) ** 2
-        if rem < 0.0:
-            continue
-        spread = math.sqrt(rem)
-        for d in range(math.ceil(-c * x - spread), math.floor(-c * x + spread) + 1):
-            if math.gcd(c, d) != 1:
-                continue
-            a0 = pow(d, -1, c)
-            b0 = (a0 * d - 1) // c
-            w = (a0 * z + b0) / (c * z + d)
-            wx, wy = w.real, w.imag
-            disc = 4.0 * pad * y * wy - (y + wy) ** 2
-            if disc < 0.0:
-                continue
-            spread_n = math.sqrt(disc)
-            lo = math.ceil(x - wx - spread_n)
-            hi = math.floor(x - wx + spread_n)
-            if lo > hi:
-                continue
-            shifts = np.arange(lo, hi + 1)
-            sigmas = _sigma_batch(a0 + shifts * c, b0 + shifts * d, c, d, z)
-            keep = sigmas <= R
-            if np.any(keep):
-                yield c, d, a0, b0, shifts[keep], sigmas[keep]
+    for c in range(c_max + 1):
+        a0, b0, d = _coset_bases(c, x, y, pad)
+        w = (a0 * z + b0) / (c * z + d)
+        spread = np.sqrt(np.maximum(4.0 * pad * y * w.imag - (y + w.imag) ** 2, 0.0))
+        lo = np.ceil(x - w.real - spread).astype(np.int64)
+        counts = np.maximum(np.floor(x - w.real + spread).astype(np.int64) - lo + 1, 0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        n = np.repeat(lo, counts) + np.arange(len(starts)) - starts
+        a = np.repeat(a0, counts) + n * c
+        d = np.repeat(d, counts)
+        b = np.repeat(b0, counts) + n * d
+        sigmas = _sigma_batch(a, b, c, d, z)
+        keep = sigmas <= R
+        yield a[keep], b[keep], c, d[keep], sigmas[keep]
 
 
 def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
@@ -143,22 +141,19 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
     Returns the empty list for R < 1 (the displacement never drops below 1).
     """
     out = []
-    for c, d, a0, b0, shifts, _ in _scan(z, R):
-        for n in shifts:
-            n = int(n)
-            out.append(IntegerMoebius(a0 + n * c, b0 + n * d, c, d))
+    for a, b, c, d, _ in _scan(z, R):
+        out.extend(
+            IntegerMoebius(ai, bi, c, di) for ai, bi, di in zip(a.tolist(), b.tolist(), d.tolist())
+        )
     return out
 
 
 def displacement_values(z: complex, R: float, include_identity: bool = False) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball, as a sorted array."""
-    chunks = []
-    for c, d, a0, b0, shifts, sigmas in _scan(z, R):
-        if c == 0 and not include_identity:
-            sigmas = sigmas[shifts != 0]
-        chunks.append(sigmas)
-    if not chunks:
-        return np.empty(0)
+    chunks = [
+        sigmas if c or include_identity else sigmas[b != 0]
+        for _, b, c, _, sigmas in _scan(z, R)
+    ]
     return np.sort(np.concatenate(chunks))
 
 

@@ -95,8 +95,6 @@ def gamma_ratio_bound(Z: float) -> GammaRatio:
         raise ValueError(f"Stirling ratio bound requires Z >= 1, got {Z}")
     ratio = math.exp(math.lgamma(Z - 0.5) - math.lgamma(Z))
     bound = math.exp(1.25) / math.sqrt(Z)
-    if ratio > bound:
-        raise ConsistencyError(f"Stirling bound violated at Z={Z}", ratio, bound)
     return GammaRatio(ratio=ratio, bound=bound)
 
 

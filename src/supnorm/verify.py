@@ -198,8 +198,8 @@ def verify_all(
 ) -> VerificationReport:
     """Run the full verification battery; empty weight list yields an empty pass.
 
-    The global checks come first, then each weight's checks in ascending
-    weight order, computed one weight after another.
+    The global checks come first, then each distinct weight's checks in
+    ascending weight order, computed one weight after another.
     """
     if domain is None:
         domain = modular_group()
@@ -222,6 +222,6 @@ def verify_all(
         _parabolic_item(constants, k=26, eps=0.01),
     ]
 
-    for w in sorted(weights):
+    for w in sorted(set(weights)):
         items.extend(_weight_items(w, constants, domain, grid_size))
     return VerificationReport(items=tuple(items))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from supnorm import kernels
 from supnorm.cli import main
 from supnorm.domain import modular_group
 from supnorm.engine import BoundReport, BoundRow, run_algorithm
@@ -207,6 +208,31 @@ class TestKernelCheck:
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_invalid_k_max(self, capsys, k_max):
         assert_input_error(*run(capsys, "kernel-check", f"--k-max={k_max}"))
+
+    def test_stirling_violation_is_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(kernels, "gamma_ratio_bound",
+                            lambda Z: kernels.GammaRatio(ratio=2.0, bound=1.0))
+        code, out, _ = run(capsys, "kernel-check", "--k-max", "2")
+        assert code == 4
+        assert "[FAIL] stirling_ratio_bound" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--out"],
+        ["bounds", "--k-max", "4", "--out"],
+        ["bounds", "--k-max", "4", "--plot-prefix"],
+        ["verify", "--grid", "10", "--out"],
+        ["kernel-check", "--k-max", "2", "--out"],
+    ],
+    ids=["constants", "bounds", "bounds_plot_prefix", "verify", "kernel_check"],
+)
+def test_unwritable_output_path(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_json_key_order(capsys, tmp_path):

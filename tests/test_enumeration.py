@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supnorm.enumeration import (
     IntegerMoebius,
@@ -86,6 +88,46 @@ class TestEnumerateBall:
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
+#: The fuzzed points lie in the standard domain below this height.
+FUZZ_HEIGHT = 2.0
+
+
+@st.composite
+def standard_domain_points(draw):
+    """z = x + iy with |x| <= 1/2 and |z| >= 1, y <= FUZZ_HEIGHT; edges and floor drawn often."""
+    x = draw(st.one_of(st.sampled_from([-0.5, 0.5]), st.floats(-0.5, 0.5)))
+    floor = math.sqrt(1.0 - x * x)
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+    return complex(x, floor + t * (FUZZ_HEIGHT - floor))
+
+
+def fuzz_entry_bound(z: complex, R: float) -> int:
+    """Bound on |a|, |b|, |c|, |d| for every gamma with sigma(z, gamma z) <= R.
+
+    sigma = cosh^2(D/2) for the hyperbolic distance D = d(z, gamma z), so
+    cosh D = 2 sigma - 1 <= 2R - 1.  For an element of SL(2, R),
+    a^2 + b^2 + c^2 + d^2 = 2 cosh d(i, gamma i), and the triangle inequality
+    through z and gamma z, with d(gamma z, gamma i) = d(z, i), gives
+    d(i, gamma i) <= 2 d(i, z) + D, where
+    cosh d(i, z) = 1 + |z - i|^2 / (2 y).  Each entry is at most the square
+    root of the sum of squares; the + 1 absorbs rounding.  Below the height 2
+    and for R <= 20 the bound stays at most 20.
+    """
+    d_iz = math.acosh(1.0 + abs(z - 1j) ** 2 / (2.0 * z.imag))
+    return int(math.sqrt(2.0 * math.cosh(2.0 * d_iz + math.acosh(2.0 * R - 1.0)))) + 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(z=standard_domain_points(), R=st.floats(1.0, 20.0))
+def test_scan_matches_raw_entry_search_fuzzed(z, R):
+    got = as_tuples(enumerate_ball(z, R))
+    want = brute_force_ball(z, R, entry_bound=fuzz_entry_bound(z, R))
+    # the oracle evaluates sigma by complex arithmetic, the scan by real parts,
+    # so the two may only split a tie sigma = R differently
+    for entries in got ^ want:
+        assert sigma_direct(*entries, z) == pytest.approx(R, rel=1e-12)
+
+
 class TestCountingCheck:
     def test_example_bound(self, psl2z_constants):
         res = counting_check(1j, 10.0, psl2z_constants)
@@ -126,6 +168,15 @@ class TestPoincareDirect:
         res = poincare_direct(1j, 10, 0.1, 1e3, psl2z_constants)
         cap = poincare_bound_compact(10, 0.1, psl2z_constants)
         assert res.partial + res.tail_bound <= cap
+
+    @pytest.mark.parametrize("z", [1j, RHO, 0.3 + 2.5j])
+    @pytest.mark.parametrize("k,eps", [(2, 0.1), (3, 0.5)])
+    def test_tail_bound_covers_next_decade(self, psl2z_constants, z, k, eps):
+        # the Stieltjes tail bound at R_cut = 1e4 dominates the terms with
+        # 1e4 < sigma <= 1e5
+        near = poincare_direct(z, k, eps, 1e4, psl2z_constants)
+        far = poincare_direct(z, k, eps, 1e5, psl2z_constants)
+        assert far.partial - near.partial <= near.tail_bound
 
     def test_cutoff_guard(self, psl2z_constants):
         with pytest.raises(ValueError):

@@ -46,6 +46,12 @@ def test_weight12_passes(weight12_report):
     assert weight12_report.passed, weight12_report.to_text()
 
 
+def test_repeated_weight_runs_once(psl2z, weight12_report):
+    twice = verify_all(weights=(12, 12), grid_size=60, r_cut=2e3, domain=psl2z)
+    assert twice == weight12_report
+    assert len(twice.items) == 8
+
+
 def test_item_inventory(weight12_report):
     names = {(i.name, i.weight) for i in weight12_report.items}
     assert ("counting_bound", None) in names
