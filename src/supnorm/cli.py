@@ -11,6 +11,7 @@ output path, 3 unsupported verification target, 4 kernel-check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -91,26 +92,30 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"--weights takes comma-separated integers, got {text!r}") from None
 
 
+def _open_out(path: str | None):
+    """The --out file, opened before the work so an unwritable path fails first."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
 def cmd_verify(args) -> int:
     domain = _load(args)
     weights = _parse_weights(args.weights)
-    report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0, domain=domain)
-    print(report.to_text())
-    if args.out:
-        Path(args.out).write_text(_json_dumps(report.to_json_dict()), encoding="utf-8")
+    with _open_out(args.out) as out:
+        report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0, domain=domain)
+        print(report.to_text())
+        if out:
+            out.write(_json_dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_kernel_check(args) -> int:
-    results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
-    all_ok = True
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail}")
-        all_ok = all_ok and res.passed
-    if args.out:
-        Path(args.out).write_text(_json_dumps([asdict(r) for r in results]), encoding="utf-8")
-    return EXIT_OK if all_ok else EXIT_KERNEL
+    with _open_out(args.out) as out:
+        results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
+        for res in results:
+            print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+        if out:
+            out.write(_json_dumps([asdict(r) for r in results]))
+    return EXIT_OK if all(res.passed for res in results) else EXIT_KERNEL
 
 
 def build_parser() -> argparse.ArgumentParser:

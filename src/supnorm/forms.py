@@ -7,14 +7,14 @@ incomplete-gamma sum over the strip above y = 1, finite because the weight is
 an integer, plus one fixed Gauss-Legendre rule on the sliver below it,
 cross-checked at doubled order; the kernel panels use the same cached rule.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
-verifier compares against the closed-form bounds.  Only the mass integral,
-the independent check of the norm, uses scipy's adaptive quadrature, and it
-imports scipy when it runs.
+verifier compares against the closed-form bounds; s2k_on_grid is its one
+evaluator.  Only the mass integral, the independent check of the norm, uses
+scipy: one adaptive Gauss-Kronrod cubature of s2k_on_grid over the domain
+mapped to a rectangle, with scipy imported when it runs.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
-#: Relative accuracy of both nested quadratures in mass_integral.
+#: Relative tolerance of the adaptive cubature in mass_integral.
 _MASS_REL_TOL = 1e-7
 
 
@@ -125,15 +125,9 @@ def cusp_form_coefficients(weight: int, n: int) -> tuple[int, ...]:
 
 
 def evaluate_form(coeffs, z):
-    """Value of sum a_n q^n at z (scalar complex or complex ndarray)."""
-    if isinstance(z, np.ndarray):
-        q = np.exp(2j * math.pi * z)
-        val = np.zeros_like(q)
-        for a in reversed(coeffs):
-            val = val * q + float(a)
-        return val * q
-    q = cmath.exp(2j * math.pi * complex(z))
-    val = 0j
+    """Value of sum a_n q^n, q = e^{2 pi i z}, at every point of the array z."""
+    q = np.exp(2j * math.pi * np.asarray(z))
+    val = np.zeros_like(q)
     for a in reversed(coeffs):
         val = val * q + float(a)
     return val * q
@@ -325,25 +319,17 @@ def mass_integral(basis: CuspFormBasis) -> float:
 
     Petersson orthonormality forces the exact value d_{2k} = 1, which makes
     this the strongest end-to-end consistency check of the normalization.
-    Uses nested adaptive quadrature in (x, 1/y), independent of the
-    Gauss-Legendre scheme behind the stored norm.
+    With h(x) = sqrt(1 - x^2) and y = h(x)/s the domain becomes the rectangle
+    |x| <= 1/2, 0 < s <= 1 with dx dy / y^2 = dx ds / h(x); one adaptive
+    Gauss-Kronrod cubature over it, independent of the strip sum and the
+    Gauss-Legendre sliver behind the stored norm, evaluates S_{2k} through
+    s2k_on_grid only.
     """
-    from scipy.integrate import quad
+    from scipy.integrate import cubature
 
-    coeffs = [float(a) for a in basis.coefficients]
-    weight = basis.weight
-    norm = basis.petersson_norm
+    def integrand(p: np.ndarray) -> np.ndarray:
+        x, s = p[:, 0], p[:, 1]
+        h = np.sqrt(1.0 - x * x)
+        return s2k_on_grid(basis, x + 1j * h / s) / h
 
-    def s_value(x: float, t: float) -> float:
-        y = 1.0 / t
-        return abs(evaluate_form(coeffs, complex(x, y))) ** 2 * y**weight / norm
-
-    def column(x: float) -> float:
-        top = 1.0 / math.sqrt(max(1.0 - x * x, 1e-300))
-        # d(mu) = dx dy / y^2 = dx dt under t = 1/y
-        val, _ = quad(lambda t: s_value(x, t), 0.0, top, epsabs=1e-12,
-                      epsrel=_MASS_REL_TOL, limit=200)
-        return val
-
-    total, _ = quad(column, -0.5, 0.5, epsabs=1e-10, epsrel=_MASS_REL_TOL, limit=200)
-    return total
+    return float(cubature(integrand, [-0.5, 0.0], [0.5, 1.0], rtol=_MASS_REL_TOL).estimate)

@@ -81,23 +81,6 @@ class MoebiusMap:
         object.__setattr__(self, "c", sign * c)
         object.__setattr__(self, "d", sign * d)
 
-    @classmethod
-    def identity(cls) -> "MoebiusMap":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
-    def translation(cls, t: float) -> "MoebiusMap":
-        return cls(1.0, float(t), 0.0, 1.0)
-
-    @classmethod
-    def from_unscaled(cls, a: float, b: float, c: float, d: float) -> "MoebiusMap":
-        """Build from any matrix with positive determinant by rescaling to det 1."""
-        det = a * d - b * c
-        if det <= 0.0:
-            raise ValueError(f"matrix determinant {det!r} must be positive")
-        s = math.sqrt(det)
-        return cls(a / s, b / s, c / s, d / s)
-
     def apply(self, z: complex) -> complex:
         """Image (a z + b) / (c z + d) of an upper half-plane point."""
         z = require_point(z)
@@ -106,15 +89,6 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
-    def compose(self, other: "MoebiusMap") -> "MoebiusMap":
-        """Matrix product self * other (apply other first)."""
-        return MoebiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
     def is_identity(self, tol: float = 1e-12) -> bool:
         return (
             abs(self.a - 1.0) <= tol
@@ -122,9 +96,6 @@ class MoebiusMap:
             and abs(self.b) <= tol
             and abs(self.c) <= tol
         )
-
-    def entries(self) -> tuple[float, float, float, float]:
-        return (self.a, self.b, self.c, self.d)
 
 
 @dataclass(frozen=True)

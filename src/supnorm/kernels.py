@@ -51,6 +51,8 @@ _PANEL_LIMIT = 2000
 _PANEL_ORDER = 48
 #: Largest relative error estimate a heat-kernel value may carry.
 _HEAT_REL_TARGET = 1e-8
+#: Largest relative error estimate the heat-to-resolvent transform may carry.
+_TRANSFORM_REL_TARGET = 1e-7
 #: Largest relative gap allowed between the two difference-kernel routes.
 _DUAL_TOL = 1e-6
 
@@ -330,7 +332,8 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
 
     Integrates e^{-(s-1/2)^2 t} e^{t/4} K_k(t; rho) over t > 0 with
     sigma = cosh^2(rho/2); requires s > k for convergence.  Each time panel
-    evaluates the heat kernel once, on all of its nodes.
+    evaluates the heat kernel once, on all of its nodes.  Raises
+    AccuracyError when the error estimate exceeds 1e-7 relative.
     """
     if sigma <= 1.0:
         raise ValueError(f"transform needs sigma > 1, got {sigma}")
@@ -344,7 +347,12 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     # Decay rate of the tail: (s-1/2)^2 - (k-1/2)^2 > 0.
     rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
     width = max(0.25, min(2.0, 3.0 / rate))
-    value, _ = _integrate_panels(integrand, width=width)
+    value, err = _integrate_panels(integrand, width=width)
+    if err > _TRANSFORM_REL_TARGET * abs(value):
+        raise AccuracyError(
+            f"heat-to-resolvent transform reached only {err / abs(value):.2e} relative",
+            estimate=float(value),
+        )
     return float(value)
 
 

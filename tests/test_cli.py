@@ -229,8 +229,10 @@ class TestKernelCheck:
     ids=["constants", "bounds", "bounds_plot_prefix", "verify", "kernel_check"],
 )
 def test_unwritable_output_path(capsys, tmp_path, argv):
-    code, _, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
+    code, out, err = run(capsys, *argv, str(tmp_path / "missing" / "out"))
     assert code == 2
+    if "--out" in argv:
+        assert out == ""  # the path fails before any work is reported
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from supnorm import kernels
 from supnorm.kernels import (
     AccuracyError,
     _radial_integral,
@@ -187,6 +188,12 @@ class TestHeatKernel:
         direct = resolvent_G(k, s, sigma)
         via_heat = resolvent_via_heat(k, s, sigma)
         assert via_heat == pytest.approx(direct, rel=1e-4)
+
+    def test_transform_error_estimate_gated(self, monkeypatch):
+        # the estimate for (1, 2.0, 2.0) is about 3e-8 relative
+        monkeypatch.setattr(kernels, "_TRANSFORM_REL_TARGET", 1e-12)
+        with pytest.raises(AccuracyError, match="transform"):
+            resolvent_via_heat(1, 2.0, 2.0)
 
 
 def _adaptive_radial(k, rho, log_weight):
