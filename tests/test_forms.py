@@ -95,6 +95,13 @@ class TestQExpansions:
 
 
 class TestEvaluation:
+    def test_scalar_matches_vector(self):
+        coeffs = delta_coefficients(64)
+        z = 0.2 + 1.1j
+        scalar = evaluate_form(coeffs, z)
+        vector = evaluate_form(np.array([float(a) for a in coeffs]), np.array([z]))
+        assert scalar == pytest.approx(vector[0], rel=1e-14)
+
     @pytest.mark.parametrize("weight", [12, 26])
     def test_matches_power_sum(self, weight):
         # 0-d, 1-D and 2-D inputs against the power sum at 30 digits, away from
@@ -221,6 +228,9 @@ class TestAveragedQuantity:
     def test_low_point_rejected(self, basis12):
         with pytest.raises(ValueError, match="coefficients"):
             s2k_on_grid(basis12, np.array([0.1 + 0.05j]))
+
+    def test_mass_identity(self, basis12):
+        assert mass_integral(basis12) == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_mass_identity_all_weights(self, weight):
