@@ -7,7 +7,8 @@ All kernel integrals share the same endpoint structure: an integrable
 r = rho + u^2, and an exponentially decaying tail handled by fixed-width
 panels with a stop rule.  Every panel, radial or in time, uses one fixed
 48-node Gauss-Legendre rule, the one the Petersson norm uses; the change
-against the 24-node rule on the same panel is the error estimate.
+against the 24-node rule on the same panel is the error estimate.  One
+integrand call per panel, on the 72 nodes of both rules, covers the two.
 Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
 faster, and the two must cancel before exponentiation.  Gamma prefactors use
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import _gauss_nodes
+from .forms import _legendre_rule
 
 __all__ = [
     "AccuracyError",
@@ -162,24 +163,28 @@ def _integrate_panels(f, width: float):
     """Integrate f over [0, inf) with fixed-width panels and a tail stop rule.
 
     f maps an array of nodes to values along its last axis, so the integral
-    may be an array.  Each panel takes the _PANEL_ORDER-node Gauss-Legendre
-    value; its distance to the half-order value adds to the error estimate.
-    Returns (value, error_estimate).  Panels stop once _PANEL_QUIET
-    consecutive contributions fall below _PANEL_TINY of the running total.
-    Raises AccuracyError if the value is not finite.
+    may be an array.  f is called once per panel, on the _PANEL_ORDER
+    Gauss-Legendre nodes followed by the half-order ones: the first rule
+    gives the panel value, and its distance to the second adds to the error
+    estimate.  Returns (value, error_estimate).  Panels stop once
+    _PANEL_QUIET consecutive contributions fall below _PANEL_TINY of the
+    running total.  Raises AccuracyError if the value is not finite.
     """
+    x_full, w_full = _legendre_rule(_PANEL_ORDER)
+    x_half, w_half = _legendre_rule(_PANEL_ORDER // 2)
+    nodes = np.concatenate((x_full, x_half))
     total = 0.0
     err = 0.0
     quiet = 0
     for i in range(_PANEL_LIMIT):
         lo, hi = i * width, (i + 1) * width
-        x, w = _gauss_nodes(lo, hi, _PANEL_ORDER)
-        val = f(x) @ w
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        fx = f(mid + half * nodes)
+        val = fx[..., :_PANEL_ORDER] @ (half * w_full)
         total = total + val
         if not np.all(np.isfinite(total)):
             raise AccuracyError("panel integral is not finite", estimate=total)
-        x, w = _gauss_nodes(lo, hi, _PANEL_ORDER // 2)
-        err = err + np.abs(val - f(x) @ w)
+        err = err + np.abs(val - fx[..., _PANEL_ORDER:] @ (half * w_half))
         if np.all(np.abs(val) < _PANEL_TINY * np.maximum(np.abs(total), 1e-300)):
             quiet += 1
             if quiet >= _PANEL_QUIET:
@@ -332,7 +337,8 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
 
     Integrates e^{-(s-1/2)^2 t} e^{t/4} K_k(t; rho) over t > 0 with
     sigma = cosh^2(rho/2); requires s > k for convergence.  Each time panel
-    evaluates the heat kernel once, on all of its nodes.  Raises
+    makes one heat-kernel call, on the 72 times of both panel rules; its
+    u-panels are sized by the smallest time, a 48-node one.  Raises
     AccuracyError when the error estimate exceeds 1e-7 relative.
     """
     if sigma <= 1.0:

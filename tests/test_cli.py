@@ -216,6 +216,25 @@ class TestKernelCheck:
         assert code == 4
         assert "[FAIL] stirling_ratio_bound" in out
 
+    def test_accuracy_error_is_one_line_exit_4(self, capsys, monkeypatch):
+        # the transform estimate for (1, 2.0, 2.0) is about 3e-8 relative
+        monkeypatch.setattr(kernels, "_TRANSFORM_REL_TARGET", 1e-12)
+        code, out, err = run(capsys, "kernel-check")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: heat-to-resolvent transform") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_consistency_error_is_one_line_exit_4(self, capsys, monkeypatch):
+        def disagree(k_max, transform_tol):
+            raise kernels.ConsistencyError("difference-kernel routes disagree", 1.0, 2.0)
+
+        monkeypatch.setattr(kernels, "run_kernel_checks", disagree)
+        code, out, err = run(capsys, "kernel-check")
+        assert code == 4
+        assert out == ""
+        assert err == "error: difference-kernel routes disagree\n"
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from supnorm import kernels
+from supnorm.forms import _gauss_nodes
 from supnorm.kernels import (
     AccuracyError,
     _radial_integral,
@@ -237,6 +238,134 @@ class TestRadialIntegral:
         value, err = _radial_integral(k, rho, vector_weight)
         assert value == pytest.approx(_adaptive_radial(k, rho, log_weight), rel=1e-10)
         assert err <= 1e-10 * value
+
+
+def _two_call_panels(f, width):
+    """Reference panel loop: f on the 48 nodes for the value, then again on the 24."""
+    total = 0.0
+    err = 0.0
+    quiet = 0
+    for i in range(kernels._PANEL_LIMIT):
+        lo, hi = i * width, (i + 1) * width
+        x, w = _gauss_nodes(lo, hi, 48)
+        val = f(x) @ w
+        total = total + val
+        if not np.all(np.isfinite(total)):
+            raise AccuracyError("panel integral is not finite", estimate=total)
+        x, w = _gauss_nodes(lo, hi, 24)
+        err = err + np.abs(val - f(x) @ w)
+        if np.all(np.abs(val) < kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300)):
+            quiet += 1
+            if quiet >= kernels._PANEL_QUIET:
+                return total, err
+        else:
+            quiet = 0
+    raise AccuracyError("panel integration did not terminate", estimate=total)
+
+
+_MERGED_PANELS = kernels._integrate_panels
+
+
+def _run_with_panels(monkeypatch, panels, func, *args):
+    """func(*args) with panels as the panel loop; returns it and the outermost (value, err)."""
+    depth = 0
+    outer = []
+
+    def recording(f, width):
+        nonlocal depth
+        depth += 1
+        try:
+            result = panels(f, width)
+        finally:
+            depth -= 1
+        if depth == 0:
+            outer.append(result)
+        return result
+
+    monkeypatch.setattr(kernels, "_integrate_panels", recording)
+    value = func(*args)
+    (result,) = outer
+    return value, result
+
+
+def _grid_rho(sigma):
+    return 2.0 * math.acosh(math.sqrt(sigma))
+
+
+class TestMergedPanelRule:
+    # one integrand call per panel against the reference loop that made two
+
+    @pytest.mark.parametrize(
+        "k,s,sigma", [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0)]
+    )
+    def test_transform_matches_two_call_loop(self, monkeypatch, k, s, sigma):
+        new, (_, new_err) = _run_with_panels(monkeypatch, _MERGED_PANELS,
+                                             resolvent_via_heat, k, s, sigma)
+        old, (_, old_err) = _run_with_panels(monkeypatch, _two_call_panels,
+                                             resolvent_via_heat, k, s, sigma)
+        assert new == old
+        # the estimates' 24-node times may get narrower u-panels than before
+        assert new_err == pytest.approx(old_err, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "func,args",
+        [
+            (integrated_exponential_lhs, (1, 0.1, _grid_rho(1.5))),
+            (integrated_exponential_lhs, (2, 0.5, _grid_rho(2.0))),
+            (integrated_exponential_lhs, (6, 0.9, _grid_rho(10.0))),
+            (kernels._difference_quadrature, (1, 1.1, 1.5)),
+            (kernels._difference_quadrature, (2, 2.5, 2.0)),
+            (kernels._difference_quadrature, (6, 6.5, 10.0)),
+            (heat_kernel, (2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7)),
+        ],
+        ids=["intexp-1-0.1-1.5", "intexp-2-0.5-2", "intexp-6-0.9-10",
+             "difference-1-0.1-1.5", "difference-2-0.5-2", "difference-6-0.5-10", "heat-array"],
+    )
+    def test_radial_matches_two_call_loop(self, monkeypatch, func, args):
+        new, (new_raw, new_err) = _run_with_panels(monkeypatch, _MERGED_PANELS, func, *args)
+        old, (old_raw, old_err) = _run_with_panels(monkeypatch, _two_call_panels, func, *args)
+        assert np.array_equal(new, old)
+        assert np.array_equal(new_raw, old_raw)
+        assert np.array_equal(new_err, old_err)
+
+    def test_one_integrand_call_per_panel(self, monkeypatch):
+        integrations = []  # (depth, width, node arrays of each f call)
+        depth = 0
+
+        def counting(f, width):
+            nonlocal depth
+            calls = []
+            integrations.append((depth, width, calls))
+
+            def counted(x):
+                calls.append(np.array(x))
+                return f(x)
+
+            depth += 1
+            try:
+                return _MERGED_PANELS(counted, width)
+            finally:
+                depth -= 1
+
+        heat_sizes = []
+        heat = kernels.heat_kernel
+
+        def counting_heat(k, t, rho):
+            heat_sizes.append(np.size(t))
+            return heat(k, t, rho)
+
+        monkeypatch.setattr(kernels, "_integrate_panels", counting)
+        monkeypatch.setattr(kernels, "heat_kernel", counting_heat)
+        resolvent_via_heat(1, 2.0, 2.0)
+
+        for _, width, calls in integrations:
+            assert all(x.shape == (72,) for x in calls)
+            # every call lies on the next panel: no panel is evaluated twice
+            assert [int(x.min() // width) for x in calls] == list(range(len(calls)))
+            assert all(int(x.max() // width) == i for i, x in enumerate(calls))
+        (time_panels,) = [calls for d, _, calls in integrations if d == 0]
+        assert len(heat_sizes) == len(time_panels)
+        assert heat_sizes == [72] * len(time_panels)
 
 
 class TestParabolicBound:
