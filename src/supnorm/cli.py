@@ -6,8 +6,8 @@ modular group), ``kernel-check`` (kernel inequality grids).
 
 Exit status: 0 success, 1 verification failure, 2 input error or unwritable
 output path, 3 unsupported verification target, 4 kernel-check failure: a
-failed check, or a kernel quadrature that missed its accuracy target or two
-kernel routes that disagree (one ``error:`` line).
+failed check, or a kernel quadrature that missed its accuracy target (one
+``error:`` line).
 """
 
 from __future__ import annotations
@@ -170,13 +170,13 @@ def _fail(exc: Exception, code: int) -> int:
 
 def main(argv=None) -> int:
     """Run one subcommand; bad input, unwritable output paths and kernel
-    accuracy or consistency errors end in a one-line error."""
+    accuracy errors end in a one-line error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnsupportedDomainError as exc:
         return _fail(exc, EXIT_UNSUPPORTED)
-    except (kernels.AccuracyError, kernels.ConsistencyError) as exc:
+    except kernels.AccuracyError as exc:
         return _fail(exc, EXIT_KERNEL)
     except (LoadError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_INPUT)

@@ -18,7 +18,6 @@ from .domain import FundamentalDomain
 from .kernels import parabolic_sum_bound
 
 __all__ = [
-    "CompactBranchApplies",
     "EffectiveConstants",
     "CocompactConstants",
     "BoundRow",
@@ -43,18 +42,6 @@ __all__ = [
 #: Smallest admissible truncation height: the cusp-tail estimate needs
 #: Y^2/4 >= 64/15, i.e. Y >= 16/sqrt(15).
 Y_FLOOR = 16.0 / math.sqrt(15.0)
-
-
-class CompactBranchApplies(Exception):
-    """Signal that the cusp zone inherits the compact bound (Y >= k/(2*pi))."""
-
-    def __init__(self, k: int, Y: float):
-        super().__init__(
-            f"for k={k} the truncation height Y={Y:.6g} is at least k/(2*pi); "
-            "the compact-region bound covers the cusp zones"
-        )
-        self.k = k
-        self.Y = Y
 
 
 @dataclass(frozen=True)
@@ -262,21 +249,22 @@ def sup_bound_compact(k: int, constants: EffectiveConstants) -> float:
     return spectral_gap_bound(k, 0.0, poincare_bound_compact(k, 0.0, constants))
 
 
-def sup_bound_cusp(k: int, constants: EffectiveConstants) -> float:
-    """Large-weight cusp-zone bound, valid only when Y < k/(2 pi): spectral_gap_bound
-    at eps = 0 of the cusp tail b_k_y0_limit plus the translation-sum bound.
+def sup_bound_cusp(k: int, constants: EffectiveConstants) -> tuple[float, str]:
+    """Cusp-zone bound with the branch that gives it, as (bound, source).
 
-    Raises CompactBranchApplies when Y >= k/(2 pi): there the maximum
-    principle pushes the cusp supremum into the compact part.
+    When Y >= k/(2 pi) the maximum principle pushes the cusp supremum into
+    the compact part: (sup_bound_compact, "cusp_max_principle").  Below that,
+    spectral_gap_bound at eps = 0 of the cusp tail b_k_y0_limit plus the
+    translation-sum bound: (tail bound, "cusp_faddeev_tail").
     """
     if k < 2:
         raise ValueError(f"cusp bound needs k >= 2, got {k}")
     if constants.Y is None or constants.Y0 is None or constants.B_Y0 is None:
         raise ValueError("constants carry no cusp data; the domain is cocompact")
     if constants.Y >= k / (2.0 * math.pi):
-        raise CompactBranchApplies(k, constants.Y)
+        return sup_bound_compact(k, constants), "cusp_max_principle"
     tail = b_k_y0_limit(k, constants.Y0, constants.B_Y0)
-    return spectral_gap_bound(k, 0.0, tail + parabolic_sum_bound(k, 0.0))
+    return spectral_gap_bound(k, 0.0, tail + parabolic_sum_bound(k, 0.0)), "cusp_faddeev_tail"
 
 
 def cocompact_constants(genus: int, ell: float) -> CocompactConstants:
@@ -322,9 +310,7 @@ def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveCo
         raise ValueError(f"need a finite Y0 > 0, got {Y0}")
     ell = _stage(2, "systole", dom.shortest_geodesic_length, domain)
     mu = mu_gamma(domain)
-    theta = domain.theta_gamma()
     vol = dom.covolume(domain)
-    excess = domain.elliptic_excess()
 
     if domain.cocompact:
         if domain.bounding_rect is not None:
@@ -337,58 +323,44 @@ def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveCo
                 "cocompact genus <= 1 domains need an explicit bounding_rect"
             )
         branches = _stage(5, "displacement floor", sigma_y_branches, domain, ell, mu, None, None)
-        sigma = max(min(branches.values()), 1.0)
-        B_Y = _stage(8, "counting constants", b_y_bound, diam, vol)
-        decay = None
+        region = dict(
+            diam_Y=diam, vol_Y=vol, B_Y=_stage(8, "counting constants", b_y_bound, diam, vol)
+        )
         if domain.torsionfree and domain.genus >= 2:
             decay = _stage(8, "counting constants", cocompact_constants, domain.genus, ell)
-        return EffectiveConstants(
-            domain_name=domain.name,
-            genus=domain.genus,
-            n_cusps=0,
-            covolume=vol,
-            elliptic_excess=excess,
-            ell_gamma=ell,
-            theta_gamma=theta,
-            mu_gamma=mu,
-            sigma_Y=sigma,
-            sigma_branches=branches,
-            diam_Y=diam,
-            vol_Y=vol,
-            B_Y=B_Y,
-            C_gamma=None if decay is None else decay.C_gamma,
-            delta_gamma=None if decay is None else decay.delta_gamma,
+            region.update(asdict(decay))
+    else:
+        Y = max(2.0 * Y0, Y_FLOOR)
+        m_y, M_y = _stage(3, "truncation heights", dom.truncation_heights, domain, Y)
+        branches = _stage(5, "displacement floor", sigma_y_branches, domain, ell, mu, m_y, M_y)
+        diam_y = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, Y)
+        diam_y0 = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, Y0)
+        vol_y = _stage(7, "region volume", dom.volume_region, domain, Y)
+        vol_y0 = _stage(7, "region volume", dom.volume_region, domain, Y0)
+        region = dict(
+            Y0=Y0,
+            Y=Y,
+            m_Y=m_y,
+            M_Y=M_y,
+            diam_Y=diam_y,
+            diam_Y0=diam_y0,
+            vol_Y=vol_y,
+            vol_Y0=vol_y0,
+            B_Y=_stage(8, "counting constants", b_y_bound, diam_y, vol_y),
+            B_Y0=_stage(8, "counting constants", b_y_bound, diam_y0, vol_y0),
         )
-
-    Y = max(2.0 * Y0, Y_FLOOR)
-    m_y, M_y = _stage(3, "truncation heights", dom.truncation_heights, domain, Y)
-    branches = _stage(5, "displacement floor", sigma_y_branches, domain, ell, mu, m_y, M_y)
-    sigma = max(min(branches.values()), 1.0)
-    diam_y = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, Y)
-    diam_y0 = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, Y0)
-    vol_y = _stage(7, "region volume", dom.volume_region, domain, Y)
-    vol_y0 = _stage(7, "region volume", dom.volume_region, domain, Y0)
     return EffectiveConstants(
         domain_name=domain.name,
         genus=domain.genus,
         n_cusps=domain.n_cusps,
         covolume=vol,
-        elliptic_excess=excess,
+        elliptic_excess=domain.elliptic_excess(),
         ell_gamma=ell,
-        theta_gamma=theta,
+        theta_gamma=domain.theta_gamma(),
         mu_gamma=mu,
-        sigma_Y=sigma,
+        sigma_Y=max(min(branches.values()), 1.0),
         sigma_branches=branches,
-        Y0=Y0,
-        Y=Y,
-        m_Y=m_y,
-        M_Y=M_y,
-        diam_Y=diam_y,
-        diam_Y0=diam_y0,
-        vol_Y=vol_y,
-        vol_Y0=vol_y0,
-        B_Y=_stage(8, "counting constants", b_y_bound, diam_y, vol_y),
-        B_Y0=_stage(8, "counting constants", b_y_bound, diam_y0, vol_y0),
+        **region,
     )
 
 
@@ -457,21 +429,15 @@ def run_algorithm(
                 source = "compact_poincare"
             rows.append(BoundRow(k=k, region="F", upper=upper, lower=lower, source=source))
             continue
-        compact_upper = sup_bound_compact(k, constants)
         rows.append(
-            BoundRow(k=k, region="F_Y", upper=compact_upper, lower=lower,
+            BoundRow(k=k, region="F_Y", upper=sup_bound_compact(k, constants), lower=lower,
                      source="compact_poincare")
         )
-        for j in range(1, domain.n_cusps + 1):
-            try:
-                upper = sup_bound_cusp(k, constants)
-                source = "cusp_faddeev_tail"
-            except CompactBranchApplies:
-                upper = compact_upper
-                source = "cusp_max_principle"
-            rows.append(
-                BoundRow(k=k, region=f"F_{j}^Y", upper=upper, lower=None, source=source)
-            )
+        upper, source = sup_bound_cusp(k, constants)
+        rows += [
+            BoundRow(k=k, region=f"F_{j}^Y", upper=upper, lower=None, source=source)
+            for j in range(1, domain.n_cusps + 1)
+        ]
     rows.sort(key=lambda r: (r.k, r.region))
     return constants, BoundReport(
         domain_name=domain.name, Y0=constants.Y0, Y=constants.Y, rows=tuple(rows)

@@ -21,8 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import domain as dom
-
 __all__ = [
     "SUPPORTED_WEIGHTS",
     "delta_coefficients",
@@ -39,6 +37,8 @@ __all__ = [
 ]
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
+#: Stored q-expansion coefficients of each basis generator.
+_N_COEFFS = 128
 #: Relative tolerance of the adaptive cubature in mass_integral.
 _MASS_REL_TOL = 1e-7
 
@@ -97,14 +97,7 @@ def eisenstein_coefficients(weight: int, n: int) -> tuple[int, ...]:
 def cusp_form_coefficients(weight: int, n: int) -> tuple[int, ...]:
     """Coefficients a_1..a_n of the normalized generator in weight 12..26."""
     if weight not in SUPPORTED_WEIGHTS:
-        k = weight // 2
-        try:
-            d = dom.dimension_d2k(dom.modular_group(), k) if k >= 2 else 0
-        except ValueError:
-            d = 0
-        raise ValueError(
-            f"weight {weight} has no one-dimensional cusp form space (dimension {d})"
-        )
+        raise ValueError(f"unsupported weight {weight}; choose from {SUPPORTED_WEIGHTS}")
     delta = [0] + list(delta_coefficients(n))  # shift to absolute exponents
     factors = {
         12: [],
@@ -234,19 +227,15 @@ class CuspFormBasis:
             raise ValueError("Petersson norm must be positive")
 
 
-def build_basis(weight: int, n_coeffs: int = 128) -> CuspFormBasis:
-    """Generator coefficients plus its Petersson norm with an error estimate.
+def build_basis(weight: int) -> CuspFormBasis:
+    """Generator coefficients a_1..a_128 plus its Petersson norm with an error estimate.
 
     The norm is the exact strip sum above y = 1 plus a 64 x 48 Gauss-Legendre
     rule on the sliver below.  The error estimate adds the change of the
     sliver under a 128 x 96 rule to the bound for the coefficients beyond the
     stored ones.
     """
-    if n_coeffs < 64:
-        raise ValueError(f"need at least 64 coefficients, got {n_coeffs}")
-    if dom.dimension_d2k(dom.modular_group(), weight // 2) != 1:
-        raise ValueError(f"weight {weight} space is not one-dimensional")
-    coeffs = cusp_form_coefficients(weight, n_coeffs)
+    coeffs = cusp_form_coefficients(weight, _N_COEFFS)
     sliver = _sliver_integral(weight, coeffs)
     err = abs(_sliver_integral(weight, coeffs, 128, 96) - sliver)
     err += _truncation_error(weight, coeffs)

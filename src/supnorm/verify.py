@@ -37,6 +37,8 @@ __all__ = [
 #: (leading coefficient multiplier, decay coefficient, decay base); the
 #: engine's sharper values must stay below the bounds these produce.
 ROUNDED_MODULAR_COEFFS = (31.0, 72.0, 1.014)
+#: Displacement cutoff of the directly summed Poincare series.
+_R_CUT = 1e4
 
 
 class UnsupportedDomainError(ValueError):
@@ -98,10 +100,10 @@ def _counting_item(constants, rng) -> VerificationItem:
     )
 
 
-def _poincare_item(constants, k: int, eps: float, r_cut: float) -> VerificationItem:
+def _poincare_item(constants, k: int, eps: float) -> VerificationItem:
     name = f"poincare_series_bound[k={k}]"
     try:
-        res = poincare_direct(1j, k, eps, r_cut, constants)
+        res = poincare_direct(1j, k, eps, _R_CUT, constants)
     except VerificationFailure as exc:
         return VerificationItem(name, False, str(exc))
     return VerificationItem(
@@ -150,13 +152,12 @@ def _weight_items(weight: int, constants, domain, grid_size: int) -> list[Verifi
     argmax = grid.points[int(np.argmax(values))]
 
     upper_engine = engine.sup_bound_compact(k, constants)
-    try:
-        cusp_bound = engine.sup_bound_cusp(k, constants)
-        branch = f"cusp zone uses the tail bound {cusp_bound:.6g}"
-        upper = max(upper_engine, cusp_bound)
-    except engine.CompactBranchApplies:
+    cusp_bound, source = engine.sup_bound_cusp(k, constants)
+    upper = max(upper_engine, cusp_bound)
+    if source == "cusp_max_principle":
         branch = "cusp zone inherits the compact bound (Y >= k/(2*pi))"
-        upper = upper_engine
+    else:
+        branch = f"cusp zone uses the tail bound {cusp_bound:.6g}"
     items.append(
         VerificationItem(
             "upper_bound",
@@ -192,7 +193,6 @@ def verify_all(
     weights=(12,),
     grid_size: int = 100,
     Y0: float = 2.0,
-    r_cut: float = 1e4,
     domain: FundamentalDomain | None = None,
 ) -> VerificationReport:
     """Run the full verification battery; empty weight list yields an empty pass.
@@ -217,7 +217,7 @@ def verify_all(
     rng = np.random.default_rng(20260809)
     items = [
         _counting_item(constants, rng),
-        _poincare_item(constants, k=2, eps=0.1, r_cut=r_cut),
+        _poincare_item(constants, k=2, eps=0.1),
         _parabolic_item(k=26, eps=0.01),
     ]
 

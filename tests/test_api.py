@@ -14,7 +14,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "supnorm"
 # Exported names whose only callers are tests, each kept for a reason.
 KEPT_FOR_TESTS = {
     "enumerate_ball": "coset enumeration checked element by element against raw entry search",
-    "g_k_difference": "series route checked against the quadrature route",
     "faddeev_transfer": "transfer factor checked against exact enumerated sums",
     "displacement": "test oracle for the enumeration and the geometry primitives",
     "dist_hyp": "test oracle for the geodesic segment distances",

@@ -225,16 +225,6 @@ class TestKernelCheck:
         assert err.startswith("error: heat-to-resolvent transform") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_consistency_error_is_one_line_exit_4(self, capsys, monkeypatch):
-        def disagree(k_max, transform_tol):
-            raise kernels.ConsistencyError("difference-kernel routes disagree", 1.0, 2.0)
-
-        monkeypatch.setattr(kernels, "run_kernel_checks", disagree)
-        code, out, err = run(capsys, "kernel-check")
-        assert code == 4
-        assert out == ""
-        assert err == "error: difference-kernel routes disagree\n"
-
 
 @pytest.mark.parametrize(
     "argv",

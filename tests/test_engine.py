@@ -11,7 +11,6 @@ from supnorm.domain import load_domain
 from supnorm.engine import (
     BoundReport,
     BoundRow,
-    CompactBranchApplies,
     EffectiveConstants,
     Y_FLOOR,
     b_k_y0,
@@ -251,7 +250,8 @@ class TestCompactBound:
 class TestCuspBound:
     def test_large_weight_value(self, psl2z_constants):
         k = 26
-        value = sup_bound_cusp(k, psl2z_constants)
+        value, source = sup_bound_cusp(k, psl2z_constants)
+        assert source == "cusp_faddeev_tail"
         tail = b_k_y0_limit(k, 2.0, psl2z_constants.B_Y0)
         expected = (2 * k - 1) / (4 * math.pi) + 3 * (2 * k - 1) / (2 * math.pi) * (
             tail + math.sqrt(k) * E54 / math.sqrt(math.pi)
@@ -260,14 +260,15 @@ class TestCuspBound:
 
     def test_redirect_below_threshold(self, psl2z_constants):
         # 2 pi Y = 25.956..., so k = 25 still belongs to the compact branch
-        with pytest.raises(CompactBranchApplies):
-            sup_bound_cusp(25, psl2z_constants)
-        sup_bound_cusp(26, psl2z_constants)
+        assert sup_bound_cusp(25, psl2z_constants) == (
+            sup_bound_compact(25, psl2z_constants), "cusp_max_principle"
+        )
+        assert sup_bound_cusp(26, psl2z_constants)[1] == "cusp_faddeev_tail"
 
     def test_growth_rate(self, psl2z_constants):
         target = 3.0 * E54 / (math.pi * math.sqrt(math.pi))
         k = 10**6
-        assert sup_bound_cusp(k, psl2z_constants) / k**1.5 == pytest.approx(
+        assert sup_bound_cusp(k, psl2z_constants)[0] / k**1.5 == pytest.approx(
             target, rel=1e-3
         )
 

@@ -10,11 +10,12 @@ from scipy.special import gammaln
 from supnorm import kernels
 from supnorm.forms import _gauss_nodes
 from supnorm.kernels import (
+    _DUAL_TOL,
     AccuracyError,
+    _difference_routes,
     _radial_integral,
     chebyshev_T2k,
     faddeev_transfer,
-    g_k_difference,
     gamma_ratio_bound,
     heat_kernel,
     integrated_exponential_lhs,
@@ -130,16 +131,15 @@ class TestDifferenceKernel:
     @pytest.mark.parametrize("eps", [0.1, 0.5])
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 10.0])
     def test_dual_routes_agree(self, k, eps, sigma):
-        # g_k_difference raises internally if the series difference and the
-        # radial quadrature drift past 1e-6 relative
-        value = g_k_difference(k, k + eps, sigma)
-        assert value > 0.0
+        series_value, quad_value = _difference_routes(k, k + eps, sigma)
+        assert series_value > 0.0
+        assert abs(series_value - quad_value) <= _DUAL_TOL * series_value
 
     @pytest.mark.parametrize("k", [1, 2, 6])
     @pytest.mark.parametrize("eps", [0.1, 0.5])
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 10.0])
     def test_decay_bound(self, k, eps, sigma):
-        value = g_k_difference(k, k + eps, sigma)
+        value, _ = _difference_routes(k, k + eps, sigma)
         assert value <= 3.0 / (2.0 * math.pi * eps) * sigma ** -(k + eps)
 
     @pytest.mark.parametrize("k", [1, 2, 6])
@@ -417,6 +417,18 @@ class TestFaddeevTransfer:
 def test_check_suite_passes():
     results = run_kernel_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+
+
+def test_nan_gap_fails_and_prints_nan(monkeypatch):
+    # a NaN met after the first grid point must reach the printed margin too
+    def nan_at_k2_sigma2(k, s, sigma):
+        series_value, quad_value = _difference_routes(k, s, sigma)
+        return series_value, math.nan if (k, sigma) == (2, 2.0) else quad_value
+
+    monkeypatch.setattr(kernels, "_difference_routes", nan_at_k2_sigma2)
+    dual = [r for r in run_kernel_checks(k_max=2) if r.name == "difference_kernel_dual_route"]
+    assert len(dual) == 1 and not dual[0].passed
+    assert "nan" in dual[0].detail
 
 
 def test_check_suite_fails_on_absurd_tolerance():

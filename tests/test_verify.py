@@ -39,7 +39,7 @@ def test_rounded_bound_weight_twelve():
 
 @pytest.fixture(scope="module")
 def weight12_report(psl2z):
-    return verify_all(weights=(12,), grid_size=60, r_cut=2e3, domain=psl2z)
+    return verify_all(weights=(12,), grid_size=60, domain=psl2z)
 
 
 def test_weight12_passes(weight12_report):
@@ -47,7 +47,7 @@ def test_weight12_passes(weight12_report):
 
 
 def test_repeated_weight_runs_once(psl2z, weight12_report):
-    twice = verify_all(weights=(12, 12), grid_size=60, r_cut=2e3, domain=psl2z)
+    twice = verify_all(weights=(12, 12), grid_size=60, domain=psl2z)
     assert twice == weight12_report
     assert len(twice.items) == 8
 
@@ -75,9 +75,7 @@ def test_json_round_trip(weight12_report):
 
 
 def test_all_supported_weights(psl2z):
-    report = verify_all(
-        weights=(12, 16, 18, 20, 22, 26), grid_size=50, r_cut=2e3, domain=psl2z
-    )
+    report = verify_all(weights=(12, 16, 18, 20, 22, 26), grid_size=50, domain=psl2z)
     assert report.passed, report.to_text()
     per_weight = [i for i in report.items if i.weight is not None]
     assert len(per_weight) == 6 * 5
