@@ -5,7 +5,7 @@ the built-in modular-group instance.  Once constructed it is immutable, and
 all derived quantities (covolume, truncation constants, region volumes) are
 pure functions of it.  Every one of them is a closed form: region volumes
 are sums of arcsines between breakpoints of the region floor.  No quadrature
-runs here; scipy backs only the mass-integral check in forms.
+runs here.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ an integer, plus one fixed Gauss-Legendre rule on the sliver below it,
 cross-checked at doubled order; the kernel panels use the same cached rule.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
 verifier compares against the closed-form bounds; s2k_on_grid is its one
-evaluator.  Only the mass integral, the independent check of the norm, uses
-scipy: one adaptive Gauss-Kronrod cubature of s2k_on_grid over the domain
-mapped to a rectangle, with scipy imported when it runs.
+evaluator.  The mass integral, the independent check of the norm, is one
+tensor rule of the same kind over the whole domain mapped to a rectangle.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ __all__ = [
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 #: Stored q-expansion coefficients of each basis generator.
 _N_COEFFS = 128
-#: Relative tolerance of the adaptive cubature in mass_integral.
-_MASS_REL_TOL = 1e-7
+#: Gauss-Legendre nodes per axis of the tensor rule in mass_integral.
+_MASS_ORDER = 48
 
 
 def _series_multiply(a: list[int], b: list[int], n: int) -> list[int]:
@@ -309,16 +308,13 @@ def mass_integral(basis: CuspFormBasis) -> float:
     Petersson orthonormality forces the exact value d_{2k} = 1, which makes
     this the strongest end-to-end consistency check of the normalization.
     With h(x) = sqrt(1 - x^2) and y = h(x)/s the domain becomes the rectangle
-    |x| <= 1/2, 0 < s <= 1 with dx dy / y^2 = dx ds / h(x); one adaptive
-    Gauss-Kronrod cubature over it, independent of the strip sum and the
-    Gauss-Legendre sliver behind the stored norm, evaluates S_{2k} through
-    s2k_on_grid only.
+    |x| <= 1/2, 0 < s <= 1 with dx dy / y^2 = dx ds / h(x).  One 48 x 48
+    Gauss-Legendre tensor rule over it, with no split at y = 1 and so
+    independent of the strip sum and the sliver rule behind the stored norm,
+    evaluates S_{2k} through s2k_on_grid only.
     """
-    from scipy.integrate import cubature
-
-    def integrand(p: np.ndarray) -> np.ndarray:
-        x, s = p[:, 0], p[:, 1]
-        h = np.sqrt(1.0 - x * x)
-        return s2k_on_grid(basis, x + 1j * h / s) / h
-
-    return float(cubature(integrand, [-0.5, 0.0], [0.5, 1.0], rtol=_MASS_REL_TOL).estimate)
+    xs, wx = _gauss_nodes(-0.5, 0.5, _MASS_ORDER)
+    ss, ws = _gauss_nodes(0.0, 1.0, _MASS_ORDER)
+    h = np.sqrt(1.0 - xs * xs)
+    values = s2k_on_grid(basis, xs[:, None] + 1j * h[:, None] / ss)
+    return float((wx / h) @ values @ ws)

@@ -12,7 +12,7 @@ integrand call per panel, on the 72 nodes of both rules, covers the two.
 Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
 faster, and the two must cancel before exponentiation.  Gamma prefactors use
-math.lgamma; scipy backs only the mass-integral check in forms.
+math.lgamma.
 """
 
 from __future__ import annotations

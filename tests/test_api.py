@@ -73,10 +73,11 @@ def test_every_export_has_a_package_caller():
         'main(["constants"])',
         'main(["bounds", "--k-max", "60"])',
         'main(["kernel-check", "--k-max", "50"])',
+        'main(["verify", "--weights", "12,16,18,20,22,26", "--grid", "100"])',
     ],
 )
 def test_cli_runs_without_scipy(call):
-    """Only the mass-integral oracle behind verify may import scipy."""
+    """No CLI command imports scipy; only the tests use it, as an oracle."""
     code = (
         "import json, sys\n"
         "from supnorm.cli import main\n"

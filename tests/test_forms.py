@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gamma, gammaincc
 
+from supnorm import forms
 from supnorm.enumeration import IntegerMoebius
 from supnorm.forms import (
     SUPPORTED_WEIGHTS,
@@ -236,6 +237,27 @@ class TestAveragedQuantity:
     def test_mass_identity_all_weights(self, weight):
         # Petersson orthonormality: the exact value is 1 for every weight
         assert abs(mass_integral(build_basis(weight)) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_mass_order_doubling(self, weight, monkeypatch):
+        basis = build_basis(weight)
+        coarse = mass_integral(basis)
+        monkeypatch.setattr(forms, "_MASS_ORDER", 2 * forms._MASS_ORDER)
+        assert mass_integral(basis) == pytest.approx(coarse, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_mass_against_adaptive_cubature(self, weight):
+        # an adaptive Gauss-Kronrod cubature on the same rectangle, an independent route
+        cubature = pytest.importorskip("scipy.integrate").cubature
+        basis = build_basis(weight)
+
+        def integrand(p):
+            x, s = p[:, 0], p[:, 1]
+            h = np.sqrt(1.0 - x * x)
+            return s2k_on_grid(basis, x + 1j * h / s) / h
+
+        oracle = float(cubature(integrand, [-0.5, 0.0], [0.5, 1.0], rtol=1e-7).estimate)
+        assert mass_integral(basis) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_grid_points_inside_domain(self, psl2z):
         grid = standard_grid(30, Y=4.1312, k=26)
