@@ -114,7 +114,7 @@ def cmd_kernel_check(args) -> int:
     with _open_out(args.out) as out:
         results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
         for res in results:
-            print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+            print(res.line())
         if out:
             out.write(_json_dumps([asdict(r) for r in results]))
     return EXIT_OK if all(res.passed for res in results) else EXIT_KERNEL

@@ -35,7 +35,7 @@ __all__ = [
     "volume_region",
 ]
 
-_MEMBERSHIP_TOL = 1e-9
+_MEMBERSHIP_TOL = 1e-6
 
 
 class LoadError(ValueError):
@@ -67,10 +67,10 @@ class RegionConstraint:
     center: float = 0.0
     radius: float = 0.0
 
-    def holds(self, z: complex, tol: float = _MEMBERSHIP_TOL) -> bool:
+    def holds(self, z: complex) -> bool:
         if self.kind == "strip":
-            return self.x_min - tol <= z.real <= self.x_max + tol
-        return abs(z - self.center) >= self.radius - tol
+            return self.x_min - _MEMBERSHIP_TOL <= z.real <= self.x_max + _MEMBERSHIP_TOL
+        return abs(z - self.center) >= self.radius - _MEMBERSHIP_TOL
 
 
 @dataclass(frozen=True)
@@ -111,11 +111,11 @@ class FundamentalDomain:
         """Sum of (order - 1) over the full elliptic list."""
         return sum(e.order - 1 for e in self.elliptic)
 
-    def contains(self, z: complex, tol: float = _MEMBERSHIP_TOL) -> bool:
+    def contains(self, z: complex) -> bool:
         z = require_point(z)
         if not self.region:
             raise LoadError(f"domain {self.name!r} carries no region description")
-        return all(c.holds(z, tol) for c in self.region)
+        return all(c.holds(z) for c in self.region)
 
     def strip_bounds(self) -> tuple[float, float]:
         strips = [c for c in self.region if c.kind == "strip"]
@@ -285,19 +285,15 @@ def load_domain(source) -> FundamentalDomain:
 
 
 def _validate(domain: FundamentalDomain) -> None:
-    gb = (
-        (2 * domain.genus - 2)
-        + domain.n_cusps
-        + sum(1.0 - 1.0 / e.order for e in domain.elliptic_class_reps())
-    )
-    if gb <= 0.0:
+    volume = covolume(domain)
+    if volume <= 0.0:
         raise LoadError(
-            f"domain {domain.name!r} has nonpositive Gauss-Bonnet sum {gb:.6g}; "
+            f"domain {domain.name!r} has nonpositive Gauss-Bonnet covolume {volume:.6g}; "
             "no Fuchsian group of the first kind has this signature"
         )
     if domain.region:
         for i, e in enumerate(domain.elliptic):
-            if not domain.contains(e.location, tol=1e-6):
+            if not domain.contains(e.location):
                 raise LoadError(
                     f"elliptic point {i + 1} at {e.location} lies outside the domain region"
                 )
@@ -317,7 +313,7 @@ def is_modular_group(domain: FundamentalDomain) -> bool:
     ref = modular_group()
     if (domain.genus, domain.n_cusps, len(domain.elliptic)) != (0, 1, 3):
         return False
-    if not domain.cusps[0].scaling.is_identity(tol=1e-9):
+    if not domain.cusps[0].scaling.is_identity():
         return False
     got = sorted((e.location.real, e.location.imag, e.order) for e in domain.elliptic)
     want = sorted((e.location.real, e.location.imag, e.order) for e in ref.elliptic)
@@ -412,7 +408,7 @@ def _base_chart_ok(domain: FundamentalDomain) -> None:
             f"domain {domain.name!r} has no region description; region geometry unavailable"
         )
     for cusp in domain.cusps:
-        if not cusp.scaling.is_identity(tol=1e-9):
+        if not cusp.scaling.is_identity():
             raise ValueError(
                 "region geometry supports cusps placed at infinity in the base chart; "
                 f"{cusp.label} has a nontrivial scaling map"

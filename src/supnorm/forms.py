@@ -116,30 +116,41 @@ def cusp_form_coefficients(weight: int, n: int) -> tuple[int, ...]:
 # Evaluation
 
 
-def evaluate_form(coeffs, z):
-    """Value of sum a_n q^n, q = e^{2 pi i z}, at every point of the array z."""
-    q = np.exp(2j * math.pi * np.asarray(z))
+def _horner_over_q(coeffs, q):
+    """sum a_n q^(n-1) at every point of the array q: the form's value divided by q."""
     val = np.zeros_like(q)
     for a in reversed(coeffs):
         val = val * q + float(a)
-    return val * q
+    return val
 
 
-def tail_bound(coeffs, weight: int, y: float) -> float:
-    """Upper bound for sum_{n > N} |a_n| e^{-2 pi n y} beyond the stored terms.
+def evaluate_form(coeffs, z):
+    """Value of sum a_n q^n, q = e^{2 pi i z}, at every point of the array z."""
+    q = np.exp(2j * math.pi * np.asarray(z))
+    return _horner_over_q(coeffs, q) * q
+
+
+def _tail_over_q(coeffs, weight: int, y):
+    """tail_bound divided by |q| = e^{-2 pi y}, at every height of the array y.
 
     Every supported space is one-dimensional, so its generator is a Hecke
     eigenform and Deligne's bound |a_n| <= d(n) n^((w-1)/2) applies; with
     d(n) <= 2 sqrt(n) this gives |a_n| <= 2 n^(w/2).  The term ratio of the
-    majorant decreases in n, so a geometric series caps the tail.
+    majorant decreases in n, so a geometric series caps the tail; where that
+    ratio reaches 1 the bound is infinite.  Flooring the exponent at -700
+    only raises the bound, and keeps exp off its slow underflow path.
     """
     n = len(coeffs)
     w_half = weight / 2.0
-    first = 2.0 * (n + 1.0) ** w_half * math.exp(-2.0 * math.pi * (n + 1.0) * y)
-    ratio = ((n + 2.0) / (n + 1.0)) ** w_half * math.exp(-2.0 * math.pi * y)
-    if ratio >= 1.0:
-        return math.inf
-    return first / (1.0 - ratio)
+    first = 2.0 * (n + 1.0) ** w_half * np.exp(np.maximum(-2.0 * math.pi * n * y, -700.0))
+    ratio = ((n + 2.0) / (n + 1.0)) ** w_half * np.exp(-2.0 * math.pi * y)
+    with np.errstate(divide="ignore"):
+        return np.where(ratio < 1.0, first / (1.0 - ratio), math.inf)
+
+
+def tail_bound(coeffs, weight: int, y: float) -> float:
+    """Upper bound for sum_{n > N} |a_n| e^{-2 pi n y} beyond the stored terms."""
+    return float(_tail_over_q(coeffs, weight, y)) * math.exp(-2.0 * math.pi * y)
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +264,24 @@ def build_basis(weight: int) -> CuspFormBasis:
 def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
     """S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> over an array of points.
 
-    Raises when the stored coefficients cannot pin every value to 1e-10
-    relative (tail certified at the lowest point against the smallest |f|).
+    Raises unless the stored coefficients pin every value to 1e-10
+    relative.  At each point, with T the tail bound at its own height and
+    t = T / |f(z)|, the true |f|^2 lies within t (2 + t) |f(z)|^2 of the
+    computed one.  T and |f(z)| are both taken divided by |q| = e^{-2 pi y},
+    so neither underflows high in the cusp; a zero of f fails the check.
     """
-    y_min = float(np.min(points.imag))
-    probe = evaluate_form(basis.coefficients, points)
-    tail = tail_bound(basis.coefficients, basis.weight, y_min)
-    mags = np.abs(probe)
-    smallest = float(np.min(mags))
-    if not tail * (2.0 * smallest + tail) <= 1e-10 * smallest * smallest:
+    y = points.imag
+    q = np.exp(2j * math.pi * points)
+    f_over_q = _horner_over_q(basis.coefficients, q)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = _tail_over_q(basis.coefficients, basis.weight, y) / np.abs(f_over_q)
+        uncertified = ~(t * (2.0 + t) <= 1e-10)
+    if np.any(uncertified):
         raise ValueError(
             f"q-expansion with {len(basis.coefficients)} terms cannot certify the values "
-            f"at Im z = {y_min:.4g}; more coefficients needed"
+            f"at Im z = {float(np.min(y[uncertified])):.4g}; more coefficients needed"
         )
-    return mags**2 * points.imag ** basis.weight / basis.petersson_norm
+    return np.abs(f_over_q * q) ** 2 * y**basis.weight / basis.petersson_norm
 
 
 @dataclass(frozen=True)

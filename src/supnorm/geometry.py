@@ -21,6 +21,8 @@ __all__ = [
 # Tolerance for the unit-determinant check after sign normalization.
 _DET_TOL = 1e-12
 _SIGN_TOL = 1e-12
+# Tolerance of MoebiusMap.is_identity (entrywise) and GeodesicSegment.contains.
+_MATCH_TOL = 1e-9
 
 
 def require_point(z: complex) -> complex:
@@ -89,12 +91,13 @@ class MoebiusMap:
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
 
-    def is_identity(self, tol: float = 1e-12) -> bool:
+    def is_identity(self) -> bool:
+        """Whether every entry is within 1e-9 of the identity matrix's."""
         return (
-            abs(self.a - 1.0) <= tol
-            and abs(self.d - 1.0) <= tol
-            and abs(self.b) <= tol
-            and abs(self.c) <= tol
+            abs(self.a - 1.0) <= _MATCH_TOL
+            and abs(self.d - 1.0) <= _MATCH_TOL
+            and abs(self.b) <= _MATCH_TOL
+            and abs(self.c) <= _MATCH_TOL
         )
 
 
@@ -155,8 +158,10 @@ class GeodesicSegment:
         y2 = self.radius**2 - (x - self.center) ** 2
         return complex(x, math.sqrt(max(y2, 0.0)))
 
-    def contains(self, p: complex, tol: float = 1e-9) -> bool:
+    def contains(self, p: complex) -> bool:
+        """Whether p lies on the segment, to within 1e-9."""
         p = require_point(p)
+        tol = _MATCH_TOL
         if self.kind == "vertical":
             return (
                 abs(p.real - self.foot) <= tol
@@ -166,30 +171,20 @@ class GeodesicSegment:
         return on_circle and self.x_min - tol <= p.real <= self.x_max + tol
 
     def dist_to(self, p: complex) -> float:
-        """Infimum of dist_hyp(p, q) over points q of the segment."""
+        """dist_hyp(p, q) at the point q of the segment nearest to p, found in closed form."""
         p = require_point(p)
         if self.kind == "vertical":
-            return self._dist_vertical(p)
-        return self._dist_arc(p)
-
-    def _dist_vertical(self, p: complex) -> float:
-        # cosh d(p, foot+iy) = (C + y^2) / (2 Im(p) y) with C = (Re p - foot)^2 + Im(p)^2,
-        # minimized at y = sqrt(C); clamp into the parameter range.
-        c_sq = (p.real - self.foot) ** 2 + p.imag**2
-        y_star = math.sqrt(c_sq)
-        y = min(max(y_star, self.y_min), self.y_max)
-        cosh_d = (c_sq + y * y) / (2.0 * p.imag * y)
-        return math.acosh(max(cosh_d, 1.0))
-
-    def _dist_arc(self, p: complex) -> float:
+            # cosh d(p, foot+iy) = (C + y^2) / (2 Im(p) y) with
+            # C = (Re p - foot)^2 + Im(p)^2, minimized at y = sqrt(C).
+            c_sq = (p.real - self.foot) ** 2 + p.imag**2
+            y = min(max(math.sqrt(c_sq), self.y_min), self.y_max)
+            return dist_hyp(p, complex(self.foot, y))
         # With q = center + r e^{i theta} and u = Re p - center,
         # cosh d(p, q) = (|p - center|^2 + r^2 - 2 r u cos theta) / (2 Im(p) r sin theta),
         # whose only critical point on (0, pi) is the minimum at
-        # cos theta* = 2 r u / (|p - center|^2 + r^2); clamp it into the arc.
+        # cos theta* = 2 r u / (|p - center|^2 + r^2).
         r = self.radius
         u = p.real - self.center
         cos_star = 2.0 * r * u / (u * u + p.imag**2 + r * r)
         cos_t = min(max(cos_star, (self.x_min - self.center) / r), (self.x_max - self.center) / r)
-        q = complex(self.center + r * cos_t, r * math.sqrt(1.0 - cos_t * cos_t))
-        cosh_d = 1.0 + abs(p - q) ** 2 / (2.0 * p.imag * q.imag)
-        return math.acosh(max(cosh_d, 1.0))
+        return dist_hyp(p, complex(self.center + r * cos_t, r * math.sqrt(1.0 - cos_t * cos_t)))

@@ -11,8 +11,10 @@ against the 24-node rule on the same panel is the error estimate.  One
 integrand call per panel, on the 72 nodes of both rules, covers the two.
 Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
-faster, and the two must cancel before exponentiation.  Gamma prefactors use
-math.lgamma.
+faster, and the two must cancel before exponentiation.  There are two radial
+log weights, the difference kernel's and the heat kernel's; the integrated
+exponential of the sup-norm argument is the difference kernel at k = 0.
+Gamma prefactors use math.lgamma.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ _DUAL_TOL = 1e-6
 
 class AccuracyError(RuntimeError):
     """A quadrature or series did not reach its accuracy target."""
-
-    def __init__(self, message: str, estimate: float | None = None):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +171,7 @@ def _integrate_panels(f, width: float):
         val = fx[..., :_PANEL_ORDER] @ (half * w_full)
         total = total + val
         if not np.all(np.isfinite(total)):
-            raise AccuracyError("panel integral is not finite", estimate=total)
+            raise AccuracyError("panel integral is not finite")
         err = err + np.abs(val - fx[..., _PANEL_ORDER:] @ (half * w_half))
         if np.all(np.abs(val) < _PANEL_TINY * np.maximum(np.abs(total), 1e-300)):
             quiet += 1
@@ -181,7 +179,7 @@ def _integrate_panels(f, width: float):
                 return total, err
         else:
             quiet = 0
-    raise AccuracyError("panel integration did not terminate", estimate=total)
+    raise AccuracyError("panel integration did not terminate")
 
 
 def _radial_integral(k: int, rho: float, log_weight, width: float = 1.0):
@@ -215,9 +213,7 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
         total += term
         if abs(term) < 1e-16 * abs(total):
             return total
-    raise AccuracyError(
-        f"hypergeometric series did not converge for z={z}", estimate=total
-    )
+    raise AccuracyError(f"hypergeometric series did not converge for z={z}")
 
 
 def resolvent_G(k: int, s: float, sigma: float) -> float:
@@ -241,13 +237,16 @@ def resolvent_G(k: int, s: float, sigma: float) -> float:
     return math.exp(log_pref) * _hyp2f1_series(s + k, s - k, 2.0 * s, 1.0 / sigma)
 
 
+def _difference_radial(k: int, s: float, rho: float) -> float:
+    """Radial integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) T_2k / sqrt-gap over r > rho,
+    the one place its log weight -(s-1/2) r + log(1 - e^{-r}) is written."""
+    return float(_radial_integral(k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)))[0])
+
+
 def _difference_quadrature(k: int, s: float, sigma: float) -> float:
     """Difference kernel through its direct radial integral representation."""
     rho = 2.0 * math.acosh(math.sqrt(sigma))
-    value, _ = _radial_integral(
-        k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r))
-    )
-    return float(value) / (2.0 * math.pi * math.sqrt(2.0))
+    return _difference_radial(k, s, rho) / (2.0 * math.pi * math.sqrt(2.0))
 
 
 def _difference_routes(k: int, s: float, sigma: float) -> tuple[float, float]:
@@ -261,18 +260,16 @@ def _difference_routes(k: int, s: float, sigma: float) -> tuple[float, float]:
     return series_value, _difference_quadrature(k, s, sigma)
 
 
-def integrated_exponential_lhs(k: int, eps: float, rho: float) -> float:
+def integrated_exponential_lhs(eps: float, rho: float) -> float:
     """Radial integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) e^{kr} / sqrt-gap at s = k+eps.
 
-    Bounded above by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
+    The factor e^{kr} cancels the k in s, so the integral is the same for
+    every k: the k = 0 difference-kernel integral at s = eps.  Bounded above
+    by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
     """
     if rho <= 0.0:
         raise ValueError("need rho > 0")
-    s = k + eps
-    value, _ = _radial_integral(
-        0, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)) + k * r
-    )
-    return float(value)
+    return _difference_radial(0, eps, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +299,7 @@ def heat_kernel(k: int, t, rho: float):
     value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
     if np.any(rel > _HEAT_REL_TARGET):
-        raise AccuracyError(
-            f"heat kernel quadrature reached only {np.max(rel):.2e} relative",
-            estimate=value,
-        )
+        raise AccuracyError(f"heat kernel quadrature reached only {np.max(rel):.2e} relative")
     return float(value) if value.ndim == 0 else value
 
 
@@ -333,8 +327,7 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     value, err = _integrate_panels(integrand, width=width)
     if err > _TRANSFORM_REL_TARGET * abs(value):
         raise AccuracyError(
-            f"heat-to-resolvent transform reached only {err / abs(value):.2e} relative",
-            estimate=float(value),
+            f"heat-to-resolvent transform reached only {err / abs(value):.2e} relative"
         )
     return float(value)
 
@@ -351,6 +344,10 @@ class CheckResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "passed", bool(self.passed))
+
+    def line(self) -> str:
+        """The report line ``[PASS] name: detail`` (or ``[FAIL]``)."""
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
 def run_kernel_checks(k_max: int = 12, transform_tol: float = 1e-4) -> list[CheckResult]:
@@ -420,12 +417,14 @@ def run_kernel_checks(k_max: int = 12, transform_tol: float = 1e-4) -> list[Chec
         )
     )
 
-    # Integrated exponential bound at s = k + eps.
+    # Integrated exponential bound at s = k + eps.  The integral does not
+    # depend on k, so the grid runs over (eps, sigma) only; the detail keeps
+    # naming the (k, eps, sigma) grid the bound is stated on.
     ratios = []
-    for k, eps, sigma in itertools.product((1, 2, 6), (0.1, 0.5, 0.9), (1.5, 2.0, 10.0)):
+    for eps, sigma in itertools.product((0.1, 0.5, 0.9), (1.5, 2.0, 10.0)):
         rho = 2.0 * math.acosh(math.sqrt(sigma))
         cap = 3.0 * math.sqrt(2.0) / eps * math.exp(-eps * rho)
-        ratios.append(integrated_exponential_lhs(k, eps, rho) / cap)
+        ratios.append(integrated_exponential_lhs(eps, rho) / cap)
     worst = np.max(ratios)
     results.append(
         CheckResult(

@@ -23,7 +23,7 @@ from .enumeration import (
     poincare_direct,
 )
 from .forms import SUPPORTED_WEIGHTS, build_basis, mass_integral, s2k_on_grid, standard_grid
-from .kernels import parabolic_sum_bound
+from .kernels import CheckResult, parabolic_sum_bound
 
 __all__ = [
     "UnsupportedDomainError",
@@ -46,14 +46,10 @@ class UnsupportedDomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class VerificationItem:
-    name: str
-    passed: bool
-    detail: str
-    weight: int | None = None
+class VerificationItem(CheckResult):
+    """A check verdict, tagged with its weight unless the check is global."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passed", bool(self.passed))
+    weight: int | None = None
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,7 @@ class VerificationReport:
         return {"passed": self.passed, **asdict(self)}
 
     def to_text(self) -> str:
-        lines = []
-        for item in self.items:
-            status = "PASS" if item.passed else "FAIL"
-            lines.append(f"[{status}] {item.name}: {item.detail}")
+        lines = [item.line() for item in self.items]
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'} ({len(self.items)} checks)")
         return "\n".join(lines)
 

@@ -1,6 +1,7 @@
 """Guard on the public API: every exported name has a caller inside the package."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -9,14 +10,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "supnorm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "supnorm"
 
 # Exported names whose only callers are tests, each kept for a reason.
 KEPT_FOR_TESTS = {
     "enumerate_ball": "coset enumeration checked element by element against raw entry search",
     "faddeev_transfer": "transfer factor checked against exact enumerated sums",
     "displacement": "test oracle for the enumeration and the geometry primitives",
-    "dist_hyp": "test oracle for the geodesic segment distances",
 }
 
 
@@ -88,3 +89,24 @@ def test_cli_runs_without_scipy(call):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def _span_targets() -> list[tuple[str, str]]:
+    """(module, attribute path) of every TARGETS entry in perfbench/spans.py."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(module, path) for module, path, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/spans.py defines no TARGETS")
+
+
+@pytest.mark.parametrize("module,path", _span_targets())
+def test_span_targets_resolve(module, path):
+    """A renamed or moved function fails here, not only in a traced benchmark run."""
+    obj = importlib.import_module(module)
+    for attr in path.split("."):
+        assert hasattr(obj, attr), f"{module}.{path}: no attribute {attr!r}"
+        obj = getattr(obj, attr)
+    assert callable(obj)

@@ -1,6 +1,8 @@
 """Tests for q-expansions, Petersson norms, and the averaged quantity."""
 
+import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -229,6 +231,31 @@ class TestAveragedQuantity:
     def test_low_point_rejected(self, basis12):
         with pytest.raises(ValueError, match="coefficients"):
             s2k_on_grid(basis12, np.array([0.1 + 0.05j]))
+
+    @pytest.mark.parametrize("weight", [12, 18, 26])
+    def test_short_basis_certifies_verify_grid(self, psl2z_constants, weight):
+        # 32 coefficients pin every grid value, each against its own tail
+        basis = build_basis(weight)
+        short = dataclasses.replace(basis, coefficients=basis.coefficients[:32])
+        points = standard_grid(100, Y=psl2z_constants.Y, k=weight // 2).points
+        assert np.allclose(s2k_on_grid(short, points), s2k_on_grid(basis, points),
+                           rtol=1e-12, atol=0.0)
+
+    def test_too_short_basis_rejected(self, psl2z_constants):
+        basis = build_basis(26)
+        short = dataclasses.replace(basis, coefficients=basis.coefficients[:8])
+        points = standard_grid(100, Y=psl2z_constants.Y, k=13).points
+        with pytest.raises(ValueError, match="8 terms"):
+            s2k_on_grid(short, points)
+
+    @pytest.mark.parametrize("z", [0.3 + 0.9j, 0.1 + 5.0j])
+    def test_vanishing_form_rejected(self, basis12, monkeypatch, z):
+        # a zero of f certifies nothing, low in the domain or high in the cusp
+        monkeypatch.setattr(forms, "_horner_over_q", lambda coeffs, q: np.zeros_like(q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="coefficients"):
+                s2k_on_grid(basis12, np.array([z]))
 
     def test_mass_identity(self, basis12):
         assert mass_integral(basis12) == pytest.approx(1.0, abs=1e-4)

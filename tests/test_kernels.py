@@ -126,6 +126,15 @@ class TestResolvent:
             resolvent_G(3, 2.5, 2.0)
 
 
+def _integrated_exponential_k_form(k, eps, rho):
+    """The integrated exponential with its own integrand: weight e^{kr} at s = k + eps."""
+    s = k + eps
+    value, _ = _radial_integral(
+        0, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)) + k * r
+    )
+    return float(value)
+
+
 class TestDifferenceKernel:
     @pytest.mark.parametrize("k", [1, 2, 6])
     @pytest.mark.parametrize("eps", [0.1, 0.5])
@@ -146,9 +155,21 @@ class TestDifferenceKernel:
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 10.0])
     def test_integrated_exponential_bound(self, k, eps, sigma):
+        # the bound is stated at s = k + eps for every k; the k-independent
+        # value must equal the integral written with e^{kr} at each k
         rho = 2.0 * math.acosh(math.sqrt(sigma))
-        lhs = integrated_exponential_lhs(k, eps, rho)
+        lhs = integrated_exponential_lhs(eps, rho)
+        assert lhs == pytest.approx(_integrated_exponential_k_form(k, eps, rho), rel=1e-13)
         assert lhs <= 3.0 * math.sqrt(2.0) / eps * math.exp(-eps * rho) * (1 + 1e-12)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 10.0])
+    def test_integrated_exponential_series_route(self, eps, sigma):
+        # the k = 0 difference kernel at s = eps, summed as hypergeometric series
+        rho = 2.0 * math.acosh(math.sqrt(sigma))
+        series = resolvent_G(0, eps, sigma) - resolvent_G(0, eps + 1.0, sigma)
+        expected = 2.0 * math.pi * math.sqrt(2.0) * series
+        assert integrated_exponential_lhs(eps, rho) == pytest.approx(expected, rel=1e-12)
 
 
 class TestHeatKernel:
@@ -251,7 +272,7 @@ def _two_call_panels(f, width):
         val = f(x) @ w
         total = total + val
         if not np.all(np.isfinite(total)):
-            raise AccuracyError("panel integral is not finite", estimate=total)
+            raise AccuracyError("panel integral is not finite")
         x, w = _gauss_nodes(lo, hi, 24)
         err = err + np.abs(val - f(x) @ w)
         if np.all(np.abs(val) < kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300)):
@@ -260,7 +281,7 @@ def _two_call_panels(f, width):
                 return total, err
         else:
             quiet = 0
-    raise AccuracyError("panel integration did not terminate", estimate=total)
+    raise AccuracyError("panel integration did not terminate")
 
 
 _MERGED_PANELS = kernels._integrate_panels
@@ -310,14 +331,15 @@ class TestMergedPanelRule:
     @pytest.mark.parametrize(
         "func,args",
         [
-            (integrated_exponential_lhs, (1, 0.1, _grid_rho(1.5))),
-            (integrated_exponential_lhs, (2, 0.5, _grid_rho(2.0))),
-            (integrated_exponential_lhs, (6, 0.9, _grid_rho(10.0))),
+            (integrated_exponential_lhs, (0.1, _grid_rho(1.5))),
+            (integrated_exponential_lhs, (0.5, _grid_rho(2.0))),
+            (integrated_exponential_lhs, (0.9, _grid_rho(10.0))),
             (kernels._difference_quadrature, (1, 1.1, 1.5)),
             (kernels._difference_quadrature, (2, 2.5, 2.0)),
             (kernels._difference_quadrature, (6, 6.5, 10.0)),
             (heat_kernel, (2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7)),
         ],
+        # an intexp id names the (k, eps, sigma) grid point; its value does not depend on k
         ids=["intexp-1-0.1-1.5", "intexp-2-0.5-2", "intexp-6-0.9-10",
              "difference-1-0.1-1.5", "difference-2-0.5-2", "difference-6-0.5-10", "heat-array"],
     )
