@@ -1,12 +1,16 @@
 """Exact enumeration of modular-group elements by displacement, and the
 direct series evaluations built on it.
 
-The ball {gamma : sigma(z, gamma z) <= R} is enumerated row by row over the
-bottom-row entry c.  Expanding 4 y^2 (sigma - 1) = |c z^2 + (d-a) z - b|^2 and
+The ball {gamma : sigma(z, gamma z) <= R} is enumerated over the bottom-row
+entry c.  Expanding 4 y^2 (sigma - 1) = |c z^2 + (d-a) z - b|^2 and
 discarding nonnegative squares gives sigma >= |c z + d|^2 / 4 + 1/2, so c and
-then d run over finite ranges.  Each coprime (c, d) is one coset T^n gamma_0
-of the translations T, and sigma(z, gamma_0 z + n) <= R confines n to an
-interval around Re(z - gamma_0 z).  Each row is one array pass: coset bases,
+then d run over finite ranges.  Row c = 0 is the translation coset of the
+identity, and sigma(z, z + n) = 1 + n^2 / (4 y^2) gives its range of n in
+closed form.  For c >= 1 each coprime (c, d) is one coset T^n gamma_0 of the
+translations T, and sigma(z, gamma_0 z + n) <= R confines n to an interval
+around Re(z - gamma_0 z).  These rows go in blocks of whole rows with a fixed
+cap on their (c, d) candidates, and each block is one array pass:
+coprimality and d^-1 mod c by an extended Euclid on arrays, coset bases,
 shift intervals, flattened elements and their exact displacements.  A raw
 entry-bounded search stays in the test suite as the oracle for this
 enumeration.
@@ -73,12 +77,17 @@ class IntegerMoebius:
         return (self.a, self.b, self.c, self.d)
 
 
-def _sigma_batch(a, b, c: int, d, z: complex) -> np.ndarray:
+#: Most (c, d) candidates one array pass takes; it bounds the memory of a
+#: pass.  A row has at most about 4 sqrt(R) candidates, and a row longer than
+#: the cap (R above about 2.6e5) is a pass of its own.
+_BLOCK = 2048
+
+
+def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2, in real parts.
 
-    One call covers one bottom row c; a, b, d are integer arrays holding its
-    elements.  The raw-entry test oracle evaluates the same identity in
-    complex arithmetic.
+    a, b, c, d are integers or integer arrays of one block of elements.  The
+    raw-entry test oracle evaluates the same identity in complex arithmetic.
     """
     x, y = z.real, z.imag
     re = c * (x * x - y * y) + (d - a) * x - b
@@ -86,49 +95,115 @@ def _sigma_batch(a, b, c: int, d, z: complex) -> np.ndarray:
     return 1.0 + (re * re + im * im) / (4.0 * y * y)
 
 
-def _coset_bases(c: int, x: float, y: float, pad: float):
-    """Coset representatives (a0, b0, d) of row c whose d can reach the ball.
+def _max_shift(z: complex, R: float) -> int:
+    """Largest n >= 0 with sigma(z, z + n) <= R, or -1 when R < 1.
 
-    Row 0 is the translation coset of the identity.  For c >= 1 the d come
-    from sigma >= |c z + d|^2 / 4 + 1/2 and are kept when coprime to c.
+    On (1, n, 0, 1) _sigma_batch evaluates 1 + n^2 / (4 y^2), which is
+    monotone in |n| in floating point, so its values at the estimate
+    floor(2 y sqrt(R - 1)) and one above it settle the exact cut.
     """
-    if c == 0:
-        return np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
-    spread = math.sqrt(max(4.0 * pad - 2.0 - (c * y) ** 2, 0.0))
-    d = np.arange(math.ceil(-c * x - spread), math.floor(-c * x + spread) + 1)
-    d = d[np.gcd(d, c) == 1]
-    a0 = np.array([pow(v, -1, c) for v in d.tolist()], dtype=np.int64)
-    return a0, (a0 * d - 1) // c, d
+    if R < 1.0:
+        return -1
+    n = math.floor(2.0 * z.imag * math.sqrt(R - 1.0))
+    if _sigma_batch(1, n + 1, 0, 1, z) <= R:
+        return n + 1
+    return n if _sigma_batch(1, n, 0, 1, z) <= R else n - 1
+
+
+def _runs(first, sizes):
+    """Owner index and value of each integer in the runs first[i] + [0, sizes[i])."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, first[owner] + np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
+def _inverse_mod(d, c):
+    """(d^-1 mod c in [0, c), gcd(d, c)) for integer arrays d and c >= 1.
+
+    One extended-Euclid pass on arrays: each remainder r keeps a t with
+    t d = r (mod c), and the two remainders reduce each other in turn until
+    one is 0.  Integer division by 0 gives 0, which leaves a finished pair
+    as it is.  The inverse is meaningful where the gcd is 1 (for c = 1 it
+    is 0).
+    """
+    r0, r1 = c, d % c
+    t0, t1 = np.zeros_like(c), np.ones_like(c)
+    with np.errstate(divide="ignore"):
+        while np.any(r0 * r1):
+            q = r0 // r1
+            r0, t0 = r0 - q * r1, t0 - q * t1
+            q = r1 // r0
+            r1, t1 = r1 - q * r0, t1 - q * t0
+    done = r1 == 0
+    return np.where(done, t0, t1) % c, np.where(done, r0, r1)
+
+
+def _block(z: complex, pad: float, R: float, c, first, sizes):
+    """(a, b, c, d, sigmas) of the ball in rows c, with candidates d in first + [0, sizes).
+
+    The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
+    their images w = gamma_0 z.  The padded necessary condition, its
+    discriminant clipped at zero, leaves the shifts n of T^n gamma_0 in
+    [lo, hi], and one displacement batch is cut exactly at R.  The elements
+    come in ascending c, then d, then shift.
+    """
+    # d mod c has period c, so each row inverts at most c of its d
+    span = np.minimum(sizes, c)
+    unique, d = _runs(first, span)
+    inverse, gcd = _inverse_mod(d, c[unique])
+    row, d = _runs(first, sizes)
+    pick = (np.cumsum(span) - span)[row] + (d - first[row]) % c[row]
+    coprime = gcd[pick] == 1
+    a0, c, d = inverse[pick][coprime], c[row][coprime], d[coprime]
+    b0 = (a0 * d - 1) // c
+    w = (a0 * z + b0) / (c * z + d)
+    x, y = z.real, z.imag
+    spread = np.sqrt(np.maximum(4.0 * pad * y * w.imag - (y + w.imag) ** 2, 0.0))
+    lo = np.ceil(x - w.real - spread).astype(np.int64)
+    counts = np.maximum(np.floor(x - w.real + spread).astype(np.int64) - lo + 1, 0)
+    coset, n = _runs(lo, counts)
+    c, d = c[coset], d[coset]
+    a = a0[coset] + n * c
+    b = b0[coset] + n * d
+    del coset, n  # the pass's peak memory is in the displacement batch
+    sigmas = _sigma_batch(a, b, c, d, z)
+    keep = sigmas <= R
+    return a[keep], b[keep], c[keep], d[keep], sigmas[keep]
+
+
+def _blocks(z: complex, R: float):
+    """Yield the _block of each run of whole rows c >= 1 with at most _BLOCK candidates.
+
+    The candidates d of row c come from sigma >= |c z + d|^2 / 4 + 1/2,
+    padded; a row longer than _BLOCK is a block of its own.
+    """
+    z = require_point(z)
+    y = z.imag
+    pad = R * (1.0 + 1e-9) + 1e-9
+    rows = np.arange(1, math.floor(math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y) + 1)
+    spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - (rows * y) ** 2, 0.0))
+    first = np.ceil(-rows * z.real - spread).astype(np.int64)
+    sizes = np.maximum(np.floor(-rows * z.real + spread).astype(np.int64) - first + 1, 0)
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(rows):
+        stop = max(int(np.searchsorted(ends, ends[start] - sizes[start] + _BLOCK, "right")),
+                   start + 1)
+        yield _block(z, pad, R, rows[start:stop], first[start:stop], sizes[start:stop])
+        start = stop
 
 
 def _scan(z: complex, R: float):
-    """Yield (a, b, c, d, sigmas) per bottom row c = 0, 1, ..., c_max.
+    """Yield (a, b, c, d, sigmas) over the ball: row 0, then the _blocks of rows c >= 1.
 
-    One array pass per row: the coset bases, their images w = gamma_0 z, the
-    shift ranges [lo, hi] that a padded necessary condition leaves for the
-    elements T^n gamma_0 (its discriminant clipped at zero), and one
-    displacement batch cut exactly at R.  Within a row the elements come in
-    ascending d, then ascending shift; row 0 holds the translations, the
-    identity among them.
+    Row 0 is the translation coset of the identity, T^n for |n| up to
+    _max_shift in ascending n; it needs no inverse and no padded range.
     """
     z = require_point(z)
-    x, y = z.real, z.imag
-    pad = R * (1.0 + 1e-9) + 1e-9
-    c_max = math.floor(math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y)
-    for c in range(c_max + 1):
-        a0, b0, d = _coset_bases(c, x, y, pad)
-        w = (a0 * z + b0) / (c * z + d)
-        spread = np.sqrt(np.maximum(4.0 * pad * y * w.imag - (y + w.imag) ** 2, 0.0))
-        lo = np.ceil(x - w.real - spread).astype(np.int64)
-        counts = np.maximum(np.floor(x - w.real + spread).astype(np.int64) - lo + 1, 0)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        n = np.repeat(lo, counts) + np.arange(len(starts)) - starts
-        a = np.repeat(a0, counts) + n * c
-        d = np.repeat(d, counts)
-        b = np.repeat(b0, counts) + n * d
-        sigmas = _sigma_batch(a, b, c, d, z)
-        keep = sigmas <= R
-        yield a[keep], b[keep], c, d[keep], sigmas[keep]
+    m = _max_shift(z, R)
+    n = np.arange(-m, m + 1)
+    ones = np.ones_like(n)
+    yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
+    yield from _blocks(z, R)
 
 
 def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
@@ -136,21 +211,23 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 
     Returns the empty list for R < 1 (the displacement never drops below 1).
     """
-    out = []
-    for a, b, c, d, _ in _scan(z, R):
-        out.extend(
-            IntegerMoebius(ai, bi, c, di) for ai, bi, di in zip(a.tolist(), b.tolist(), d.tolist())
-        )
-    return out
+    return [
+        IntegerMoebius(*entries)
+        for a, b, c, d, _ in _scan(z, R)
+        for entries in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist())
+    ]
 
 
 def displacement_values(z: complex, R: float, include_identity: bool = False) -> np.ndarray:
-    """Displacements sigma(z, gamma z) <= R over the ball, as a sorted array."""
-    chunks = [
-        sigmas if c or include_identity else sigmas[b != 0]
-        for _, b, c, _, sigmas in _scan(z, R)
-    ]
-    return np.sort(np.concatenate(chunks))
+    """Displacements sigma(z, gamma z) <= R over the ball, as a sorted array.
+
+    The blocks of _scan are joined and sorted in place.  Without the identity
+    the first value goes: the identity's sigma is exactly 1.0, and no sigma
+    is smaller.
+    """
+    values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
+    values.sort()
+    return values if include_identity else values[1:]
 
 
 @dataclass(frozen=True)
@@ -163,9 +240,12 @@ def counting_check(z: complex, r: float, constants: EffectiveConstants) -> Count
     """Compare the exact ball count against the counting bound 4 pi B_Y r.
 
     Valid for z in the truncated region the constants were computed on;
-    raises VerificationFailure when the enumeration exceeds the bound.
+    raises VerificationFailure when the enumeration exceeds the bound.  Row
+    0 is counted in closed form and the other rows without a sort, so the
+    count needs no array of the translations, however high z is.
     """
-    count = len(displacement_values(z, r, include_identity=True))
+    z = require_point(z)
+    count = max(2 * _max_shift(z, r) + 1, 0) + sum(len(s) for *_, s in _blocks(z, r))
     bound = 4.0 * math.pi * constants.B_Y * r
     if count > bound:
         raise VerificationFailure(

@@ -302,14 +302,10 @@ def standard_grid(n: int = 100, Y: float | None = None, k: int | None = None) ->
     if n < 1:
         raise ValueError("grid size must be at least 1")
     xs = -0.5 + (np.arange(n) + 0.5) / n
-    cols = []
-    tags = []
-    for x in xs:
-        floor_y = math.sqrt(max(1.0 - x * x, 0.0))
-        u = (np.arange(n) + 0.5) / n * (1.0 / floor_y)
-        ys = 1.0 / u
-        cols.append(x + 1j * ys)
-        tags.append(np.zeros(n, dtype=int))
+    floor_y = np.sqrt(np.maximum(1.0 - xs * xs, 0.0))
+    ys = 1.0 / ((np.arange(n) + 0.5) / n * (1.0 / floor_y[:, None]))
+    cols = [(xs[:, None] + 1j * ys).ravel()]
+    tags = [np.zeros(n * n, dtype=int)]
     if Y is not None and k is not None and Y < k / (2.0 * math.pi):
         band = np.linspace(Y, k / (2.0 * math.pi), n)
         cols.append(0.0 + 1j * band)

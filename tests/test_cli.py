@@ -175,6 +175,16 @@ class TestVerify:
     def test_infinite_y0(self, capsys):
         assert_input_error(*run(capsys, "verify", "--Y0", "inf"))
 
+    def test_huge_y0_reports_its_verdict(self, capsys):
+        # heights up to Y = 2e9 reach the counting check, whose translation
+        # row there holds about 1e10 elements; it is counted in closed form
+        code, out, err = run(capsys, "verify", "--Y0", "1e9", "--weights", "12", "--grid", "10")
+        assert code == 1
+        assert err == ""
+        assert "[PASS] counting_bound" in out
+        assert "[FAIL] upper_bound_reference" in out
+        assert out.rstrip().endswith("overall: FAIL (8 checks)")
+
     def test_no_format_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "json"])

@@ -1,12 +1,14 @@
 """Tests for the displacement-ball enumeration and direct series sums."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supnorm import enumeration
 from supnorm.enumeration import (
     IntegerMoebius,
     VerificationFailure,
@@ -128,12 +130,172 @@ def test_scan_matches_raw_entry_search_fuzzed(z, R):
         assert sigma_direct(*entries, z) == pytest.approx(R, rel=1e-12)
 
 
+def row_scan(z: complex, R: float):
+    """Yield (a, b, c, d, sigmas) per bottom row c = 0, 1, ..., c_max.
+
+    The per-row enumeration that the block passes replaced, kept as their
+    oracle: one array pass per row, with the coset bases a0 = pow(d, -1, c)
+    of the coprime d (np.gcd) and the translation row taken from the same
+    padded shift range as the other rows.
+    """
+    x, y = z.real, z.imag
+    pad = R * (1.0 + 1e-9) + 1e-9
+    c_max = math.floor(math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y)
+    for c in range(c_max + 1):
+        if c == 0:
+            a0, b0, d = np.ones(1, np.int64), np.zeros(1, np.int64), np.ones(1, np.int64)
+        else:
+            spread = math.sqrt(max(4.0 * pad - 2.0 - (c * y) ** 2, 0.0))
+            d = np.arange(math.ceil(-c * x - spread), math.floor(-c * x + spread) + 1)
+            d = d[np.gcd(d, c) == 1]
+            a0 = np.array([pow(v, -1, c) for v in d.tolist()], dtype=np.int64)
+            b0 = (a0 * d - 1) // c
+        w = (a0 * z + b0) / (c * z + d)
+        spread = np.sqrt(np.maximum(4.0 * pad * y * w.imag - (y + w.imag) ** 2, 0.0))
+        lo = np.ceil(x - w.real - spread).astype(np.int64)
+        counts = np.maximum(np.floor(x - w.real + spread).astype(np.int64) - lo + 1, 0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        n = np.repeat(lo, counts) + np.arange(len(starts)) - starts
+        a = np.repeat(a0, counts) + n * c
+        d = np.repeat(d, counts)
+        b = np.repeat(b0, counts) + n * d
+        re = c * (x * x - y * y) + (d - a) * x - b
+        im = y * (2.0 * c * x + d - a)
+        sigmas = 1.0 + (re * re + im * im) / (4.0 * y * y)
+        keep = sigmas <= R
+        yield a[keep], b[keep], c, d[keep], sigmas[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def row_scan_arrays(z: complex, R: float):
+    """The row scan's (a, b, c, d) in its order, and its sorted sigmas without the identity."""
+    rows = list(row_scan(z, R))
+    entries = tuple(
+        np.concatenate([np.broadcast_to(row[i], row[0].shape) for row in rows]) for i in range(4)
+    )
+    chunks = [sigmas if c else sigmas[b != 0] for _, b, c, _, sigmas in rows]
+    return entries, np.sort(np.concatenate(chunks))
+
+
+#: One point per height stratum of the benchmark's ball workload, then i, rho
+#: and a point left of the standard domain.
+ORACLE_POINTS = (
+    0.3275651631014973 + 1.1393006658420468j,
+    -0.3977738758773809 + 1.3670755580293943j,
+    0.391287729589304 + 2.01758519508985j,
+    -0.14606035885434743 + 2.935001881403346j,
+    1j,
+    RHO,
+    0.6 + 0.9j,
+)
+
+
+@pytest.fixture(params=["default", "tiny"])
+def block_cap(request, monkeypatch):
+    """The module's block cap, then a cap of 2 candidates (every longer row a pass of its own)."""
+    if request.param == "tiny":
+        monkeypatch.setattr(enumeration, "_BLOCK", 2)
+    return request.param
+
+
+class TestBlocksAgainstRowScan:
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    @pytest.mark.parametrize("R", [1.0, 2.5, 30.0, 1e4])
+    def test_displacement_values_bit_identical(self, block_cap, z, R):
+        _, want = row_scan_arrays(z, R)
+        without = displacement_values(z, R, include_identity=False)
+        with_identity = displacement_values(z, R, include_identity=True)
+        assert np.array_equal(without, want)
+        assert np.array_equal(with_identity, np.sort(np.append(want, 1.0)))
+        assert with_identity[0] == 1.0
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    @pytest.mark.parametrize("R", [1.0, 2.5, 30.0, 1e4])
+    def test_same_elements_in_same_order(self, block_cap, z, R):
+        want, _ = row_scan_arrays(z, R)
+        got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
+                               for block in enumeration._scan(z, R)]) for i in range(4)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        if R <= 30.0:
+            ball = [m.entries() for m in enumerate_ball(z, R)]
+            assert ball == list(zip(*(w.tolist() for w in want)))
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    def test_counting_check_counts_the_ball(self, block_cap, psl2z_constants, z):
+        for r in (1.0, 2.5, 30.0):
+            _, sigmas = row_scan_arrays(z, r)
+            assert counting_check(z, r, psl2z_constants).count == len(sigmas) + 1
+
+    def test_below_one(self, block_cap):
+        assert len(displacement_values(1j, 0.99, include_identity=True)) == 0
+        assert len(displacement_values(1j, 0.99)) == 0
+
+
+@st.composite
+def moduli_and_entries(draw):
+    """(c, d) with c >= 1; c = 1, d = 0 (mod c) and negative d drawn often."""
+    c = draw(st.one_of(st.just(1), st.integers(1, 400)))
+    d = draw(st.one_of(st.integers(-2000, 2000), st.integers(-5, 5).map(lambda k: k * c)))
+    return c, d
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pairs=st.lists(moduli_and_entries(), min_size=1, max_size=30))
+@example(pairs=[(1, 0), (1, -7), (6, 0), (6, -12), (7, -1), (89, 55), (144, -89)])
+def test_inverse_mod_matches_gcd_and_pow(pairs):
+    c = np.array([p[0] for p in pairs], dtype=np.int64)
+    d = np.array([p[1] for p in pairs], dtype=np.int64)
+    inverse, gcd = enumeration._inverse_mod(d, c)
+    for ci, di, inv, g in zip(c.tolist(), d.tolist(), inverse.tolist(), gcd.tolist()):
+        assert g == math.gcd(di, ci)
+        if g == 1:
+            assert inv == pow(di, -1, ci)
+
+
+def materialised_translations(z: complex, R: float) -> int:
+    """Elements T^n with sigma <= R, counted on an explicit row of n."""
+    n_far = math.ceil(2.0 * z.imag * math.sqrt(max(R - 1.0, 0.0))) + 3
+    n = np.arange(-n_far, n_far + 1)
+    return int(np.count_nonzero(enumeration._sigma_batch(1, n, 0, 1, z) <= R))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(x=st.floats(-0.5, 0.5), y=st.floats(0.05, 500.0), R=st.floats(0.5, 1000.0))
+def test_translation_count_matches_materialised_row(x, y, R):
+    z = complex(x, y)
+    assert max(2 * enumeration._max_shift(z, R) + 1, 0) == materialised_translations(z, R)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(y=st.floats(0.05, 500.0), n=st.integers(0, 5000))
+def test_translation_count_with_radius_on_a_displacement(y, n):
+    # R = sigma(z, z + n) and the float just below it, so the estimate
+    # floor(2 y sqrt(R - 1)) often lands one off the exact cut on either side
+    z = complex(0.0, y)
+    R = float(enumeration._sigma_batch(1, n, 0, 1, z))
+    assert enumeration._max_shift(z, R) >= n
+    for radius in (R, math.nextafter(R, 0.0)):
+        count = max(2 * enumeration._max_shift(z, radius) + 1, 0)
+        assert count == materialised_translations(z, radius)
+
+
+@pytest.mark.parametrize("n", range(0, 41))
+def test_translation_count_at_ties(n):
+    # at y = 1, sigma(z, z + n) = 1 + (n/2)^2 is exact, so R sits on a tie
+    z, R = complex(0.2, 1.0), 1.0 + (n / 2.0) ** 2
+    assert enumeration._max_shift(z, R) == n
+    assert materialised_translations(z, R) == 2 * n + 1
+
+
 class TestCountingCheck:
     def test_example_bound(self, psl2z_constants):
         res = counting_check(1j, 10.0, psl2z_constants)
         assert res.bound == pytest.approx(4 * math.pi * psl2z_constants.B_Y * 10.0)
         assert res.bound == pytest.approx(652.8, abs=0.5)
         assert res.count < res.bound / 5.0
+
+    def test_below_one_counts_nothing(self, psl2z_constants):
+        assert counting_check(0.3 + 1.4j, 0.99, psl2z_constants).count == 0
 
     def test_identity_always_counted(self, psl2z_constants):
         res = counting_check(0.3 + 1.4j, 1.0, psl2z_constants)

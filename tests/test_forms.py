@@ -299,3 +299,35 @@ class TestAveragedQuantity:
 def test_degenerate_grid_size():
     with pytest.raises(ValueError):
         standard_grid(0)
+
+
+def loop_grid(n: int, Y: float | None = None, k: int | None = None):
+    """standard_grid as one column of the grid per Python iteration, the reference
+    for the array expression."""
+    xs = -0.5 + (np.arange(n) + 0.5) / n
+    cols = []
+    tags = []
+    for x in xs:
+        floor_y = math.sqrt(max(1.0 - x * x, 0.0))
+        u = (np.arange(n) + 0.5) / n * (1.0 / floor_y)
+        ys = 1.0 / u
+        cols.append(x + 1j * ys)
+        tags.append(np.zeros(n, dtype=int))
+    if Y is not None and k is not None and Y < k / (2.0 * math.pi):
+        band = np.linspace(Y, k / (2.0 * math.pi), n)
+        cols.append(0.0 + 1j * band)
+        tags.append(np.ones(n, dtype=int))
+    return np.concatenate(cols), np.concatenate(tags)
+
+
+@pytest.mark.parametrize(
+    "n,Y,k",
+    [(1, None, None), (2, None, None), (7, 4.1312, 26), (30, 4.1312, 13), (100, 4.1312, 6),
+     (100, 4.1312, 13), (101, 2.0, 40)],
+)
+def test_grid_matches_loop(n, Y, k):
+    grid = standard_grid(n, Y=Y, k=k)
+    points, tags = loop_grid(n, Y=Y, k=k)
+    assert np.array_equal(grid.points, points)
+    assert np.array_equal(grid.tags, tags)
+    assert grid.tags.dtype == tags.dtype
