@@ -6,6 +6,10 @@ trace, (3) truncation heights for Y = max(2*Y0, 16/sqrt(15)), (4) smallest
 segment-to-elliptic distance, (5) displacement lower bound over the
 truncated region, (6) diameter bounds, (7) truncation volumes, (8) the
 counting constants built from them, then per-weight bound rows (9)-(10).
+
+Every constant and bound here is a closed form in ``math``, the
+translation-sum bound parabolic_sum_bound included, so this module and the
+domain layer under it load no numpy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import asdict, dataclass, field
 
 from . import domain as dom
 from .domain import FundamentalDomain
-from .kernels import parabolic_sum_bound
 
 __all__ = [
     "EffectiveConstants",
@@ -28,6 +31,7 @@ __all__ = [
     "b_y_bound",
     "b_k_y0",
     "b_k_y0_limit",
+    "parabolic_sum_bound",
     "poincare_bound_compact",
     "spectral_gap_bound",
     "sup_bound_compact",
@@ -193,6 +197,17 @@ def b_k_y0_limit(k: int, Y0: float, B_Y0: float) -> float:
     return b_k_y0(k, Y0, B_Y0, 0.0)
 
 
+def parabolic_sum_bound(k: int, eps: float) -> float:
+    """Closed bound k e^{5/4} / (sqrt(pi) sqrt(k+eps)) for the translation sum.
+
+    The theorem states it for 0 < eps < 1; eps = 0 gives its limit
+    sqrt(k) e^{5/4} / sqrt(pi), which the eps -> 0 sup-norm bound uses.
+    """
+    if k < 1 or eps < 0.0:
+        raise ValueError(f"need k >= 1 and eps >= 0, got k={k}, eps={eps}")
+    return k * math.exp(1.25) / (math.sqrt(math.pi) * math.sqrt(k + eps))
+
+
 def poincare_bound_compact(k: int, eps: float, constants: EffectiveConstants) -> float:
     """Upper bound for the displacement sum over nontrivial elements, on the
     compact part: 4 pi (2+eps)/(1+eps) B_Y sigma_Y^{-(k-2)} plus the elliptic
@@ -300,8 +315,13 @@ def _stage(step: int, label: str, fn, *args):
     """Run one pipeline stage, tagging failures with the step that produced them."""
     try:
         return fn(*args)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"step {step} ({label}): {exc}") from exc
+    except OverflowError as exc:
+        raise ValueError(
+            f"step {step} ({label}): a value overflows the float range; "
+            "use a smaller Y0 or a less extreme domain"
+        ) from exc
 
 
 def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveConstants:

@@ -120,7 +120,8 @@ def _horner_over_q(coeffs, q):
     """sum a_n q^(n-1) at every point of the array q: the form's value divided by q."""
     val = np.zeros_like(q)
     for a in reversed(coeffs):
-        val = val * q + float(a)
+        val *= q
+        val += float(a)
     return val
 
 

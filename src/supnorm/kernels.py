@@ -14,7 +14,9 @@ Chebyshev factor grows like e^{k r} while the exponential weights shrink
 faster, and the two must cancel before exponentiation.  There are two radial
 log weights, the difference kernel's and the heat kernel's; the integrated
 exponential of the sup-norm argument is the difference kernel at k = 0.
-Gamma prefactors use math.lgamma.
+Gamma prefactors use math.lgamma.  The closed translation-sum bound built on
+the Stirling ratio, parabolic_sum_bound, lives in engine, its caller, which
+keeps numpy out of the constants pipeline.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "heat_kernel",
     "resolvent_via_heat",
     "integrated_exponential_lhs",
-    "parabolic_sum_bound",
     "faddeev_transfer",
     "CheckResult",
     "run_kernel_checks",
@@ -87,17 +88,6 @@ def gamma_ratio_bound(Z: float) -> GammaRatio:
     ratio = math.exp(math.lgamma(Z - 0.5) - math.lgamma(Z))
     bound = math.exp(1.25) / math.sqrt(Z)
     return GammaRatio(ratio=ratio, bound=bound)
-
-
-def parabolic_sum_bound(k: int, eps: float) -> float:
-    """Closed bound k e^{5/4} / (sqrt(pi) sqrt(k+eps)) for the translation sum.
-
-    The theorem states it for 0 < eps < 1; eps = 0 gives its limit
-    sqrt(k) e^{5/4} / sqrt(pi), which the eps -> 0 sup-norm bound uses.
-    """
-    if k < 1 or eps < 0.0:
-        raise ValueError(f"need k >= 1 and eps >= 0, got k={k}, eps={eps}")
-    return k * math.exp(1.25) / (math.sqrt(math.pi) * math.sqrt(k + eps))
 
 
 def faddeev_transfer(y0: float, y: float, d1: float, d2: float) -> float:

@@ -23,7 +23,7 @@ from .enumeration import (
     poincare_direct,
 )
 from .forms import SUPPORTED_WEIGHTS, build_basis, mass_integral, s2k_on_grid, standard_grid
-from .kernels import CheckResult, parabolic_sum_bound
+from .kernels import CheckResult
 
 __all__ = [
     "UnsupportedDomainError",
@@ -108,7 +108,7 @@ def _poincare_item(constants, k: int, eps: float) -> VerificationItem:
 
 def _parabolic_item(k: int, eps: float) -> VerificationItem:
     total = parabolic_direct(complex(0.0, k / (2.0 * math.pi)), k, eps)
-    cap = parabolic_sum_bound(k, eps)
+    cap = engine.parabolic_sum_bound(k, eps)
     return VerificationItem(
         f"translation_sum_bound[k={k}]",
         total <= cap,

@@ -91,6 +91,38 @@ def test_cli_runs_without_scipy(call):
     assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
+def test_constants_and_bounds_run_without_numpy():
+    """The domain, constants and bounds API is pure math: no numpy module loads."""
+    fixture = str(SRC / "data" / "genus2_cocompact.json")
+    code = (
+        "import json, sys\n"
+        "import supnorm\n"
+        "import supnorm.geometry\n"
+        "from supnorm import compute_constants, load_domain, modular_group, run_algorithm\n"
+        f"for domain in (modular_group(), load_domain({fixture!r})):\n"
+        "    compute_constants(domain)\n"
+        "    run_algorithm(domain, k_max=60)\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_lazy_verify_all_export():
+    """verify_all loads on first access; a star import still binds every name in __all__."""
+    import supnorm
+    import supnorm.verify
+
+    assert supnorm.verify_all is supnorm.verify.verify_all
+    namespace: dict = {}
+    exec("from supnorm import *", namespace)
+    assert all(namespace[name] is getattr(supnorm, name) for name in supnorm.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        supnorm.no_such_name
+
+
 def _span_targets() -> list[tuple[str, str]]:
     """(module, attribute path) of every TARGETS entry in perfbench/spans.py."""
     tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))

@@ -56,6 +56,14 @@ class TestConstants:
     def test_invalid_y0(self, capsys, y0):
         assert_input_error(*run(capsys, "constants", "--Y0", y0))
 
+    @pytest.mark.parametrize("command", ["constants", "bounds", "verify"])
+    def test_overflowing_y0_message(self, capsys, command):
+        # a plain statement, not the errno tuple of the float OverflowError
+        code, out, err = run(capsys, command, "--Y0", "1e200")
+        assert_input_error(code, out, err)
+        assert "(34," not in err
+        assert "overflows the float range" in err and "Y0" in err
+
     @pytest.mark.parametrize(
         "rect", [{"x_min": 0.0, "x_max": 2.0, "y_min": None}, [0.0, 2.0, 1.0, 1.5]]
     )

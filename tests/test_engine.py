@@ -19,6 +19,7 @@ from supnorm.engine import (
     cocompact_constants,
     compute_constants,
     mu_gamma,
+    parabolic_sum_bound,
     poincare_bound_compact,
     run_algorithm,
     sigma_y_branches,
@@ -27,7 +28,6 @@ from supnorm.engine import (
     sup_lower_bound,
     spectral_gap_bound,
 )
-from supnorm.kernels import parabolic_sum_bound
 
 E54 = math.exp(1.25)
 

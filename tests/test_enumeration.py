@@ -18,9 +18,9 @@ from supnorm.enumeration import (
     parabolic_direct,
     poincare_direct,
 )
-from supnorm.engine import poincare_bound_compact
+from supnorm.engine import parabolic_sum_bound, poincare_bound_compact
 from supnorm.geometry import displacement
-from supnorm.kernels import faddeev_transfer, parabolic_sum_bound
+from supnorm.kernels import faddeev_transfer
 
 from conftest import RHO, brute_force_ball, sigma_direct
 

@@ -129,6 +129,26 @@ class TestEvaluation:
                     exact = complex(mpmath.fsum(a * q**n for n, a in enumerate(coeffs, start=1)))
                     assert abs(gi - exact) <= 1e-13 * abs(exact)
 
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_horner_in_place_matches_allocating_form(self, psl2z_constants, weight):
+        # the in-place loop does the same IEEE operations in the same order,
+        # so its values equal the allocating form bit for bit
+        def allocating(coeffs, q):
+            val = np.zeros_like(q)
+            for a in reversed(coeffs):
+                val = val * q + float(a)
+            return val
+
+        coeffs = cusp_form_coefficients(weight, 128)
+        zs = [standard_grid(100, Y=psl2z_constants.Y, k=weight // 2).points]
+        for nx, ny in ((64, 48), (128, 96)):
+            xs, _ = forms._gauss_nodes(-0.5, 0.5, nx)
+            ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
+            zs.append(xs[:, None] + 1j * ys)
+        for z in zs:
+            q = np.exp(2j * math.pi * z)
+            assert np.array_equal(forms._horner_over_q(coeffs, q), allocating(coeffs, q))
+
     def test_tail_shrinks_with_height(self):
         coeffs = delta_coefficients(64)
         assert tail_bound(coeffs, 12, 2.0) < tail_bound(coeffs, 12, 1.0) < 1e-100

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from supnorm import kernels
+from supnorm.engine import parabolic_sum_bound
 from supnorm.forms import _gauss_nodes
 from supnorm.kernels import (
     _DUAL_TOL,
@@ -19,7 +20,6 @@ from supnorm.kernels import (
     gamma_ratio_bound,
     heat_kernel,
     integrated_exponential_lhs,
-    parabolic_sum_bound,
     resolvent_G,
     resolvent_via_heat,
     run_kernel_checks,
