@@ -4,10 +4,10 @@ Subcommands: ``constants`` (effective-constants ledger), ``bounds``
 (per-weight bound table), ``verify`` (direct numerical verification on the
 modular group), ``kernel-check`` (kernel inequality grids).
 
-Exit status: 0 success, 1 verification failure, 2 input error or unwritable
-output path, 3 unsupported verification target, 4 kernel-check failure: a
-failed check, or a kernel quadrature that missed its accuracy target (one
-``error:`` line).
+Exit status: 0 success, 1 verification failure, 2 input error (an input too
+large for memory included) or unwritable output path, 3 unsupported
+verification target, 4 kernel-check failure: a failed check, or a kernel
+quadrature that missed its accuracy target (one ``error:`` line).
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def cmd_verify(args) -> int:
 
 def cmd_kernel_check(args) -> int:
     with _open_out(args.out) as out:
-        results = kernels.run_kernel_checks(k_max=args.k_max, transform_tol=args.transform_tol)
+        results = kernels.run_kernel_checks(k_max=args.k_max)
         for res in results:
             print(res.line())
         if out:
@@ -156,21 +156,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel-check", help="run the kernel inequality grids")
     p.add_argument("--k-max", type=int, default=12)
-    p.add_argument("--transform-tol", type=float, default=1e-4,
-                   help="relative tolerance for the heat-resolvent transform identity")
     p.add_argument("--out", metavar="PATH", default=None)
     p.set_defaults(func=cmd_kernel_check)
     return parser
 
 
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _fail(message: object, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
     return code
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input, unwritable output paths and kernel
-    accuracy errors end in a one-line error."""
+    """Run one subcommand; bad input, inputs too large for memory, unwritable
+    output paths and kernel accuracy errors end in a one-line error."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -180,6 +178,8 @@ def main(argv=None) -> int:
         return _fail(exc, EXIT_KERNEL)
     except (LoadError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_INPUT)
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory", EXIT_INPUT)
 
 
 if __name__ == "__main__":

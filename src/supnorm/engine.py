@@ -7,9 +7,9 @@ segment-to-elliptic distance, (5) displacement lower bound over the
 truncated region, (6) diameter bounds, (7) truncation volumes, (8) the
 counting constants built from them, then per-weight bound rows (9)-(10).
 
-Every constant and bound here is a closed form in ``math``, the
-translation-sum bound parabolic_sum_bound included, so this module and the
-domain layer under it load no numpy.
+Every constant and bound here is a closed form in ``math``, the Stirling
+ratio bound and the translation-sum bound built on it included, so this
+module and the domain layer under it load no numpy.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .domain import FundamentalDomain
 __all__ = [
     "EffectiveConstants",
     "CocompactConstants",
+    "GammaRatio",
     "BoundRow",
     "BoundReport",
     "Y_FLOOR",
@@ -31,6 +32,7 @@ __all__ = [
     "b_y_bound",
     "b_k_y0",
     "b_k_y0_limit",
+    "gamma_ratio_bound",
     "parabolic_sum_bound",
     "poincare_bound_compact",
     "spectral_gap_bound",
@@ -141,6 +143,11 @@ def mu_gamma(domain: FundamentalDomain) -> float:
     return best
 
 
+def _hyperbolic_floor(ell: float) -> float:
+    """(cosh ell + 1)/2, the displacement floor of hyperbolic elements."""
+    return (math.cosh(ell) + 1.0) / 2.0
+
+
 def sigma_y_branches(
     domain: FundamentalDomain,
     ell: float,
@@ -153,7 +160,7 @@ def sigma_y_branches(
     Branches without matching group elements are omitted: no parabolic
     branches on cocompact domains, no elliptic branch when mu is infinite.
     """
-    branches = {"hyperbolic": (math.cosh(ell) + 1.0) / 2.0}
+    branches = {"hyperbolic": _hyperbolic_floor(ell)}
     if domain.elliptic and math.isfinite(mu):
         theta = domain.theta_gamma()
         branches["elliptic"] = math.sinh(mu) ** 2 * math.sin(theta / 2.0) ** 2 + 1.0
@@ -197,15 +204,31 @@ def b_k_y0_limit(k: int, Y0: float, B_Y0: float) -> float:
     return b_k_y0(k, Y0, B_Y0, 0.0)
 
 
+@dataclass(frozen=True)
+class GammaRatio:
+    ratio: float
+    bound: float
+
+
+def gamma_ratio_bound(Z: float) -> GammaRatio:
+    """Gamma(Z-1/2)/Gamma(Z) with its effective Stirling bound e^{5/4}/sqrt(Z)."""
+    if Z < 1.0:
+        raise ValueError(f"Stirling ratio bound requires Z >= 1, got {Z}")
+    ratio = math.exp(math.lgamma(Z - 0.5) - math.lgamma(Z))
+    bound = math.exp(1.25) / math.sqrt(Z)
+    return GammaRatio(ratio=ratio, bound=bound)
+
+
 def parabolic_sum_bound(k: int, eps: float) -> float:
-    """Closed bound k e^{5/4} / (sqrt(pi) sqrt(k+eps)) for the translation sum.
+    """Closed bound k e^{5/4} / (sqrt(pi) sqrt(k+eps)) for the translation sum:
+    k / sqrt(pi) times the Stirling bound of Gamma(k+eps-1/2)/Gamma(k+eps).
 
     The theorem states it for 0 < eps < 1; eps = 0 gives its limit
     sqrt(k) e^{5/4} / sqrt(pi), which the eps -> 0 sup-norm bound uses.
     """
     if k < 1 or eps < 0.0:
         raise ValueError(f"need k >= 1 and eps >= 0, got k={k}, eps={eps}")
-    return k * math.exp(1.25) / (math.sqrt(math.pi) * math.sqrt(k + eps))
+    return k * gamma_ratio_bound(k + eps).bound / math.sqrt(math.pi)
 
 
 def poincare_bound_compact(k: int, eps: float, constants: EffectiveConstants) -> float:
@@ -288,13 +311,13 @@ def cocompact_constants(genus: int, ell: float) -> CocompactConstants:
         raise ValueError(f"the cocompact packaging needs genus >= 2, got {genus}")
     if ell <= 0.0:
         raise ValueError(f"systole must be positive, got {ell}")
-    sigma = (math.cosh(ell) + 1.0) / 2.0
+    sigma = _hyperbolic_floor(ell)
     delta = 0.5 * math.log(sigma)
     C = (
         3.0
         * math.exp(4.0 * math.pi * genus / ell)
         / (math.pi * (genus - 1))
-        * (math.cosh(ell) + 1.0) ** 2
+        * (2.0 * sigma) ** 2
         / math.log(sigma)
     )
     return CocompactConstants(C_gamma=C, delta_gamma=delta)

@@ -1,6 +1,6 @@
-"""Special-function layer: Chebyshev and Stirling inequalities, the
-hypergeometric resolvent kernel, the difference kernel, the heat kernel, and
-the integral transform tying them together.
+"""Special-function layer: the hypergeometric resolvent kernel, the
+difference kernel, the heat kernel, the integral transform tying them
+together, and the kernel-check grids of the paper's inequalities.
 
 All kernel integrals share the same endpoint structure: an integrable
 1/sqrt(cosh r - cosh rho) singularity at r = rho, removed by the substitution
@@ -11,12 +11,12 @@ against the 24-node rule on the same panel is the error estimate.  One
 integrand call per panel, on the 72 nodes of both rules, covers the two.
 Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
-faster, and the two must cancel before exponentiation.  There are two radial
-log weights, the difference kernel's and the heat kernel's; the integrated
-exponential of the sup-norm argument is the difference kernel at k = 0.
-Gamma prefactors use math.lgamma.  The closed translation-sum bound built on
-the Stirling ratio, parabolic_sum_bound, lives in engine, its caller, which
-keeps numpy out of the constants pipeline.
+faster, and the two must cancel before exponentiation; _log_chebyshev is
+that factor, for the integrands and the Chebyshev check alike.  The two
+radial log weights are the difference kernel's and the heat kernel's; the
+integrated exponential of the sup-norm argument is the k = 0 difference
+kernel, summed as series.  Gamma prefactors use math.lgamma.  The Stirling
+check tests engine's gamma_ratio_bound, the one the bound tables use.
 """
 
 from __future__ import annotations
@@ -27,13 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import gamma_ratio_bound
 from .forms import _legendre_rule
 
 __all__ = [
     "AccuracyError",
-    "chebyshev_T2k",
-    "GammaRatio",
-    "gamma_ratio_bound",
     "resolvent_G",
     "heat_kernel",
     "resolvent_via_heat",
@@ -58,6 +56,8 @@ _HEAT_REL_TARGET = 1e-8
 _TRANSFORM_REL_TARGET = 1e-7
 #: Largest relative gap allowed between the two difference-kernel routes.
 _DUAL_TOL = 1e-6
+#: Largest relative gap allowed between the resolvent and its heat transform.
+_TRANSFORM_TOL = 1e-4
 
 
 class AccuracyError(RuntimeError):
@@ -66,28 +66,6 @@ class AccuracyError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # Elementary pieces
-
-
-def chebyshev_T2k(k: int, x: float) -> float:
-    """Chebyshev value T_{2k}(x) = cosh(2k arccosh x) for x >= 1."""
-    if x < 1.0:
-        raise ValueError(f"Chebyshev argument must be >= 1, got {x}")
-    return math.cosh(2.0 * k * math.acosh(x))
-
-
-@dataclass(frozen=True)
-class GammaRatio:
-    ratio: float
-    bound: float
-
-
-def gamma_ratio_bound(Z: float) -> GammaRatio:
-    """Gamma(Z-1/2)/Gamma(Z) with its effective Stirling bound e^{5/4}/sqrt(Z)."""
-    if Z < 1.0:
-        raise ValueError(f"Stirling ratio bound requires Z >= 1, got {Z}")
-    ratio = math.exp(math.lgamma(Z - 0.5) - math.lgamma(Z))
-    bound = math.exp(1.25) / math.sqrt(Z)
-    return GammaRatio(ratio=ratio, bound=bound)
 
 
 def faddeev_transfer(y0: float, y: float, d1: float, d2: float) -> float:
@@ -137,6 +115,11 @@ def _acosh_cosh_ratio(r, rho: float):
     return log_x + np.log1p(np.sqrt(-np.expm1(-2.0 * log_x)))
 
 
+def _log_chebyshev(k: int, r, rho: float):
+    """log T_2k(cosh(r/2)/cosh(rho/2)) for r >= rho; exactly 0 at k = 0."""
+    return _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
+
+
 def _integrate_panels(f, width: float):
     """Integrate f over [0, inf) with fixed-width panels and a tail stop rule.
 
@@ -177,13 +160,12 @@ def _radial_integral(k: int, rho: float, log_weight, width: float = 1.0):
     / sqrt(cosh r - cosh rho), through r = rho + u^2, on u-panels of the given width.
 
     log_weight maps an array of r to log weights, possibly with leading axes
-    of its own.  Returns (value, error_estimate).  At k = 0 the Chebyshev
-    factor is log cosh 0 = 0 exactly.
+    of its own.  Returns (value, error_estimate).
     """
 
     def integrand(u):
         r = rho + u * u
-        log_t = _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
+        log_t = _log_chebyshev(k, r, rho)
         with np.errstate(over="ignore"):
             return 2.0 * u * np.exp(log_weight(r) + log_t - _log_sqrt_gap(rho, u))
 
@@ -227,39 +209,37 @@ def resolvent_G(k: int, s: float, sigma: float) -> float:
     return math.exp(log_pref) * _hyp2f1_series(s + k, s - k, 2.0 * s, 1.0 / sigma)
 
 
-def _difference_radial(k: int, s: float, rho: float) -> float:
-    """Radial integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) T_2k / sqrt-gap over r > rho,
-    the one place its log weight -(s-1/2) r + log(1 - e^{-r}) is written."""
-    return float(_radial_integral(k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)))[0])
+def _difference_series(k: int, s: float, sigma: float) -> float:
+    """Difference kernel G_k(s) - G_k(s+1) at displacement sigma, as series."""
+    return resolvent_G(k, s, sigma) - resolvent_G(k, s + 1.0, sigma)
 
 
 def _difference_quadrature(k: int, s: float, sigma: float) -> float:
-    """Difference kernel through its direct radial integral representation."""
+    """Difference kernel through its radial integral representation: the
+    integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) T_2k / sqrt-gap over r > rho
+    with sigma = cosh^2(rho/2), divided by 2 pi sqrt(2)."""
     rho = 2.0 * math.acosh(math.sqrt(sigma))
-    return _difference_radial(k, s, rho) / (2.0 * math.pi * math.sqrt(2.0))
+    value, _ = _radial_integral(k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)))
+    return float(value) / (2.0 * math.pi * math.sqrt(2.0))
 
 
 def _difference_routes(k: int, s: float, sigma: float) -> tuple[float, float]:
-    """(series, quadrature) values of G_k(s) - G_k(s+1) at displacement sigma.
-
-    The series route subtracts the hypergeometric evaluations at s and s+1;
-    the quadrature route integrates the radial representation directly.
-    run_kernel_checks compares the two.
-    """
-    series_value = resolvent_G(k, s, sigma) - resolvent_G(k, s + 1.0, sigma)
-    return series_value, _difference_quadrature(k, s, sigma)
+    """(series, quadrature) values of G_k(s) - G_k(s+1) at displacement sigma;
+    run_kernel_checks compares the two."""
+    return _difference_series(k, s, sigma), _difference_quadrature(k, s, sigma)
 
 
 def integrated_exponential_lhs(eps: float, rho: float) -> float:
     """Radial integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) e^{kr} / sqrt-gap at s = k+eps.
 
     The factor e^{kr} cancels the k in s, so the integral is the same for
-    every k: the k = 0 difference-kernel integral at s = eps.  Bounded above
-    by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
+    every k: the k = 0 difference-kernel integral at s = eps, which is
+    2 pi sqrt(2) (G_0(eps) - G_0(eps+1)) at sigma = cosh^2(rho/2).  Bounded
+    above by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
     """
     if rho <= 0.0:
         raise ValueError("need rho > 0")
-    return _difference_radial(0, eps, rho)
+    return 2.0 * math.pi * math.sqrt(2.0) * _difference_series(0, eps, math.cosh(rho / 2.0) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +320,7 @@ class CheckResult:
         return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
-def run_kernel_checks(k_max: int = 12, transform_tol: float = 1e-4) -> list[CheckResult]:
+def run_kernel_checks(k_max: int = 12) -> list[CheckResult]:
     """Run the kernel inequality and consistency grids; returns one result each.
 
     The grids follow the validity ranges of the underlying statements:
@@ -349,20 +329,17 @@ def run_kernel_checks(k_max: int = 12, transform_tol: float = 1e-4) -> list[Chec
     its worst ratio or relative gap, the value its detail prints, is within
     the check's limit; np.max carries a NaN into that value, so the check
     fails and prints nan.  The monotonicity check has no ratio.  Raises
-    ValueError unless k_max >= 1 and transform_tol is finite and positive.
+    ValueError unless k_max >= 1.
     """
     if k_max < 1:
         raise ValueError(f"need k_max >= 1, got {k_max}")
-    if not (math.isfinite(transform_tol) and transform_tol > 0.0):
-        raise ValueError(f"need a finite transform tolerance > 0, got {transform_tol}")
     results: list[CheckResult] = []
     ks = sorted({1, 2, 3, 6} | {min(k_max, 50)})
 
-    # Chebyshev growth: T_{2k}(cosh(r/2)) <= e^{k r}.
-    rs = [0.0] + [0.25 * i for i in range(1, 41)]
-    worst = np.max(
-        [chebyshev_T2k(k, math.cosh(r / 2.0)) / math.exp(k * r) for k in ks for r in rs]
-    )
+    # Chebyshev growth: T_{2k}(cosh(r/2)) <= e^{k r}, in log space through
+    # the factor the radial integrands use, at rho = 0.
+    rs = np.array([0.0] + [0.25 * i for i in range(1, 41)])
+    worst = np.exp(np.max([_log_chebyshev(k, rs, 0.0) - k * rs for k in ks]))
     results.append(
         CheckResult(
             "chebyshev_exp_bound",
@@ -442,8 +419,8 @@ def run_kernel_checks(k_max: int = 12, transform_tol: float = 1e-4) -> list[Chec
     results.append(
         CheckResult(
             "heat_resolvent_transform",
-            worst <= transform_tol,
-            f"max relative gap {worst:.3e} over {len(triples)} triples (tolerance {transform_tol:g})",
+            worst <= _TRANSFORM_TOL,
+            f"max relative gap {worst:.3e} over {len(triples)} triples (tolerance {_TRANSFORM_TOL:g})",
         )
     )
     return results

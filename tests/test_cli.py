@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from supnorm import kernels
+from supnorm import engine, kernels
 from supnorm.cli import main
 from supnorm.domain import modular_group
 from supnorm.engine import BoundReport, BoundRow, run_algorithm
@@ -193,6 +193,26 @@ class TestVerify:
         assert "[FAIL] upper_bound_reference" in out
         assert out.rstrip().endswith("overall: FAIL (8 checks)")
 
+    @pytest.mark.parametrize(
+        "exc,message",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                         "(1000000, 1000000) and data type float64"),
+             "error: Unable to allocate 7.28 TiB"),
+            (MemoryError(), "error: out of memory"),
+        ],
+        ids=["numpy", "bare"],
+    )
+    def test_input_too_large_for_memory(self, capsys, monkeypatch, exc, message):
+        # stands in for a grid too large to allocate; no test allocates one
+        def exhausted(**_):
+            raise exc
+
+        monkeypatch.setattr("supnorm.cli.verify_all", exhausted)
+        code, out, err = run(capsys, "verify", "--weights", "12", "--grid", "1000000")
+        assert_input_error(code, out, err)
+        assert err.startswith(message)
+
     def test_no_format_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--format", "json"])
@@ -214,14 +234,18 @@ class TestKernelCheck:
         assert code == 0
         assert "[PASS] heat_resolvent_transform" in out
 
-    def test_absurd_tolerance_fails(self, capsys):
-        code, out, _ = run(capsys, "kernel-check", "--transform-tol", "1e-16")
+    def test_absurd_tolerance_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(kernels, "_TRANSFORM_TOL", 1e-16)
+        code, out, _ = run(capsys, "kernel-check")
         assert code == 4
         assert "[FAIL] heat_resolvent_transform" in out
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-    def test_invalid_transform_tolerance(self, capsys, tol):
-        assert_input_error(*run(capsys, "kernel-check", f"--transform-tol={tol}"))
+    @pytest.mark.parametrize("tol", ["1e-3", "nan", "-1", "0", "inf"])
+    def test_no_transform_tol_option(self, capsys, tol):
+        # the transform tolerance is fixed; the option is an unknown argument
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel-check", "--transform-tol", tol])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_invalid_k_max(self, capsys, k_max):
@@ -229,7 +253,7 @@ class TestKernelCheck:
 
     def test_stirling_violation_is_a_failed_check(self, capsys, monkeypatch):
         monkeypatch.setattr(kernels, "gamma_ratio_bound",
-                            lambda Z: kernels.GammaRatio(ratio=2.0, bound=1.0))
+                            lambda Z: engine.GammaRatio(ratio=2.0, bound=1.0))
         code, out, _ = run(capsys, "kernel-check", "--k-max", "2")
         assert code == 4
         assert "[FAIL] stirling_ratio_bound" in out

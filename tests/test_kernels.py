@@ -7,17 +7,16 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from supnorm import kernels
-from supnorm.engine import parabolic_sum_bound
+from supnorm import engine, kernels
+from supnorm.engine import gamma_ratio_bound, parabolic_sum_bound
 from supnorm.forms import _gauss_nodes
 from supnorm.kernels import (
     _DUAL_TOL,
     AccuracyError,
     _difference_routes,
+    _log_chebyshev,
     _radial_integral,
-    chebyshev_T2k,
     faddeev_transfer,
-    gamma_ratio_bound,
     heat_kernel,
     integrated_exponential_lhs,
     resolvent_G,
@@ -60,23 +59,49 @@ class TestLogGamma:
         assert math.lgamma(x) == pytest.approx(stirling_lgamma_oracle(x), rel=1e-12, abs=1e-12)
 
 
+def chebyshev_oracle(k: int, x: float) -> float:
+    """T_2k(x) = cosh(2k arccosh x) for x >= 1."""
+    return math.cosh(2.0 * k * math.acosh(x))
+
+
+def chebyshev_factor(k, r, rho):
+    """T_2k(cosh(r/2)/cosh(rho/2)) from the integrands' log-space factor."""
+    return math.exp(float(_log_chebyshev(k, r, rho)))
+
+
 class TestChebyshev:
+    # the integrands' Chebyshev factor against cosh(2k arccosh x)
     def test_at_one(self):
         for k in (1, 2, 10):
-            assert chebyshev_T2k(k, 1.0) == pytest.approx(1.0, abs=1e-12)
+            assert chebyshev_oracle(k, 1.0) == 1.0
+            for rho in (0.0, 0.7, 4.0):
+                assert chebyshev_factor(k, rho, rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_degree_four_polynomial(self):
         # T_4(x) = 8x^4 - 8x^2 + 1
-        assert chebyshev_T2k(2, 2.0) == pytest.approx(97.0, rel=1e-12)
+        assert chebyshev_oracle(2, 2.0) == pytest.approx(97.0, rel=1e-12)
+        assert chebyshev_factor(2, 2.0 * math.acosh(2.0), 0.0) == pytest.approx(97.0, rel=1e-12)
+        # x = 2 again, as cosh(r/2)/cosh(rho/2) at rho > 0
+        rho = 1.3
+        r = 2.0 * math.acosh(2.0 * math.cosh(rho / 2.0))
+        assert chebyshev_factor(2, r, rho) == pytest.approx(97.0, rel=1e-12)
 
     def test_exponential_domination(self):
         for k in (1, 2, 5, 13, 27, 50):
             for r in np.linspace(0.0, 10.0, 81):
-                assert chebyshev_T2k(k, math.cosh(r / 2.0)) <= math.exp(k * r) * (1 + 1e-12)
+                value = chebyshev_factor(k, r, 0.0)
+                assert value == pytest.approx(chebyshev_oracle(k, math.cosh(r / 2.0)), rel=1e-12)
+                assert value <= math.exp(k * r) * (1 + 1e-12)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            chebyshev_T2k(3, 0.999)
+    def test_near_endpoint(self):
+        # r = rho + u^2 as the integrands place it, down to u far below sqrt(ulp)
+        for k in (1, 6, 50):
+            for rho in (0.3, 2.0):
+                for u in (1e-9, 1e-5, 1e-2):
+                    x = math.cosh((rho + u * u) / 2.0) / math.cosh(rho / 2.0)
+                    assert chebyshev_factor(k, rho + u * u, rho) == pytest.approx(
+                        chebyshev_oracle(k, x), rel=1e-10
+                    )
 
 
 class TestGammaRatio:
@@ -309,10 +334,6 @@ def _run_with_panels(monkeypatch, panels, func, *args):
     return value, result
 
 
-def _grid_rho(sigma):
-    return 2.0 * math.acosh(math.sqrt(sigma))
-
-
 class TestMergedPanelRule:
     # one integrand call per panel against the reference loop that made two
 
@@ -331,15 +352,16 @@ class TestMergedPanelRule:
     @pytest.mark.parametrize(
         "func,args",
         [
-            (integrated_exponential_lhs, (0.1, _grid_rho(1.5))),
-            (integrated_exponential_lhs, (0.5, _grid_rho(2.0))),
-            (integrated_exponential_lhs, (0.9, _grid_rho(10.0))),
+            (kernels._difference_quadrature, (0, 0.1, 1.5)),
+            (kernels._difference_quadrature, (0, 0.5, 2.0)),
+            (kernels._difference_quadrature, (0, 0.9, 10.0)),
             (kernels._difference_quadrature, (1, 1.1, 1.5)),
             (kernels._difference_quadrature, (2, 2.5, 2.0)),
             (kernels._difference_quadrature, (6, 6.5, 10.0)),
             (heat_kernel, (2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7)),
         ],
-        # an intexp id names the (k, eps, sigma) grid point; its value does not depend on k
+        # an intexp id names the (k, eps, sigma) grid point of the integrated
+        # exponential, the k = 0 difference kernel at s = eps for every k
         ids=["intexp-1-0.1-1.5", "intexp-2-0.5-2", "intexp-6-0.9-10",
              "difference-1-0.1-1.5", "difference-2-0.5-2", "difference-6-0.5-10", "heat-array"],
     )
@@ -439,6 +461,7 @@ class TestFaddeevTransfer:
 def test_check_suite_passes():
     results = run_kernel_checks()
     assert all(r.passed for r in results), [r for r in results if not r.passed]
+    assert results[-1].detail.endswith("(tolerance 0.0001)")
 
 
 def test_nan_gap_fails_and_prints_nan(monkeypatch):
@@ -453,7 +476,27 @@ def test_nan_gap_fails_and_prints_nan(monkeypatch):
     assert "nan" in dual[0].detail
 
 
-def test_check_suite_fails_on_absurd_tolerance():
-    results = run_kernel_checks(transform_tol=1e-16)
+def test_check_suite_fails_on_absurd_tolerance(monkeypatch):
+    monkeypatch.setattr(kernels, "_TRANSFORM_TOL", 1e-16)
+    results = run_kernel_checks()
     transform = [r for r in results if r.name == "heat_resolvent_transform"]
     assert len(transform) == 1 and not transform[0].passed
+    assert transform[0].detail.endswith("(tolerance 1e-16)")
+
+
+def test_chebyshev_check_evaluates_the_integrand_factor(monkeypatch):
+    # a factor 1.01 too large in the integrands' Chebyshev factor must fail the check
+    factor = kernels._log_chebyshev
+    monkeypatch.setattr(kernels, "_log_chebyshev",
+                        lambda k, r, rho: factor(k, r, rho) + math.log(1.01))
+    (check,) = [r for r in run_kernel_checks(k_max=2) if r.name == "chebyshev_exp_bound"]
+    assert not check.passed
+    assert "ratio 1.01 " in check.detail
+
+
+def test_stirling_check_evaluates_the_bound_tables_evaluator():
+    assert kernels.gamma_ratio_bound is engine.gamma_ratio_bound
+    for k in range(1, 61):
+        for eps in (0.0, 0.01, 0.1):
+            expected = k * gamma_ratio_bound(k + eps).bound / math.sqrt(math.pi)
+            assert parabolic_sum_bound(k, eps) == expected
