@@ -5,9 +5,10 @@ Subcommands: ``constants`` (effective-constants ledger), ``bounds``
 modular group), ``kernel-check`` (kernel inequality grids).
 
 Exit status: 0 success, 1 verification failure, 2 input error (an input too
-large for memory included) or unwritable output path, 3 unsupported
-verification target, 4 kernel-check failure: a failed check, or a kernel
-quadrature that missed its accuracy target (one ``error:`` line).
+large for memory included) or unwritable output path, 4 kernel-check
+failure: a failed check, or a kernel quadrature that missed its accuracy
+target (one ``error:`` line).  A run that ends in an error leaves an
+existing ``--out`` file as it was.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from pathlib import Path
 from . import engine, kernels
 from .domain import LoadError, load_domain, modular_group
 from .engine import format_float
-from .verify import UnsupportedDomainError, verify_all
+from .verify import verify_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT = 2
-EXIT_UNSUPPORTED = 3
 EXIT_KERNEL = 4
 
 
@@ -95,18 +95,22 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def _open_out(path: str | None):
-    """The --out file, opened before the work so an unwritable path fails first."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+    """The --out file, opened untruncated before the work so an unwritable path fails first."""
+    return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _write_out(out, doc) -> None:
+    if out:
+        out.truncate(0)
+        out.write(_json_dumps(doc))
 
 
 def cmd_verify(args) -> int:
-    domain = _load(args)
     weights = _parse_weights(args.weights)
     with _open_out(args.out) as out:
-        report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0, domain=domain)
+        report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0)
         print(report.to_text())
-        if out:
-            out.write(_json_dumps(report.to_json_dict()))
+        _write_out(out, report.to_json_dict())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
@@ -115,8 +119,7 @@ def cmd_kernel_check(args) -> int:
         results = kernels.run_kernel_checks(k_max=args.k_max)
         for res in results:
             print(res.line())
-        if out:
-            out.write(_json_dumps([asdict(r) for r in results]))
+        _write_out(out, [asdict(r) for r in results])
     return EXIT_OK if all(res.passed for res in results) else EXIT_KERNEL
 
 
@@ -127,20 +130,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tables=False):
+    def common(p):
         p.add_argument("--domain", metavar="PATH", default=None,
                        help="domain description file (default: built-in modular group)")
         p.add_argument("--Y0", type=float, default=2.0, help="base truncation height")
-        if tables:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", metavar="PATH", default=None, help="write output here")
 
     p = sub.add_parser("constants", help="compute the effective-constants ledger")
-    common(p, tables=True)
+    common(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("bounds", help="emit the per-weight bound table")
-    common(p, tables=True)
+    common(p)
     p.add_argument("--k-min", type=int, default=2)
     p.add_argument("--k-max", type=int, default=30)
     p.add_argument("--plot-prefix", metavar="PATH", default=None,
@@ -148,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the direct numerical verification")
-    common(p)
+    p.add_argument("--Y0", type=float, default=2.0, help="base truncation height")
+    p.add_argument("--out", metavar="PATH", default=None, help="write output here")
     p.add_argument("--grid", type=int, default=100, help="grid resolution per axis")
     p.add_argument("--weights", default="12",
                    help="comma-separated weights from 12,16,18,20,22,26")
@@ -172,8 +175,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedDomainError as exc:
-        return _fail(exc, EXIT_UNSUPPORTED)
     except kernels.AccuracyError as exc:
         return _fail(exc, EXIT_KERNEL)
     except (LoadError, ValueError, OSError) as exc:

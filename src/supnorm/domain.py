@@ -26,7 +26,6 @@ __all__ = [
     "FundamentalDomain",
     "load_domain",
     "modular_group",
-    "is_modular_group",
     "covolume",
     "dimension_d2k",
     "shortest_geodesic_length",
@@ -308,21 +307,6 @@ def modular_group() -> FundamentalDomain:
         return load_domain(json.load(fh))
 
 
-def is_modular_group(domain: FundamentalDomain) -> bool:
-    """Whether a loaded domain coincides with the built-in PSL(2,Z) instance."""
-    ref = modular_group()
-    if (domain.genus, domain.n_cusps, len(domain.elliptic)) != (0, 1, 3):
-        return False
-    if not domain.cusps[0].scaling.is_identity():
-        return False
-    got = sorted((e.location.real, e.location.imag, e.order) for e in domain.elliptic)
-    want = sorted((e.location.real, e.location.imag, e.order) for e in ref.elliptic)
-    for (gx, gy, go), (wx, wy, wo) in zip(got, want):
-        if go != wo or abs(gx - wx) > 1e-9 or abs(gy - wy) > 1e-9:
-            return False
-    return domain.min_hyperbolic_trace is not None and abs(domain.min_hyperbolic_trace - 3.0) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Derived quantities
 
@@ -441,8 +425,8 @@ def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
     return math.acosh(1.0 + (width**2 + (b - a) ** 2) / (2.0 * a * a))
 
 
-def volume_region(domain: FundamentalDomain, Y: float | None = None) -> float:
-    """Hyperbolic volume of the region truncated at height Y (full domain if None).
+def volume_region(domain: FundamentalDomain, Y: float) -> float:
+    """Hyperbolic volume of the region truncated at height Y (full domain if Y is inf).
 
     Above abscissa x the area form dx dy / y^2 integrates to 1/h(x) - 1/Y,
     where the floor h is the highest excluded arc sqrt(r^2 - (x-c)^2).  The
@@ -451,17 +435,14 @@ def volume_region(domain: FundamentalDomain, Y: float | None = None) -> float:
     pieces on which one arc is highest and h stays on one side of Y, so each
     piece integrates in closed form through arcsin((x-c)/r).
     """
-    if domain.cocompact:
-        return covolume(domain)
     _base_chart_ok(domain)
     x0, x1 = domain.strip_bounds()
-    cap = math.inf if Y is None else Y
     disks = [(c.center, c.radius) for c in domain.region if c.kind == "outside_disk"]
     cuts = {x0, x1}
     for c, r in disks:
         cuts.update((c - r, c, c + r))
-        if r > cap:
-            h = math.sqrt(r * r - cap * cap)
+        if r > Y:
+            h = math.sqrt(r * r - Y * Y)
             cuts.update((c - h, c + h))
     for (c1, r1), (c2, r2) in itertools.combinations(disks, 2):
         if c1 != c2:
@@ -480,8 +461,8 @@ def volume_region(domain: FundamentalDomain, Y: float | None = None) -> float:
         )
         if floor <= 0.0:
             raise ValueError(f"region is not bounded away from the real axis at x={mid}")
-        if floor < cap:
-            total += arc(hi, c, r) - arc(lo, c, r) - (hi - lo) / cap
+        if floor < Y:
+            total += arc(hi, c, r) - arc(lo, c, r) - (hi - lo) / Y
     if total <= 0.0:
         raise ValueError(
             f"truncation height {Y} sits below the domain floor; the region is empty"

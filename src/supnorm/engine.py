@@ -172,6 +172,22 @@ def sigma_y_branches(
     return branches
 
 
+def _volume_systole_diameter(genus: int, ell: float) -> float:
+    """Diameter bound 8 pi g / ell of a cocompact torsion-free surface of genus g >= 2.
+
+    Without torsion the injectivity radius is at least ell/2, so balls of
+    radius ell/2 are embedded.  Centred on a minimizing geodesic of length
+    diam at spacing ell, more than diam/ell of them are disjoint, each of
+    area 4 pi sinh^2(ell/4), inside the area 4 pi (g - 1) of the surface.
+    So diam < ell (g - 1) / sinh^2(ell/4) < 16 (g - 1) / ell < 8 pi g / ell,
+    since sinh x > x (Buser, Geometry and Spectra of Compact Riemann
+    Surfaces, ch. 4).  The packing bound is much the sharper (7.70 against
+    26.11 on the genus-2 fixture, which would cut B_Y from 37,271 to 3.74),
+    but the tables keep the paper's 8 pi g / ell.
+    """
+    return 8.0 * math.pi * genus / ell
+
+
 def b_y_bound(diam: float, vol: float) -> float:
     """Counting constant e^{diam/2} / vol; an upper diameter bound keeps it valid."""
     if vol <= 0.0:
@@ -352,18 +368,23 @@ def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveCo
     if not (math.isfinite(Y0) and Y0 > 0.0):
         raise ValueError(f"need a finite Y0 > 0, got {Y0}")
     ell = _stage(2, "systole", dom.shortest_geodesic_length, domain)
-    mu = mu_gamma(domain)
+    mu = _stage(4, "elliptic distance", mu_gamma, domain)
+    if domain.elliptic and math.isinf(mu):
+        # an infinite mu would drop the elliptic branch of the displacement floor
+        raise ValueError(
+            "step 4 (elliptic distance): no boundary segment lies off an elliptic point; "
+            "domains with torsion need their boundary segments"
+        )
     vol = dom.covolume(domain)
 
     if domain.cocompact:
         if domain.bounding_rect is not None:
             diam = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, math.inf)
-        elif domain.genus >= 2:
-            # Volume/systole diameter estimate; Gauss-Bonnet caps the volume.
-            diam = 8.0 * math.pi * domain.genus / ell
+        elif domain.genus >= 2 and domain.torsionfree:
+            diam = _volume_systole_diameter(domain.genus, ell)
         else:
             raise ValueError(
-                "cocompact genus <= 1 domains need an explicit bounding_rect"
+                "cocompact domains of genus <= 1 or with torsion need an explicit bounding_rect"
             )
         branches = _stage(5, "displacement floor", sigma_y_branches, domain, ell, mu, None, None)
         region = dict(

@@ -218,16 +218,15 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
     ]
 
 
-def displacement_values(z: complex, R: float, include_identity: bool = False) -> np.ndarray:
-    """Displacements sigma(z, gamma z) <= R over the ball, as a sorted array.
+def displacement_values(z: complex, R: float) -> np.ndarray:
+    """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    The blocks of _scan are joined and sorted in place.  Without the identity
-    the first value goes: the identity's sigma is exactly 1.0, and no sigma
-    is smaller.
+    The blocks of _scan are joined and sorted in place, and the first value
+    goes: the identity's sigma is exactly 1.0, and no sigma is smaller.
     """
     values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
     values.sort()
-    return values if include_identity else values[1:]
+    return values[1:]
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def poincare_direct(
     """
     if R_cut < max(constants.sigma_Y, 1.0):
         raise ValueError(f"cutoff {R_cut} below the displacement floor")
-    sigmas = displacement_values(z, R_cut, include_identity=False)
+    sigmas = displacement_values(z, R_cut)
     partial = float(np.sum(sigmas ** -(k + eps)))
     tail = (
         4.0

@@ -1,8 +1,8 @@
 """Cusp forms for the modular group as explicit q-expansions.
 
-Each supported weight has a one-dimensional space, generated by the
-discriminant form (weight 12) times monomials in the weight 4 and weight 6
-Eisenstein series.  Coefficients are exact integers.  A Petersson norm is an
+Each supported weight w has a one-dimensional space, generated by the
+discriminant form (weight 12) times the Eisenstein series of weight w - 12
+(none for w = 12).  Coefficients are exact integers.  A Petersson norm is an
 incomplete-gamma sum over the strip above y = 1, finite because the weight is
 an integer, plus one fixed Gauss-Legendre rule on the sliver below it,
 cross-checked at doubled order; the kernel panels use the same cached rule.
@@ -83,32 +83,30 @@ def _divisor_power_sum(n: int, p: int) -> int:
     return sum(d**p for d in range(1, n + 1) if n % d == 0)
 
 
+#: -2k / B_k, the factor of sigma_{k-1}(m) in the Eisenstein series of weight k.
+_EISENSTEIN_FACTORS = {4: 240, 6: -504, 8: 480, 10: -264, 14: -24}
+
+
 @lru_cache(maxsize=None)
 def eisenstein_coefficients(weight: int, n: int) -> tuple[int, ...]:
-    """Constant-term-1 Eisenstein q-expansion of weight 4 or 6, terms 0..n."""
-    if weight == 4:
-        return tuple([1] + [240 * _divisor_power_sum(m, 3) for m in range(1, n + 1)])
-    if weight == 6:
-        return tuple([1] + [-504 * _divisor_power_sum(m, 5) for m in range(1, n + 1)])
-    raise ValueError(f"only weights 4 and 6 are needed here, got {weight}")
+    """Constant-term-1 Eisenstein q-expansion of weight 4, 6, 8, 10 or 14, terms 0..n."""
+    if weight not in _EISENSTEIN_FACTORS:
+        raise ValueError(f"only weights {tuple(_EISENSTEIN_FACTORS)} are needed, got {weight}")
+    factor = _EISENSTEIN_FACTORS[weight]
+    return tuple([1] + [factor * _divisor_power_sum(m, weight - 1) for m in range(1, n + 1)])
 
 
 def cusp_form_coefficients(weight: int, n: int) -> tuple[int, ...]:
-    """Coefficients a_1..a_n of the normalized generator in weight 12..26."""
+    """Coefficients a_1..a_n of the normalized generator Delta E_{weight-12} in weight 12..26.
+
+    M_8, M_10 and M_14 are one-dimensional, so E_8 = E_4^2, E_10 = E_4 E_6 and
+    E_14 = E_4^2 E_6: one series product gives Delta times any monomial in E_4, E_6.
+    """
     if weight not in SUPPORTED_WEIGHTS:
         raise ValueError(f"unsupported weight {weight}; choose from {SUPPORTED_WEIGHTS}")
-    delta = [0] + list(delta_coefficients(n))  # shift to absolute exponents
-    factors = {
-        12: [],
-        16: [4],
-        18: [6],
-        20: [4, 4],
-        22: [4, 6],
-        26: [4, 4, 6],
-    }[weight]
-    series = delta
-    for w in factors:
-        series = _series_multiply(series, list(eisenstein_coefficients(w, n)), n)
+    series = [0] + list(delta_coefficients(n))  # shift to absolute exponents
+    if weight > 12:
+        series = _series_multiply(series, eisenstein_coefficients(weight - 12, n), n)
     return tuple(series[1 : n + 1])
 
 
@@ -293,12 +291,12 @@ class SampleGrid:
     tags: np.ndarray
 
 
-def standard_grid(n: int = 100, Y: float | None = None, k: int | None = None) -> SampleGrid:
+def standard_grid(n: int, Y: float, k: int) -> SampleGrid:
     """n x n grid over the standard domain, uniform in (x, 1/y) coordinates.
 
-    When Y and k are given with Y < k/(2 pi), an extra vertical line of n
-    points spans the cusp-zone band y in [Y, k/(2 pi)], where the maximum
-    principle localizes the cusp supremum.
+    When Y < k/(2 pi), an extra vertical line of n points spans the
+    cusp-zone band y in [Y, k/(2 pi)], where the maximum principle localizes
+    the cusp supremum.
     """
     if n < 1:
         raise ValueError("grid size must be at least 1")
@@ -307,7 +305,7 @@ def standard_grid(n: int = 100, Y: float | None = None, k: int | None = None) ->
     ys = 1.0 / ((np.arange(n) + 0.5) / n * (1.0 / floor_y[:, None]))
     cols = [(xs[:, None] + 1j * ys).ravel()]
     tags = [np.zeros(n * n, dtype=int)]
-    if Y is not None and k is not None and Y < k / (2.0 * math.pi):
+    if Y < k / (2.0 * math.pi):
         band = np.linspace(Y, k / (2.0 * math.pi), n)
         cols.append(0.0 + 1j * band)
         tags.append(np.ones(n, dtype=int))

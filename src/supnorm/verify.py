@@ -1,6 +1,8 @@
 """End-to-end numerical verification for the modular group.
 
-Every item compares an independently computed quantity (exact ball counts,
+The built-in PSL(2,Z) domain is the only target: the q-expansions, the
+sample grid and the rounded reference constants all belong to it.  Every
+item compares an independently computed quantity (exact ball counts,
 directly summed series, quadrature integrals of |f|^2 y^{2k}) against the
 closed-form bounds produced by the engine.  The checks use the engine's own
 constants; a coarser rounded coefficient set for the modular group is checked
@@ -15,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import engine
-from .domain import FundamentalDomain, is_modular_group, modular_group
+from .domain import modular_group
 from .enumeration import (
     VerificationFailure,
     counting_check,
@@ -26,7 +28,6 @@ from .forms import SUPPORTED_WEIGHTS, build_basis, mass_integral, s2k_on_grid, s
 from .kernels import CheckResult
 
 __all__ = [
-    "UnsupportedDomainError",
     "VerificationItem",
     "VerificationReport",
     "verify_all",
@@ -39,10 +40,6 @@ __all__ = [
 ROUNDED_MODULAR_COEFFS = (31.0, 72.0, 1.014)
 #: Displacement cutoff of the directly summed Poincare series.
 _R_CUT = 1e4
-
-
-class UnsupportedDomainError(ValueError):
-    """verify_all only covers the modular-group fixture."""
 
 
 @dataclass(frozen=True)
@@ -182,23 +179,12 @@ def _weight_items(weight: int, constants, domain, grid_size: int) -> list[Verifi
     return items
 
 
-def verify_all(
-    weights=(12,),
-    grid_size: int = 100,
-    Y0: float = 2.0,
-    domain: FundamentalDomain | None = None,
-) -> VerificationReport:
-    """Run the full verification battery; empty weight list yields an empty pass.
+def verify_all(weights=(12,), grid_size: int = 100, Y0: float = 2.0) -> VerificationReport:
+    """Run the full battery on the modular group; empty weight list yields an empty pass.
 
     The global checks come first, then each distinct weight's checks in
     ascending weight order, computed one weight after another.
     """
-    if domain is None:
-        domain = modular_group()
-    if not is_modular_group(domain):
-        raise UnsupportedDomainError(
-            f"verification fixtures cover only the modular group, got {domain.name!r}"
-        )
     weights = tuple(weights)
     for w in weights:
         if w not in SUPPORTED_WEIGHTS:
@@ -206,6 +192,7 @@ def verify_all(
     if not weights:
         return VerificationReport(items=())
 
+    domain = modular_group()
     constants = engine.compute_constants(domain, Y0)
     rng = np.random.default_rng(20260809)
     items = [

@@ -2,17 +2,26 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from supnorm import engine, kernels
+from supnorm import cli, engine, kernels
 from supnorm.cli import main
 from supnorm.domain import modular_group
 from supnorm.engine import BoundReport, BoundRow, run_algorithm
 
-DATA = Path(__file__).resolve().parent.parent / "src" / "supnorm" / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "supnorm" / "data"
 PSL2Z_DOC = json.loads((DATA / "psl2z.json").read_text())
+
+
+#: Genus 2 with one order-7 point at i and no boundary segments or bounding_rect.
+TORSION_DOC = {"genus": 2, "cusps": [], "min_hyperbolic_trace": 3.0,
+               "elliptic": [{"x": 0.0, "y": 1.0, "order": 7}]}
+#: A boundary segment off the elliptic point, which makes mu_gamma finite.
+TORSION_SEGMENT = {"type": "vertical", "x": 1.0, "y_min": 0.5, "y_max": 2.0}
 
 
 def run(capsys, *argv):
@@ -108,6 +117,29 @@ class TestConstants:
         assert_input_error(code, out, err)
         assert err.startswith(f"error: step {step} ")
 
+    @pytest.mark.parametrize("command", ["constants", "bounds"])
+    def test_torsion_without_boundary_refused(self, capsys, tmp_path, command):
+        # the infinite mu_gamma would drop the order-7 point's elliptic branch
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(TORSION_DOC))
+        code, out, err = run(capsys, command, "--domain", str(path))
+        assert_input_error(code, out, err)
+        assert err.startswith("error: step 4 (elliptic distance): ")
+
+    @pytest.mark.parametrize("command", ["constants", "bounds"])
+    def test_torsion_needs_bounding_rect(self, capsys, tmp_path, command):
+        # 8 pi g / ell bounds the diameter only without torsion
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({**TORSION_DOC, "boundary": [TORSION_SEGMENT]}))
+        code, out, err = run(capsys, command, "--domain", str(path))
+        assert_input_error(code, out, err)
+        assert "with torsion need an explicit bounding_rect" in err
+
+        rect = {"x_min": -1.0, "x_max": 1.0, "y_min": 0.5, "y_max": 2.0}
+        path.write_text(json.dumps({**TORSION_DOC, "boundary": [TORSION_SEGMENT],
+                                    "bounding_rect": rect}))
+        assert run(capsys, command, "--domain", str(path))[0] == 0
+
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "constants.json"
         code, _, _ = run(capsys, "constants", "--format", "json", "--out", str(out_path))
@@ -168,11 +200,6 @@ class TestBounds:
 
 
 class TestVerify:
-    def test_unsupported_domain_exit_code(self, capsys):
-        code, _, err = run(capsys, "verify", "--domain", str(DATA / "genus2_cocompact.json"))
-        assert code == 3
-        assert "modular group" in err
-
     def test_bad_weight_exit_code(self, capsys):
         code, _, err = run(capsys, "verify", "--weights", "14")
         assert code == 2
@@ -213,9 +240,14 @@ class TestVerify:
         assert_input_error(code, out, err)
         assert err.startswith(message)
 
-    def test_no_format_option(self, capsys):
+    @pytest.mark.parametrize(
+        "option", [["--format", "json"], ["--domain", str(DATA / "psl2z.json")]],
+        ids=["format", "domain"],
+    )
+    def test_no_format_option(self, capsys, option):
+        # verify runs on the built-in modular group only and writes no tables
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--format", "json"])
+            main(["verify", *option])
         assert exc.value.code == 2
 
     def test_small_verify_run(self, capsys, tmp_path):
@@ -286,6 +318,41 @@ def test_unwritable_output_path(capsys, tmp_path, argv):
         assert out == ""  # the path fails before any work is reported
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+EARLIER_REPORT = b'{"passed": true, "items": []}\n'
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--weights", "7"], ["kernel-check", "--k-max", "0"]],
+    ids=["verify", "kernel_check"],
+)
+def test_failed_run_keeps_existing_output(capsys, tmp_path, argv):
+    path = tmp_path / "report.json"
+    path.write_bytes(EARLIER_REPORT)
+    assert_input_error(*run(capsys, *argv, "--out", str(path)))
+    assert path.read_bytes() == EARLIER_REPORT
+
+
+def test_finished_run_replaces_existing_output(capsys, tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(EARLIER_REPORT * 1000)
+    code, out, _ = run(capsys, "kernel-check", "--k-max", "2", "--out", str(path))
+    assert code == 0
+    assert len(json.loads(path.read_text())) == len(out.splitlines())
+
+
+def _documented_exit_codes(text: str, code_pattern: str) -> set[int]:
+    paragraph = text.split("Exit status:", 1)[1].split("\n\n", 1)[0]
+    return {int(code) for code in re.findall(code_pattern, paragraph)}
+
+
+def test_documented_exit_codes_match_the_constants():
+    """README and the cli docstring list exactly the EXIT_* codes, none removed or added."""
+    codes = {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _documented_exit_codes(readme, r"`(\d+)` [a-z]") == codes
+    assert _documented_exit_codes(cli.__doc__, r"\b(\d+) [a-z]") == codes
 
 
 def test_json_key_order(capsys, tmp_path):

@@ -18,7 +18,6 @@ from supnorm.domain import (
     covolume,
     diameter_upper_bound,
     dimension_d2k,
-    is_modular_group,
     load_domain,
     modular_group,
     shortest_geodesic_length,
@@ -130,10 +129,6 @@ class TestLoading:
         with pytest.raises(LoadError, match="outside"):
             load_domain(doc)
 
-    def test_is_modular_group(self, psl2z, genus2_domain):
-        assert is_modular_group(psl2z)
-        assert not is_modular_group(genus2_domain)
-
     @pytest.mark.parametrize(
         "rect,match",
         [
@@ -161,7 +156,7 @@ class TestLoading:
         from pathlib import Path
 
         path = Path(__file__).resolve().parent.parent / "src" / "supnorm" / "data" / "psl2z.json"
-        assert is_modular_group(load_domain(path))
+        assert load_domain(path) == modular_group()
 
 
 class TestCovolume:
@@ -298,12 +293,12 @@ class TestVolumeRegion:
 
     def test_full_domain_matches_covolume(self, psl2z):
         # quadrature against the closed Gauss-Bonnet value
-        assert volume_region(psl2z, None) == pytest.approx(covolume(psl2z), rel=1e-6)
+        assert volume_region(psl2z, math.inf) == pytest.approx(covolume(psl2z), rel=1e-6)
 
-    def test_cocompact_returns_covolume(self, genus2_domain):
-        assert volume_region(genus2_domain, None) == pytest.approx(
-            covolume(genus2_domain), rel=1e-15
-        )
+    def test_cocompact_has_no_region(self, genus2_domain):
+        # the engine takes a cocompact domain's volume from covolume
+        with pytest.raises(ValueError, match="no region description"):
+            volume_region(genus2_domain, math.inf)
 
 
 def adaptive_volume(x0, x1, disks, Y):
@@ -316,11 +311,11 @@ def adaptive_volume(x0, x1, disks, Y):
     def column(x):
         floor = max((math.sqrt(r * r - (x - c) ** 2) for c, r in disks if abs(x - c) < r),
                     default=0.0)
-        return max(1.0 / floor - (0.0 if Y is None else 1.0 / Y), 0.0)
+        return max(1.0 / floor - 1.0 / Y, 0.0)
 
     cuts = {v for c, r in disks for v in (c - r, c, c + r)}
     cuts |= {c + s * math.sqrt(r * r - Y * Y) for c, r in disks for s in (-1, 1)
-             if Y is not None and r > Y}
+             if r > Y}
     cuts |= {(r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1))
              for (c1, r1) in disks for (c2, r2) in disks if c1 != c2}
     breaks = sorted({x0, x1} | {v for v in cuts if x0 < v < x1})
@@ -343,7 +338,7 @@ def disk_regions(draw):
             reach = max(reach, hi)
     assume(reach > x1 + 0.02)
     radius = draw(st.sampled_from([r for _, r in disks]))
-    Y = draw(st.sampled_from([None, 0.7 * radius, radius, 1.3 * radius]))
+    Y = draw(st.sampled_from([math.inf, 0.7 * radius, radius, 1.3 * radius]))
     return x0, x1, disks, Y
 
 

@@ -6,9 +6,12 @@ from dataclasses import asdict
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supnorm.domain import load_domain
 from supnorm.engine import (
+    _volume_systole_diameter,
     BoundReport,
     BoundRow,
     EffectiveConstants,
@@ -300,6 +303,21 @@ class TestCocompactConstants:
     def test_genus_domain(self):
         with pytest.raises(ValueError):
             cocompact_constants(1, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10**6), st.floats(1e-3, 100.0))
+    def test_diameter_above_packing_bound(self, genus, ell):
+        # disjoint embedded balls of radius ell/2 along a minimizing geodesic
+        packing = ell * (genus - 1) / math.sinh(ell / 4.0) ** 2
+        assert _volume_systole_diameter(genus, ell) >= packing
+
+    def test_packing_bound_on_genus2_fixture(self, genus2_domain):
+        constants = compute_constants(genus2_domain)
+        ell = constants.ell_gamma
+        assert ell / math.sinh(ell / 4.0) ** 2 == pytest.approx(7.70, abs=5e-3)
+        assert constants.diam_Y == _volume_systole_diameter(2, ell)
+        assert constants.diam_Y == pytest.approx(26.11, abs=5e-3)
+        assert constants.B_Y == pytest.approx(37271, rel=1e-4)
 
 
 class TestLowerBound:

@@ -77,7 +77,7 @@ class TestEnumerateBall:
     def test_order_three_stabilizer(self):
         # the corner point has two nontrivial stabilizer elements at
         # displacement exactly 1
-        sigmas = displacement_values(RHO, 1.0, include_identity=False)
+        sigmas = displacement_values(RHO, 1.0)
         assert len(sigmas) == 2
         assert np.allclose(sigmas, 1.0)
 
@@ -203,11 +203,10 @@ class TestBlocksAgainstRowScan:
     @pytest.mark.parametrize("R", [1.0, 2.5, 30.0, 1e4])
     def test_displacement_values_bit_identical(self, block_cap, z, R):
         _, want = row_scan_arrays(z, R)
-        without = displacement_values(z, R, include_identity=False)
-        with_identity = displacement_values(z, R, include_identity=True)
-        assert np.array_equal(without, want)
-        assert np.array_equal(with_identity, np.sort(np.append(want, 1.0)))
-        assert with_identity[0] == 1.0
+        assert np.array_equal(displacement_values(z, R), want)
+        # the one value displacement_values drops is the identity's exact 1.0
+        scanned = np.concatenate([sigmas for *_, sigmas in enumeration._scan(z, R)])
+        assert np.array_equal(np.sort(scanned), np.sort(np.append(want, 1.0)))
 
     @pytest.mark.parametrize("z", ORACLE_POINTS)
     @pytest.mark.parametrize("R", [1.0, 2.5, 30.0, 1e4])
@@ -227,7 +226,6 @@ class TestBlocksAgainstRowScan:
             assert counting_check(z, r, psl2z_constants).count == len(sigmas) + 1
 
     def test_below_one(self, block_cap):
-        assert len(displacement_values(1j, 0.99, include_identity=True)) == 0
         assert len(displacement_values(1j, 0.99)) == 0
 
 
@@ -322,7 +320,7 @@ class TestPoincareDirect:
 
     def test_corner_stabilizer_terms(self, psl2z_constants):
         res = poincare_direct(RHO, 3, 0.1, 1e3, psl2z_constants)
-        sig = displacement_values(RHO, 1.0, include_identity=False)
+        sig = displacement_values(RHO, 1.0)
         assert len(sig) == 2  # order-3 stabilizer contributes n-1 terms at sigma 1
         assert res.partial >= 2.0
 

@@ -60,6 +60,20 @@ def eta_product_oracle(n: int) -> list[int]:
     return [coeff[m - 1] for m in range(1, n + 1)]
 
 
+#: Delta times these Eisenstein weights spans each supported weight.
+MONOMIALS = {12: [], 16: [4], 18: [6], 20: [4, 4], 22: [4, 6], 26: [4, 4, 6]}
+
+
+def monomial_oracle(weight: int, n: int) -> tuple[int, ...]:
+    """Generator coefficients a_1..a_n as Delta times a monomial in E_4 and E_6,
+    one schoolbook series product per factor."""
+    series = [0, *delta_coefficients(n)]
+    for w in MONOMIALS[weight]:
+        e = eisenstein_coefficients(w, n)
+        series = [sum(series[i] * e[m - i] for i in range(m + 1)) for m in range(n + 1)]
+    return tuple(series[1:])
+
+
 class TestQExpansions:
     def test_delta_leading_terms(self):
         got = delta_coefficients(12)
@@ -81,6 +95,16 @@ class TestQExpansions:
     def test_eisenstein_six(self):
         got = eisenstein_coefficients(6, 4)
         assert got == (1, -504, -16632, -122976, -532728)
+
+    @pytest.mark.parametrize("weight", [2, 12, 16])
+    def test_eisenstein_unneeded_weight(self, weight):
+        with pytest.raises(ValueError, match="only weights"):
+            eisenstein_coefficients(weight, 4)
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_generator_matches_monomial_product(self, weight):
+        # Delta E_{w-12} against Delta times a monomial in E_4 and E_6
+        assert cusp_form_coefficients(weight, 128) == monomial_oracle(weight, 128)
 
     @pytest.mark.parametrize(
         "weight,a2",
@@ -318,10 +342,10 @@ class TestAveragedQuantity:
 
 def test_degenerate_grid_size():
     with pytest.raises(ValueError):
-        standard_grid(0)
+        standard_grid(0, Y=4.1312, k=6)
 
 
-def loop_grid(n: int, Y: float | None = None, k: int | None = None):
+def loop_grid(n: int, Y: float, k: int):
     """standard_grid as one column of the grid per Python iteration, the reference
     for the array expression."""
     xs = -0.5 + (np.arange(n) + 0.5) / n
@@ -333,7 +357,7 @@ def loop_grid(n: int, Y: float | None = None, k: int | None = None):
         ys = 1.0 / u
         cols.append(x + 1j * ys)
         tags.append(np.zeros(n, dtype=int))
-    if Y is not None and k is not None and Y < k / (2.0 * math.pi):
+    if Y < k / (2.0 * math.pi):
         band = np.linspace(Y, k / (2.0 * math.pi), n)
         cols.append(0.0 + 1j * band)
         tags.append(np.ones(n, dtype=int))
@@ -342,7 +366,7 @@ def loop_grid(n: int, Y: float | None = None, k: int | None = None):
 
 @pytest.mark.parametrize(
     "n,Y,k",
-    [(1, None, None), (2, None, None), (7, 4.1312, 26), (30, 4.1312, 13), (100, 4.1312, 6),
+    [(1, 4.1312, 6), (2, 4.1312, 6), (7, 4.1312, 26), (30, 4.1312, 13), (100, 4.1312, 6),
      (100, 4.1312, 13), (101, 2.0, 40)],
 )
 def test_grid_matches_loop(n, Y, k):

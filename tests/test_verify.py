@@ -5,7 +5,6 @@ import json
 import pytest
 
 from supnorm.verify import (
-    UnsupportedDomainError,
     VerificationItem,
     VerificationReport,
     rounded_modular_bound,
@@ -13,20 +12,15 @@ from supnorm.verify import (
 )
 
 
-def test_empty_weight_list_passes(psl2z):
-    report = verify_all(weights=(), domain=psl2z)
+def test_empty_weight_list_passes():
+    report = verify_all(weights=())
     assert report.items == ()
     assert report.passed
 
 
-def test_unsupported_domain(genus2_domain):
-    with pytest.raises(UnsupportedDomainError):
-        verify_all(weights=(12,), domain=genus2_domain)
-
-
-def test_unknown_weight(psl2z):
+def test_unknown_weight():
     with pytest.raises(ValueError, match="unsupported weight"):
-        verify_all(weights=(14,), domain=psl2z)
+        verify_all(weights=(14,))
 
 
 def test_rounded_bound_weight_twelve():
@@ -38,16 +32,16 @@ def test_rounded_bound_weight_twelve():
 
 
 @pytest.fixture(scope="module")
-def weight12_report(psl2z):
-    return verify_all(weights=(12,), grid_size=60, domain=psl2z)
+def weight12_report():
+    return verify_all(weights=(12,), grid_size=60)
 
 
 def test_weight12_passes(weight12_report):
     assert weight12_report.passed, weight12_report.to_text()
 
 
-def test_repeated_weight_runs_once(psl2z, weight12_report):
-    twice = verify_all(weights=(12, 12), grid_size=60, domain=psl2z)
+def test_repeated_weight_runs_once(weight12_report):
+    twice = verify_all(weights=(12, 12), grid_size=60)
     assert twice == weight12_report
     assert len(twice.items) == 8
 
@@ -74,8 +68,8 @@ def test_json_round_trip(weight12_report):
     assert doc["passed"] is True
 
 
-def test_all_supported_weights(psl2z):
-    report = verify_all(weights=(12, 16, 18, 20, 22, 26), grid_size=50, domain=psl2z)
+def test_all_supported_weights():
+    report = verify_all(weights=(12, 16, 18, 20, 22, 26), grid_size=50)
     assert report.passed, report.to_text()
     per_weight = [i for i in report.items if i.weight is not None]
     assert len(per_weight) == 6 * 5
