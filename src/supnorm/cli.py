@@ -8,7 +8,7 @@ Exit status: 0 success, 1 verification failure, 2 input error (an input too
 large for memory included) or unwritable output path, 4 kernel-check
 failure: a failed check, or a kernel quadrature that missed its accuracy
 target (one ``error:`` line).  A run that ends in an error leaves an
-existing ``--out`` file as it was.
+existing ``--out`` file as it was and creates none.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -31,13 +32,6 @@ EXIT_INPUT = 2
 EXIT_KERNEL = 4
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _load(args) -> object:
     if args.domain is None:
         return modular_group()
@@ -48,42 +42,73 @@ def _json_dumps(doc) -> str:
     return json.dumps(doc, indent=2, allow_nan=True) + "\n"
 
 
-def cmd_constants(args) -> int:
-    constants = engine.compute_constants(_load(args), Y0=args.Y0)
-    if args.format == "json":
-        _emit(_json_dumps({"domain": constants.domain_name, "constants": constants.to_dict(),
-                           "ledger": constants.to_ledger()}), args.out)
+@contextlib.contextmanager
+def _open_out(path: str | None):
+    """The --out file, opened untruncated before the work so an unwritable path fails first.
+
+    A run that ends in an error removes the file again if it did not exist before.
+    """
+    if not path:
+        yield None
+        return
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8") as out:
+            yield out
+    except BaseException:
+        if not existed:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
+def _write_out(out, text: str) -> None:
+    """Write text to the --out file in place of what it held, or to stdout without one."""
+    if out:
+        out.truncate(0)
+        out.write(text)
     else:
-        lines = ["name,value,step"]
-        for row in constants.to_ledger():
-            value = row["value"]
-            if value is None:
-                rendered = "absent"
-            elif isinstance(value, float):
-                rendered = format_float(value)
-            else:
-                rendered = str(value)
-            lines.append(f"{row['name']},{rendered},{row['step']}")
-        _emit("\n".join(lines) + "\n", args.out)
+        sys.stdout.write(text)
+
+
+def cmd_constants(args) -> int:
+    with _open_out(args.out) as out:
+        constants = engine.compute_constants(_load(args), Y0=args.Y0)
+        if args.format == "json":
+            text = _json_dumps({"domain": constants.domain_name, "constants": constants.to_dict(),
+                                "ledger": constants.to_ledger()})
+        else:
+            lines = ["name,value,step"]
+            for row in constants.to_ledger():
+                value = row["value"]
+                if value is None:
+                    rendered = "absent"
+                elif isinstance(value, float):
+                    rendered = format_float(value)
+                else:
+                    rendered = str(value)
+                lines.append(f"{row['name']},{rendered},{row['step']}")
+            text = "\n".join(lines) + "\n"
+        _write_out(out, text)
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
     if args.k_min > args.k_max:
         raise ValueError(f"empty weight range: --k-min {args.k_min} exceeds --k-max {args.k_max}")
-    _, report = engine.run_algorithm(_load(args), Y0=args.Y0, k_min=args.k_min, k_max=args.k_max)
-    if args.format == "json":
-        _emit(_json_dumps(asdict(report)), args.out)
-    else:
-        _emit(report.to_csv(), args.out)
-    if args.plot_prefix:
-        for region in report.regions():
-            lines = ["k,bound"]
-            lines += [f"{k},{format_float(b)}" for k, b in report.plot_series(region)]
-            safe = region.replace("^", "").replace("/", "_")
-            Path(f"{args.plot_prefix}_{safe}.csv").write_text(
-                "\n".join(lines) + "\n", encoding="utf-8"
-            )
+    with _open_out(args.out) as out:
+        _, report = engine.run_algorithm(
+            _load(args), Y0=args.Y0, k_min=args.k_min, k_max=args.k_max
+        )
+        if args.plot_prefix:
+            for region in report.regions():
+                lines = ["k,bound"]
+                lines += [f"{k},{format_float(b)}" for k, b in report.plot_series(region)]
+                safe = region.replace("^", "").replace("/", "_")
+                Path(f"{args.plot_prefix}_{safe}.csv").write_text(
+                    "\n".join(lines) + "\n", encoding="utf-8"
+                )
+        _write_out(out, _json_dumps(asdict(report)) if args.format == "json" else report.to_csv())
     return EXIT_OK
 
 
@@ -94,23 +119,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"--weights takes comma-separated integers, got {text!r}") from None
 
 
-def _open_out(path: str | None):
-    """The --out file, opened untruncated before the work so an unwritable path fails first."""
-    return open(path, "a", encoding="utf-8") if path else contextlib.nullcontext()
-
-
-def _write_out(out, doc) -> None:
-    if out:
-        out.truncate(0)
-        out.write(_json_dumps(doc))
-
-
 def cmd_verify(args) -> int:
     weights = _parse_weights(args.weights)
     with _open_out(args.out) as out:
         report = verify_all(weights=weights, grid_size=args.grid, Y0=args.Y0)
         print(report.to_text())
-        _write_out(out, report.to_json_dict())
+        if out:
+            _write_out(out, _json_dumps(report.to_json_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
@@ -119,7 +134,8 @@ def cmd_kernel_check(args) -> int:
         results = kernels.run_kernel_checks(k_max=args.k_max)
         for res in results:
             print(res.line())
-        _write_out(out, [asdict(r) for r in results])
+        if out:
+            _write_out(out, _json_dumps([asdict(r) for r in results]))
     return EXIT_OK if all(res.passed for res in results) else EXIT_KERNEL
 
 

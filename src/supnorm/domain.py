@@ -6,6 +6,11 @@ all derived quantities (covolume, truncation constants, region volumes) are
 pure functions of it.  Every one of them is a closed form: region volumes
 are sums of arcsines between breakpoints of the region floor.  No quadrature
 runs here.
+
+The boundary segments are the only description of the domain's shape.  The
+region in the base chart is derived from them: the vertical strip between
+the least and the greatest foot of the unbounded vertical rays, outside the
+disks whose circles carry the arc segments.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -57,22 +62,6 @@ class EllipticPoint:
 
 
 @dataclass(frozen=True)
-class RegionConstraint:
-    """One membership condition: a vertical strip or a disk complement."""
-
-    kind: str  # "strip" | "outside_disk"
-    x_min: float = 0.0
-    x_max: float = 0.0
-    center: float = 0.0
-    radius: float = 0.0
-
-    def holds(self, z: complex) -> bool:
-        if self.kind == "strip":
-            return self.x_min - _MEMBERSHIP_TOL <= z.real <= self.x_max + _MEMBERSHIP_TOL
-        return abs(z - self.center) >= self.radius - _MEMBERSHIP_TOL
-
-
-@dataclass(frozen=True)
 class FundamentalDomain:
     """Closed connected fundamental domain of a Fuchsian group of the first kind."""
 
@@ -81,7 +70,6 @@ class FundamentalDomain:
     cusps: tuple[CuspData, ...]
     elliptic: tuple[EllipticPoint, ...]
     min_hyperbolic_trace: float | None = None
-    region: tuple[RegionConstraint, ...] = field(default_factory=tuple)
     bounding_rect: dict | None = None
     name: str = "domain"
 
@@ -110,17 +98,31 @@ class FundamentalDomain:
         """Sum of (order - 1) over the full elliptic list."""
         return sum(e.order - 1 for e in self.elliptic)
 
-    def contains(self, z: complex) -> bool:
-        z = require_point(z)
-        if not self.region:
-            raise LoadError(f"domain {self.name!r} carries no region description")
-        return all(c.holds(z) for c in self.region)
+    @property
+    def has_region(self) -> bool:
+        """Whether the boundary fixes a region in the base chart: it has an unbounded ray."""
+        return any(seg.unbounded for seg in self.boundary)
 
     def strip_bounds(self) -> tuple[float, float]:
-        strips = [c for c in self.region if c.kind == "strip"]
-        if not strips:
-            raise LoadError(f"domain {self.name!r} has no strip constraint")
-        return max(c.x_min for c in strips), min(c.x_max for c in strips)
+        """Least and greatest foot of the unbounded vertical boundary rays."""
+        if not self.has_region:
+            raise LoadError(
+                f"domain {self.name!r} has no region description; region geometry unavailable"
+            )
+        feet = [seg.foot for seg in self.boundary if seg.unbounded]
+        return min(feet), max(feet)
+
+    def disks(self) -> tuple[tuple[float, float], ...]:
+        """(center, radius) of the circle of each arc segment; the region lies outside."""
+        return tuple((seg.center, seg.radius) for seg in self.boundary if seg.kind == "arc")
+
+    def contains(self, z: complex) -> bool:
+        z = require_point(z)
+        x0, x1 = self.strip_bounds()
+        tol = _MEMBERSHIP_TOL
+        return x0 - tol <= z.real <= x1 + tol and all(
+            abs(z - c) >= r - tol for c, r in self.disks()
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -185,26 +187,6 @@ def _parse_segment(desc: dict, index: int) -> GeodesicSegment:
     raise LoadError(f"boundary segment {index}: unknown type {kind!r}")
 
 
-def _parse_constraint(desc: dict, index: int) -> RegionConstraint:
-    kind = desc.get("type")
-    try:
-        if kind == "strip":
-            return RegionConstraint(
-                kind="strip",
-                x_min=_as_number(desc["x_min"], "strip x_min"),
-                x_max=_as_number(desc["x_max"], "strip x_max"),
-            )
-        if kind == "outside_disk":
-            return RegionConstraint(
-                kind="outside_disk",
-                center=_as_number(desc["center"], "disk center"),
-                radius=_as_number(desc["radius"], "disk radius"),
-            )
-    except KeyError as exc:
-        raise LoadError(f"region constraint {index}: missing field {exc}") from exc
-    raise LoadError(f"region constraint {index}: unknown type {kind!r}")
-
-
 def load_domain(source) -> FundamentalDomain:
     """Build a validated FundamentalDomain from a JSON file path or a dict."""
     if isinstance(source, (str, Path)):
@@ -248,9 +230,6 @@ def load_domain(source) -> FundamentalDomain:
     boundary = tuple(
         _parse_segment(s, i + 1) for i, s in enumerate(_as_list(doc, "boundary", dict, "objects"))
     )
-    region = tuple(
-        _parse_constraint(c, i + 1) for i, c in enumerate(_as_list(doc, "region", dict, "objects"))
-    )
 
     rect = doc.get("bounding_rect")
     if rect is not None:
@@ -275,7 +254,6 @@ def load_domain(source) -> FundamentalDomain:
         cusps=cusps,
         elliptic=elliptic,
         min_hyperbolic_trace=trace,
-        region=region,
         bounding_rect=rect,
         name=str(doc.get("name", "domain")),
     )
@@ -290,7 +268,7 @@ def _validate(domain: FundamentalDomain) -> None:
             f"domain {domain.name!r} has nonpositive Gauss-Bonnet covolume {volume:.6g}; "
             "no Fuchsian group of the first kind has this signature"
         )
-    if domain.region:
+    if domain.has_region:
         for i, e in enumerate(domain.elliptic):
             if not domain.contains(e.location):
                 raise LoadError(
@@ -387,10 +365,6 @@ def truncation_heights(domain: FundamentalDomain, Y: float) -> tuple[float, floa
 
 
 def _base_chart_ok(domain: FundamentalDomain) -> None:
-    if not domain.region:
-        raise ValueError(
-            f"domain {domain.name!r} has no region description; region geometry unavailable"
-        )
     for cusp in domain.cusps:
         if not cusp.scaling.is_identity():
             raise ValueError(
@@ -428,8 +402,11 @@ def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
 def volume_region(domain: FundamentalDomain, Y: float) -> float:
     """Hyperbolic volume of the region truncated at height Y (full domain if Y is inf).
 
-    Above abscissa x the area form dx dy / y^2 integrates to 1/h(x) - 1/Y,
-    where the floor h is the highest excluded arc sqrt(r^2 - (x-c)^2).  The
+    The region is the one the boundary fixes: the strip between the feet of
+    the unbounded rays, outside the circles of the arc segments (see
+    ``FundamentalDomain.strip_bounds`` and ``disks``).  Above abscissa x the
+    area form dx dy / y^2 integrates to 1/h(x) - 1/Y, where the floor h is
+    the highest excluded arc sqrt(r^2 - (x-c)^2).  The
     strip edges, each disk's c - r, c and c + r, the points where a circle
     crosses height Y and the pairwise circle intersections cut the strip into
     pieces on which one arc is highest and h stays on one side of Y, so each
@@ -437,7 +414,7 @@ def volume_region(domain: FundamentalDomain, Y: float) -> float:
     """
     _base_chart_ok(domain)
     x0, x1 = domain.strip_bounds()
-    disks = [(c.center, c.radius) for c in domain.region if c.kind == "outside_disk"]
+    disks = domain.disks()
     cuts = {x0, x1}
     for c, r in disks:
         cuts.update((c - r, c, c + r))

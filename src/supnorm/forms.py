@@ -285,10 +285,9 @@ def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Evaluation points inside the standard domain, with their region tags."""
+    """Evaluation points inside the standard domain."""
 
     points: np.ndarray
-    tags: np.ndarray
 
 
 def standard_grid(n: int, Y: float, k: int) -> SampleGrid:
@@ -304,12 +303,10 @@ def standard_grid(n: int, Y: float, k: int) -> SampleGrid:
     floor_y = np.sqrt(np.maximum(1.0 - xs * xs, 0.0))
     ys = 1.0 / ((np.arange(n) + 0.5) / n * (1.0 / floor_y[:, None]))
     cols = [(xs[:, None] + 1j * ys).ravel()]
-    tags = [np.zeros(n * n, dtype=int)]
     if Y < k / (2.0 * math.pi):
         band = np.linspace(Y, k / (2.0 * math.pi), n)
         cols.append(0.0 + 1j * band)
-        tags.append(np.ones(n, dtype=int))
-    return SampleGrid(points=np.concatenate(cols), tags=np.concatenate(tags))
+    return SampleGrid(points=np.concatenate(cols))
 
 
 def mass_integral(basis: CuspFormBasis) -> float:

@@ -90,10 +90,9 @@ class TestConstants:
             {**PSL2Z_DOC, "boundary": [5]},
             {**PSL2Z_DOC, "elliptic": [5]},
             {**PSL2Z_DOC, "elliptic": {"x": 1}},
-            {**PSL2Z_DOC, "region": [None]},
         ],
         ids=["top_level_number", "cusps_number", "boundary_item", "elliptic_item",
-             "elliptic_object", "region_null"],
+             "elliptic_object"],
     )
     def test_malformed_domain_document(self, capsys, tmp_path, doc):
         path = tmp_path / "domain.json"
@@ -324,14 +323,20 @@ EARLIER_REPORT = b'{"passed": true, "items": []}\n'
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "--weights", "7"], ["kernel-check", "--k-max", "0"]],
-    ids=["verify", "kernel_check"],
+    "argv",
+    [["verify", "--weights", "7"], ["kernel-check", "--k-max", "0"],
+     ["bounds", "--k-max", "4", "--plot-prefix", "{tmp}/missing/plot"]],
+    ids=["verify", "kernel_check", "bounds_plot_prefix"],
 )
 def test_failed_run_keeps_existing_output(capsys, tmp_path, argv):
     path = tmp_path / "report.json"
     path.write_bytes(EARLIER_REPORT)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert_input_error(*run(capsys, *argv, "--out", str(path)))
     assert path.read_bytes() == EARLIER_REPORT
+    fresh = tmp_path / "fresh.json"
+    assert_input_error(*run(capsys, *argv, "--out", str(fresh)))
+    assert not fresh.exists()
 
 
 def test_finished_run_replaces_existing_output(capsys, tmp_path):

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from scipy.integrate import quad
 
 from supnorm.domain import (
     LoadError,
-    RegionConstraint,
     covolume,
     diameter_upper_bound,
     dimension_d2k,
@@ -24,13 +24,15 @@ from supnorm.domain import (
     truncation_heights,
     volume_region,
 )
+from supnorm.engine import compute_constants
+from supnorm.geometry import GeodesicSegment
 
 from conftest import ROOT3_HALF
 
 Y_STD = 16.0 / math.sqrt(15.0)
-PSL2Z_DOC = json.loads(
-    (Path(__file__).resolve().parent.parent / "src" / "supnorm" / "data" / "psl2z.json").read_text()
-)
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "supnorm" / "data"
+PSL2Z_DOC = json.loads((DATA / "psl2z.json").read_text())
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -113,21 +115,32 @@ class TestLoading:
         with pytest.raises(LoadError, match="genus"):
             load_domain({"cusps": []})
 
-    def test_elliptic_outside_region_rejected(self, psl2z):
+    def test_elliptic_outside_region_rejected(self):
+        # rays at x = +-0.4 leave the corner rho = -1/2 + i sqrt(3)/2 outside the strip
+        corner = math.sqrt(1.0 - 0.4**2)
         doc = {
-            "genus": 0,
-            "cusps": [[[1, 0], [0, 1]]],
-            "elliptic": [
-                {"x": 0.0, "y": 0.5, "order": 2, "is_class_rep": True},
-                {"x": 0.0, "y": 1.0, "order": 3, "is_class_rep": True},
-            ],
-            "region": [
-                {"type": "strip", "x_min": -0.5, "x_max": 0.5},
-                {"type": "outside_disk", "center": 0.0, "radius": 1.0},
+            **PSL2Z_DOC,
+            "boundary": [
+                {"type": "vertical", "x": -0.4, "y_min": corner},
+                {"type": "arc", "center": 0.0, "radius": 1.0, "x_min": -0.4, "x_max": 0.4},
+                {"type": "vertical", "x": 0.4, "y_min": corner},
             ],
         }
-        with pytest.raises(LoadError, match="outside"):
+        with pytest.raises(LoadError, match="elliptic point 1 .* outside"):
             load_domain(doc)
+
+    def test_region_key_ignored(self, psl2z):
+        # an older file's region key, here at odds with the boundary, changes no constant
+        doc = {
+            **PSL2Z_DOC,
+            "region": [
+                {"type": "strip", "x_min": -0.6, "x_max": 0.6},
+                {"type": "outside_disk", "center": 0.0, "radius": 0.95},
+            ],
+        }
+        constants = compute_constants(load_domain(doc))
+        assert constants == compute_constants(psl2z)
+        assert constants.B_Y == pytest.approx(5.194, abs=5e-4)
 
     @pytest.mark.parametrize(
         "rect,match",
@@ -295,6 +308,16 @@ class TestVolumeRegion:
         # quadrature against the closed Gauss-Bonnet value
         assert volume_region(psl2z, math.inf) == pytest.approx(covolume(psl2z), rel=1e-6)
 
+    def test_psl2z_region_from_boundary(self, psl2z):
+        assert psl2z.has_region
+        assert psl2z.strip_bounds() == (-0.5, 0.5)
+        arcs = [seg for seg in psl2z.boundary if seg.kind == "arc"]
+        assert len(arcs) == 2
+        assert psl2z.disks() == tuple((seg.center, seg.radius) for seg in arcs)
+        assert psl2z.disks() == ((0.0, 1.0), (0.0, 1.0))
+        assert psl2z.contains(2j) and psl2z.contains(complex(-0.5, ROOT3_HALF))
+        assert not psl2z.contains(0.9j) and not psl2z.contains(complex(0.6, 2.0))
+
     def test_cocompact_has_no_region(self, genus2_domain):
         # the engine takes a cocompact domain's volume from covolume
         with pytest.raises(ValueError, match="no region description"):
@@ -346,10 +369,10 @@ def disk_regions(draw):
 @given(disk_regions())
 def test_volume_region_matches_adaptive_quadrature(case):
     x0, x1, disks, Y = case
-    region = (RegionConstraint("strip", x_min=x0, x_max=x1),) + tuple(
-        RegionConstraint("outside_disk", center=c, radius=r) for c, r in disks
+    boundary = (GeodesicSegment.vertical(x0, 1.0), GeodesicSegment.vertical(x1, 1.0)) + tuple(
+        GeodesicSegment.arc(c, r, c - r, c + r) for c, r in disks
     )
-    domain = dataclasses.replace(modular_group(), region=region)
+    domain = dataclasses.replace(modular_group(), boundary=boundary)
     want = adaptive_volume(x0, x1, disks, Y)
     if want <= 1e-12:
         with pytest.raises(ValueError, match="below the domain floor"):
@@ -365,3 +388,12 @@ def test_theta_gamma(psl2z, genus2_domain):
 
 def test_elliptic_excess(psl2z):
     assert psl2z.elliptic_excess() == 5
+
+
+def test_documented_keys_cover_the_shipped_data():
+    """Every top-level key of the packaged domain files is one README's domain bullets list."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Domain description files", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE))
+    for path in sorted(DATA.glob("*.json")):
+        assert set(json.loads(path.read_text())) <= documented, path.name
