@@ -7,10 +7,12 @@ pure functions of it.  Every one of them is a closed form: region volumes
 are sums of arcsines between breakpoints of the region floor.  No quadrature
 runs here.
 
-The boundary segments are the only description of the domain's shape.  The
-region in the base chart is derived from them: the vertical strip between
-the least and the greatest foot of the unbounded vertical rays, outside the
-disks whose circles carry the arc segments.
+The boundary segments are the only description of the domain's shape.
+They must close up: each finite end meets one other, and there are two
+unbounded rays (the sides of a cusp at infinity) or none.  The region in
+the base chart is derived from them: the strip between the least and the
+greatest foot of the rays, outside the disks whose circles carry the arc
+segments.  The diameter bound uses the box that holds the segments.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ class FundamentalDomain:
     cusps: tuple[CuspData, ...]
     elliptic: tuple[EllipticPoint, ...]
     min_hyperbolic_trace: float | None = None
-    bounding_rect: dict | None = None
     name: str = "domain"
 
     @property
@@ -231,19 +232,6 @@ def load_domain(source) -> FundamentalDomain:
         _parse_segment(s, i + 1) for i, s in enumerate(_as_list(doc, "boundary", dict, "objects"))
     )
 
-    rect = doc.get("bounding_rect")
-    if rect is not None:
-        if not isinstance(rect, dict):
-            raise LoadError(f"bounding_rect must be an object, got {rect!r}")
-        missing = [f for f in ("x_min", "x_max", "y_min") if f not in rect]
-        if missing:
-            raise LoadError(f"bounding_rect misses field {missing[0]!r}")
-        rect = {
-            f: _as_number(rect[f], f"bounding_rect {f}")
-            for f in ("x_min", "x_max", "y_min", "y_max")
-            if f in rect
-        }
-
     trace = doc.get("min_hyperbolic_trace")
     if trace is not None:
         trace = _as_number(trace, "min_hyperbolic_trace")
@@ -254,7 +242,6 @@ def load_domain(source) -> FundamentalDomain:
         cusps=cusps,
         elliptic=elliptic,
         min_hyperbolic_trace=trace,
-        bounding_rect=rect,
         name=str(doc.get("name", "domain")),
     )
     _validate(domain)
@@ -268,6 +255,24 @@ def _validate(domain: FundamentalDomain) -> None:
             f"domain {domain.name!r} has nonpositive Gauss-Bonnet covolume {volume:.6g}; "
             "no Fuchsian group of the first kind has this signature"
         )
+    rays = sum(seg.unbounded for seg in domain.boundary)
+    if rays not in ((0,) if domain.cocompact else (0, 2)):
+        raise LoadError(
+            f"boundary has {rays} unbounded rays; a cusp at infinity has two sides, "
+            "a cocompact domain none"
+        )
+    try:
+        ends = [(i + 1, p) for i, seg in enumerate(domain.boundary) for p in seg.endpoints()]
+        # each end meets itself too
+        meets = [sum(abs(p - q) <= _MEMBERSHIP_TOL for _, q in ends) - 1 for _, p in ends]
+    except OverflowError as exc:
+        raise LoadError(f"a boundary segment overflows the float range: {exc}") from exc
+    for (i, p), n in zip(ends, meets):
+        if n != 1:
+            raise LoadError(
+                f"boundary segment {i}: its end at {p} meets {n} other ends, "
+                "not one; the boundary does not close up"
+            )
     if domain.has_region:
         for i, e in enumerate(domain.elliptic):
             if not domain.contains(e.location):
@@ -374,29 +379,27 @@ def _base_chart_ok(domain: FundamentalDomain) -> None:
 
 
 def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
-    """Diameter bound from a bounding rectangle [x0,x1] x [a,b] with b = Y.
+    """Diameter bound from the bounding box [x0,x1] x [a,b] of the truncated boundary.
 
-    Any two points z, w of the rectangle satisfy |z-w|^2 <= w^2 + (b-a)^2 and
-    Im(z) Im(w) >= a^2, so arccosh(1 + (w^2+(b-a)^2)/(2a^2)) bounds the
-    diameter of the truncated region from above.
+    The boundary closes up, so the region cut at Y lies in the box of its
+    segments (rays cut at Y).  y is monotone along a vertical and concave
+    along an arc, so a is the lowest endpoint, and b, capped at Y, the highest
+    endpoint or the top of an arc whose x-range holds its center.  Any z, w in
+    the box have |z-w|^2 <= (x1-x0)^2 + (b-a)^2 and Im(z) Im(w) >= a^2, so
+    arccosh(1 + ((x1-x0)^2+(b-a)^2)/(2a^2)) bounds the diameter from above.
     """
-    if domain.bounding_rect is not None:
-        r = domain.bounding_rect
-        x0, x1, a = r["x_min"], r["x_max"], r["y_min"]
-        b = min(r["y_max"], Y) if "y_max" in r else Y
-    else:
-        if domain.cocompact:
-            raise ValueError(
-                f"cocompact domain {domain.name!r} needs an explicit bounding_rect"
-            )
-        _base_chart_ok(domain)
-        x0, x1 = domain.strip_bounds()
-        a, _ = truncation_heights(domain, Y)
-        b = Y
-    if not (0.0 < a <= b):
-        raise ValueError(f"bounding rectangle heights are degenerate: a={a}, b={b}")
-    width = x1 - x0
-    return math.acosh(1.0 + (width**2 + (b - a) ** 2) / (2.0 * a * a))
+    _base_chart_ok(domain)
+    pieces = _truncated_boundary(domain, Y)
+    if not pieces:
+        raise ValueError(f"domain {domain.name!r} has no boundary segments")
+    ends = [p for seg in pieces for p in seg.endpoints()]
+    ys = [p.imag for p in ends]
+    ys += [s.radius for s in pieces if s.kind == "arc" and s.x_min <= s.center <= s.x_max]
+    x0, x1 = min(p.real for p in ends), max(p.real for p in ends)
+    a, b = min(ys), min(max(ys), Y)
+    if not 0.0 < a < b:
+        raise ValueError(f"the truncated region is empty or degenerate: a={a!r}, b={b!r}")
+    return math.acosh(1.0 + ((x1 - x0) ** 2 + (b - a) ** 2) / (2.0 * a * a))
 
 
 def volume_region(domain: FundamentalDomain, Y: float) -> float:

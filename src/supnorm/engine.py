@@ -378,19 +378,15 @@ def compute_constants(domain: FundamentalDomain, Y0: float = 2.0) -> EffectiveCo
     vol = dom.covolume(domain)
 
     if domain.cocompact:
-        if domain.bounding_rect is not None:
-            diam = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, math.inf)
-        elif domain.genus >= 2 and domain.torsionfree:
+        if domain.torsionfree:
             diam = _volume_systole_diameter(domain.genus, ell)
         else:
-            raise ValueError(
-                "cocompact domains of genus <= 1 or with torsion need an explicit bounding_rect"
-            )
+            diam = _stage(6, "diameter bound", dom.diameter_upper_bound, domain, math.inf)
         branches = _stage(5, "displacement floor", sigma_y_branches, domain, ell, mu, None, None)
         region = dict(
             diam_Y=diam, vol_Y=vol, B_Y=_stage(8, "counting constants", b_y_bound, diam, vol)
         )
-        if domain.torsionfree and domain.genus >= 2:
+        if domain.torsionfree:
             decay = _stage(8, "counting constants", cocompact_constants, domain.genus, ell)
             region.update(asdict(decay))
     else:

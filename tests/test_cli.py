@@ -17,11 +17,23 @@ DATA = ROOT / "src" / "supnorm" / "data"
 PSL2Z_DOC = json.loads((DATA / "psl2z.json").read_text())
 
 
-#: Genus 2 with one order-7 point at i and no boundary segments or bounding_rect.
+#: Genus 2 with one order-7 point at i and no boundary segments.
 TORSION_DOC = {"genus": 2, "cusps": [], "min_hyperbolic_trace": 3.0,
                "elliptic": [{"x": 0.0, "y": 1.0, "order": 7}]}
 #: A boundary segment off the elliptic point, which makes mu_gamma finite.
 TORSION_SEGMENT = {"type": "vertical", "x": 1.0, "y_min": 0.5, "y_max": 2.0}
+#: A closed boundary around the point 2i: x = +-1 between |z| = sqrt(1.25) and sqrt(10).
+CLOSED_BOUNDARY = [
+    {"type": "vertical", "x": -1.0, "y_min": 0.5, "y_max": 3.0},
+    {"type": "arc", "center": 0.0, "radius": math.sqrt(1.25), "x_min": -1.0, "x_max": 1.0},
+    {"type": "vertical", "x": 1.0, "y_min": 0.5, "y_max": 3.0},
+    {"type": "arc", "center": 0.0, "radius": math.sqrt(10.0), "x_min": -1.0, "x_max": 1.0},
+]
+#: One cusp at infinity with a single side: one ray at x = -0.5 and one arc.
+ONE_RAY_DOC = {"genus": 1, "cusps": [[[1.0, 0.0], [0.0, 1.0]]], "min_hyperbolic_trace": 3.0,
+               "boundary": [{"type": "vertical", "x": -0.5, "y_min": math.sqrt(1.21 - 0.25)},
+                            {"type": "arc", "center": 0.0, "radius": 1.1,
+                             "x_min": -0.5, "x_max": 0.5}]}
 
 
 def run(capsys, *argv):
@@ -74,15 +86,6 @@ class TestConstants:
         assert "overflows the float range" in err and "Y0" in err
 
     @pytest.mark.parametrize(
-        "rect", [{"x_min": 0.0, "x_max": 2.0, "y_min": None}, [0.0, 2.0, 1.0, 1.5]]
-    )
-    def test_malformed_bounding_rect(self, capsys, tmp_path, rect):
-        path = tmp_path / "domain.json"
-        path.write_text(json.dumps({"genus": 2, "cusps": [], "min_hyperbolic_trace": 3.0,
-                                    "bounding_rect": rect}))
-        assert_input_error(*run(capsys, "constants", "--domain", str(path)))
-
-    @pytest.mark.parametrize(
         "doc",
         [
             5,
@@ -126,18 +129,27 @@ class TestConstants:
         assert err.startswith("error: step 4 (elliptic distance): ")
 
     @pytest.mark.parametrize("command", ["constants", "bounds"])
-    def test_torsion_needs_bounding_rect(self, capsys, tmp_path, command):
-        # 8 pi g / ell bounds the diameter only without torsion
+    def test_torsion_needs_closed_boundary(self, capsys, tmp_path, command):
+        # 8 pi g / ell bounds the diameter only without torsion; the boundary box does
         path = tmp_path / "domain.json"
         path.write_text(json.dumps({**TORSION_DOC, "boundary": [TORSION_SEGMENT]}))
         code, out, err = run(capsys, command, "--domain", str(path))
         assert_input_error(code, out, err)
-        assert "with torsion need an explicit bounding_rect" in err
+        assert "the boundary does not close up" in err
 
-        rect = {"x_min": -1.0, "x_max": 1.0, "y_min": 0.5, "y_max": 2.0}
-        path.write_text(json.dumps({**TORSION_DOC, "boundary": [TORSION_SEGMENT],
-                                    "bounding_rect": rect}))
+        point = {"x": 0.0, "y": 2.0, "order": 7}
+        path.write_text(json.dumps({**TORSION_DOC, "elliptic": [point],
+                                    "boundary": CLOSED_BOUNDARY}))
         assert run(capsys, command, "--domain", str(path))[0] == 0
+
+    @pytest.mark.parametrize("command", ["constants", "bounds"])
+    def test_single_ray_refused_at_load(self, capsys, tmp_path, command):
+        # a cusp at infinity has two sides; one ray gave a zero-width strip
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(ONE_RAY_DOC))
+        code, out, err = run(capsys, command, "--domain", str(path))
+        assert_input_error(code, out, err)
+        assert "has 1 unbounded rays" in err and "step" not in err
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "constants.json"

@@ -1,5 +1,6 @@
 """Tests for domain loading, validation, and derived geometric quantities."""
 
+import ast
 import copy
 import dataclasses
 import json
@@ -33,6 +34,33 @@ Y_STD = 16.0 / math.sqrt(15.0)
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "supnorm" / "data"
 PSL2Z_DOC = json.loads((DATA / "psl2z.json").read_text())
+
+#: A closed cocompact boundary between x = -1 and 1 and the circles |z| = sqrt(1.25)
+#: and sqrt(10), with an order-7 point at 2i.
+CLOSED_TORSION_DOC = {
+    "genus": 2,
+    "cusps": [],
+    "min_hyperbolic_trace": 3.0,
+    "elliptic": [{"x": 0.0, "y": 2.0, "order": 7}],
+    "boundary": [
+        {"type": "vertical", "x": -1.0, "y_min": 0.5, "y_max": 3.0},
+        {"type": "arc", "center": 0.0, "radius": math.sqrt(1.25), "x_min": -1.0, "x_max": 1.0},
+        {"type": "vertical", "x": 1.0, "y_min": 0.5, "y_max": 3.0},
+        {"type": "arc", "center": 0.0, "radius": math.sqrt(10.0), "x_min": -1.0, "x_max": 1.0},
+    ],
+}
+#: A closed boundary between x = 1 and 3 on circles about 0, whose arcs do not
+#: reach their tops: the highest point is the corner 1 + i sqrt(24).
+OFF_CENTER_DOC = {
+    "genus": 2,
+    "cusps": [],
+    "boundary": [
+        {"type": "vertical", "x": 1.0, "y_min": math.sqrt(12.0), "y_max": math.sqrt(24.0)},
+        {"type": "arc", "center": 0.0, "radius": math.sqrt(13.0), "x_min": 1.0, "x_max": 3.0},
+        {"type": "vertical", "x": 3.0, "y_min": 2.0, "y_max": 4.0},
+        {"type": "arc", "center": 0.0, "radius": 5.0, "x_min": 1.0, "x_max": 3.0},
+    ],
+}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -129,33 +157,37 @@ class TestLoading:
         with pytest.raises(LoadError, match="elliptic point 1 .* outside"):
             load_domain(doc)
 
-    def test_region_key_ignored(self, psl2z):
-        # an older file's region key, here at odds with the boundary, changes no constant
-        doc = {
-            **PSL2Z_DOC,
-            "region": [
-                {"type": "strip", "x_min": -0.6, "x_max": 0.6},
-                {"type": "outside_disk", "center": 0.0, "radius": 0.95},
-            ],
-        }
-        constants = compute_constants(load_domain(doc))
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("region", [{"type": "strip", "x_min": -0.6, "x_max": 0.6},
+                        {"type": "outside_disk", "center": 0.0, "radius": 0.95}]),
+            ("bounding_rect", {"x_min": -0.1, "x_max": 0.1, "y_min": 1.2}),
+        ],
+        ids=["region", "bounding_rect"],
+    )
+    def test_region_key_ignored(self, psl2z, key, value):
+        # an older file's shape key, here at odds with the boundary, changes no constant
+        constants = compute_constants(load_domain({**PSL2Z_DOC, key: value}))
         assert constants == compute_constants(psl2z)
         assert constants.B_Y == pytest.approx(5.194, abs=5e-4)
 
     @pytest.mark.parametrize(
-        "rect,match",
+        "doc,match",
         [
-            ({"x_min": 0.0, "x_max": 2.0, "y_min": None}, "y_min"),
-            ({"x_min": 0.0, "x_max": "2", "y_min": 1.0}, "x_max"),
-            ({"x_min": 0.0, "x_max": 2.0, "y_min": 1.0, "y_max": True}, "y_max"),
-            ({"x_min": 0.0, "y_min": 1.0}, "x_max"),
-            ([0.0, 2.0, 1.0, 1.5], "object"),
-            ("rect", "object"),
+            ({**PSL2Z_DOC, "boundary": PSL2Z_DOC["boundary"][:3]},
+             "segment 2: its end at 1j meets 0 "),
+            ({**PSL2Z_DOC, "boundary": PSL2Z_DOC["boundary"] + PSL2Z_DOC["boundary"][1:2]},
+             "meets 2 other ends"),
+            ({**CLOSED_TORSION_DOC, "boundary": PSL2Z_DOC["boundary"]}, "has 2 unbounded rays"),
+            ({"genus": 2, "boundary": [{"type": "arc", "center": 0.0, "radius": 1e200,
+                                        "x_min": -1.0, "x_max": 1.0}]}, "overflows"),
         ],
+        ids=["open_end", "three_ends_meet", "cocompact_rays", "overflowing_arc"],
     )
-    def test_bounding_rect_validated(self, rect, match):
+    def test_open_boundary_refused(self, doc, match):
         with pytest.raises(LoadError, match=match):
-            load_domain({"genus": 2, "cusps": [], "bounding_rect": rect})
+            load_domain(doc)
 
     @given(mutated_fixtures())
     @settings(max_examples=300, deadline=None)
@@ -274,22 +306,51 @@ class TestDiameter:
         assert diameter_upper_bound(psl2z, 2.0) == pytest.approx(expected, abs=1e-5)
         assert expected == pytest.approx(1.5771850970294625, abs=1e-10)
 
-    def test_flat_rectangle_reduces(self):
-        # with y_max = y_min the height term vanishes
-        d = load_domain(
-            {
-                "genus": 2,
-                "cusps": [],
-                "bounding_rect": {"x_min": 0.0, "x_max": 2.0, "y_min": 1.5, "y_max": 1.5},
-            }
-        )
-        expected = math.acosh(1.0 + 4.0 / (2.0 * 1.5**2))
-        assert diameter_upper_bound(d, math.inf) == pytest.approx(expected, rel=1e-14)
+    @pytest.mark.parametrize("Y", [1.0, 1.5, 2.0, Y_STD, 16.0])
+    def test_cusp_box_is_strip_times_heights(self, psl2z, Y):
+        # the boundary box of a cusp at infinity is the strip times [m_Y, Y], bit for bit
+        (x0, x1), (m_y, _) = psl2z.strip_bounds(), truncation_heights(psl2z, Y)
+        expected = math.acosh(1.0 + ((x1 - x0) ** 2 + (Y - m_y) ** 2) / (2.0 * m_y * m_y))
+        assert diameter_upper_bound(psl2z, Y) == expected
+
+    def test_closed_torsion_boundary(self):
+        # box [-1, 1] x [1/2, sqrt(10)]: the outer arc's top is the highest point
+        d = load_domain(CLOSED_TORSION_DOC)
+        expected = math.acosh(1.0 + (4.0 + (math.sqrt(10.0) - 0.5) ** 2) / (2.0 * 0.25))
+        assert diameter_upper_bound(d, math.inf) == pytest.approx(expected, rel=1e-12)
+        assert expected == pytest.approx(3.835774692814, abs=1e-11)
+        # 8 pi g / ell holds only without torsion, so the constants take this box
+        constants = compute_constants(d)
+        assert constants.diam_Y == diameter_upper_bound(d, math.inf)
+        assert constants.C_gamma is None
+
+    def test_arc_top_outside_its_range(self):
+        # box [1, 3] x [2, sqrt(24)]: neither arc reaches the top of its circle
+        d = load_domain(OFF_CENTER_DOC)
+        expected = math.acosh(1.0 + (4.0 + (math.sqrt(24.0) - 2.0) ** 2) / (2.0 * 4.0))
+        assert diameter_upper_bound(d, math.inf) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("doc", [CLOSED_TORSION_DOC, OFF_CENTER_DOC])
+    def test_bound_exceeds_boundary_distances(self, doc):
+        # distance from a point has no interior maximum, so the diameter is
+        # attained on the boundary, and no two boundary points may exceed the bound
+        d = load_domain(doc)
+        zs = []
+        for seg in d.boundary:
+            if seg.kind == "vertical":
+                zs += [complex(seg.foot, y) for y in np.linspace(seg.y_min, seg.y_max, 200)]
+            else:
+                xs = np.linspace(seg.x_min, seg.x_max, 200)
+                ys = np.sqrt(np.maximum(seg.radius**2 - (xs - seg.center) ** 2, 0.0))
+                zs += [complex(x, y) for x, y in zip(xs, ys)]
+        z = np.array(zs)
+        cosh = 1.0 + np.abs(z[:, None] - z[None, :]) ** 2 / (2.0 * np.outer(z.imag, z.imag))
+        assert np.arccosh(cosh.max()) <= diameter_upper_bound(d, math.inf)
 
     def test_cocompact_without_data(self):
         d = load_domain({"genus": 1, "cusps": [], "elliptic": [
             {"x": 0.0, "y": 1.0, "order": 2, "is_class_rep": True}]})
-        with pytest.raises(ValueError, match="bounding_rect"):
+        with pytest.raises(ValueError, match="has no boundary segments"):
             diameter_upper_bound(d, math.inf)
 
 
@@ -390,10 +451,37 @@ def test_elliptic_excess(psl2z):
     assert psl2z.elliptic_excess() == 5
 
 
+def _keys_read_by_load_domain() -> set[str]:
+    """String keys domain.py reads from a document: doc.get, doc[...] and _as_list(doc, ...)."""
+    tree = ast.parse((ROOT / "src" / "supnorm" / "domain.py").read_text(encoding="utf-8"))
+
+    def is_doc(node):
+        return isinstance(node, ast.Name) and node.id == "doc"
+
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_doc(node.value):
+            key = node.slice
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "get" and is_doc(func.value):
+                key = node.args[0]
+            elif isinstance(func, ast.Name) and func.id == "_as_list" and is_doc(node.args[0]):
+                key = node.args[1]
+            else:
+                continue
+        else:
+            continue
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            keys.add(key.value)
+    return keys
+
+
 def test_documented_keys_cover_the_shipped_data():
-    """Every top-level key of the packaged domain files is one README's domain bullets list."""
+    """README's domain bullets are the keys load_domain reads, and cover the packaged files."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Domain description files", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^- `(\w+)`", section, flags=re.MULTILINE))
+    assert documented == _keys_read_by_load_domain()
     for path in sorted(DATA.glob("*.json")):
         assert set(json.loads(path.read_text())) <= documented, path.name

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supnorm.domain import load_domain
+from supnorm.domain import EllipticPoint, FundamentalDomain, load_domain
 from supnorm.engine import (
     _volume_systole_diameter,
     BoundReport,
@@ -31,6 +31,7 @@ from supnorm.engine import (
     sup_lower_bound,
     spectral_gap_bound,
 )
+from supnorm.geometry import GeodesicSegment
 
 E54 = math.exp(1.25)
 
@@ -65,13 +66,12 @@ class TestMuGamma:
 
     def test_point_on_every_segment(self):
         # one boundary ray carrying the only elliptic point: no admissible pair
-        d = load_domain(
-            {
-                "genus": 1,
-                "cusps": [],
-                "elliptic": [{"x": 0.0, "y": 2.0, "order": 2, "is_class_rep": True}],
-                "boundary": [{"type": "vertical", "x": 0.0, "y_min": 1.0}],
-            }
+        # (built directly, as load_domain refuses a boundary that does not close up)
+        d = FundamentalDomain(
+            genus=1,
+            boundary=(GeodesicSegment.vertical(0.0, 1.0),),
+            cusps=(),
+            elliptic=(EllipticPoint(location=2j, order=2, is_class_rep=True),),
         )
         assert mu_gamma(d) == math.inf
 
