@@ -2,7 +2,9 @@
 
 Each supported weight w has a one-dimensional space, generated by the
 discriminant form (weight 12) times the Eisenstein series of weight w - 12
-(none for w = 12).  Coefficients are exact integers.  A Petersson norm is an
+(none for w = 12).  Coefficients are exact integers, 128 stored; Horner reads
+the N of them whose dropped rest is at most 2^-70 (12 to 16 on the standard
+domain) and all of them near a zero of f.  A Petersson norm is an
 incomplete-gamma sum over the strip above y = 1, finite because the weight is
 an integer, plus one fixed Gauss-Legendre rule on the sliver below it,
 cross-checked at doubled order; the kernel panels use the same cached rule.
@@ -114,12 +116,46 @@ def cusp_form_coefficients(weight: int, n: int) -> tuple[int, ...]:
 # Evaluation
 
 
-def _horner_over_q(coeffs, q):
-    """sum a_n q^(n-1) at every point of the array q: the form's value divided by q."""
+def _horner(coeffs, q):
+    """sum a_n q^(n-1) over every given coefficient, in place."""
     val = np.zeros_like(q)
     for a in reversed(coeffs):
         val *= q
         val += float(a)
+    return val
+
+
+def _cut(coeffs, r: float) -> tuple[int, float]:
+    """Least N with stored terms sum_{N<n} |a_n| r^(n-1) <= 2^-70, and that sum."""
+    if not r < 1.0:
+        return len(coeffs), 0.0
+    dropped = 0.0
+    for n in range(len(coeffs), 0, -1):
+        wider = dropped + abs(float(coeffs[n - 1])) * r ** (n - 1)
+        if not wider <= 2.0**-70:
+            return n, dropped
+        dropped = wider
+    return 0, dropped
+
+
+def _horner_over_q(coeffs, q):
+    """sum a_n q^(n-1) at every point of the array q: the form's value divided by q.
+
+    Only the first N terms, N from _cut at the call's largest |q|; a point
+    where the dropped sum exceeds 2^-60 |f_N/q| is redone over all of them.
+    A cut at 2^-60 or 2^-64 flipped last bits, as a small real or imaginary
+    part has a finer ulp than |f/q|; at 2^-70 the library grids match the
+    full sum bit for bit.
+    """
+    q = np.asarray(q)
+    n, dropped = _cut(coeffs, float(np.max(np.abs(q), initial=0.0)))
+    val = _horner(coeffs[:n], q)
+    redo = ~(dropped <= 2.0**-60 * np.abs(val))
+    if np.count_nonzero(redo) == 1:
+        # numpy rounds a lone complex product apart from its vector loop
+        redo = np.ones(q.shape, dtype=bool)
+    if np.any(redo):
+        val[redo] = _horner(coeffs, q[redo])
     return val
 
 
@@ -264,7 +300,8 @@ def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
     """S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> over an array of points.
 
     Raises unless the stored coefficients pin every value to 1e-10
-    relative.  At each point, with T the tail bound at its own height and
+    relative.  At each point, with T the tail bound at its own height plus
+    the stored terms Horner dropped (_cut's sum, at most 2^-70) and
     t = T / |f(z)|, the true |f|^2 lies within t (2 + t) |f(z)|^2 of the
     computed one.  T and |f(z)| are both taken divided by |q| = e^{-2 pi y},
     so neither underflows high in the cusp; a zero of f fails the check.
@@ -272,8 +309,9 @@ def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
     y = points.imag
     q = np.exp(2j * math.pi * points)
     f_over_q = _horner_over_q(basis.coefficients, q)
+    _, dropped = _cut(basis.coefficients, float(np.max(np.abs(q), initial=0.0)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = _tail_over_q(basis.coefficients, basis.weight, y) / np.abs(f_over_q)
+        t = (_tail_over_q(basis.coefficients, basis.weight, y) + dropped) / np.abs(f_over_q)
         uncertified = ~(t * (2.0 + t) <= 1e-10)
     if np.any(uncertified):
         raise ValueError(

@@ -155,8 +155,9 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_horner_in_place_matches_allocating_form(self, psl2z_constants, weight):
-        # the in-place loop does the same IEEE operations in the same order,
-        # so its values equal the allocating form bit for bit
+        # the truncated in-place loop equals the 128-term allocating form bit
+        # for bit on every library grid: the verify grid, both sliver rules and
+        # the mass rule, plus a 0-d and a 1-D input
         def allocating(coeffs, q):
             val = np.zeros_like(q)
             for a in reversed(coeffs):
@@ -169,9 +170,44 @@ class TestEvaluation:
             xs, _ = forms._gauss_nodes(-0.5, 0.5, nx)
             ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
             zs.append(xs[:, None] + 1j * ys)
+        xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._MASS_ORDER)
+        ss, _ = forms._gauss_nodes(0.0, 1.0, forms._MASS_ORDER)
+        h = np.sqrt(1.0 - xs * xs)
+        zs.append(xs[:, None] + 1j * h[:, None] / ss)
+        zs.append(np.asarray(0.2 + 1.1j))
+        zs.append(np.array([-0.45 + 0.9j, 0.05 + 1.2j, 0.31 + 2.4j, 0.5 + 0.87j]))
         for z in zs:
             q = np.exp(2j * math.pi * z)
             assert np.array_equal(forms._horner_over_q(coeffs, q), allocating(coeffs, q))
+
+    @pytest.mark.parametrize("weight, zero", [(16, complex(-0.5, math.sqrt(3.0) / 2.0)),
+                                              (18, 1j)])
+    @pytest.mark.parametrize("offset", [1e-12j, 1e-9, 1e-7j, -1e-7])
+    def test_points_near_a_zero_take_all_terms(self, monkeypatch, weight, zero, offset):
+        # E_4 vanishes at rho and E_6 at i, so |f/q| is tiny there; those
+        # points are evaluated again over all 128 terms, alone (0-d and 1-D),
+        # as the one such point among others, and as two of them, and equal
+        # the untruncated in-place loop bit for bit
+        coeffs = cusp_form_coefficients(weight, 128)
+        near = zero + offset
+        cases = [np.asarray(near), np.array([near]), np.array([near, 0.1 + 1.3j, 0.3 + 0.97j]),
+                 np.array([[near, 0.1 + 1.3j, 0.3 + 0.97j], [zero - offset, 0.2 + 1.1j, 2j]])]
+        lengths = []
+        inner = forms._horner
+
+        def counting(c, q):
+            lengths.append(len(c))
+            return inner(c, q)
+
+        for z in cases:
+            q = np.exp(2j * math.pi * z)
+            oracle = inner(coeffs, q)
+            monkeypatch.setattr(forms, "_horner", counting)
+            lengths.clear()
+            got = forms._horner_over_q(coeffs, q)
+            monkeypatch.undo()
+            assert lengths[0] < 20 and lengths[1:] == [128]
+            assert np.array_equal(got, oracle)
 
     def test_tail_shrinks_with_height(self):
         coeffs = delta_coefficients(64)
@@ -300,6 +336,49 @@ class TestAveragedQuantity:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="coefficients"):
                 s2k_on_grid(basis12, np.array([z]))
+
+    def test_dropped_terms_enter_the_certificate(self, basis12, psl2z_constants, monkeypatch):
+        # Horner cut at N = 4 with no fallback gets values wrong by about 1e-6;
+        # Deligne's tail past the stored terms alone would certify them, so
+        # only the dropped stored terms in t make s2k_on_grid refuse
+        cut = 4
+        coeffs = basis12.coefficients
+        points = standard_grid(20, Y=psl2z_constants.Y, k=6).points
+        q = np.exp(2j * math.pi * points)
+        short = forms._horner(coeffs[:cut], q)
+        full = forms._horner_over_q(coeffs, q)
+        assert np.max(np.abs(short - full) / np.abs(full)) > 1e-7
+        tail = forms._tail_over_q(coeffs, 12, points.imag) / np.abs(short)
+        assert np.all(tail * (2.0 + tail) <= 1e-10)
+
+        def short_cut(c, r):
+            return cut, sum(abs(float(a)) * r ** (n - 1)
+                            for n, a in enumerate(c, start=1) if n > cut)
+
+        monkeypatch.setattr(forms, "_cut", short_cut)
+        monkeypatch.setattr(forms, "_horner_over_q", lambda c, q: forms._horner(c[:cut], q))
+        with pytest.raises(ValueError, match="128 terms cannot certify"):
+            s2k_on_grid(basis12, points)
+
+    def test_verify_battery_reads_few_terms(self, monkeypatch):
+        # every Horner pass of the six-weight verify battery, grids, sliver and
+        # mass rules, reads at most 20 terms, apart from the handful of points
+        # near a zero that take all 128; a count, so no timing is needed
+        from supnorm.verify import verify_all
+
+        calls = []
+        inner = forms._horner
+
+        def counting(c, q):
+            calls.append((len(c), np.size(q)))
+            return inner(c, q)
+
+        monkeypatch.setattr(forms, "_horner", counting)
+        assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
+        cut = [size for terms, size in calls if terms < 128]
+        assert len(cut) == 24
+        assert max(terms for terms, _ in calls if terms < 128) <= 20
+        assert sum(size for terms, size in calls if terms == 128) <= 0.001 * sum(cut)
 
     def test_mass_identity(self, basis12):
         assert mass_integral(basis12) == pytest.approx(1.0, abs=1e-4)
