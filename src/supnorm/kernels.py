@@ -12,8 +12,13 @@ integrand call per panel, on the 72 nodes of both rules, covers the two.
 Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
 faster, and the two must cancel before exponentiation; _log_chebyshev is
-that factor, for the integrands and the Chebyshev check alike.  The two
-radial log weights are the difference kernel's and the heat kernel's; the
+that factor, for the integrands and the Chebyshev check alike.  The
+difference kernel passes its log weight to _radial_integral.  The heat
+kernel assembles the same integrand from factors that do not depend on
+time (r^2, log r, the Chebyshev factor, the square-root gap, 2u), kept per
+u-panel in a dict keyed by the panel's nodes: heat_kernel starts a fresh
+dict on every call, and resolvent_via_heat shares one across its time
+panels, so it computes each distinct u-panel's factors once.  The
 integrated exponential of the sup-norm argument is the k = 0 difference
 kernel, summed as series.  Gamma prefactors use math.lgamma.  The Stirling
 check tests engine's gamma_ratio_bound, the one the bound tables use.
@@ -143,10 +148,10 @@ def _integrate_panels(f, width: float):
         fx = f(mid + half * nodes)
         val = fx[..., :_PANEL_ORDER] @ (half * w_full)
         total = total + val
-        if not np.all(np.isfinite(total)):
+        if not np.isfinite(total).all():
             raise AccuracyError("panel integral is not finite")
         err = err + np.abs(val - fx[..., _PANEL_ORDER:] @ (half * w_half))
-        if np.all(np.abs(val) < _PANEL_TINY * np.maximum(np.abs(total), 1e-300)):
+        if (np.abs(val) < _PANEL_TINY * np.maximum(np.abs(total), 1e-300)).all():
             quiet += 1
             if quiet >= _PANEL_QUIET:
                 return total, err
@@ -251,20 +256,48 @@ def heat_kernel(k: int, t, rho: float):
 
     sqrt(2) e^{-t/4} (4 pi t)^{-3/2} times the radial integral of
     r e^{-r^2/(4t)} / sqrt(cosh r - cosh rho) weighted by the Chebyshev factor.
-    An array of times shares the radial nodes.  Raises AccuracyError when a
-    value is not finite or its error estimate exceeds 1e-8 relative.
+    An array of times shares the radial nodes, and each call computes the
+    time-independent factors of its u-panels afresh.  Raises AccuracyError
+    when a value is not finite or its error estimate exceeds 1e-8 relative.
     """
+    return _heat_kernel(k, t, rho, {})
+
+
+def _heat_kernel(k: int, t, rho: float, factors: dict):
+    """heat_kernel, with the time-independent factors of each u-panel kept in
+    factors: the caller's dict, keyed by the panel's node values, so equal
+    nodes give equal factors and a caller evaluating many times at one
+    (k, rho) computes each panel's factors once."""
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
         raise ValueError(f"heat kernel needs t > 0, got {t}")
     if rho < 0.0:
         raise ValueError(f"heat kernel needs rho >= 0, got {rho}")
-    tt = t[..., None]
+    four_t = 4.0 * t[..., None]
+
+    def integrand(u):
+        key = u.tobytes()
+        if key not in factors:
+            r = rho + u * u
+            factors[key] = (r * r, np.log(r), _log_chebyshev(k, r, rho),
+                            _log_sqrt_gap(rho, u), 2.0 * u)
+        r2, log_r, log_cheb, gap, two_u = factors[key]
+        # 2u exp(log r - r^2/(4t) + log_cheb - gap) in place, operation by
+        # operation in the expression's order, so every bit is the expression's
+        x = r2 / four_t
+        np.subtract(log_r, x, out=x)
+        x += log_cheb
+        x -= gap
+        with np.errstate(over="ignore"):
+            np.exp(x, out=x)
+            x *= two_u
+        return x
+
     # e^{-r^2/(4t)} falls off within min(2t/rho, 2 sqrt t) of r = rho, that is
     # within the square root of it in u; eight such lengths fill a panel.
     t_min = float(np.min(t))
     width = min(1.0, 8.0 * math.sqrt(2.0 * min(t_min / max(rho, 1e-300), math.sqrt(t_min))))
-    raw, err = _radial_integral(k, rho, lambda r: np.log(r) - r * r / (4.0 * tt), width)
+    raw, err = _integrate_panels(integrand, width)
     raw, err = raw.reshape(t.shape), err.reshape(t.shape)
     value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
@@ -278,18 +311,23 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
 
     Integrates e^{-(s-1/2)^2 t} e^{t/4} K_k(t; rho) over t > 0 with
     sigma = cosh^2(rho/2); requires s > k for convergence.  Each time panel
-    makes one heat-kernel call, on the 72 times of both panel rules; its
-    u-panels are sized by the smallest time, a 48-node one.  Raises
-    AccuracyError when the error estimate exceeds 1e-7 relative.
+    makes one heat-kernel evaluation, on the 72 times of both panel rules;
+    its u-panels are sized by the smallest time, a 48-node one.  The
+    time-independent factors of a u-panel (r, the Chebyshev factor, the
+    square-root gap) are computed once per transform and shared by every
+    time panel whose u-nodes are the same, which from the second time panel
+    on is all of them.  Raises AccuracyError when the error estimate exceeds
+    1e-7 relative.
     """
     if sigma <= 1.0:
         raise ValueError(f"transform needs sigma > 1, got {sigma}")
     if not s > k:
         raise ValueError(f"transform converges only for s > k, got s={s}, k={k}")
     rho = 2.0 * math.acosh(math.sqrt(sigma))
+    factors: dict = {}
 
     def integrand(t):
-        return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho)
+        return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * _heat_kernel(k, t, rho, factors)
 
     # Decay rate of the tail: (s-1/2)^2 - (k-1/2)^2 > 0.
     rate = (s - 0.5) ** 2 - (k - 0.5) ** 2

@@ -392,14 +392,14 @@ class TestMergedPanelRule:
                 depth -= 1
 
         heat_sizes = []
-        heat = kernels.heat_kernel
+        heat = kernels._heat_kernel
 
-        def counting_heat(k, t, rho):
+        def counting_heat(k, t, rho, factors):
             heat_sizes.append(np.size(t))
-            return heat(k, t, rho)
+            return heat(k, t, rho, factors)
 
         monkeypatch.setattr(kernels, "_integrate_panels", counting)
-        monkeypatch.setattr(kernels, "heat_kernel", counting_heat)
+        monkeypatch.setattr(kernels, "_heat_kernel", counting_heat)
         resolvent_via_heat(1, 2.0, 2.0)
 
         for _, width, calls in integrations:
@@ -410,6 +410,105 @@ class TestMergedPanelRule:
         (time_panels,) = [calls for d, _, calls in integrations if d == 0]
         assert len(heat_sizes) == len(time_panels)
         assert heat_sizes == [72] * len(time_panels)
+
+
+def _transform_through_public_heat(k, s, sigma):
+    """resolvent_via_heat's time integral with one public heat_kernel call per
+    time panel, nothing shared between panels; returns (value, err)."""
+    rho = 2.0 * math.acosh(math.sqrt(sigma))
+    rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
+    width = max(0.25, min(2.0, 3.0 / rate))
+    return _MERGED_PANELS(
+        lambda t: np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho), width
+    )
+
+
+class TestSharedRadialFactors:
+    # the transform computes each u-panel's time-independent factors once
+
+    @pytest.mark.parametrize(
+        "k,s,sigma", [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0)]
+    )
+    def test_transform_matches_public_heat_loop(self, monkeypatch, k, s, sigma):
+        ref_value, ref_err = _transform_through_public_heat(k, s, sigma)
+        value, (raw, err) = _run_with_panels(monkeypatch, _MERGED_PANELS,
+                                             resolvent_via_heat, k, s, sigma)
+        assert value == float(ref_value)
+        assert raw == ref_value
+        assert err == ref_err
+
+    def _count_factor_calls(self, monkeypatch, k, s, sigma):
+        """(Chebyshev-factor r arrays, gap u arrays, u-panel node arrays) of one transform."""
+        cheb, gaps, u_panels = [], [], []
+        depth = 0
+        chebyshev, gap = kernels._log_chebyshev, kernels._log_sqrt_gap
+
+        def counting_chebyshev(k, r, rho):
+            cheb.append(r.tobytes())
+            return chebyshev(k, r, rho)
+
+        def counting_gap(rho, u):
+            gaps.append(u.tobytes())
+            return gap(rho, u)
+
+        def counting_panels(f, width):
+            nonlocal depth
+            inner = depth > 0
+
+            def counted(x):
+                if inner:
+                    u_panels.append(x.tobytes())
+                return f(x)
+
+            depth += 1
+            try:
+                return _MERGED_PANELS(counted, width)
+            finally:
+                depth -= 1
+
+        monkeypatch.setattr(kernels, "_log_chebyshev", counting_chebyshev)
+        monkeypatch.setattr(kernels, "_log_sqrt_gap", counting_gap)
+        monkeypatch.setattr(kernels, "_integrate_panels", counting_panels)
+        resolvent_via_heat(k, s, sigma)
+        monkeypatch.undo()
+        return cheb, gaps, u_panels
+
+    @pytest.mark.parametrize("k,s,sigma", [(1, 2.0, 2.0), (2, 3.0, 2.5)])
+    def test_factors_once_per_distinct_panel(self, monkeypatch, k, s, sigma):
+        cheb, gaps, u_panels = self._count_factor_calls(monkeypatch, k, s, sigma)
+        # each distinct u-panel gets its factors exactly once, in first-use order
+        assert gaps == list(dict.fromkeys(u_panels))
+        assert len(cheb) == len(set(cheb)) == len(gaps)
+        # and most u-panel evaluations reuse them
+        assert 5 * len(gaps) < len(u_panels)
+        # a second identical transform starts from nothing
+        assert self._count_factor_calls(monkeypatch, k, s, sigma) == (cheb, gaps, u_panels)
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, np.array([0.7]), np.array([0.05, 0.3, 1.0, 4.0])],
+                             ids=["scalar-0.3", "scalar-2", "one-time", "array"])
+    def test_tensor_matches_expression(self, monkeypatch, t):
+        k, rho = 2, 0.7
+        integrands = []
+
+        def capturing(f, width):
+            integrands.append(f)
+            return _MERGED_PANELS(f, width)
+
+        monkeypatch.setattr(kernels, "_integrate_panels", capturing)
+        heat_kernel(k, t, rho)
+        (f,) = integrands
+        tt = np.asarray(t, dtype=float)[..., None]
+        for lo, hi in [(0.0, 0.25), (0.0, 1.0), (3.0, 4.0), (9.0, 10.0)]:
+            # the 72 nodes of one panel, as the panel loop passes them
+            x = np.concatenate((_gauss_nodes(lo, hi, 48)[0], _gauss_nodes(lo, hi, 24)[0]))
+            r = rho + x * x
+            log_cheb = _log_chebyshev(k, r, rho)
+            gap = kernels._log_sqrt_gap(rho, x)
+            expected = 2.0 * x * np.exp(np.log(r) - r * r / (4.0 * tt) + log_cheb - gap)
+            for _ in range(2):  # computing the factors, then reusing them
+                got = f(x.copy())
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
 
 
 class TestParabolicBound:
