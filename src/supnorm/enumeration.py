@@ -8,12 +8,13 @@ then d run over finite ranges.  Row c = 0 is the translation coset of the
 identity, and sigma(z, z + n) = 1 + n^2 / (4 y^2) gives its range of n in
 closed form.  For c >= 1 each coprime (c, d) is one coset T^n gamma_0 of the
 translations T, and sigma(z, gamma_0 z + n) <= R confines n to an interval
-around Re(z - gamma_0 z).  These rows go in blocks of whole rows with a fixed
-cap on their (c, d) candidates, and each block is one array pass:
-coprimality and d^-1 mod c by an extended Euclid on arrays, coset bases,
-shift intervals, flattened elements and their exact displacements.  A raw
-entry-bounded search stays in the test suite as the oracle for this
-enumeration.
+around Re(z - gamma_0 z).  Coprimality and d^-1 mod c come from one
+extended Euclid on arrays per run of whole rows, with a fixed cap on the
+residues d mod c it inverts.  The run's rows then go in blocks of whole rows
+with a fixed cap on their (c, d) candidates, and each block is one array
+pass over its slice of the inverse table: coset bases, shift intervals,
+flattened elements and their exact displacements.  A raw entry-bounded
+search stays in the test suite as the oracle for this enumeration.
 """
 
 from __future__ import annotations
@@ -77,10 +78,18 @@ class IntegerMoebius:
         return (self.a, self.b, self.c, self.d)
 
 
-#: Most (c, d) candidates one array pass takes; it bounds the memory of a
-#: pass.  A row has at most about 4 sqrt(R) candidates, and a row longer than
-#: the cap (R above about 2.6e5) is a pass of its own.
+#: Most (c, d) candidates one array pass takes; with the inverses computed
+#: before the pass, it bounds the pass's candidate, coset and element
+#: arrays.  A row has at most about 4 sqrt(R) candidates, and a row longer
+#: than the cap (R above about 2.6e5) is a pass of its own.
 _BLOCK = 2048
+
+#: Most residues d mod c one extended Euclid inverts; it bounds the memory
+#: of the Euclid and of the inverse table its blocks read.  At R = 1e4 the
+#: rows of a point at height 0.87 to 2.9 hold about 2,300 to 24,200
+#: residues, so one to three runs; a row with more residues than the cap is
+#: a run of its own.
+_EUCLID = 8192
 
 
 def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
@@ -137,29 +146,32 @@ def _inverse_mod(d, c):
     return np.where(done, t0, t1) % c, np.where(done, r0, r1)
 
 
-def _block(z: complex, pad: float, R: float, c, first, sizes):
+def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, gcd):
     """(a, b, c, d, sigmas) of the ball in rows c, with candidates d in first + [0, sizes).
 
-    The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
-    their images w = gamma_0 z.  The padded necessary condition, its
-    discriminant clipped at zero, leaves the shifts n of T^n gamma_0 in
-    [lo, hi], and one displacement batch is cut exactly at R.  The elements
-    come in ascending c, then d, then shift.
+    inverse and gcd are _inverse_mod of the rows' residues, row after row:
+    min(size, c) of them from each row's first candidate on.  The coprime
+    (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c).  The padded
+    necessary condition, its discriminant clipped at zero, leaves the
+    shifts n of T^n gamma_0 in [lo, hi], and one displacement batch is cut
+    exactly at R.  The elements come in ascending c, then d, then shift.
     """
-    # d mod c has period c, so each row inverts at most c of its d
     span = np.minimum(sizes, c)
-    unique, d = _runs(first, span)
-    inverse, gcd = _inverse_mod(d, c[unique])
     row, d = _runs(first, sizes)
     pick = (np.cumsum(span) - span)[row] + (d - first[row]) % c[row]
     coprime = gcd[pick] == 1
     a0, c, d = inverse[pick][coprime], c[row][coprime], d[coprime]
     b0 = (a0 * d - 1) // c
-    w = (a0 * z + b0) / (c * z + d)
+    # shift = Re(z - gamma_0 z) and v = Im(gamma_0 z), from
+    # gamma_0 z = a0 / c - 1 / (c (c z + d)) and |c z + d|^2 = norm
     x, y = z.real, z.imag
-    spread = np.sqrt(np.maximum(4.0 * pad * y * w.imag - (y + w.imag) ** 2, 0.0))
-    lo = np.ceil(x - w.real - spread).astype(np.int64)
-    counts = np.maximum(np.floor(x - w.real + spread).astype(np.int64) - lo + 1, 0)
+    t = c * x + d
+    norm = t * t + (c * y) ** 2
+    shift = x - a0 / c + t / (c * norm)
+    v = y / norm
+    spread = np.sqrt(np.maximum(4.0 * pad * y * v - (y + v) ** 2, 0.0))
+    lo = np.ceil(shift - spread).astype(np.int64)
+    counts = np.maximum(np.floor(shift + spread).astype(np.int64) - lo + 1, 0)
     coset, n = _runs(lo, counts)
     c, d = c[coset], d[coset]
     a = a0[coset] + n * c
@@ -167,14 +179,30 @@ def _block(z: complex, pad: float, R: float, c, first, sizes):
     del coset, n  # the pass's peak memory is in the displacement batch
     sigmas = _sigma_batch(a, b, c, d, z)
     keep = sigmas <= R
+    if keep.all():
+        return a, b, c, d, sigmas
     return a[keep], b[keep], c[keep], d[keep], sigmas[keep]
+
+
+def _chunks(sizes, cap: int):
+    """(start, stop) of consecutive runs of sizes summing to at most cap, or of one size."""
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(sizes):
+        stop = max(int(np.searchsorted(ends, ends[start] - sizes[start] + cap, "right")),
+                   start + 1)
+        yield start, stop
+        start = stop
 
 
 def _blocks(z: complex, R: float):
     """Yield the _block of each run of whole rows c >= 1 with at most _BLOCK candidates.
 
     The candidates d of row c come from sigma >= |c z + d|^2 / 4 + 1/2,
-    padded; a row longer than _BLOCK is a block of its own.
+    padded.  d mod c has period c, so row c has min(size, c) residues to
+    invert; runs of whole rows with at most _EUCLID residues share one
+    _inverse_mod, and their blocks take slices of its table.  A row longer
+    than either cap is a run or a block of its own.
     """
     z = require_point(z)
     y = z.imag
@@ -183,13 +211,17 @@ def _blocks(z: complex, R: float):
     spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - (rows * y) ** 2, 0.0))
     first = np.ceil(-rows * z.real - spread).astype(np.int64)
     sizes = np.maximum(np.floor(-rows * z.real + spread).astype(np.int64) - first + 1, 0)
-    ends = np.cumsum(sizes)
-    start = 0
-    while start < len(rows):
-        stop = max(int(np.searchsorted(ends, ends[start] - sizes[start] + _BLOCK, "right")),
-                   start + 1)
-        yield _block(z, pad, R, rows[start:stop], first[start:stop], sizes[start:stop])
-        start = stop
+    span = np.minimum(sizes, rows)
+    for run_start, run_stop in _chunks(span, _EUCLID):
+        run = slice(run_start, run_stop)
+        unique, d = _runs(first[run], span[run])
+        inverse, gcd = _inverse_mod(d, rows[run][unique])
+        offsets = np.concatenate(([0], np.cumsum(span[run])))
+        for start, stop in _chunks(sizes[run], _BLOCK):
+            block = slice(run_start + start, run_start + stop)
+            table = slice(offsets[start], offsets[stop])
+            yield _block(z, pad, R, rows[block], first[block], sizes[block],
+                         inverse[table], gcd[table])
 
 
 def _scan(z: complex, R: float):

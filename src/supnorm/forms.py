@@ -138,14 +138,14 @@ def _cut(coeffs, r: float) -> tuple[int, float]:
     return 0, dropped
 
 
-def _horner_over_q(coeffs, q):
-    """sum a_n q^(n-1) at every point of the array q: the form's value divided by q.
+def _horner_and_rest(coeffs, q):
+    """(_horner_over_q(coeffs, q), the sum of the stored terms it dropped).
 
     Only the first N terms, N from _cut at the call's largest |q|; a point
     where the dropped sum exceeds 2^-60 |f_N/q| is redone over all of them.
     A cut at 2^-60 or 2^-64 flipped last bits, as a small real or imaginary
     part has a finer ulp than |f/q|; at 2^-70 the library grids match the
-    full sum bit for bit.
+    full sum bit for bit.  The dropped sum is _cut's, at most 2^-70.
     """
     q = np.asarray(q)
     n, dropped = _cut(coeffs, float(np.max(np.abs(q), initial=0.0)))
@@ -156,7 +156,15 @@ def _horner_over_q(coeffs, q):
         redo = np.ones(q.shape, dtype=bool)
     if np.any(redo):
         val[redo] = _horner(coeffs, q[redo])
-    return val
+    return val, dropped
+
+
+def _horner_over_q(coeffs, q):
+    """sum a_n q^(n-1) at every point of the array q: the form's value divided by q.
+
+    Horner reads the leading terms only, as _horner_and_rest says.
+    """
+    return _horner_and_rest(coeffs, q)[0]
 
 
 def evaluate_form(coeffs, z):
@@ -301,15 +309,14 @@ def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
 
     Raises unless the stored coefficients pin every value to 1e-10
     relative.  At each point, with T the tail bound at its own height plus
-    the stored terms Horner dropped (_cut's sum, at most 2^-70) and
+    the stored terms Horner dropped (at most 2^-70) and
     t = T / |f(z)|, the true |f|^2 lies within t (2 + t) |f(z)|^2 of the
     computed one.  T and |f(z)| are both taken divided by |q| = e^{-2 pi y},
     so neither underflows high in the cusp; a zero of f fails the check.
     """
     y = points.imag
     q = np.exp(2j * math.pi * points)
-    f_over_q = _horner_over_q(basis.coefficients, q)
-    _, dropped = _cut(basis.coefficients, float(np.max(np.abs(q), initial=0.0)))
+    f_over_q, dropped = _horner_and_rest(basis.coefficients, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (_tail_over_q(basis.coefficients, basis.weight, y) + dropped) / np.abs(f_over_q)
         uncertified = ~(t * (2.0 + t) <= 1e-10)

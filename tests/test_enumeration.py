@@ -229,6 +229,51 @@ class TestBlocksAgainstRowScan:
         assert len(displacement_values(1j, 0.99)) == 0
 
 
+#: _inverse_mod calls of one displacement_values(z, 1e4) at each ORACLE_POINTS
+#: entry: one per run of rows with at most _EUCLID residues (at z = i the
+#: block passes made 33, one each).
+EUCLID_RUNS_AT_1E4 = (2, 2, 1, 1, 3, 3, 3)
+
+
+def counted_inverses(monkeypatch, z, R):
+    """(length, distinct moduli) of each _inverse_mod call, and displacement_values(z, R)."""
+    calls = []
+    inverse_mod = enumeration._inverse_mod
+
+    def counting(d, c):
+        calls.append((len(d), len(np.unique(c))))
+        return inverse_mod(d, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(enumeration, "_inverse_mod", counting)
+        values = displacement_values(z, R)
+    return calls, values
+
+
+class TestEuclidRuns:
+    @pytest.mark.parametrize("z,runs", zip(ORACLE_POINTS, EUCLID_RUNS_AT_1E4))
+    def test_inverse_mod_calls_at_1e4(self, monkeypatch, z, runs):
+        calls, _ = counted_inverses(monkeypatch, z, 1e4)
+        assert len(calls) == runs
+        assert all(size <= enumeration._EUCLID for size, _ in calls)
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    @pytest.mark.parametrize("cap", [1, 300])
+    def test_small_cap_matches_row_scan(self, block_cap, monkeypatch, z, cap):
+        # a cap of 1 gives every row its own Euclid; at 300 a run is either
+        # under the cap or one longer row
+        monkeypatch.setattr(enumeration, "_EUCLID", cap)
+        for R in (30.0, 1e4):
+            calls, values = counted_inverses(monkeypatch, z, R)
+            want, sigmas = row_scan_arrays(z, R)
+            assert np.array_equal(values, sigmas)
+            got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
+                                   for block in enumeration._scan(z, R)]) for i in range(4)]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert all(size <= cap or rows == 1 for size, rows in calls)
+        assert len(calls) > max(EUCLID_RUNS_AT_1E4)
+
+
 @st.composite
 def moduli_and_entries(draw):
     """(c, d) with c >= 1; c = 1, d = 0 (mod c) and negative d drawn often."""

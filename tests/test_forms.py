@@ -331,7 +331,7 @@ class TestAveragedQuantity:
     @pytest.mark.parametrize("z", [0.3 + 0.9j, 0.1 + 5.0j])
     def test_vanishing_form_rejected(self, basis12, monkeypatch, z):
         # a zero of f certifies nothing, low in the domain or high in the cusp
-        monkeypatch.setattr(forms, "_horner_over_q", lambda coeffs, q: np.zeros_like(q))
+        monkeypatch.setattr(forms, "_horner_and_rest", lambda coeffs, q: (np.zeros_like(q), 0.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="coefficients"):
@@ -351,14 +351,34 @@ class TestAveragedQuantity:
         tail = forms._tail_over_q(coeffs, 12, points.imag) / np.abs(short)
         assert np.all(tail * (2.0 + tail) <= 1e-10)
 
-        def short_cut(c, r):
-            return cut, sum(abs(float(a)) * r ** (n - 1)
-                            for n, a in enumerate(c, start=1) if n > cut)
+        def short_horner(c, q):
+            r = float(np.max(np.abs(q)))
+            return forms._horner(c[:cut], q), sum(abs(float(a)) * r ** (n - 1)
+                                                   for n, a in enumerate(c, start=1) if n > cut)
 
-        monkeypatch.setattr(forms, "_cut", short_cut)
-        monkeypatch.setattr(forms, "_horner_over_q", lambda c, q: forms._horner(c[:cut], q))
+        monkeypatch.setattr(forms, "_horner_and_rest", short_horner)
         with pytest.raises(ValueError, match="128 terms cannot certify"):
             s2k_on_grid(basis12, points)
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_one_cut_per_call(self, psl2z_constants, monkeypatch, weight):
+        # the certificate reuses the dropped rest of the Horner call, and the
+        # values are the ones computed from _horner_over_q, bit for bit
+        basis = build_basis(weight)
+        points = standard_grid(100, Y=psl2z_constants.Y, k=weight // 2).points
+        q = np.exp(2j * math.pi * points)
+        want = (np.abs(forms._horner_over_q(basis.coefficients, q) * q) ** 2
+                * points.imag**weight / basis.petersson_norm)
+        cuts = []
+        cut = forms._cut
+
+        def counting(c, r):
+            cuts.append(r)
+            return cut(c, r)
+
+        monkeypatch.setattr(forms, "_cut", counting)
+        assert s2k_on_grid(basis, points).tobytes() == want.tobytes()
+        assert len(cuts) == 1
 
     def test_verify_battery_reads_few_terms(self, monkeypatch):
         # every Horner pass of the six-weight verify battery, grids, sliver and
