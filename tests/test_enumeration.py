@@ -230,8 +230,7 @@ class TestBlocksAgainstRowScan:
 
 
 #: _inverse_mod calls of one displacement_values(z, 1e4) at each ORACLE_POINTS
-#: entry: one per run of rows with at most _EUCLID residues (at z = i the
-#: block passes made 33, one each).
+#: entry: one per run of rows with at most _EUCLID residues, not one per block.
 EUCLID_RUNS_AT_1E4 = (2, 2, 1, 1, 3, 3, 3)
 
 
