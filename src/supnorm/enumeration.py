@@ -88,7 +88,8 @@ _BLOCK = 2048
 #: of the Euclid and of the inverse table its blocks read.  At R = 1e4 the
 #: rows of a point at height 0.87 to 2.9 hold about 2,300 to 24,200
 #: residues, so one to three runs; a row with more residues than the cap is
-#: a run of its own.
+#: a run of its own.  One cap, with the Euclid inside each pass, took 8
+#: Euclid calls at z = i with _BLOCK = 8192, and more peak memory.
 _EUCLID = 8192
 
 

@@ -331,16 +331,17 @@ class TestAveragedQuantity:
     @pytest.mark.parametrize("z", [0.3 + 0.9j, 0.1 + 5.0j])
     def test_vanishing_form_rejected(self, basis12, monkeypatch, z):
         # a zero of f certifies nothing, low in the domain or high in the cusp
-        monkeypatch.setattr(forms, "_horner_and_rest", lambda coeffs, q: (np.zeros_like(q), 0.0))
+        monkeypatch.setattr(forms, "_horner", lambda coeffs, q: np.zeros_like(q))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="coefficients"):
                 s2k_on_grid(basis12, np.array([z]))
 
     def test_dropped_terms_enter_the_certificate(self, basis12, psl2z_constants, monkeypatch):
-        # Horner cut at N = 4 with no fallback gets values wrong by about 1e-6;
-        # Deligne's tail past the stored terms alone would certify them, so
-        # only the dropped stored terms in t make s2k_on_grid refuse
+        # Horner cut at N = 4 gets values wrong by about 1e-6, yet Deligne's
+        # tail past the stored terms alone would certify them; with _cut at
+        # N = 4, the real helper redoes every point over all terms, so only
+        # the dropped rest it hands on makes s2k_on_grid refuse
         cut = 4
         coeffs = basis12.coefficients
         points = standard_grid(20, Y=psl2z_constants.Y, k=6).points
@@ -351,12 +352,12 @@ class TestAveragedQuantity:
         tail = forms._tail_over_q(coeffs, 12, points.imag) / np.abs(short)
         assert np.all(tail * (2.0 + tail) <= 1e-10)
 
-        def short_horner(c, q):
-            r = float(np.max(np.abs(q)))
-            return forms._horner(c[:cut], q), sum(abs(float(a)) * r ** (n - 1)
-                                                   for n, a in enumerate(c, start=1) if n > cut)
+        def short_cut(c, r):
+            return cut, sum(abs(float(a)) * r ** (n - 1)
+                            for n, a in enumerate(c, start=1) if n > cut)
 
-        monkeypatch.setattr(forms, "_horner_and_rest", short_horner)
+        monkeypatch.setattr(forms, "_cut", short_cut)
+        assert forms._horner_and_rest(coeffs, q)[1] == short_cut(coeffs, np.max(np.abs(q)))[1]
         with pytest.raises(ValueError, match="128 terms cannot certify"):
             s2k_on_grid(basis12, points)
 
@@ -379,6 +380,8 @@ class TestAveragedQuantity:
         monkeypatch.setattr(forms, "_cut", counting)
         assert s2k_on_grid(basis, points).tobytes() == want.tobytes()
         assert len(cuts) == 1
+        rest = forms._horner_and_rest(basis.coefficients, q)[1]
+        assert rest == cut(basis.coefficients, float(np.max(np.abs(q))))[1] > 0.0
 
     def test_verify_battery_reads_few_terms(self, monkeypatch):
         # every Horner pass of the six-weight verify battery, grids, sliver and
