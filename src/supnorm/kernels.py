@@ -5,10 +5,14 @@ together, and the kernel-check grids of the paper's inequalities.
 All kernel integrals share the same endpoint structure: an integrable
 1/sqrt(cosh r - cosh rho) singularity at r = rho, removed by the substitution
 r = rho + u^2, and an exponentially decaying tail handled by fixed-width
-panels with a stop rule.  Every panel, radial or in time, uses one fixed
-48-node Gauss-Legendre rule, the one the Petersson norm uses; the change
-against the 24-node rule on the same panel is the error estimate.  One
-integrand call per panel, on the 72 nodes of both rules, covers the two.
+panels.  Every panel, radial or in time, uses one fixed 48-node
+Gauss-Legendre rule, the one the Petersson norm uses; the change against the
+24-node rule on the same panel is the error estimate.  One integrand call
+per panel, on the 72 nodes of both rules, covers the two.  A panel integral
+stops at the first panel end past which a closed-form bound on the integral
+of |f| is below _PANEL_TINY of the running total, less than half an ulp of
+it: each integrand passes its own bound, built from the far factor of
+_log_far_factor and elementary Gaussian and exponential tail integrals.
 Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
 faster, and the two must cancel before exponentiation; _log_chebyshev is
@@ -48,10 +52,9 @@ __all__ = [
 
 _LOG2 = math.log(2.0)
 _SERIES_GUARD = 10**6
-#: A panel whose contribution stays below this fraction of the running
-#: integral for five consecutive panels terminates a tail integration.
+#: A panel integral stops once the bound on its tail falls below this
+#: fraction of the running total.
 _PANEL_TINY = 1e-20
-_PANEL_QUIET = 5
 _PANEL_LIMIT = 2000
 #: Gauss-Legendre order on every panel; half of it gives the error estimate.
 _PANEL_ORDER = 48
@@ -125,23 +128,26 @@ def _log_chebyshev(k: int, r, rho: float):
     return _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
 
 
-def _integrate_panels(f, width: float):
-    """Integrate f over [0, inf) with fixed-width panels and a tail stop rule.
+def _integrate_panels(f, width: float, log_tail):
+    """Integrate f over [0, inf) with fixed-width panels and a certified tail.
 
     f maps an array of nodes to values along its last axis, so the integral
     may be an array.  f is called once per panel, on the _PANEL_ORDER
     Gauss-Legendre nodes followed by the half-order ones: the first rule
     gives the panel value, and its distance to the second adds to the error
-    estimate.  Returns (value, error_estimate).  Panels stop once
-    _PANEL_QUIET consecutive contributions fall below _PANEL_TINY of the
-    running total.  Raises AccuracyError if the value is not finite.
+    estimate.  log_tail maps a panel end x to the log of an upper bound on
+    the integral of |f| over (x, inf), one per row of the integral.  Panels
+    stop at the first end where that bound is below _PANEL_TINY of the
+    running total in every row: the rest is then less than half an ulp of
+    the total, so further panels could not change it.  Returns (value,
+    error_estimate).  Raises AccuracyError if the value is not finite or no
+    bound falls low enough within _PANEL_LIMIT panels.
     """
     x_full, w_full = _legendre_rule(_PANEL_ORDER)
     x_half, w_half = _legendre_rule(_PANEL_ORDER // 2)
     nodes = np.concatenate((x_full, x_half))
     total = 0.0
     err = 0.0
-    quiet = 0
     for i in range(_PANEL_LIMIT):
         lo, hi = i * width, (i + 1) * width
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -151,21 +157,18 @@ def _integrate_panels(f, width: float):
         if not np.isfinite(total).all():
             raise AccuracyError("panel integral is not finite")
         err = err + np.abs(val - fx[..., _PANEL_ORDER:] @ (half * w_half))
-        if (np.abs(val) < _PANEL_TINY * np.maximum(np.abs(total), 1e-300)).all():
-            quiet += 1
-            if quiet >= _PANEL_QUIET:
-                return total, err
-        else:
-            quiet = 0
+        if (log_tail(hi) < np.log(_PANEL_TINY * np.maximum(np.abs(total), 1e-300))).all():
+            return total, err
     raise AccuracyError("panel integration did not terminate")
 
 
-def _radial_integral(k: int, rho: float, log_weight, width: float = 1.0):
+def _radial_integral(k: int, rho: float, log_weight, log_tail, width: float = 1.0):
     """Integral over r > rho of e^{log_weight(r)} T_2k(cosh(r/2)/cosh(rho/2))
     / sqrt(cosh r - cosh rho), through r = rho + u^2, on u-panels of the given width.
 
     log_weight maps an array of r to log weights, possibly with leading axes
-    of its own.  Returns (value, error_estimate).
+    of its own; log_tail is the integrand's tail bound in u, as
+    _integrate_panels takes it.  Returns (value, error_estimate).
     """
 
     def integrand(u):
@@ -174,7 +177,120 @@ def _radial_integral(k: int, rho: float, log_weight, width: float = 1.0):
         with np.errstate(over="ignore"):
             return 2.0 * u * np.exp(log_weight(r) + log_t - _log_sqrt_gap(rho, u))
 
-    return _integrate_panels(integrand, width)
+    return _integrate_panels(integrand, width, log_tail)
+
+
+# ---------------------------------------------------------------------------
+# Tail bounds of the kernel integrands
+
+
+def _log_far_factor(k: int, rho: float, u: float) -> float:
+    """log A(k, rho, u), the far factor of every radial integrand: for
+    r >= R = rho + u^2 (u > 0),
+
+        T_2k(cosh(r/2)/cosh(rho/2)) / sqrt(cosh r - cosh rho) <= A e^{(k-1/2) r}.
+
+    Chebyshev factor: T_n(x) = ((x + sqrt(x^2-1))^n + (x - sqrt(x^2-1))^n)/2
+    <= (x + sqrt(x^2-1))^n <= (2x)^n for x >= 1, and 2 cosh(r/2) =
+    e^{r/2} (1 + e^{-r}) <= e^{r/2} (1 + e^{-R}), so T_2k <= e^{kr}
+    ((1 + e^{-R}) / cosh(rho/2))^{2k}.  Gap: cosh r - cosh rho =
+    2 sinh((r+rho)/2) sinh((r-rho)/2) = e^r (1 - e^{-(r+rho)})
+    (1 - e^{-(r-rho)}) / 2 >= e^r (1 - e^{-(R+rho)}) (1 - e^{-u^2}) / 2, so
+    1/sqrt(cosh r - cosh rho) <= e^{-r/2} sqrt(2 / ((1 - e^{-(R+rho)})
+    (1 - e^{-u^2}))).  A is the product of the two constants.
+    """
+    big_r = rho + u * u
+    log_cheb = 2.0 * k * (math.log1p(math.exp(-big_r)) - float(_logcosh(0.5 * rho)))
+    log_gap = _LOG2 - math.log(-math.expm1(-(big_r + rho))) - math.log(-math.expm1(-u * u))
+    return log_cheb + 0.5 * log_gap
+
+
+def _difference_log_tail(k: int, eps: float, rho: float):
+    """Tail bound in u of the difference-kernel integrand at s = k + eps, eps > 0.
+
+    The weight is e^{-(s-1/2) r} (1 - e^{-r}) <= e^{-(s-1/2) r}, so past
+    R = rho + u^2 the integrand is at most A e^{(k-1/2) r - (s-1/2) r} =
+    A e^{-eps r}, whose integral over r > R is A e^{-eps R} / eps.  The
+    u-integral past u equals the r-integral past R, since dr = 2u du.
+    """
+    return lambda u: _log_far_factor(k, rho, u) - eps * (rho + u * u) - math.log(eps)
+
+
+def _heat_log_tail(k: int, t, rho: float):
+    """Tail bound in u of the heat-kernel integrand r e^{-r^2/(4t)} T_2k /
+    sqrt-gap, one per time of the array t.
+
+    Past R = rho + u^2 the integrand is at most A r e^{(k-1/2) r - r^2/(4t)}
+    = A r e^{(k-1/2)^2 t - (r-m)^2/(4t)} with m = (2k-1) t.  When R > m,
+    substitute v = r - m: the integral of (v + m) e^{-v^2/(4t)} over
+    v > R - m is 2t e^{-(R-m)^2/(4t)} plus m times the Gaussian tail, which
+    is at most 2t/(R-m) e^{-(R-m)^2/(4t)} (Abramowitz & Stegun 7.1.13); for
+    m <= 0 that term is not positive and is dropped.  So the tail is at most
+    A 2t exp((k-1/2)^2 t - (R-m)^2/(4t)) (1 + max(m, 0)/(R-m)), and +inf
+    while R <= m, where the Gaussian has not yet peaked.
+    """
+    m = (2 * k - 1) * t
+    m_plus = np.maximum(m, 0.0)
+    four_t = 4.0 * t
+    base = np.log(2.0 * t) + (k - 0.5) ** 2 * t
+
+    def log_tail(u):
+        gap = rho + u * u - m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = _log_far_factor(k, rho, u) + base - gap * gap / four_t + np.log1p(m_plus / gap)
+        return np.where(gap > 0.0, bound, np.inf)
+
+    return log_tail
+
+
+def _transform_log_tail(k: int, s: float, rho: float):
+    """Tail bound in t of the transform integrand e^{-(s-1/2)^2 t} e^{t/4}
+    K_k(t; rho) = sqrt(2) (4 pi t)^{-3/2} e^{-mu t} raw(t), mu = (s-1/2)^2,
+    where raw(t) is the heat kernel's radial integral; rho > 0.
+
+    Split raw(t) at r = rho + 1.  Near part: there r T_2k e^{-r^2/(4t)} <=
+    (rho+1) T_2k(x(rho+1)) with x(r) = cosh(r/2)/cosh(rho/2), and
+    cosh r - cosh rho >= sinh(rho) (r - rho), whose inverse square root
+    integrates to 2/sqrt(sinh rho) over (rho, rho+1); so the near part is at
+    most N = 2 (rho+1) T_2k(x(rho+1)) / sqrt(sinh rho), for every t.  Far
+    part, with A = A(k, rho, 1) and m = (2k-1) t: at most A e^{(k-1/2)^2 t}
+    times the integral of (v + m) e^{-v^2/(4t)} over v > -m, which is at
+    most 4t + 4(k-1/2) t sqrt(pi t) for k >= 1.  Integrating over t > T with
+    t^{-3/2} <= T^{-3/2} and t^{-1/2} <= T^{-1/2}:
+
+        sqrt(2) (4 pi)^{-3/2} [N T^{-3/2} e^{-mu T}/mu
+                               + A (4 T^{-1/2} + 4 (k-1/2) sqrt(pi)) e^{-lam T}/lam]
+
+    with lam = mu - (k-1/2)^2 > 0 because s > k.  At k = 0 the second
+    bracket turns negative for large t, so the far part is bounded without
+    the Gaussian instead: A times the integral of r e^{-r/2} over
+    r > R1 = rho + 1, which is e^{-R1/2} (2 R1 + 4), independent of t; it
+    joins N in front of T^{-3/2} e^{-mu T}/mu.  The bound is +inf when
+    mu = 0 (k = 0, s = 1/2), where the integrand decays only like t^{-3/2}.
+    """
+    mu = (s - 0.5) ** 2
+    if mu == 0.0:
+        return lambda big_t: math.inf
+    log_pref = 0.5 * _LOG2 - 1.5 * math.log(4.0 * math.pi)
+    log_cheb = float(_logcosh(2.0 * k * _acosh_cosh_ratio(rho + 1.0, rho)))
+    log_near = _LOG2 + math.log(rho + 1.0) + log_cheb - 0.5 * float(_logsinh(rho))
+    log_far = _log_far_factor(k, rho, 1.0)
+    if k == 0:
+        log_near = np.logaddexp(log_near, log_far - 0.5 * (rho + 1.0)
+                                + math.log(2.0 * (rho + 1.0) + 4.0))
+    log_mu = math.log(mu)
+    lam = mu - (k - 0.5) ** 2
+
+    def log_tail(big_t):
+        near = log_pref + log_near - 1.5 * math.log(big_t) - mu * big_t - log_mu
+        if k == 0:
+            return near
+        far = (log_pref + log_far
+               + math.log(4.0 / math.sqrt(big_t) + 4.0 * (k - 0.5) * math.sqrt(math.pi))
+               - lam * big_t - math.log(lam))
+        return np.logaddexp(near, far)
+
+    return log_tail
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +340,8 @@ def _difference_quadrature(k: int, s: float, sigma: float) -> float:
     integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) T_2k / sqrt-gap over r > rho
     with sigma = cosh^2(rho/2), divided by 2 pi sqrt(2)."""
     rho = 2.0 * math.acosh(math.sqrt(sigma))
-    value, _ = _radial_integral(k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)))
+    value, _ = _radial_integral(k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)),
+                                _difference_log_tail(k, s - k, rho))
     return float(value) / (2.0 * math.pi * math.sqrt(2.0))
 
 
@@ -257,8 +374,10 @@ def heat_kernel(k: int, t, rho: float):
     sqrt(2) e^{-t/4} (4 pi t)^{-3/2} times the radial integral of
     r e^{-r^2/(4t)} / sqrt(cosh r - cosh rho) weighted by the Chebyshev factor.
     An array of times shares the radial nodes, and each call computes the
-    time-independent factors of its u-panels afresh.  Raises AccuracyError
-    when a value is not finite or its error estimate exceeds 1e-8 relative.
+    time-independent factors of its u-panels afresh.  The u-panels stop at
+    the first end where the Gaussian tail bound of _heat_log_tail is below
+    _PANEL_TINY of the integral at every time.  Raises AccuracyError when a
+    value is not finite or its error estimate exceeds 1e-8 relative.
     """
     return _heat_kernel(k, t, rho, {})
 
@@ -297,7 +416,7 @@ def _heat_kernel(k: int, t, rho: float, factors: dict):
     # within the square root of it in u; eight such lengths fill a panel.
     t_min = float(np.min(t))
     width = min(1.0, 8.0 * math.sqrt(2.0 * min(t_min / max(rho, 1e-300), math.sqrt(t_min))))
-    raw, err = _integrate_panels(integrand, width)
+    raw, err = _integrate_panels(integrand, width, _heat_log_tail(k, t, rho))
     raw, err = raw.reshape(t.shape), err.reshape(t.shape)
     value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
@@ -316,8 +435,11 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     time-independent factors of a u-panel (r, the Chebyshev factor, the
     square-root gap) are computed once per transform and shared by every
     time panel whose u-nodes are the same, which from the second time panel
-    on is all of them.  Raises AccuracyError when the error estimate exceeds
-    1e-7 relative.
+    on is all of them.  The time panels stop at the first end where the
+    bound of _transform_log_tail on the rest is below _PANEL_TINY of the
+    running total; at k = 0, s = 1/2 no end has a finite bound.  Raises
+    AccuracyError when the error estimate exceeds 1e-7 relative or the
+    panels reach their limit.
     """
     if sigma <= 1.0:
         raise ValueError(f"transform needs sigma > 1, got {sigma}")
@@ -329,10 +451,12 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     def integrand(t):
         return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * _heat_kernel(k, t, rho, factors)
 
-    # Decay rate of the tail: (s-1/2)^2 - (k-1/2)^2 > 0.
+    # (s-1/2)^2 - (k-1/2)^2 is the tail's decay rate for k >= 1; at k = 0 the
+    # rate is (s-1/2)^2 (see _transform_log_tail), this expression may be
+    # negative, and the width takes its 0.25 floor.
     rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
     width = max(0.25, min(2.0, 3.0 / rate))
-    value, err = _integrate_panels(integrand, width=width)
+    value, err = _integrate_panels(integrand, width, _transform_log_tail(k, s, rho))
     if err > _TRANSFORM_REL_TARGET * abs(value):
         raise AccuracyError(
             f"heat-to-resolvent transform reached only {err / abs(value):.2e} relative"

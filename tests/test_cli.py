@@ -311,6 +311,30 @@ class TestKernelCheck:
         assert "Traceback" not in err
 
 
+#: `kernel-check --k-max 50` standard output, as the five-quiet-panel stop
+#: rule printed it; every gap and ratio is pinned to its last printed digit.
+KERNEL_CHECK_50 = [
+    "[PASS] chebyshev_exp_bound: max T/e^(kr) ratio 1 over k in [1, 2, 3, 6, 50], r in [0,10]",
+    "[PASS] stirling_ratio_bound: max ratio/bound 0.507817 on Z grid, n=8",
+    "[PASS] difference_kernel_dual_route: max relative gap 5.788e-15 (tolerance 1e-06)",
+    "[PASS] difference_kernel_decay_bound: max value/bound 0.160168 on the (k, eps, sigma) grid",
+    "[PASS] integrated_exponential_bound: max lhs/bound 0.629726 on the (k, eps, sigma) grid",
+    "[PASS] heat_kernel_monotone: nonincreasing in rho on the sample grid",
+    "[PASS] heat_resolvent_transform: max relative gap 2.008e-11 over 3 triples "
+    "(tolerance 0.0001)",
+]
+
+
+def test_kernel_check_k_max_50_output_pinned(capsys, tmp_path):
+    out_path = tmp_path / "kernels.json"
+    code, out, err = run(capsys, "kernel-check", "--k-max", "50", "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in KERNEL_CHECK_50)
+    rows = [re.fullmatch(r"\[PASS\] (\w+): (.*)", line).groups() for line in KERNEL_CHECK_50]
+    expected = [{"name": name, "passed": True, "detail": detail} for name, detail in rows]
+    assert out_path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

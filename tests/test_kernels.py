@@ -1,11 +1,12 @@
 """Tests for the special-function layer and kernel integrals."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import erfc, erfcx, gammaln
 
 from supnorm import engine, kernels
 from supnorm.engine import gamma_ratio_bound, parabolic_sum_bound
@@ -155,7 +156,8 @@ def _integrated_exponential_k_form(k, eps, rho):
     """The integrated exponential with its own integrand: weight e^{kr} at s = k + eps."""
     s = k + eps
     value, _ = _radial_integral(
-        0, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)) + k * r
+        0, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)) + k * r,
+        kernels._difference_log_tail(0, eps, rho),
     )
     return float(value)
 
@@ -243,8 +245,9 @@ class TestHeatKernel:
             resolvent_via_heat(1, 2.0, 2.0)
 
 
-def _adaptive_radial(k, rho, log_weight):
-    """The radial integral by adaptive quadrature on unit u-panels, in scalar log space."""
+def _scalar_radial_integrand(k, rho, log_weight):
+    """u -> 2u e^{log_weight(r)} T_2k(cosh(r/2)/cosh(rho/2)) / sqrt(cosh r - cosh rho)
+    at r = rho + u^2, in scalar log space."""
     log2 = math.log(2.0)
 
     def logcosh(x):
@@ -260,6 +263,12 @@ def _adaptive_radial(k, rho, log_weight):
         log_gap = log2 + logsinh(rho + u * u / 2.0) + logsinh(u * u / 2.0)
         return 2.0 * u * math.exp(log_weight(r) + logcosh(2 * k * a) - 0.5 * log_gap)
 
+    return integrand
+
+
+def _adaptive_radial(k, rho, log_weight):
+    """The radial integral by adaptive quadrature on unit u-panels, in scalar log space."""
+    integrand = _scalar_radial_integrand(k, rho, log_weight)
     total = 0.0
     for i in range(40):
         total += quad(integrand, i, i + 1.0, epsabs=1e-14 * total, epsrel=1e-12, limit=200)[0]
@@ -268,29 +277,34 @@ def _adaptive_radial(k, rho, log_weight):
 
 class TestRadialIntegral:
     # the fixed-node panel rule against scipy's adaptive quadrature
+    # each weight with its integrand's tail bound: the difference kernels at
+    # s = 2 and 6.1, the integrated exponential at eps = 0.1, heat at t = 1, 0.2
     @pytest.mark.parametrize(
-        "k,rho,log_weight",
+        "k,rho,log_weight,log_tail",
         [
-            (1, 1.76, lambda r: -1.5 * r + math.log(-math.expm1(-r))),
-            (6, 0.96, lambda r: -5.6 * r + math.log(-math.expm1(-r))),
-            (0, 3.6, lambda r: -1.6 * r + math.log(-math.expm1(-r)) + 2 * r),
-            (3, 0.4, lambda r: math.log(r) - r * r / 4.0),
-            (1, 1.5, lambda r: math.log(r) - r * r / 0.8),
+            (1, 1.76, lambda r: -1.5 * r + math.log(-math.expm1(-r)),
+             kernels._difference_log_tail(1, 1.0, 1.76)),
+            (6, 0.96, lambda r: -5.6 * r + math.log(-math.expm1(-r)),
+             kernels._difference_log_tail(6, 0.1, 0.96)),
+            (0, 3.6, lambda r: -1.6 * r + math.log(-math.expm1(-r)) + 2 * r,
+             kernels._difference_log_tail(0, 0.1, 3.6)),
+            (3, 0.4, lambda r: math.log(r) - r * r / 4.0, kernels._heat_log_tail(3, 1.0, 0.4)),
+            (1, 1.5, lambda r: math.log(r) - r * r / 0.8, kernels._heat_log_tail(1, 0.2, 1.5)),
         ],
         ids=["difference-k1", "difference-k6", "integrated-exp", "heat-t1", "heat-t0.2"],
     )
-    def test_against_adaptive_quad(self, k, rho, log_weight):
+    def test_against_adaptive_quad(self, k, rho, log_weight, log_tail):
         vector_weight = np.vectorize(log_weight)
-        value, err = _radial_integral(k, rho, vector_weight)
+        value, err = _radial_integral(k, rho, vector_weight, log_tail)
         assert value == pytest.approx(_adaptive_radial(k, rho, log_weight), rel=1e-10)
         assert err <= 1e-10 * value
 
 
-def _two_call_panels(f, width):
-    """Reference panel loop: f on the 48 nodes for the value, then again on the 24."""
+def _two_call_panels(f, width, log_tail):
+    """Reference panel loop: f on the 48 nodes for the value, then again on the
+    24; the library's tail stop rule."""
     total = 0.0
     err = 0.0
-    quiet = 0
     for i in range(kernels._PANEL_LIMIT):
         lo, hi = i * width, (i + 1) * width
         x, w = _gauss_nodes(lo, hi, 48)
@@ -300,9 +314,33 @@ def _two_call_panels(f, width):
             raise AccuracyError("panel integral is not finite")
         x, w = _gauss_nodes(lo, hi, 24)
         err = err + np.abs(val - f(x) @ w)
-        if np.all(np.abs(val) < kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300)):
+        if np.all(log_tail(hi) < np.log(kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300))):
+            return total, err
+    raise AccuracyError("panel integration did not terminate")
+
+
+def _quiet_panels(f, width, log_tail):
+    """Reference panel loop with the stop rule the tail bounds replaced: the
+    merged 72-node call, stopped once five panels in a row each add less
+    than 1e-20 of the running total; log_tail is ignored."""
+    x_full, w_full = kernels._legendre_rule(48)
+    x_half, w_half = kernels._legendre_rule(24)
+    nodes = np.concatenate((x_full, x_half))
+    total = 0.0
+    err = 0.0
+    quiet = 0
+    for i in range(kernels._PANEL_LIMIT):
+        lo, hi = i * width, (i + 1) * width
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        fx = f(mid + half * nodes)
+        val = fx[..., :48] @ (half * w_full)
+        total = total + val
+        if not np.isfinite(total).all():
+            raise AccuracyError("panel integral is not finite")
+        err = err + np.abs(val - fx[..., 48:] @ (half * w_half))
+        if (np.abs(val) < kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300)).all():
             quiet += 1
-            if quiet >= kernels._PANEL_QUIET:
+            if quiet >= 5:
                 return total, err
         else:
             quiet = 0
@@ -317,11 +355,11 @@ def _run_with_panels(monkeypatch, panels, func, *args):
     depth = 0
     outer = []
 
-    def recording(f, width):
+    def recording(f, width, log_tail):
         nonlocal depth
         depth += 1
         try:
-            result = panels(f, width)
+            result = panels(f, width, log_tail)
         finally:
             depth -= 1
         if depth == 0:
@@ -376,7 +414,7 @@ class TestMergedPanelRule:
         integrations = []  # (depth, width, node arrays of each f call)
         depth = 0
 
-        def counting(f, width):
+        def counting(f, width, log_tail):
             nonlocal depth
             calls = []
             integrations.append((depth, width, calls))
@@ -387,7 +425,7 @@ class TestMergedPanelRule:
 
             depth += 1
             try:
-                return _MERGED_PANELS(counted, width)
+                return _MERGED_PANELS(counted, width, log_tail)
             finally:
                 depth -= 1
 
@@ -419,7 +457,8 @@ def _transform_through_public_heat(k, s, sigma):
     rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
     width = max(0.25, min(2.0, 3.0 / rate))
     return _MERGED_PANELS(
-        lambda t: np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho), width
+        lambda t: np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho), width,
+        kernels._transform_log_tail(k, s, rho),
     )
 
 
@@ -451,7 +490,7 @@ class TestSharedRadialFactors:
             gaps.append(u.tobytes())
             return gap(rho, u)
 
-        def counting_panels(f, width):
+        def counting_panels(f, width, log_tail):
             nonlocal depth
             inner = depth > 0
 
@@ -462,7 +501,7 @@ class TestSharedRadialFactors:
 
             depth += 1
             try:
-                return _MERGED_PANELS(counted, width)
+                return _MERGED_PANELS(counted, width, log_tail)
             finally:
                 depth -= 1
 
@@ -479,8 +518,9 @@ class TestSharedRadialFactors:
         # each distinct u-panel gets its factors exactly once, in first-use order
         assert gaps == list(dict.fromkeys(u_panels))
         assert len(cheb) == len(set(cheb)) == len(gaps)
-        # and most u-panel evaluations reuse them
-        assert 5 * len(gaps) < len(u_panels)
+        # and most u-panel evaluations reuse them: 137 of 26 and 143 of 31
+        # distinct panels, each time panel's heat kernel stopping on its tail bound
+        assert 4 * len(gaps) < len(u_panels)
         # a second identical transform starts from nothing
         assert self._count_factor_calls(monkeypatch, k, s, sigma) == (cheb, gaps, u_panels)
 
@@ -490,9 +530,9 @@ class TestSharedRadialFactors:
         k, rho = 2, 0.7
         integrands = []
 
-        def capturing(f, width):
+        def capturing(f, width, log_tail):
             integrands.append(f)
-            return _MERGED_PANELS(f, width)
+            return _MERGED_PANELS(f, width, log_tail)
 
         monkeypatch.setattr(kernels, "_integrate_panels", capturing)
         heat_kernel(k, t, rho)
@@ -509,6 +549,204 @@ class TestSharedRadialFactors:
                 got = f(x.copy())
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+
+TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0),
+                    (0, 0.8, 1.3)]
+
+
+def _panel_runs(func, *args):
+    """(width, panel count, log_tail) of each panel integral func(*args) makes,
+    in the order they finish, so a transform's time integral comes last."""
+    runs = []
+
+    def recording(f, width, log_tail):
+        count = 0
+
+        def counted(x):
+            nonlocal count
+            count += 1
+            return f(x)
+
+        result = _MERGED_PANELS(counted, width, log_tail)
+        runs.append((width, count, log_tail))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_integrate_panels", recording)
+        func(*args)
+    return runs
+
+
+def _panel_ends(width, count):
+    return [width * (i + 1) for i in range(count)]
+
+
+def _quad(f, a, b):
+    return quad(f, a, b, epsabs=1e-300, epsrel=1e-12, limit=200)[0]
+
+
+def _adaptive_tail(f, start):
+    """Integral of f over (start, inf) by scipy quad on unit panels, until a panel adds nothing."""
+    total = 0.0
+    while True:
+        piece = _quad(f, start, start + 1.0)
+        total += piece
+        start += 1.0
+        if piece <= 1e-17 * total:
+            return total
+
+
+def _adaptive_tails(f, ends):
+    """Integral of f over (x, inf) for each x of the increasing ends: the pieces
+    between ends, summed from the far end inward."""
+    tails = [_adaptive_tail(f, ends[-1])]
+    for lo, hi in zip(ends[-2::-1], ends[:0:-1]):
+        tails.append(tails[-1] + _quad(f, lo, hi))
+    return tails[::-1]
+
+
+def _log_time_tail(big_t, a, b):
+    """log of the integral of t^{-3/2} e^{-at-b/t} over t > T (a, b > 0).
+
+    With p = sqrt(a), q = sqrt(b), x = p sqrt(T) - q/sqrt(T) and z = p sqrt(T)
+    + q/sqrt(T), the integrand is sqrt(pi)/(2q) times the derivative of
+    e^{2pq} erfc(q/sqrt t + p sqrt t) + e^{-2pq} erfc(q/sqrt t - p sqrt t), so
+    the integral is sqrt(pi)/(2q) (e^{-2pq} erfc(x) - e^{2pq} erfc(z)),
+    written through erfcx so that neither term overflows.
+    """
+    p, q = math.sqrt(a), math.sqrt(b)
+    x = p * math.sqrt(big_t) - q / math.sqrt(big_t)
+    z = p * math.sqrt(big_t) + q / math.sqrt(big_t)
+    lead = 0.5 * math.log(math.pi) - math.log(2.0 * q)
+    if x >= 0.0:
+        return lead - a * big_t - b / big_t + math.log(erfcx(x) - erfcx(z))
+    return lead - 2.0 * p * q + math.log(erfc(x) - erfcx(z) * math.exp(-x * x))
+
+
+def _assert_dominates(log_tail, ends, tails):
+    for x, tail in zip(ends, tails):
+        if tail < 1e-290:  # subnormal tails carry rounding, not the bound
+            continue
+        with np.errstate(over="ignore"):
+            bound = np.exp(log_tail(x))
+        # the k = 0 difference bound is exact as R -> inf; the slack is the
+        # oracle's relative tolerance
+        assert tail <= bound * (1.0 + 1e-12), (x, tail, bound)
+
+
+class TestTailBounds:
+    # every tail bound at or above scipy's tail at each panel end up to the stop
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 6, 20])
+    def test_difference_bound_dominates(self, k):
+        for sigma, eps in itertools.product((1.05, 2.0, 10.0, 100.0), (0.05, 0.1, 0.5, 0.9)):
+            s = k + eps
+            ((width, count, log_tail),) = _panel_runs(kernels._difference_quadrature, k, s, sigma)
+            rho = 2.0 * math.acosh(math.sqrt(sigma))
+            f = _scalar_radial_integrand(
+                k, rho, lambda r: -(s - 0.5) * r + math.log(-math.expm1(-r)))
+            ends = _panel_ends(width, count)
+            _assert_dominates(log_tail, ends, _adaptive_tails(f, ends))
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_heat_bound_dominates(self, k):
+        for rho, t in itertools.product((0.0, 0.1, 0.9, 3.0), (0.01, 0.1, 1.0, 5.0, 30.0)):
+            ((width, count, log_tail),) = _panel_runs(heat_kernel, k, t, rho)
+            f = _scalar_radial_integrand(k, rho, lambda r: math.log(r) - r * r / (4.0 * t))
+            ends = _panel_ends(width, count)
+            _assert_dominates(log_tail, ends, _adaptive_tails(f, ends))
+
+    def test_time_tail_closed_form(self):
+        for big_t, a, b in [(0.25, 0.09, 0.3), (3.0, 2.25, 4.0), (0.5, 6.0, 30.0),
+                            (40.0, 0.09, 1.0)]:
+            expected = quad(lambda t: t**-1.5 * math.exp(-a * t - b / t), big_t, np.inf,
+                            epsabs=0.0, epsrel=1e-13, limit=500)[0]
+            assert math.exp(_log_time_tail(big_t, a, b)) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("k,s,sigma", TRANSFORM_PROBES)
+    def test_transform_bound_dominates(self, k, s, sigma):
+        # the true tail by Fubini: the time integral in closed form inside one
+        # radial quad, sqrt(2) (4 pi)^{-3/2} T_2k / sqrt-gap times r and the
+        # integral of t^{-3/2} e^{-(s-1/2)^2 t - r^2/(4t)} over t > T
+        width, count, log_tail = _panel_runs(resolvent_via_heat, k, s, sigma)[-1]
+        rho = 2.0 * math.acosh(math.sqrt(sigma))
+        mu = (s - 0.5) ** 2
+        ends = _panel_ends(width, count)
+        if k == 0:  # 1,772 ends; every 100th and the stop
+            ends = ends[::100] + ends[-1:]
+        tails = []
+        for big_t in ends:
+            f = _scalar_radial_integrand(
+                k, rho, lambda r: math.log(r) + _log_time_tail(big_t, mu, r * r / 4.0))
+            tails.append(math.sqrt(2.0) * (4.0 * math.pi) ** -1.5 * _adaptive_tail(f, 0.0))
+        _assert_dominates(log_tail, ends, tails)
+
+
+def _with_quiet_panels(monkeypatch, func, *args):
+    """func(*args) under the five-quiet-panel rule and under the library's,
+    each with its outermost (value, err)."""
+    new, (new_raw, _) = _run_with_panels(monkeypatch, _MERGED_PANELS, func, *args)
+    old, (old_raw, _) = _run_with_panels(monkeypatch, _quiet_panels, func, *args)
+    return (new, new_raw), (old, old_raw)
+
+
+class TestTailStopRule:
+    # a stop on the tail bound drops only panels that left the total unchanged
+    # under the five-quiet-panel rule, so every value is the same bit for bit
+
+    @pytest.mark.parametrize("k,s,sigma", TRANSFORM_PROBES)
+    def test_transform_matches_quiet_rule(self, monkeypatch, k, s, sigma):
+        new, old = _with_quiet_panels(monkeypatch, resolvent_via_heat, k, s, sigma)
+        assert new == old
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 6])
+    def test_difference_matches_quiet_rule(self, monkeypatch, k):
+        for eps, sigma in itertools.product((0.1, 0.5, 0.9), (1.5, 2.0, 10.0)):
+            new, old = _with_quiet_panels(monkeypatch, kernels._difference_quadrature,
+                                          k, k + eps, sigma)
+            assert new == old, (eps, sigma)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_heat_matches_quiet_rule(self, monkeypatch, k):
+        for rho, t in itertools.product((0.0, 0.1, 0.9, 3.0), (0.01, 0.2, 1.0, 5.0, 30.0)):
+            new, old = _with_quiet_panels(monkeypatch, heat_kernel, k, t, rho)
+            assert new == old, (rho, t)
+
+    def test_heat_array_matches_quiet_rule(self, monkeypatch):
+        (new, new_raw), (old, old_raw) = _with_quiet_panels(
+            monkeypatch, heat_kernel, 2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7)
+        assert np.array_equal(new, old)
+        assert np.array_equal(new_raw, old_raw)
+
+    def test_transform_time_panels(self, monkeypatch):
+        counts = {}
+        for name, panels in (("bound", _MERGED_PANELS), ("quiet", _quiet_panels)):
+            runs = []
+
+            def recording(f, width, log_tail, panels=panels, runs=runs):
+                calls = []
+
+                def counted(x):
+                    calls.append(x)
+                    return f(x)
+
+                result = panels(counted, width, log_tail)
+                runs.append(len(calls))
+                return result
+
+            monkeypatch.setattr(kernels, "_integrate_panels", recording)
+            resolvent_via_heat(1, 2.0, 2.0)
+            counts[name] = runs[-1]
+        assert counts == {"bound": 16, "quiet": 21}
+
+    def test_zero_decay_keeps_accuracy_error(self, monkeypatch):
+        # at (k, s) = (0, 1/2) the integrand decays only like t^{-3/2}: no panel
+        # end has a finite tail bound, so the panel limit ends the transform
+        assert kernels._transform_log_tail(0, 0.5, 1.0)(1e6) == math.inf
+        monkeypatch.setattr(kernels, "_PANEL_LIMIT", 40)
+        with pytest.raises(AccuracyError, match="did not terminate"):
+            resolvent_via_heat(0, 0.5, 1.3)
 
 
 class TestParabolicBound:
