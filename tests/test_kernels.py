@@ -555,9 +555,10 @@ TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), 
                     (0, 0.8, 1.3)]
 
 
-def _panel_runs(func, *args):
-    """(width, panel count, log_tail) of each panel integral func(*args) makes,
-    in the order they finish, so a transform's time integral comes last."""
+def _panel_runs(func, *args, panels=_MERGED_PANELS):
+    """(width, panel count, log_tail) of each panel integral func(*args) makes
+    with panels as the panel loop, in the order they finish, so a transform's
+    time integral comes last."""
     runs = []
 
     def recording(f, width, log_tail):
@@ -568,7 +569,7 @@ def _panel_runs(func, *args):
             count += 1
             return f(x)
 
-        result = _MERGED_PANELS(counted, width, log_tail)
+        result = panels(counted, width, log_tail)
         runs.append((width, count, log_tail))
         return result
 
@@ -719,26 +720,10 @@ class TestTailStopRule:
         assert np.array_equal(new, old)
         assert np.array_equal(new_raw, old_raw)
 
-    def test_transform_time_panels(self, monkeypatch):
-        counts = {}
-        for name, panels in (("bound", _MERGED_PANELS), ("quiet", _quiet_panels)):
-            runs = []
-
-            def recording(f, width, log_tail, panels=panels, runs=runs):
-                calls = []
-
-                def counted(x):
-                    calls.append(x)
-                    return f(x)
-
-                result = panels(counted, width, log_tail)
-                runs.append(len(calls))
-                return result
-
-            monkeypatch.setattr(kernels, "_integrate_panels", recording)
-            resolvent_via_heat(1, 2.0, 2.0)
-            counts[name] = runs[-1]
-        assert counts == {"bound": 16, "quiet": 21}
+    def test_transform_time_panels(self):
+        counts = [_panel_runs(resolvent_via_heat, 1, 2.0, 2.0, panels=panels)[-1][1]
+                  for panels in (_MERGED_PANELS, _quiet_panels)]
+        assert counts == [16, 21]
 
     def test_zero_decay_keeps_accuracy_error(self, monkeypatch):
         # at (k, s) = (0, 1/2) the integrand decays only like t^{-3/2}: no panel
