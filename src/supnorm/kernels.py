@@ -439,7 +439,8 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     bound of _transform_log_tail on the rest is below _PANEL_TINY of the
     running total; at k = 0, s = 1/2 no end has a finite bound.  Raises
     AccuracyError when the error estimate exceeds 1e-7 relative or the
-    panels reach their limit.
+    panels reach their limit, as the 0.25-wide k = 0 time panels do for s
+    near 1/2 (below s = 0.783 at sigma = 1.3).
     """
     if sigma <= 1.0:
         raise ValueError(f"transform needs sigma > 1, got {sigma}")

@@ -512,15 +512,17 @@ class TestSharedRadialFactors:
         monkeypatch.undo()
         return cheb, gaps, u_panels
 
-    @pytest.mark.parametrize("k,s,sigma", [(1, 2.0, 2.0), (2, 3.0, 2.5)])
-    def test_factors_once_per_distinct_panel(self, monkeypatch, k, s, sigma):
+    @pytest.mark.parametrize("k,s,sigma,distinct,evaluations",
+                             [(1, 2.0, 2.0, 26, 137), (2, 3.0, 2.5, 31, 143)])
+    def test_factors_once_per_distinct_panel(self, monkeypatch, k, s, sigma, distinct,
+                                             evaluations):
         cheb, gaps, u_panels = self._count_factor_calls(monkeypatch, k, s, sigma)
         # each distinct u-panel gets its factors exactly once, in first-use order
         assert gaps == list(dict.fromkeys(u_panels))
         assert len(cheb) == len(set(cheb)) == len(gaps)
-        # and most u-panel evaluations reuse them: 137 of 26 and 143 of 31
-        # distinct panels, each time panel's heat kernel stopping on its tail bound
-        assert 4 * len(gaps) < len(u_panels)
+        # and most u-panel evaluations reuse them, each time panel's heat
+        # kernel stopping on its tail bound
+        assert (len(gaps), len(u_panels)) == (distinct, evaluations)
         # a second identical transform starts from nothing
         assert self._count_factor_calls(monkeypatch, k, s, sigma) == (cheb, gaps, u_panels)
 
@@ -724,6 +726,16 @@ class TestTailStopRule:
         counts = [_panel_runs(resolvent_via_heat, 1, 2.0, 2.0, panels=panels)[-1][1]
                   for panels in (_MERGED_PANELS, _quiet_panels)]
         assert counts == [16, 21]
+
+    def test_slow_decay_panel_limit(self):
+        # at k = 0 the time tail decays at mu = (s-1/2)^2 on 0.25-wide panels,
+        # and a bound on the whole rest stops about ln(4/mu)/mu later than five
+        # quiet panels did: at sigma = 1.3 the transform runs out of panels
+        # below s = 0.783, where the five-quiet-panel rule ran out below 0.767
+        _, count, _ = _panel_runs(resolvent_via_heat, 0, 0.783, 1.3)[-1]
+        assert count == 1987 <= kernels._PANEL_LIMIT
+        with pytest.raises(AccuracyError, match="did not terminate"):
+            resolvent_via_heat(0, 0.782, 1.3)
 
     def test_zero_decay_keeps_accuracy_error(self, monkeypatch):
         # at (k, s) = (0, 1/2) the integrand decays only like t^{-3/2}: no panel
