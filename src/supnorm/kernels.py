@@ -8,7 +8,9 @@ r = rho + u^2, and an exponentially decaying tail handled by fixed-width
 panels.  Every panel, radial or in time, uses one fixed 48-node
 Gauss-Legendre rule, the one the Petersson norm uses; the change against the
 24-node rule on the same panel is the error estimate.  One integrand call
-per panel, on the 72 nodes of both rules, covers the two.  A panel integral
+per panel, on the 72 nodes of both rules, covers the two, and each rule's
+sum is a row-wise np.vecdot, so a row's value never depends on the rows it
+is integrated with.  A panel integral
 stops at the first panel end past which a closed-form bound on the integral
 of |f| is below _PANEL_TINY of the running total, less than half an ulp of
 it: each integrand passes its own bound, built from the far factor of
@@ -17,12 +19,16 @@ Integrands are numpy array functions assembled in log space because the
 Chebyshev factor grows like e^{k r} while the exponential weights shrink
 faster, and the two must cancel before exponentiation; _log_chebyshev is
 that factor, for the integrands and the Chebyshev check alike.  The
-difference kernel passes its log weight to _radial_integral.  The heat
+difference kernel passes its log weight to _radial_integral, with k, s and
+rho as columns, so the kernel-check grid is one array integral whose
+panels stop when every row's bound passes.  The heat
 kernel assembles the same integrand from factors that do not depend on
 time (r^2, log r, the Chebyshev factor, the square-root gap, 2u), kept per
 u-panel in a dict keyed by the panel's nodes: heat_kernel starts a fresh
 dict on every call, and resolvent_via_heat shares one across its time
-panels, so it computes each distinct u-panel's factors once.  The
+panels, so it computes each distinct u-panel's factors once; after the
+first time panel it evaluates the heat kernel on up to _TIME_RUN time
+panels per call.  The
 integrated exponential of the sup-norm argument is the k = 0 difference
 kernel, summed as series.  Gamma prefactors use math.lgamma.  The Stirling
 check tests engine's gamma_ratio_bound, the one the bound tables use.
@@ -58,6 +64,10 @@ _PANEL_TINY = 1e-20
 _PANEL_LIMIT = 2000
 #: Gauss-Legendre order on every panel; half of it gives the error estimate.
 _PANEL_ORDER = 48
+#: Time panels the heat-to-resolvent transform evaluates in one heat-kernel
+#: call: 4 x 72 = 288 times, so the heat integrand array on a u-panel holds at
+#: most 288 x 72 doubles (166 kB).
+_TIME_RUN = 4
 #: Largest relative error estimate a heat-kernel value may carry.
 _HEAT_REL_TARGET = 1e-8
 #: Largest relative error estimate the heat-to-resolvent transform may carry.
@@ -128,36 +138,65 @@ def _log_chebyshev(k: int, r, rho: float):
     return _logcosh(2.0 * k * _acosh_cosh_ratio(r, rho))
 
 
-def _integrate_panels(f, width: float, log_tail):
+def _integrate_panels(f, width: float, log_tail, run=None):
     """Integrate f over [0, inf) with fixed-width panels and a certified tail.
 
     f maps an array of nodes to values along its last axis, so the integral
     may be an array.  f is called once per panel, on the _PANEL_ORDER
     Gauss-Legendre nodes followed by the half-order ones: the first rule
     gives the panel value, and its distance to the second adds to the error
-    estimate.  log_tail maps a panel end x to the log of an upper bound on
-    the integral of |f| over (x, inf), one per row of the integral.  Panels
-    stop at the first end where that bound is below _PANEL_TINY of the
-    running total in every row: the rest is then less than half an ulp of
-    the total, so further panels could not change it.  Returns (value,
-    error_estimate).  Raises AccuracyError if the value is not finite or no
-    bound falls low enough within _PANEL_LIMIT panels.
+    estimate.  Each rule's sum is np.vecdot over the last axis, the same 1-D
+    dot in every row whatever the number of rows, so a row's value does not
+    depend on the rows it is integrated with.  log_tail maps a panel end x
+    to the log of an upper bound on the integral of |f| over (x, inf), one
+    per row of the integral.  Panels stop at the first end where that bound
+    is below _PANEL_TINY of the running total in every row: the rest is
+    then less than half an ulp of the total, so further panels could not
+    change it.
+
+    run, if given, maps a panel index i to the number of panels from i that
+    one call of f may evaluate; f then takes the nodes of those panels as
+    one array, a panel per row, and returns their values with the panel
+    axis first.  A call never reaches past the first panel end whose bound
+    is already below _PANEL_TINY of the running total: the total of a
+    nonnegative integrand only grows, so the panels stop there at the
+    latest.  The panels used, and so the value, do not depend on run.
+    Returns (value, error_estimate).  Raises AccuracyError if the
+    value is not finite or no bound falls low enough within _PANEL_LIMIT
+    panels.
     """
     x_full, w_full = _legendre_rule(_PANEL_ORDER)
     x_half, w_half = _legendre_rule(_PANEL_ORDER // 2)
     nodes = np.concatenate((x_full, x_half))
-    total = 0.0
-    err = 0.0
-    for i in range(_PANEL_LIMIT):
+
+    def panel(i):
         lo, hi = i * width, (i + 1) * width
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        fx = f(mid + half * nodes)
-        val = fx[..., :_PANEL_ORDER] @ (half * w_full)
+        return hi, half, mid + half * nodes
+
+    def stops(hi, total):
+        return (log_tail(hi) < np.log(_PANEL_TINY * np.maximum(np.abs(total), 1e-300))).all()
+
+    total = 0.0
+    err = 0.0
+    ahead = []  # values of the panels the last call of f evaluated, in order
+    for i in range(_PANEL_LIMIT):
+        hi, half, x = panel(i)
+        if run is None:
+            fx = f(x)
+        else:
+            if not ahead:
+                n = 1
+                while n < min(run(i), _PANEL_LIMIT - i) and not stops((i + n) * width, total):
+                    n += 1
+                ahead = list(f(np.stack([x] + [panel(j)[2] for j in range(i + 1, i + n)])))
+            fx = ahead.pop(0)
+        val = np.vecdot(fx[..., :_PANEL_ORDER], half * w_full)
         total = total + val
         if not np.isfinite(total).all():
             raise AccuracyError("panel integral is not finite")
-        err = err + np.abs(val - fx[..., _PANEL_ORDER:] @ (half * w_half))
-        if (log_tail(hi) < np.log(_PANEL_TINY * np.maximum(np.abs(total), 1e-300))).all():
+        err = err + np.abs(val - np.vecdot(fx[..., _PANEL_ORDER:], half * w_half))
+        if stops(hi, total):
             return total, err
     raise AccuracyError("panel integration did not terminate")
 
@@ -166,8 +205,9 @@ def _radial_integral(k: int, rho: float, log_weight, log_tail, width: float = 1.
     """Integral over r > rho of e^{log_weight(r)} T_2k(cosh(r/2)/cosh(rho/2))
     / sqrt(cosh r - cosh rho), through r = rho + u^2, on u-panels of the given width.
 
+    k and rho may be arrays of shape (n, 1), one integral per row, and
     log_weight maps an array of r to log weights, possibly with leading axes
-    of its own; log_tail is the integrand's tail bound in u, as
+    of its own; log_tail is the integrand's tail bound in u, one per row, as
     _integrate_panels takes it.  Returns (value, error_estimate).
     """
 
@@ -184,9 +224,9 @@ def _radial_integral(k: int, rho: float, log_weight, log_tail, width: float = 1.
 # Tail bounds of the kernel integrands
 
 
-def _log_far_factor(k: int, rho: float, u: float) -> float:
-    """log A(k, rho, u), the far factor of every radial integrand: for
-    r >= R = rho + u^2 (u > 0),
+def _log_far_factor(k, rho, u: float):
+    """log A(k, rho, u), the far factor of every radial integrand, at a float
+    or an array of k and rho: for r >= R = rho + u^2 (u > 0),
 
         T_2k(cosh(r/2)/cosh(rho/2)) / sqrt(cosh r - cosh rho) <= A e^{(k-1/2) r}.
 
@@ -200,20 +240,21 @@ def _log_far_factor(k: int, rho: float, u: float) -> float:
     (1 - e^{-u^2}))).  A is the product of the two constants.
     """
     big_r = rho + u * u
-    log_cheb = 2.0 * k * (math.log1p(math.exp(-big_r)) - float(_logcosh(0.5 * rho)))
-    log_gap = _LOG2 - math.log(-math.expm1(-(big_r + rho))) - math.log(-math.expm1(-u * u))
+    log_cheb = 2.0 * k * (np.log1p(np.exp(-big_r)) - _logcosh(0.5 * rho))
+    log_gap = _LOG2 - np.log(-np.expm1(-(big_r + rho))) - math.log(-math.expm1(-u * u))
     return log_cheb + 0.5 * log_gap
 
 
-def _difference_log_tail(k: int, eps: float, rho: float):
-    """Tail bound in u of the difference-kernel integrand at s = k + eps, eps > 0.
+def _difference_log_tail(k, eps, rho):
+    """Tail bound in u of the difference-kernel integrand at s = k + eps, eps > 0,
+    at floats or at equal-length arrays of k, eps and rho, one bound per row.
 
     The weight is e^{-(s-1/2) r} (1 - e^{-r}) <= e^{-(s-1/2) r}, so past
     R = rho + u^2 the integrand is at most A e^{(k-1/2) r - (s-1/2) r} =
     A e^{-eps r}, whose integral over r > R is A e^{-eps R} / eps.  The
     u-integral past u equals the r-integral past R, since dr = 2u du.
     """
-    return lambda u: _log_far_factor(k, rho, u) - eps * (rho + u * u) - math.log(eps)
+    return lambda u: _log_far_factor(k, rho, u) - eps * (rho + u * u) - np.log(eps)
 
 
 def _heat_log_tail(k: int, t, rho: float):
@@ -335,20 +376,27 @@ def _difference_series(k: int, s: float, sigma: float) -> float:
     return resolvent_G(k, s, sigma) - resolvent_G(k, s + 1.0, sigma)
 
 
-def _difference_quadrature(k: int, s: float, sigma: float) -> float:
-    """Difference kernel through its radial integral representation: the
-    integral of (e^{-(s-1/2)r} - e^{-(s+1/2)r}) T_2k / sqrt-gap over r > rho
-    with sigma = cosh^2(rho/2), divided by 2 pi sqrt(2)."""
-    rho = 2.0 * math.acosh(math.sqrt(sigma))
-    value, _ = _radial_integral(k, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)),
+def _difference_quadratures(k, s, sigma) -> np.ndarray:
+    """Difference kernel through its radial integral representation, one
+    value per (k, s, sigma) of three equal-length sequences: the integral of
+    (e^{-(s-1/2)r} - e^{-(s+1/2)r}) T_2k / sqrt-gap over r > rho with
+    sigma = cosh^2(rho/2), divided by 2 pi sqrt(2).  The rows are one array
+    integral on shared u-panels, which stop when every row's tail bound
+    passes; the panels a row gets past its own stop add less than half an
+    ulp each, and every sum is a row-wise dot, so each value is the one its
+    row gives alone."""
+    k = np.asarray(k, dtype=float)
+    s = np.asarray(s, dtype=float)
+    rho = np.array([2.0 * math.acosh(math.sqrt(x)) for x in sigma])
+    value, _ = _radial_integral(k[:, None], rho[:, None],
+                                lambda r: -(s[:, None] - 0.5) * r + np.log(-np.expm1(-r)),
                                 _difference_log_tail(k, s - k, rho))
-    return float(value) / (2.0 * math.pi * math.sqrt(2.0))
+    return value / (2.0 * math.pi * math.sqrt(2.0))
 
 
-def _difference_routes(k: int, s: float, sigma: float) -> tuple[float, float]:
-    """(series, quadrature) values of G_k(s) - G_k(s+1) at displacement sigma;
-    run_kernel_checks compares the two."""
-    return _difference_series(k, s, sigma), _difference_quadrature(k, s, sigma)
+def _difference_quadrature(k: int, s: float, sigma: float) -> float:
+    """_difference_quadratures at one (k, s, sigma)."""
+    return float(_difference_quadratures([k], [s], [sigma])[0])
 
 
 def integrated_exponential_lhs(eps: float, rho: float) -> float:
@@ -373,11 +421,15 @@ def heat_kernel(k: int, t, rho: float):
 
     sqrt(2) e^{-t/4} (4 pi t)^{-3/2} times the radial integral of
     r e^{-r^2/(4t)} / sqrt(cosh r - cosh rho) weighted by the Chebyshev factor.
-    An array of times shares the radial nodes, and each call computes the
-    time-independent factors of its u-panels afresh.  The u-panels stop at
-    the first end where the Gaussian tail bound of _heat_log_tail is below
-    _PANEL_TINY of the integral at every time.  Raises AccuracyError when a
-    value is not finite or its error estimate exceeds 1e-8 relative.
+    An array of times, of any shape, shares the radial nodes, and each call
+    computes the time-independent factors of its u-panels afresh.  The
+    u-panels are sized by the smallest time (_heat_width) and stop at the
+    first end where the Gaussian tail bound of _heat_log_tail is below
+    _PANEL_TINY of the integral at every time; a time whose own bound
+    passed earlier gets panels that add less than half an ulp each, so
+    every value is the one its time has alone at the same width.  Raises
+    AccuracyError when a value is not finite or its error estimate exceeds
+    1e-8 relative.
     """
     return _heat_kernel(k, t, rho, {})
 
@@ -412,11 +464,8 @@ def _heat_kernel(k: int, t, rho: float, factors: dict):
             x *= two_u
         return x
 
-    # e^{-r^2/(4t)} falls off within min(2t/rho, 2 sqrt t) of r = rho, that is
-    # within the square root of it in u; eight such lengths fill a panel.
-    t_min = float(np.min(t))
-    width = min(1.0, 8.0 * math.sqrt(2.0 * min(t_min / max(rho, 1e-300), math.sqrt(t_min))))
-    raw, err = _integrate_panels(integrand, width, _heat_log_tail(k, t, rho))
+    raw, err = _integrate_panels(integrand, _heat_width(float(np.min(t)), rho),
+                                 _heat_log_tail(k, t, rho))
     raw, err = raw.reshape(t.shape), err.reshape(t.shape)
     value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
@@ -425,39 +474,63 @@ def _heat_kernel(k: int, t, rho: float, factors: dict):
     return float(value) if value.ndim == 0 else value
 
 
+def _heat_width(t_min: float, rho: float) -> float:
+    """Width of the heat kernel's u-panels when its smallest time is t_min:
+    e^{-r^2/(4t)} falls off within min(2t/rho, 2 sqrt t) of r = rho, that is
+    within the square root of it in u; eight such lengths fill a panel, of
+    width at most 1.  The width does not decrease as t_min grows."""
+    return min(1.0, 8.0 * math.sqrt(2.0 * min(t_min / max(rho, 1e-300), math.sqrt(t_min))))
+
+
 def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     """Resolvent value recovered as the time integral of the heat kernel.
 
     Integrates e^{-(s-1/2)^2 t} e^{t/4} K_k(t; rho) over t > 0 with
-    sigma = cosh^2(rho/2); requires s > k for convergence.  Each time panel
-    makes one heat-kernel evaluation, on the 72 times of both panel rules;
-    its u-panels are sized by the smallest time, a 48-node one.  The
+    sigma = cosh^2(rho/2); requires s > k for convergence.  The first time
+    panel makes one heat-kernel evaluation on its 72 times, the nodes of
+    both panel rules, with u-panels narrowed by its smallest time.  Once
+    every later time gets the widest u-panels, which for rho <= 32 is from
+    the second panel on, one evaluation takes the 72 times of up to
+    _TIME_RUN panels, and never of a panel past the first end where the
+    running total already proves the stop.  Every sum is a row-wise dot, so
+    each time's value is the one it has in a call of its own.  The
     time-independent factors of a u-panel (r, the Chebyshev factor, the
     square-root gap) are computed once per transform and shared by every
-    time panel whose u-nodes are the same, which from the second time panel
-    on is all of them.  The time panels stop at the first end where the
-    bound of _transform_log_tail on the rest is below _PANEL_TINY of the
-    running total; at k = 0, s = 1/2 no end has a finite bound.  Raises
-    AccuracyError when the error estimate exceeds 1e-7 relative or the
-    panels reach their limit, as the 0.25-wide k = 0 time panels do for s
-    near 1/2 (below s = 0.783 at sigma = 1.3).
+    evaluation whose u-nodes are the same.  The time panels stop at the
+    first end where the bound of _transform_log_tail on the rest is below
+    _PANEL_TINY of the running total.  Raises AccuracyError at once at
+    k = 0, s = 1/2, where no end has a finite bound; and when the error
+    estimate exceeds 1e-7 relative (as at small sigma for many (k, s),
+    where the first time panel does not resolve the peak near
+    t = rho^2/6) or
+    the panels reach their limit, as the 0.25-wide k = 0 time panels do for
+    s near 1/2 (below s = 0.783 at sigma = 1.3).
     """
     if sigma <= 1.0:
         raise ValueError(f"transform needs sigma > 1, got {sigma}")
     if not s > k:
         raise ValueError(f"transform converges only for s > k, got s={s}, k={k}")
     rho = 2.0 * math.acosh(math.sqrt(sigma))
+    # (s-1/2)^2 - (k-1/2)^2 is the tail's decay rate for k >= 1; at k = 0 the
+    # rate is (s-1/2)^2 (see _transform_log_tail), this expression is not
+    # positive for s <= 1, and the width takes its 0.25 floor.
+    rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
+    width = max(0.25, min(2.0, 3.0 / rate)) if rate > 0.0 else 0.25
+    log_tail = _transform_log_tail(k, s, rho)
+    if log_tail(_PANEL_LIMIT * width) == math.inf:
+        raise AccuracyError("panel integration did not terminate: at k = 0, s = 1/2 "
+                            "no time panel end has a finite tail bound")
     factors: dict = {}
 
     def integrand(t):
         return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * _heat_kernel(k, t, rho, factors)
 
-    # (s-1/2)^2 - (k-1/2)^2 is the tail's decay rate for k >= 1; at k = 0 the
-    # rate is (s-1/2)^2 (see _transform_log_tail), this expression may be
-    # negative, and the width takes its 0.25 floor.
-    rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
-    width = max(0.25, min(2.0, 3.0 / rate))
-    value, err = _integrate_panels(integrand, width, _transform_log_tail(k, s, rho))
+    # a call's u-panels are sized by its smallest time, so panels share a
+    # call only from where every time, from the panel's start on, gets the
+    # widest u-panels; the first panel, from t = 0, always runs alone
+    value, err = _integrate_panels(
+        integrand, width, log_tail,
+        run=lambda i: _TIME_RUN if _heat_width(i * width, rho) == 1.0 else 1)
     if err > _TRANSFORM_REL_TARGET * abs(value):
         raise AccuracyError(
             f"heat-to-resolvent transform reached only {err / abs(value):.2e} relative"
@@ -523,10 +596,12 @@ def run_kernel_checks(k_max: int = 12) -> list[CheckResult]:
     )
 
     # Difference-kernel decay bound and dual-evaluation agreement.
+    grid = list(itertools.product((1, 2, 6), (0.1, 0.5), (1.5, 2.0, 10.0)))
+    quad_values = _difference_quadratures(*zip(*[(k, k + eps, sigma) for k, eps, sigma in grid]))
     gaps = []
     decays = []
-    for k, eps, sigma in itertools.product((1, 2, 6), (0.1, 0.5), (1.5, 2.0, 10.0)):
-        series_value, quad_value = _difference_routes(k, k + eps, sigma)
+    for (k, eps, sigma), quad_value in zip(grid, quad_values):
+        series_value = _difference_series(k, k + eps, sigma)
         gaps.append(abs(series_value - quad_value) / max(abs(series_value), 1e-30))
         cap = 3.0 / (2.0 * math.pi * eps) * sigma ** -(k + eps)
         decays.append(series_value / cap)

@@ -14,7 +14,8 @@ from supnorm.forms import _gauss_nodes
 from supnorm.kernels import (
     _DUAL_TOL,
     AccuracyError,
-    _difference_routes,
+    _difference_quadrature,
+    _difference_series,
     _log_chebyshev,
     _radial_integral,
     faddeev_transfer,
@@ -152,6 +153,11 @@ class TestResolvent:
             resolvent_G(3, 2.5, 2.0)
 
 
+def _difference_routes(k, s, sigma):
+    """(series, quadrature) values of G_k(s) - G_k(s+1) at displacement sigma."""
+    return _difference_series(k, s, sigma), _difference_quadrature(k, s, sigma)
+
+
 def _integrated_exponential_k_form(k, eps, rho):
     """The integrated exponential with its own integrand: weight e^{kr} at s = k + eps."""
     s = k + eps
@@ -238,6 +244,13 @@ class TestHeatKernel:
         via_heat = resolvent_via_heat(k, s, sigma)
         assert via_heat == pytest.approx(direct, rel=1e-4)
 
+    @pytest.mark.parametrize("sigma", [1.3, 2.0, 5.0])
+    def test_transform_at_zero_rate(self, sigma):
+        # at k = 0, s = 1 the rate (s-1/2)^2 - (k-1/2)^2 that sizes the time
+        # panels is 0; the panels take the 0.25 width of negative rates
+        assert resolvent_via_heat(0, 1.0, sigma) == pytest.approx(
+            resolvent_G(0, 1.0, sigma), rel=1e-14)
+
     def test_transform_error_estimate_gated(self, monkeypatch):
         # the estimate for (1, 2.0, 2.0) is about 3e-8 relative
         monkeypatch.setattr(kernels, "_TRANSFORM_REL_TARGET", 1e-12)
@@ -300,29 +313,31 @@ class TestRadialIntegral:
         assert err <= 1e-10 * value
 
 
-def _two_call_panels(f, width, log_tail):
+def _two_call_panels(f, width, log_tail, run=None):
     """Reference panel loop: f on the 48 nodes for the value, then again on the
-    24; the library's tail stop rule."""
+    24, one panel per call whatever run allows; the library's row-wise sums
+    and tail stop rule."""
     total = 0.0
     err = 0.0
     for i in range(kernels._PANEL_LIMIT):
         lo, hi = i * width, (i + 1) * width
         x, w = _gauss_nodes(lo, hi, 48)
-        val = f(x) @ w
+        val = np.vecdot(f(x), w)
         total = total + val
         if not np.all(np.isfinite(total)):
             raise AccuracyError("panel integral is not finite")
         x, w = _gauss_nodes(lo, hi, 24)
-        err = err + np.abs(val - f(x) @ w)
+        err = err + np.abs(val - np.vecdot(f(x), w))
         if np.all(log_tail(hi) < np.log(kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300))):
             return total, err
     raise AccuracyError("panel integration did not terminate")
 
 
-def _quiet_panels(f, width, log_tail):
+def _quiet_panels(f, width, log_tail, run=None):
     """Reference panel loop with the stop rule the tail bounds replaced: the
-    merged 72-node call, stopped once five panels in a row each add less
-    than 1e-20 of the running total; log_tail is ignored."""
+    merged 72-node call, one panel per call, stopped once five panels in a
+    row each add less than 1e-20 of the running total; log_tail and run are
+    ignored."""
     x_full, w_full = kernels._legendre_rule(48)
     x_half, w_half = kernels._legendre_rule(24)
     nodes = np.concatenate((x_full, x_half))
@@ -333,11 +348,11 @@ def _quiet_panels(f, width, log_tail):
         lo, hi = i * width, (i + 1) * width
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         fx = f(mid + half * nodes)
-        val = fx[..., :48] @ (half * w_full)
+        val = np.vecdot(fx[..., :48], half * w_full)
         total = total + val
         if not np.isfinite(total).all():
             raise AccuracyError("panel integral is not finite")
-        err = err + np.abs(val - fx[..., 48:] @ (half * w_half))
+        err = err + np.abs(val - np.vecdot(fx[..., 48:], half * w_half))
         if (np.abs(val) < kernels._PANEL_TINY * np.maximum(np.abs(total), 1e-300)).all():
             quiet += 1
             if quiet >= 5:
@@ -355,11 +370,11 @@ def _run_with_panels(monkeypatch, panels, func, *args):
     depth = 0
     outer = []
 
-    def recording(f, width, log_tail):
+    def recording(f, width, log_tail, run=None):
         nonlocal depth
         depth += 1
         try:
-            result = panels(f, width, log_tail)
+            result = panels(f, width, log_tail, run=run)
         finally:
             depth -= 1
         if depth == 0:
@@ -414,7 +429,7 @@ class TestMergedPanelRule:
         integrations = []  # (depth, width, node arrays of each f call)
         depth = 0
 
-        def counting(f, width, log_tail):
+        def counting(f, width, log_tail, run=None):
             nonlocal depth
             calls = []
             integrations.append((depth, width, calls))
@@ -425,7 +440,7 @@ class TestMergedPanelRule:
 
             depth += 1
             try:
-                return _MERGED_PANELS(counted, width, log_tail)
+                return _MERGED_PANELS(counted, width, log_tail, run=run)
             finally:
                 depth -= 1
 
@@ -440,14 +455,19 @@ class TestMergedPanelRule:
         monkeypatch.setattr(kernels, "_heat_kernel", counting_heat)
         resolvent_via_heat(1, 2.0, 2.0)
 
-        for _, width, calls in integrations:
-            assert all(x.shape == (72,) for x in calls)
-            # every call lies on the next panel: no panel is evaluated twice
-            assert [int(x.min() // width) for x in calls] == list(range(len(calls)))
-            assert all(int(x.max() // width) == i for i, x in enumerate(calls))
-        (time_panels,) = [calls for d, _, calls in integrations if d == 0]
-        assert len(heat_sizes) == len(time_panels)
-        assert heat_sizes == [72] * len(time_panels)
+        for depth, width, calls in integrations:
+            # a u-integral gets one panel per call, the time integral a run
+            # of panels, one row of 72 nodes each
+            assert all(x.shape == ((72,) if depth else (len(x), 72)) for x in calls)
+            # every row lies on the next panel: no panel is evaluated twice
+            rows = [row for x in calls for row in x.reshape(-1, 72)]
+            assert [int(x.min() // width) for x in rows] == list(range(len(rows)))
+            assert all(int(x.max() // width) == i for i, x in enumerate(rows))
+        (time_calls,) = [calls for d, _, calls in integrations if d == 0]
+        # the first time panel alone, then four to a heat-kernel call up to
+        # the 16th panel, where the tail bound stops the transform
+        assert [len(x) for x in time_calls] == [1, 4, 4, 4, 3]
+        assert heat_sizes == [72 * len(x) for x in time_calls]
 
 
 def _transform_through_public_heat(k, s, sigma):
@@ -490,7 +510,7 @@ class TestSharedRadialFactors:
             gaps.append(u.tobytes())
             return gap(rho, u)
 
-        def counting_panels(f, width, log_tail):
+        def counting_panels(f, width, log_tail, run=None):
             nonlocal depth
             inner = depth > 0
 
@@ -501,7 +521,7 @@ class TestSharedRadialFactors:
 
             depth += 1
             try:
-                return _MERGED_PANELS(counted, width, log_tail)
+                return _MERGED_PANELS(counted, width, log_tail, run=run)
             finally:
                 depth -= 1
 
@@ -513,15 +533,15 @@ class TestSharedRadialFactors:
         return cheb, gaps, u_panels
 
     @pytest.mark.parametrize("k,s,sigma,distinct,evaluations",
-                             [(1, 2.0, 2.0, 26, 137), (2, 3.0, 2.5, 31, 143)])
+                             [(1, 2.0, 2.0, 26, 50), (2, 3.0, 2.5, 31, 54)])
     def test_factors_once_per_distinct_panel(self, monkeypatch, k, s, sigma, distinct,
                                              evaluations):
         cheb, gaps, u_panels = self._count_factor_calls(monkeypatch, k, s, sigma)
         # each distinct u-panel gets its factors exactly once, in first-use order
         assert gaps == list(dict.fromkeys(u_panels))
         assert len(cheb) == len(set(cheb)) == len(gaps)
-        # and most u-panel evaluations reuse them, each time panel's heat
-        # kernel stopping on its tail bound
+        # and most u-panel evaluations reuse them, the heat kernel of each
+        # run of time panels stopping on its tail bound
         assert (len(gaps), len(u_panels)) == (distinct, evaluations)
         # a second identical transform starts from nothing
         assert self._count_factor_calls(monkeypatch, k, s, sigma) == (cheb, gaps, u_panels)
@@ -532,9 +552,9 @@ class TestSharedRadialFactors:
         k, rho = 2, 0.7
         integrands = []
 
-        def capturing(f, width, log_tail):
+        def capturing(f, width, log_tail, run=None):
             integrands.append(f)
-            return _MERGED_PANELS(f, width, log_tail)
+            return _MERGED_PANELS(f, width, log_tail, run=run)
 
         monkeypatch.setattr(kernels, "_integrate_panels", capturing)
         heat_kernel(k, t, rho)
@@ -558,20 +578,20 @@ TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), 
 
 
 def _panel_runs(func, *args, panels=_MERGED_PANELS):
-    """(width, panel count, log_tail) of each panel integral func(*args) makes
-    with panels as the panel loop, in the order they finish, so a transform's
-    time integral comes last."""
+    """(width, panels evaluated, log_tail) of each panel integral func(*args)
+    makes with panels as the panel loop, in the order they finish, so a
+    transform's time integral comes last."""
     runs = []
 
-    def recording(f, width, log_tail):
+    def recording(f, width, log_tail, run=None):
         count = 0
 
         def counted(x):
             nonlocal count
-            count += 1
+            count += 1 if x.ndim == 1 else len(x)
             return f(x)
 
-        result = panels(counted, width, log_tail)
+        result = panels(counted, width, log_tail, run=run)
         runs.append((width, count, log_tail))
         return result
 
@@ -579,6 +599,21 @@ def _panel_runs(func, *args, panels=_MERGED_PANELS):
         mp.setattr(kernels, "_integrate_panels", recording)
         func(*args)
     return runs
+
+
+def _heat_calls(func, *args):
+    """func(*args) and the time array of each _heat_kernel call it makes."""
+    times = []
+    heat = kernels._heat_kernel
+
+    def recording(k, t, rho, factors):
+        times.append(t)
+        return heat(k, t, rho, factors)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_heat_kernel", recording)
+        value = func(*args)
+    return value, times
 
 
 def _panel_ends(width, count):
@@ -726,6 +761,10 @@ class TestTailStopRule:
         counts = [_panel_runs(resolvent_via_heat, 1, 2.0, 2.0, panels=panels)[-1][1]
                   for panels in (_MERGED_PANELS, _quiet_panels)]
         assert counts == [16, 21]
+        # the library's 16 panels take five heat-kernel calls, and runs of
+        # panels end at the stop: none is evaluated past it
+        _, times = _heat_calls(resolvent_via_heat, 1, 2.0, 2.0)
+        assert [t.size for t in times] == [72, 288, 288, 288, 216]
 
     def test_slow_decay_panel_limit(self):
         # at k = 0 the time tail decays at mu = (s-1/2)^2 on 0.25-wide panels,
@@ -737,6 +776,15 @@ class TestTailStopRule:
         with pytest.raises(AccuracyError, match="did not terminate"):
             resolvent_via_heat(0, 0.782, 1.3)
 
+    def test_zero_decay_refused_before_any_heat_kernel(self, monkeypatch):
+        # at the default panel limit, not after 2,000 time panels
+        assert kernels._PANEL_LIMIT == 2000
+        calls = []
+        monkeypatch.setattr(kernels, "_heat_kernel", lambda *args: calls.append(args))
+        with pytest.raises(AccuracyError, match="did not terminate"):
+            resolvent_via_heat(0, 0.5, 1.3)
+        assert calls == []
+
     def test_zero_decay_keeps_accuracy_error(self, monkeypatch):
         # at (k, s) = (0, 1/2) the integrand decays only like t^{-3/2}: no panel
         # end has a finite tail bound, so the panel limit ends the transform
@@ -744,6 +792,53 @@ class TestTailStopRule:
         monkeypatch.setattr(kernels, "_PANEL_LIMIT", 40)
         with pytest.raises(AccuracyError, match="did not terminate"):
             resolvent_via_heat(0, 0.5, 1.3)
+
+
+DIFFERENCE_GRID = [(k, k + eps, sigma) for k, eps, sigma
+                   in itertools.product((1, 2, 6), (0.1, 0.5), (1.5, 2.0, 10.0))]
+
+
+class TestBatchedIntegrals:
+    # rows integrated together and time panels evaluated together keep the
+    # bits each has alone
+
+    def test_grid_rows_match_one_row_integrals(self):
+        values = kernels._difference_quadratures(*zip(*DIFFERENCE_GRID))
+        assert values.shape == (18,)
+        for value, (k, s, sigma) in zip(values, DIFFERENCE_GRID):
+            assert value == _difference_quadrature(k, s, sigma), (k, s, sigma)
+
+    def test_kernel_check_grid_is_one_integral(self, monkeypatch):
+        calls = []
+        batched = kernels._difference_quadratures
+
+        def recording(k, s, sigma):
+            calls.append(list(zip(k, s, sigma)))
+            return batched(k, s, sigma)
+
+        monkeypatch.setattr(kernels, "_difference_quadratures", recording)
+        run_kernel_checks(k_max=2)
+        assert calls == [DIFFERENCE_GRID]
+
+    @pytest.mark.parametrize("k,s,sigma", TRANSFORM_PROBES)
+    def test_time_runs_match_single_panels(self, monkeypatch, k, s, sigma):
+        value = resolvent_via_heat(k, s, sigma)
+        monkeypatch.setattr(kernels, "_TIME_RUN", 1)
+        assert resolvent_via_heat(k, s, sigma) == value
+
+    def test_runs_keep_one_u_width(self, monkeypatch):
+        # at rho = 250 the second time panel's times still get narrow
+        # u-panels, so it runs alone like the first
+        k, s, rho = 1, 2.0, 250.0
+        sigma = math.cosh(rho / 2.0) ** 2
+        value, times = _heat_calls(resolvent_via_heat, k, s, sigma)
+        widths = [sorted({kernels._heat_width(float(row.min()), rho) for row in t}) for t in times]
+        assert [len(t) for t in times[:3]] == [1, 1, 4]
+        assert widths[0][0] < widths[1][0] < 1.0
+        assert all(w == [1.0] for w in widths[2:])
+        monkeypatch.setattr(kernels, "_TIME_RUN", 1)
+        assert resolvent_via_heat(k, s, sigma) == value
+        assert resolvent_G(k, s, sigma) == pytest.approx(value, rel=1e-13)
 
 
 class TestParabolicBound:
@@ -800,11 +895,13 @@ def test_check_suite_passes():
 
 def test_nan_gap_fails_and_prints_nan(monkeypatch):
     # a NaN met after the first grid point must reach the printed margin too
-    def nan_at_k2_sigma2(k, s, sigma):
-        series_value, quad_value = _difference_routes(k, s, sigma)
-        return series_value, math.nan if (k, sigma) == (2, 2.0) else quad_value
+    batched = kernels._difference_quadratures
 
-    monkeypatch.setattr(kernels, "_difference_routes", nan_at_k2_sigma2)
+    def nan_at_k2_sigma2(k, s, sigma):
+        values = batched(k, s, sigma)
+        return np.where((np.array(k) == 2) & (np.array(sigma) == 2.0), math.nan, values)
+
+    monkeypatch.setattr(kernels, "_difference_quadratures", nan_at_k2_sigma2)
     dual = [r for r in run_kernel_checks(k_max=2) if r.name == "difference_kernel_dual_route"]
     assert len(dual) == 1 and not dual[0].passed
     assert "nan" in dual[0].detail
