@@ -8,11 +8,11 @@ then d run over finite ranges.  Row c = 0 is the translation coset of the
 identity, and sigma(z, z + n) = 1 + n^2 / (4 y^2) gives its range of n in
 closed form.  For c >= 1 each coprime (c, d) is one coset T^n gamma_0 of the
 translations T, and sigma(z, gamma_0 z + n) <= R confines n to an interval
-around Re(z - gamma_0 z).  Coprimality and d^-1 mod c come from one
-extended Euclid on arrays per run of whole rows, with a fixed cap on the
-residues d mod c it inverts.  The run's rows then go in blocks of whole rows
-with a fixed cap on their (c, d) candidates, and each block is one array
-pass over its slice of the inverse table: coset bases, shift intervals,
+around Re(z - gamma_0 z).  Coprimality and d^-1 mod c depend only on c
+and d mod c, so they come from one process-wide table of every residue of
+every modulus up to the largest row needed so far.  The rows go in blocks
+of whole rows with a fixed cap on their (c, d) candidates, and each block
+is one array pass reading the table: coset bases, shift intervals,
 flattened elements and their exact displacements.  A raw entry-bounded
 search stays in the test suite as the oracle for this enumeration.
 """
@@ -78,19 +78,19 @@ class IntegerMoebius:
         return (self.a, self.b, self.c, self.d)
 
 
-#: Most (c, d) candidates one array pass takes; with the inverses computed
-#: before the pass, it bounds the pass's candidate, coset and element
-#: arrays.  A row has at most about 4 sqrt(R) candidates, and a row longer
-#: than the cap (R above about 2.6e5) is a pass of its own.
+#: Most (c, d) candidates one array pass takes, which bounds its arrays.  A
+#: row has at most about 4 sqrt(R) of them, so only above R = 2.6e5 can a
+#: row be longer than the cap; it is then a pass of its own.
 _BLOCK = 2048
 
-#: Most residues d mod c one extended Euclid inverts; it bounds the memory
-#: of the Euclid and of the inverse table its blocks read.  At R = 1e4 the
-#: rows of a point at height 0.87 to 2.9 hold about 2,300 to 24,200
-#: residues, so one to three runs; a row with more residues than the cap is
-#: a run of its own.  One cap, with the Euclid inside each pass, took 8
-#: Euclid calls at z = i with _BLOCK = 8192, and more peak memory.
+#: Most residues one extended Euclid inverts while the residue table grows
+#: (a modulus with more is a pass of its own).  At R = 1e4 a point of F_Y
+#: needs the moduli up to 230, 26,565 residues: four passes cold, none warm.
 _EUCLID = 8192
+
+#: (C, inverse, coprime): d^-1 mod c and gcd(d, c) == 1 for each residue d
+#: of each modulus c <= C, at index c (c - 1) / 2 + d.  Empty at import.
+_TABLE = (0, np.zeros(0, np.int64), np.zeros(0, bool))
 
 
 def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
@@ -110,8 +110,11 @@ def _max_shift(z: complex, R: float) -> int:
 
     On (1, n, 0, 1) _sigma_batch evaluates 1 + n^2 / (4 y^2), which is
     monotone in |n| in floating point, so its values at the estimate
-    floor(2 y sqrt(R - 1)) and one above it settle the exact cut.
+    floor(2 y sqrt(R - 1)) and one above it settle the exact cut.  Every
+    ball starts here, so a radius that is not finite raises ValueError here.
     """
+    if not math.isfinite(R):
+        raise ValueError(f"ball radius R must be finite, got R = {R}")
     if R < 1.0:
         return -1
     n = math.floor(2.0 * z.imag * math.sqrt(R - 1.0))
@@ -121,9 +124,10 @@ def _max_shift(z: complex, R: float) -> int:
 
 
 def _runs(first, sizes):
-    """Owner index and value of each integer in the runs first[i] + [0, sizes[i])."""
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    return owner, first[owner] + np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+    """The integers of the runs first[i] + [0, sizes[i]), run after run."""
+    values = np.repeat(first - np.cumsum(sizes) + sizes, sizes)
+    values += np.arange(len(values))
+    return values
 
 
 def _inverse_mod(d, c):
@@ -147,21 +151,35 @@ def _inverse_mod(d, c):
     return np.where(done, t0, t1) % c, np.where(done, r0, r1)
 
 
-def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, gcd):
+def _residues(C: int):
+    """_TABLE, first grown to the moduli up to C if short: the missing moduli only, in
+    passes of at most _EUCLID residues (or one modulus), bound in one assignment."""
+    global _TABLE
+    table = _TABLE
+    if table[0] < C:
+        moduli = np.arange(table[0] + 1, C + 1)
+        parts = [table[1:]]
+        for start, stop in _chunks(moduli, _EUCLID):
+            run = moduli[start:stop]
+            inverse, gcd = _inverse_mod(_runs(np.zeros_like(run), run), np.repeat(run, run))
+            parts.append((inverse, gcd == 1))
+        _TABLE = table = (C, *map(np.concatenate, zip(*parts)))
+    return table
+
+
+def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     """(a, b, c, d, sigmas) of the ball in rows c, with candidates d in first + [0, sizes).
 
-    inverse and gcd are _inverse_mod of the rows' residues, row after row:
-    min(size, c) of them from each row's first candidate on.  The coprime
-    (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c).  The padded
-    necessary condition, its discriminant clipped at zero, leaves the
+    inverse and coprime are the residue table's, read at c (c - 1) / 2 + d mod c.
+    The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c).  The
+    padded necessary condition, its discriminant clipped at zero, leaves the
     shifts n of T^n gamma_0 in [lo, hi], and one displacement batch is cut
     exactly at R.  The elements come in ascending c, then d, then shift.
     """
-    span = np.minimum(sizes, c)
-    row, d = _runs(first, sizes)
-    pick = (np.cumsum(span) - span)[row] + (d - first[row]) % c[row]
-    coprime = gcd[pick] == 1
-    a0, c, d = inverse[pick][coprime], c[row][coprime], d[coprime]
+    d, c = _runs(first, sizes), np.repeat(c, sizes)
+    pick = c * (c - 1) // 2 + d % c
+    keep = coprime[pick]
+    a0, c, d = inverse[pick[keep]], c[keep], d[keep]
     b0 = (a0 * d - 1) // c
     # shift = Re(z - gamma_0 z) and v = Im(gamma_0 z), from
     # gamma_0 z = a0 / c - 1 / (c (c z + d)) and |c z + d|^2 = norm
@@ -173,11 +191,11 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, gcd):
     spread = np.sqrt(np.maximum(4.0 * pad * y * v - (y + v) ** 2, 0.0))
     lo = np.ceil(shift - spread).astype(np.int64)
     counts = np.maximum(np.floor(shift + spread).astype(np.int64) - lo + 1, 0)
-    coset, n = _runs(lo, counts)
-    c, d = c[coset], d[coset]
-    a = a0[coset] + n * c
-    b = b0[coset] + n * d
-    del coset, n  # the pass's peak memory is in the displacement batch
+    n = _runs(lo, counts)
+    c, d = np.repeat(c, counts), np.repeat(d, counts)
+    a = np.repeat(a0, counts) + n * c
+    b = np.repeat(b0, counts) + n * d
+    del n  # the pass's peak memory is in the displacement batch
     sigmas = _sigma_batch(a, b, c, d, z)
     keep = sigmas <= R
     if keep.all():
@@ -200,10 +218,8 @@ def _blocks(z: complex, R: float):
     """Yield the _block of each run of whole rows c >= 1 with at most _BLOCK candidates.
 
     The candidates d of row c come from sigma >= |c z + d|^2 / 4 + 1/2,
-    padded.  d mod c has period c, so row c has min(size, c) residues to
-    invert; runs of whole rows with at most _EUCLID residues share one
-    _inverse_mod, and their blocks take slices of its table.  A row longer
-    than either cap is a run or a block of its own.
+    padded; every block reads the residue table, grown to the last row
+    first.  A row longer than the cap is a block of its own.
     """
     z = require_point(z)
     y = z.imag
@@ -212,17 +228,10 @@ def _blocks(z: complex, R: float):
     spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - (rows * y) ** 2, 0.0))
     first = np.ceil(-rows * z.real - spread).astype(np.int64)
     sizes = np.maximum(np.floor(-rows * z.real + spread).astype(np.int64) - first + 1, 0)
-    span = np.minimum(sizes, rows)
-    for run_start, run_stop in _chunks(span, _EUCLID):
-        run = slice(run_start, run_stop)
-        unique, d = _runs(first[run], span[run])
-        inverse, gcd = _inverse_mod(d, rows[run][unique])
-        offsets = np.concatenate(([0], np.cumsum(span[run])))
-        for start, stop in _chunks(sizes[run], _BLOCK):
-            block = slice(run_start + start, run_start + stop)
-            table = slice(offsets[start], offsets[stop])
-            yield _block(z, pad, R, rows[block], first[block], sizes[block],
-                         inverse[table], gcd[table])
+    _, inverse, coprime = _residues(len(rows))
+    for start, stop in _chunks(sizes, _BLOCK):
+        block = slice(start, stop)
+        yield _block(z, pad, R, rows[block], first[block], sizes[block], inverse, coprime)
 
 
 def _scan(z: complex, R: float):

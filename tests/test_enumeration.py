@@ -2,6 +2,11 @@
 
 import functools
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +195,17 @@ ORACLE_POINTS = (
 )
 
 
+def empty_table():
+    """The residue table as a fresh import leaves it."""
+    return (0, np.zeros(0, np.int64), np.zeros(0, bool))
+
+
+@pytest.fixture(autouse=True)
+def fresh_table(monkeypatch):
+    """Every test starts from an empty residue table, and the module's own comes back after it."""
+    monkeypatch.setattr(enumeration, "_TABLE", empty_table())
+
+
 @pytest.fixture(params=["default", "tiny"])
 def block_cap(request, monkeypatch):
     """The module's block cap, then a cap of 2 candidates (every longer row a pass of its own)."""
@@ -229,13 +245,15 @@ class TestBlocksAgainstRowScan:
         assert len(displacement_values(1j, 0.99)) == 0
 
 
-#: _inverse_mod calls of one displacement_values(z, 1e4) at each ORACLE_POINTS
-#: entry: one per run of rows with at most _EUCLID residues, not one per block.
-EUCLID_RUNS_AT_1E4 = (2, 2, 1, 1, 3, 3, 3)
+#: At each ORACLE_POINTS entry, the moduli the residue table holds after one
+#: displacement_values(z, 1e4) (the last row of that ball), and the Euclid
+#: passes that grow an empty table to them with _EUCLID = 8192.
+ROWS_AT_1E4 = (175, 146, 99, 68, 199, 230, 222)
+GROWTH_PASSES_AT_1E4 = (2, 2, 1, 1, 3, 4, 4)
 
 
-def counted_inverses(monkeypatch, z, R):
-    """(length, distinct moduli) of each _inverse_mod call, and displacement_values(z, R)."""
+def counted_inverses(monkeypatch, func, *args):
+    """(length, distinct moduli) of each _inverse_mod call that func(*args) makes, and its value."""
     calls = []
     inverse_mod = enumeration._inverse_mod
 
@@ -245,32 +263,134 @@ def counted_inverses(monkeypatch, z, R):
 
     with monkeypatch.context() as patch:
         patch.setattr(enumeration, "_inverse_mod", counting)
-        values = displacement_values(z, R)
-    return calls, values
+        value = func(*args)
+    return calls, value
 
 
 class TestEuclidRuns:
-    @pytest.mark.parametrize("z,runs", zip(ORACLE_POINTS, EUCLID_RUNS_AT_1E4))
-    def test_inverse_mod_calls_at_1e4(self, monkeypatch, z, runs):
-        calls, _ = counted_inverses(monkeypatch, z, 1e4)
-        assert len(calls) == runs
-        assert all(size <= enumeration._EUCLID for size, _ in calls)
+    @pytest.mark.parametrize("z,passes", zip(ORACLE_POINTS, GROWTH_PASSES_AT_1E4))
+    def test_inverse_mod_calls_at_1e4(self, monkeypatch, z, passes):
+        rows = ROWS_AT_1E4[ORACLE_POINTS.index(z)]
+        cold, first = counted_inverses(monkeypatch, displacement_values, z, 1e4)
+        assert len(cold) == passes
+        assert all(size <= enumeration._EUCLID for size, _ in cold)
+        assert enumeration._TABLE[0] == rows
+        assert len(enumeration._TABLE[1]) == len(enumeration._TABLE[2]) == rows * (rows + 1) // 2
+        # a repeated call reads the grown table and runs no Euclid
+        warm, again = counted_inverses(monkeypatch, displacement_values, z, 1e4)
+        assert warm == []
+        assert np.array_equal(first, again)
 
     @pytest.mark.parametrize("z", ORACLE_POINTS)
     @pytest.mark.parametrize("cap", [1, 300])
     def test_small_cap_matches_row_scan(self, block_cap, monkeypatch, z, cap):
-        # a cap of 1 gives every row its own Euclid; at 300 a run is either
-        # under the cap or one longer row
+        # a cap of 1 gives every modulus a pass of its own; at 300 a pass is
+        # either under the cap or one longer modulus
         monkeypatch.setattr(enumeration, "_EUCLID", cap)
+        calls = []
         for R in (30.0, 1e4):
-            calls, values = counted_inverses(monkeypatch, z, R)
+            grown, values = counted_inverses(monkeypatch, displacement_values, z, R)
+            calls += grown
             want, sigmas = row_scan_arrays(z, R)
             assert np.array_equal(values, sigmas)
             got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
                                    for block in enumeration._scan(z, R)]) for i in range(4)]
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            assert all(size <= cap or rows == 1 for size, rows in calls)
-        assert len(calls) > max(EUCLID_RUNS_AT_1E4)
+        assert all(size <= cap or moduli == 1 for size, moduli in calls)
+        # together the passes invert each modulus 1..rows once
+        rows = ROWS_AT_1E4[ORACLE_POINTS.index(z)]
+        assert sum(moduli for _, moduli in calls) == rows
+        assert sum(size for size, _ in calls) == rows * (rows + 1) // 2
+        if cap == 1:
+            assert len(calls) == rows
+
+
+class TestResidueTable:
+    def test_matches_pow_and_gcd(self):
+        C, inverse, coprime = enumeration._residues(300)
+        assert C == 300
+        entries = list(zip(inverse.tolist(), coprime.tolist()))
+        assert len(entries) == 300 * 301 // 2
+        for c in range(1, 301):
+            for d in range(c):
+                inv, co = entries[c * (c - 1) // 2 + d]
+                assert co == (math.gcd(d, c) == 1)
+                if co:
+                    assert inv == pow(d, -1, c)
+
+    def test_grown_in_steps_equals_one_go(self, monkeypatch):
+        enumeration._residues(7)
+        enumeration._residues(50)
+        calls, stepped = counted_inverses(monkeypatch, enumeration._residues, 230)
+        # only the missing moduli 51..230 are inverted, and the table never shrinks
+        assert sum(size for size, _ in calls) == sum(range(51, 231))
+        assert enumeration._residues(50) is stepped is enumeration._TABLE
+        monkeypatch.setattr(enumeration, "_TABLE", empty_table())
+        whole = enumeration._residues(230)
+        assert stepped[0] == whole[0] == 230
+        assert np.array_equal(stepped[1], whole[1]) and np.array_equal(stepped[2], whole[2])
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    def test_grown_table_matches_row_scan(self, psl2z_constants, z):
+        # the oracle tests above start from an empty table; here every row
+        # is already there, so nothing grows
+        enumeration._residues(300)
+        for R in (1.0, 2.5, 30.0, 1e4):
+            assert np.array_equal(displacement_values(z, R), row_scan_arrays(z, R)[1])
+        for r in (1.0, 2.5, 30.0):
+            assert counting_check(z, r, psl2z_constants).count == len(row_scan_arrays(z, r)[1]) + 1
+        assert enumeration._TABLE[0] == 300
+
+    def test_threads_growing_at_once(self):
+        # growth rebinds one tuple, so each call reads its own snapshot even
+        # while other threads grow the table past it or bind a smaller one
+        radii = (30.0, 300.0, 3000.0, 1e4) * 2
+        results = [None] * len(radii)
+
+        def work(i):
+            results[i] = displacement_values(1j, radii[i])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(radii))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for R, values in zip(radii, results):
+            assert np.array_equal(values, row_scan_arrays(1j, R)[1])
+        C, inverse, coprime = enumeration._TABLE
+        assert len(inverse) == len(coprime) == C * (C + 1) // 2
+
+    def test_fresh_import_leaves_table_empty(self):
+        code = ("import supnorm.enumeration as e\n"
+                "print(e._TABLE[0], e._TABLE[1].size, e._TABLE[2].size)\n")
+        src = str(Path(enumeration.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), check=True)
+        assert proc.stdout.split() == ["0", "0", "0"]
+
+
+class TestNonFiniteRadius:
+    @pytest.mark.parametrize("R", [math.inf, -math.inf, math.nan])
+    def test_refused_before_the_table_grows(self, psl2z_constants, R):
+        # inf and nan used to end in an OverflowError or an opaque ValueError
+        # from float-to-integer conversion
+        for call in (displacement_values, enumerate_ball,
+                     lambda z, r: counting_check(z, r, psl2z_constants)):
+            with pytest.raises(ValueError, match="radius R must be finite"):
+                call(1j, R)
+        assert enumeration._TABLE[0] == 0
+
+    @pytest.mark.parametrize("R", [math.inf, math.nan])
+    def test_poincare_cutoff(self, psl2z_constants, R):
+        with pytest.raises(ValueError, match="radius R must be finite"):
+            poincare_direct(1j, 2, 0.1, R, psl2z_constants)
 
 
 @st.composite

@@ -231,6 +231,20 @@ class TestHeatKernel:
         with pytest.raises(AccuracyError, match="not finite"):
             heat_kernel(50, 1.0, 0.4)
 
+    def test_monotone_check_batches_its_times(self, monkeypatch):
+        # run_kernel_checks takes t = 0.2 and 1.0 in one call per (k, rho);
+        # both times get u-panels of width 1, so each value is its own call's
+        for k, rho in itertools.product((1, 3), (0.0, 0.4, 0.9, 1.5)):
+            both = heat_kernel(k, np.array([0.2, 1.0]), rho)
+            assert both.tolist() == [heat_kernel(k, 0.2, rho), heat_kernel(k, 1.0, rho)]
+        sizes = []
+        heat = kernels.heat_kernel
+        monkeypatch.setattr(kernels, "heat_kernel",
+                            lambda k, t, rho: sizes.append(np.size(t)) or heat(k, t, rho))
+        results = {r.name: r for r in run_kernel_checks(50)}
+        assert sizes == [2] * 8
+        assert results["heat_kernel_monotone"].passed is True
+
     def test_array_of_times_matches_scalar_calls(self):
         ts = np.array([0.05, 0.3, 1.0, 4.0])
         values = heat_kernel(2, ts, 0.7)
