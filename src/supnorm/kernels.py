@@ -3,35 +3,35 @@ difference kernel, the heat kernel, the integral transform tying them
 together, and the kernel-check grids of the paper's inequalities.
 
 All kernel integrals share the same endpoint structure: an integrable
-1/sqrt(cosh r - cosh rho) singularity at r = rho, removed by the substitution
-r = rho + u^2, and an exponentially decaying tail handled by fixed-width
-panels.  Every panel, radial or in time, uses one fixed 48-node
+1/sqrt(cosh r - cosh rho) singularity at r = rho, removed by the
+substitution r = rho + u^2, and an exponentially decaying tail handled by
+fixed-width panels.  Every panel, radial or in time, uses one fixed 48-node
 Gauss-Legendre rule, the one the Petersson norm uses; the change against the
 24-node rule on the same panel is the error estimate.  One integrand call
 per panel, on the 72 nodes of both rules, covers the two, and each rule's
 sum is a row-wise np.vecdot, so a row's value never depends on the rows it
-is integrated with.  A panel integral
-stops at the first panel end past which a closed-form bound on the integral
-of |f| is below _PANEL_TINY of the running total, less than half an ulp of
-it: each integrand passes its own bound, built from the far factor of
-_log_far_factor and elementary Gaussian and exponential tail integrals.
-Integrands are numpy array functions assembled in log space because the
-Chebyshev factor grows like e^{k r} while the exponential weights shrink
-faster, and the two must cancel before exponentiation; _log_chebyshev is
-that factor, for the integrands and the Chebyshev check alike.  The
-difference kernel passes its log weight to _radial_integral, with k, s and
-rho as columns, so the kernel-check grid is one array integral whose
-panels stop when every row's bound passes.  The heat
-kernel assembles the same integrand from factors that do not depend on
-time (r^2, log r, the Chebyshev factor, the square-root gap, 2u), kept per
-u-panel in a dict keyed by the panel's nodes: heat_kernel starts a fresh
-dict on every call, and resolvent_via_heat shares one across its time
-panels, so it computes each distinct u-panel's factors once; after the
-first time panel it evaluates the heat kernel on up to _TIME_RUN time
-panels per call.  The
-integrated exponential of the sup-norm argument is the k = 0 difference
-kernel, summed as series.  Gamma prefactors use math.lgamma.  The Stirling
-check tests engine's gamma_ratio_bound, the one the bound tables use.
+is integrated with.  A panel integral stops at the first panel end past
+which a closed-form bound on the integral of |f| is below _PANEL_TINY of the
+running total, less than half an ulp of it: each integrand passes its own
+bound, built from the far factor of _log_far_factor and elementary Gaussian
+and exponential tail integrals.  Integrands are numpy array functions
+assembled in log space because the Chebyshev factor grows like e^{k r} while
+the exponential weights shrink faster, and the two must cancel before
+exponentiation; _log_chebyshev is that factor, for the integrands and the
+Chebyshev check alike.  Every radial integral goes through one evaluator,
+_radial_integral, which keeps the weight-independent factors of each u-panel
+(r, the Chebyshev factor, the square-root gap, 2u) in its caller's dict,
+keyed by the panel's nodes.  The difference kernel passes its weight with k,
+s and rho as columns and a fresh dict, so the kernel-check grid is one array
+integral whose panels stop when every row's bound passes.  The heat kernel
+passes log r - r^2/(4t) at every time of its array; heat_kernel starts a
+fresh dict on every call, and resolvent_via_heat shares one across its time
+panels, so it computes each distinct u-panel's factors once; after the first
+time panel it evaluates the heat kernel on up to _TIME_RUN time panels per
+call.  The integrated exponential of the sup-norm argument is the k = 0
+difference kernel, summed as series.  Gamma prefactors use math.lgamma.  The
+Stirling check tests engine's gamma_ratio_bound, the one the bound tables
+use.
 """
 
 from __future__ import annotations
@@ -94,9 +94,9 @@ def faddeev_transfer(y0: float, y: float, d1: float, d2: float) -> float:
     """
     if not y0 > 0.0:
         raise ValueError(f"need y0 > 0, got {y0}")
-    if y < 2.0 * y0:
+    if not y >= 2.0 * y0:
         raise ValueError(f"need y >= 2*y0, got y={y} against y0={y0}")
-    if d2 < d1 + 1.0:
+    if not d2 >= d1 + 1.0:
         raise ValueError(f"need d2 >= d1 + 1, got d1={d1}, d2={d2}")
     return (64.0 / 15.0) ** (d2 - d1 - 1.0) * y0 ** (-2.0 * d1 - 2.0) * y ** (
         -2.0 * d2 + 4.0 * d1 + 4.0
@@ -201,21 +201,35 @@ def _integrate_panels(f, width: float, log_tail, run=None):
     raise AccuracyError("panel integration did not terminate")
 
 
-def _radial_integral(k: int, rho: float, log_weight, log_tail, width: float = 1.0):
+def _radial_integral(k, rho, log_weight, log_tail, width: float, factors: dict):
     """Integral over r > rho of e^{log_weight(r)} T_2k(cosh(r/2)/cosh(rho/2))
     / sqrt(cosh r - cosh rho), through r = rho + u^2, on u-panels of the given width.
 
-    k and rho may be arrays of shape (n, 1), one integral per row, and
-    log_weight maps an array of r to log weights, possibly with leading axes
-    of its own; log_tail is the integrand's tail bound in u, one per row, as
-    _integrate_panels takes it.  Returns (value, error_estimate).
+    k and rho may be arrays of shape (n, 1), one integral per row; log_weight
+    maps an array of r to log weights, possibly with leading axes of its own,
+    and must return a fresh array of the integrand's full shape, which the
+    integrand overwrites.  log_tail is the tail bound in u, one per row, as
+    _integrate_panels takes it.  factors is the caller's dict: it keeps each
+    u-panel's weight-independent factors (r, the Chebyshev factor, the
+    square-root gap, 2u), keyed by the panel's nodes, so a caller with many
+    weights at one (k, rho) computes them once.  Returns (value, error_estimate).
     """
 
     def integrand(u):
-        r = rho + u * u
-        log_t = _log_chebyshev(k, r, rho)
+        key = u.tobytes()
+        if key not in factors:
+            r = rho + u * u
+            factors[key] = (r, _log_chebyshev(k, r, rho), _log_sqrt_gap(rho, u), 2.0 * u)
+        r, log_cheb, gap, two_u = factors[key]
+        # 2u exp(log_weight(r) + log_cheb - gap) in place, operation by
+        # operation in the expression's order, so every bit is the expression's
+        x = log_weight(r)
+        x += log_cheb
+        x -= gap
         with np.errstate(over="ignore"):
-            return 2.0 * u * np.exp(log_weight(r) + log_t - _log_sqrt_gap(rho, u))
+            np.exp(x, out=x)
+            x *= two_u
+        return x
 
     return _integrate_panels(integrand, width, log_tail)
 
@@ -313,7 +327,7 @@ def _transform_log_tail(k: int, s: float, rho: float):
     if mu == 0.0:
         return lambda big_t: math.inf
     log_pref = 0.5 * _LOG2 - 1.5 * math.log(4.0 * math.pi)
-    log_cheb = float(_logcosh(2.0 * k * _acosh_cosh_ratio(rho + 1.0, rho)))
+    log_cheb = float(_log_chebyshev(k, rho + 1.0, rho))
     log_near = _LOG2 + math.log(rho + 1.0) + log_cheb - 0.5 * float(_logsinh(rho))
     log_far = _log_far_factor(k, rho, 1.0)
     if k == 0:
@@ -357,7 +371,7 @@ def resolvent_G(k: int, s: float, sigma: float) -> float:
     Gauss hypergeometric series F(s+k, s-k; 2s; 1/sigma); the prefactor is
     assembled through log-gamma so large s and k do not overflow.
     """
-    if sigma <= 1.0:
+    if not sigma > 1.0:
         raise ValueError(f"resolvent kernel is singular at sigma <= 1, got {sigma}")
     if not s > k:
         raise ValueError(f"need s > k on the real axis, got s={s}, k={k}")
@@ -390,7 +404,7 @@ def _difference_quadratures(k, s, sigma) -> np.ndarray:
     rho = np.array([2.0 * math.acosh(math.sqrt(x)) for x in sigma])
     value, _ = _radial_integral(k[:, None], rho[:, None],
                                 lambda r: -(s[:, None] - 0.5) * r + np.log(-np.expm1(-r)),
-                                _difference_log_tail(k, s - k, rho))
+                                _difference_log_tail(k, s - k, rho), 1.0, {})
     return value / (2.0 * math.pi * math.sqrt(2.0))
 
 
@@ -407,8 +421,8 @@ def integrated_exponential_lhs(eps: float, rho: float) -> float:
     2 pi sqrt(2) (G_0(eps) - G_0(eps+1)) at sigma = cosh^2(rho/2).  Bounded
     above by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
     """
-    if rho <= 0.0:
-        raise ValueError("need rho > 0")
+    if not rho > 0.0:
+        raise ValueError(f"need rho > 0, got {rho}")
     return 2.0 * math.pi * math.sqrt(2.0) * _difference_series(0, eps, math.cosh(rho / 2.0) ** 2)
 
 
@@ -435,37 +449,22 @@ def heat_kernel(k: int, t, rho: float):
 
 
 def _heat_kernel(k: int, t, rho: float, factors: dict):
-    """heat_kernel, with the time-independent factors of each u-panel kept in
-    factors: the caller's dict, keyed by the panel's node values, so equal
-    nodes give equal factors and a caller evaluating many times at one
-    (k, rho) computes each panel's factors once."""
+    """heat_kernel through _radial_integral, with its log weight log r -
+    r^2/(4t) one array, a row per time, and factors the caller's dict of
+    time-independent u-panel factors, so that many times share them."""
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
         raise ValueError(f"heat kernel needs t > 0, got {t}")
-    if rho < 0.0:
+    if not rho >= 0.0:
         raise ValueError(f"heat kernel needs rho >= 0, got {rho}")
     four_t = 4.0 * t[..., None]
 
-    def integrand(u):
-        key = u.tobytes()
-        if key not in factors:
-            r = rho + u * u
-            factors[key] = (r * r, np.log(r), _log_chebyshev(k, r, rho),
-                            _log_sqrt_gap(rho, u), 2.0 * u)
-        r2, log_r, log_cheb, gap, two_u = factors[key]
-        # 2u exp(log r - r^2/(4t) + log_cheb - gap) in place, operation by
-        # operation in the expression's order, so every bit is the expression's
-        x = r2 / four_t
-        np.subtract(log_r, x, out=x)
-        x += log_cheb
-        x -= gap
-        with np.errstate(over="ignore"):
-            np.exp(x, out=x)
-            x *= two_u
-        return x
+    def log_weight(r):
+        x = r * r / four_t
+        return np.subtract(np.log(r), x, out=x)
 
-    raw, err = _integrate_panels(integrand, _heat_width(float(np.min(t)), rho),
-                                 _heat_log_tail(k, t, rho))
+    raw, err = _radial_integral(k, rho, log_weight, _heat_log_tail(k, t, rho),
+                                _heat_width(float(np.min(t)), rho), factors)
     raw, err = raw.reshape(t.shape), err.reshape(t.shape)
     value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
@@ -495,7 +494,7 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     running total already proves the stop.  Every sum is a row-wise dot, so
     each time's value is the one it has in a call of its own.  The
     time-independent factors of a u-panel (r, the Chebyshev factor, the
-    square-root gap) are computed once per transform and shared by every
+    square-root gap, 2u) are computed once per transform and shared by every
     evaluation whose u-nodes are the same.  The time panels stop at the
     first end where the bound of _transform_log_tail on the rest is below
     _PANEL_TINY of the running total.  Raises AccuracyError at once at
@@ -506,7 +505,7 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     the panels reach their limit, as the 0.25-wide k = 0 time panels do for
     s near 1/2 (below s = 0.783 at sigma = 1.3).
     """
-    if sigma <= 1.0:
+    if not sigma > 1.0:
         raise ValueError(f"transform needs sigma > 1, got {sigma}")
     if not s > k:
         raise ValueError(f"transform converges only for s > k, got s={s}, k={k}")

@@ -163,7 +163,7 @@ def _integrated_exponential_k_form(k, eps, rho):
     s = k + eps
     value, _ = _radial_integral(
         0, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)) + k * r,
-        kernels._difference_log_tail(0, eps, rho),
+        kernels._difference_log_tail(0, eps, rho), 1.0, {},
     )
     return float(value)
 
@@ -322,7 +322,7 @@ class TestRadialIntegral:
     )
     def test_against_adaptive_quad(self, k, rho, log_weight, log_tail):
         vector_weight = np.vectorize(log_weight)
-        value, err = _radial_integral(k, rho, vector_weight, log_tail)
+        value, err = _radial_integral(k, rho, vector_weight, log_tail, 1.0, {})
         assert value == pytest.approx(_adaptive_radial(k, rho, log_weight), rel=1e-10)
         assert err <= 1e-10 * value
 
@@ -517,7 +517,8 @@ class TestSharedRadialFactors:
         chebyshev, gap = kernels._log_chebyshev, kernels._log_sqrt_gap
 
         def counting_chebyshev(k, r, rho):
-            cheb.append(r.tobytes())
+            if isinstance(r, np.ndarray):  # not the tail bound's float r = rho + 1
+                cheb.append(r.tobytes())
             return chebyshev(k, r, rho)
 
         def counting_gap(rho, u):
@@ -585,6 +586,72 @@ class TestSharedRadialFactors:
                 got = f(x.copy())
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [list(itertools.product((1, 2, 6), (0.1, 0.5), (1.5, 2.0, 10.0))), [(2, 0.5, 2.0)]],
+        ids=["kernel-check-grid", "one-row"],
+    )
+    def test_difference_matches_expression(self, monkeypatch, rows):
+        integrands = []
+
+        def capturing(f, width, log_tail, run=None):
+            # integrate nothing, so every panel below starts from an empty dict
+            integrands.append(f)
+            return np.zeros(len(rows)), np.zeros(len(rows))
+
+        monkeypatch.setattr(kernels, "_integrate_panels", capturing)
+        kernels._difference_quadratures(*zip(*[(k, k + eps, sigma) for k, eps, sigma in rows]))
+        (f,) = integrands
+        k = np.array([row[0] for row in rows], dtype=float)[:, None]
+        s = k + np.array([row[1] for row in rows])[:, None]
+        rho = np.array([2.0 * math.acosh(math.sqrt(row[2])) for row in rows])[:, None]
+        for lo, hi in [(0.0, 0.25), (0.0, 1.0), (3.0, 4.0), (9.0, 10.0)]:
+            x = np.concatenate((_gauss_nodes(lo, hi, 48)[0], _gauss_nodes(lo, hi, 24)[0]))
+            r = rho + x * x
+            log_w = -(s - 0.5) * r + np.log(-np.expm1(-r))
+            log_cheb = _log_chebyshev(k, r, rho)
+            expected = 2.0 * x * np.exp(log_w + log_cheb - kernels._log_sqrt_gap(rho, x))
+            for _ in range(2):  # computing the factors, then reusing them
+                got = f(x.copy())
+                assert got.shape == expected.shape == (len(rows), 72)
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "func,args,time_integrals",
+        [
+            (heat_kernel, (2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7), 0),
+            (heat_kernel, (1, 0.4, 0.0), 0),
+            (resolvent_via_heat, (1, 2.0, 2.0), 1),
+            (kernels._difference_quadrature, (2, 2.5, 2.0), 0),
+        ],
+        ids=["heat-array", "heat-scalar", "transform", "difference"],
+    )
+    def test_every_u_integral_through_radial_integral(self, monkeypatch, func, args,
+                                                      time_integrals):
+        radial = kernels._radial_integral
+        inside = radial_calls = outside = 0
+
+        def counting_radial(*a):
+            nonlocal inside, radial_calls
+            radial_calls += 1
+            inside += 1
+            try:
+                return radial(*a)
+            finally:
+                inside -= 1
+
+        def counting_panels(f, width, log_tail, run=None):
+            nonlocal outside
+            outside += not inside
+            return _MERGED_PANELS(f, width, log_tail, run=run)
+
+        monkeypatch.setattr(kernels, "_radial_integral", counting_radial)
+        monkeypatch.setattr(kernels, "_integrate_panels", counting_panels)
+        func(*args)
+        # the only panel integral outside _radial_integral is the transform's in time
+        assert radial_calls >= 1
+        assert outside == time_integrals
 
 
 TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0),
@@ -891,6 +958,30 @@ class TestFaddeevTransfer:
             faddeev_transfer(2.0, 4.0, 1.0, 1.5)  # d2 < d1 + 1
         with pytest.raises(ValueError):
             faddeev_transfer(0.0, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "func,args,name",
+    [
+        (resolvent_G, (1, 2.0, math.nan), "sigma"),
+        (resolvent_via_heat, (1, 2.0, math.nan), "sigma"),
+        (heat_kernel, (1, 1.0, math.nan), "rho"),
+        (heat_kernel, (1, math.nan, 1.0), "t"),
+        (integrated_exponential_lhs, (0.5, math.nan), "rho"),
+        (faddeev_transfer, (math.nan, 4.0, 1.0, 2.0), "y0"),
+        (faddeev_transfer, (2.0, math.nan, 1.0, 2.0), "y"),
+        (faddeev_transfer, (2.0, 4.0, math.nan, 2.0), "d1"),
+        (faddeev_transfer, (2.0, 4.0, 1.0, math.nan), "d2"),
+    ],
+    ids=["resolvent_G-sigma", "resolvent_via_heat-sigma", "heat_kernel-rho", "heat_kernel-t",
+         "integrated_exponential_lhs-rho", "faddeev_transfer-y0", "faddeev_transfer-y",
+         "faddeev_transfer-d1", "faddeev_transfer-d2"],
+)
+def test_nan_argument_raises_value_error(func, args, name):
+    # a NaN fails every range check at once, naming the argument, before any
+    # series or quadrature runs on it (and before any numpy warning)
+    with np.errstate(all="raise"), pytest.raises(ValueError, match=rf"\b{name}\b"):
+        func(*args)
 
     def test_height_floor_identity(self):
         # (16/sqrt(15))^2 / 4 equals 64/15 exactly, so the floor height makes
