@@ -449,9 +449,9 @@ def heat_kernel(k: int, t, rho: float):
 
 
 def _heat_kernel(k: int, t, rho: float, factors: dict):
-    """heat_kernel through _radial_integral, with its log weight log r -
-    r^2/(4t) one array, a row per time, and factors the caller's dict of
-    time-independent u-panel factors, so that many times share them."""
+    """heat_kernel through _radial_integral, passing factors, the caller's
+    dict, so a caller with many times at one (k, rho) computes each u-panel's
+    factors once; the log weight log r - r^2/(4t) has a row per time."""
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0.0):
         raise ValueError(f"heat kernel needs t > 0, got {t}")

@@ -959,6 +959,14 @@ class TestFaddeevTransfer:
         with pytest.raises(ValueError):
             faddeev_transfer(0.0, 1.0, 1.0, 2.0)
 
+    def test_height_floor_identity(self):
+        # (16/sqrt(15))^2 / 4 equals 64/15 exactly, so the floor height makes
+        # (64/15)^(k-2) <= Y^(2k-4)/4^(k-2) an equality
+        Y = 16.0 / math.sqrt(15.0)
+        assert Y * Y / 4.0 == pytest.approx(64.0 / 15.0, rel=1e-15)
+        for k in range(2, 40):
+            assert (64.0 / 15.0) ** (k - 2) <= (Y ** (2 * k - 4) / 4.0 ** (k - 2)) * (1 + 1e-12)
+
 
 @pytest.mark.parametrize(
     "func,args,name",
@@ -982,14 +990,6 @@ def test_nan_argument_raises_value_error(func, args, name):
     # series or quadrature runs on it (and before any numpy warning)
     with np.errstate(all="raise"), pytest.raises(ValueError, match=rf"\b{name}\b"):
         func(*args)
-
-    def test_height_floor_identity(self):
-        # (16/sqrt(15))^2 / 4 equals 64/15 exactly, so the floor height makes
-        # (64/15)^(k-2) <= Y^(2k-4)/4^(k-2) an equality
-        Y = 16.0 / math.sqrt(15.0)
-        assert Y * Y / 4.0 == pytest.approx(64.0 / 15.0, rel=1e-15)
-        for k in range(2, 40):
-            assert (64.0 / 15.0) ** (k - 2) <= (Y ** (2 * k - 4) / 4.0 ** (k - 2)) * (1 + 1e-12)
 
 
 def test_check_suite_passes():
