@@ -19,19 +19,18 @@ assembled in log space because the Chebyshev factor grows like e^{k r} while
 the exponential weights shrink faster, and the two must cancel before
 exponentiation; _log_chebyshev is that factor, for the integrands and the
 Chebyshev check alike.  Every radial integral goes through one evaluator,
-_radial_integral, which keeps the weight-independent factors of each u-panel
-(r, the Chebyshev factor, the square-root gap, 2u) in its caller's dict,
-keyed by the panel's nodes.  The difference kernel passes its weight with k,
-s and rho as columns and a fresh dict, so the kernel-check grid is one array
-integral whose panels stop when every row's bound passes.  The heat kernel
-passes log r - r^2/(4t) at every time of its array; heat_kernel starts a
-fresh dict on every call, and resolvent_via_heat shares one across its time
-panels, so it computes each distinct u-panel's factors once; after the first
-time panel it evaluates the heat kernel on up to _TIME_RUN time panels per
-call.  The integrated exponential of the sup-norm argument is the k = 0
-difference kernel, summed as series.  Gamma prefactors use math.lgamma.  The
-Stirling check tests engine's gamma_ratio_bound, the one the bound tables
-use.
+_radial_integral, which computes the weight-independent factors of each
+u-panel (r, the Chebyshev factor, the square-root gap, 2u) on that panel's
+nodes.  The difference kernel passes its weight with k, s and rho as
+columns, so the kernel-check grid is one array integral whose panels stop
+when every row's bound passes.  The heat kernel passes log r - r^2/(4t) at
+every time of its array; resolvent_via_heat calls it on the first time
+panel alone and then on up to _TIME_RUN time panels per call.  The
+integrated exponential of the sup-norm argument is the k = 0 difference
+kernel, summed as series.  Gamma prefactors use math.lgamma.  The Stirling
+check tests engine's gamma_ratio_bound, the one the bound tables use.  A
+NaN or infinite sigma, rho, t, s or eps fails its range check, which raises
+ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -65,9 +64,9 @@ _PANEL_LIMIT = 2000
 #: Gauss-Legendre order on every panel; half of it gives the error estimate.
 _PANEL_ORDER = 48
 #: Time panels the heat-to-resolvent transform evaluates in one heat-kernel
-#: call: 4 x 72 = 288 times, so the heat integrand array on a u-panel holds at
-#: most 288 x 72 doubles (166 kB).
-_TIME_RUN = 4
+#: call: 8 x 72 = 576 times, so the heat integrand array on a u-panel holds at
+#: most 576 x 72 doubles (332 kB).
+_TIME_RUN = 8
 #: Largest relative error estimate a heat-kernel value may carry.
 _HEAT_REL_TARGET = 1e-8
 #: Largest relative error estimate the heat-to-resolvent transform may carry.
@@ -201,7 +200,7 @@ def _integrate_panels(f, width: float, log_tail, run=None):
     raise AccuracyError("panel integration did not terminate")
 
 
-def _radial_integral(k, rho, log_weight, log_tail, width: float, factors: dict):
+def _radial_integral(k, rho, log_weight, log_tail, width: float):
     """Integral over r > rho of e^{log_weight(r)} T_2k(cosh(r/2)/cosh(rho/2))
     / sqrt(cosh r - cosh rho), through r = rho + u^2, on u-panels of the given width.
 
@@ -209,26 +208,19 @@ def _radial_integral(k, rho, log_weight, log_tail, width: float, factors: dict):
     maps an array of r to log weights, possibly with leading axes of its own,
     and must return a fresh array of the integrand's full shape, which the
     integrand overwrites.  log_tail is the tail bound in u, one per row, as
-    _integrate_panels takes it.  factors is the caller's dict: it keeps each
-    u-panel's weight-independent factors (r, the Chebyshev factor, the
-    square-root gap, 2u), keyed by the panel's nodes, so a caller with many
-    weights at one (k, rho) computes them once.  Returns (value, error_estimate).
+    _integrate_panels takes it.  Returns (value, error_estimate).
     """
 
     def integrand(u):
-        key = u.tobytes()
-        if key not in factors:
-            r = rho + u * u
-            factors[key] = (r, _log_chebyshev(k, r, rho), _log_sqrt_gap(rho, u), 2.0 * u)
-        r, log_cheb, gap, two_u = factors[key]
-        # 2u exp(log_weight(r) + log_cheb - gap) in place, operation by
-        # operation in the expression's order, so every bit is the expression's
+        r = rho + u * u
+        # 2u exp(log_weight(r) + log T_2k - log sqrt-gap) in place, operation
+        # by operation in the expression's order, so every bit is the expression's
         x = log_weight(r)
-        x += log_cheb
-        x -= gap
+        x += _log_chebyshev(k, r, rho)
+        x -= _log_sqrt_gap(rho, u)
         with np.errstate(over="ignore"):
             np.exp(x, out=x)
-            x *= two_u
+            x *= 2.0 * u
         return x
 
     return _integrate_panels(integrand, width, log_tail)
@@ -371,10 +363,10 @@ def resolvent_G(k: int, s: float, sigma: float) -> float:
     Gauss hypergeometric series F(s+k, s-k; 2s; 1/sigma); the prefactor is
     assembled through log-gamma so large s and k do not overflow.
     """
-    if not sigma > 1.0:
-        raise ValueError(f"resolvent kernel is singular at sigma <= 1, got {sigma}")
-    if not s > k:
-        raise ValueError(f"need s > k on the real axis, got s={s}, k={k}")
+    if not 1.0 < sigma < math.inf:
+        raise ValueError(f"resolvent kernel needs finite sigma > 1, got {sigma}")
+    if not k < s < math.inf:
+        raise ValueError(f"need finite s > k on the real axis, got s={s}, k={k}")
     log_pref = (
         math.lgamma(s + k)
         + math.lgamma(s - k)
@@ -404,13 +396,8 @@ def _difference_quadratures(k, s, sigma) -> np.ndarray:
     rho = np.array([2.0 * math.acosh(math.sqrt(x)) for x in sigma])
     value, _ = _radial_integral(k[:, None], rho[:, None],
                                 lambda r: -(s[:, None] - 0.5) * r + np.log(-np.expm1(-r)),
-                                _difference_log_tail(k, s - k, rho), 1.0, {})
+                                _difference_log_tail(k, s - k, rho), 1.0)
     return value / (2.0 * math.pi * math.sqrt(2.0))
-
-
-def _difference_quadrature(k: int, s: float, sigma: float) -> float:
-    """_difference_quadratures at one (k, s, sigma)."""
-    return float(_difference_quadratures([k], [s], [sigma])[0])
 
 
 def integrated_exponential_lhs(eps: float, rho: float) -> float:
@@ -421,8 +408,10 @@ def integrated_exponential_lhs(eps: float, rho: float) -> float:
     2 pi sqrt(2) (G_0(eps) - G_0(eps+1)) at sigma = cosh^2(rho/2).  Bounded
     above by 3 sqrt(2) e^{-eps rho} / eps for 0 < eps < 1.
     """
-    if not rho > 0.0:
-        raise ValueError(f"need rho > 0, got {rho}")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"need finite eps > 0, got {eps}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"need finite rho > 0, got {rho}")
     return 2.0 * math.pi * math.sqrt(2.0) * _difference_series(0, eps, math.cosh(rho / 2.0) ** 2)
 
 
@@ -435,28 +424,22 @@ def heat_kernel(k: int, t, rho: float):
 
     sqrt(2) e^{-t/4} (4 pi t)^{-3/2} times the radial integral of
     r e^{-r^2/(4t)} / sqrt(cosh r - cosh rho) weighted by the Chebyshev factor.
-    An array of times, of any shape, shares the radial nodes, and each call
-    computes the time-independent factors of its u-panels afresh.  The
-    u-panels are sized by the smallest time (_heat_width) and stop at the
-    first end where the Gaussian tail bound of _heat_log_tail is below
-    _PANEL_TINY of the integral at every time; a time whose own bound
-    passed earlier gets panels that add less than half an ulp each, so
-    every value is the one its time has alone at the same width.  Raises
-    AccuracyError when a value is not finite or its error estimate exceeds
-    1e-8 relative.
+    An array of times, of any shape, shares the radial nodes: the integral
+    goes through _radial_integral with the log weight log r - r^2/(4t), one
+    row per time.  The u-panels are sized by the smallest time (_heat_width)
+    and stop at the first end where the Gaussian tail bound of
+    _heat_log_tail is below _PANEL_TINY of the integral at every time; a
+    time whose own bound passed earlier gets panels that add less than half
+    an ulp each, so every value is the one its time has alone at the same
+    width.  Raises ValueError unless every t is finite and positive and rho
+    is finite and nonnegative; raises AccuracyError when a value is not
+    finite or its error estimate exceeds 1e-8 relative.
     """
-    return _heat_kernel(k, t, rho, {})
-
-
-def _heat_kernel(k: int, t, rho: float, factors: dict):
-    """heat_kernel through _radial_integral, passing factors, the caller's
-    dict, so a caller with many times at one (k, rho) computes each u-panel's
-    factors once; the log weight log r - r^2/(4t) has a row per time."""
     t = np.asarray(t, dtype=float)
-    if not np.all(t > 0.0):
-        raise ValueError(f"heat kernel needs t > 0, got {t}")
-    if not rho >= 0.0:
-        raise ValueError(f"heat kernel needs rho >= 0, got {rho}")
+    if not np.all((0.0 < t) & (t < np.inf)):
+        raise ValueError(f"heat kernel needs finite t > 0, got {t}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"heat kernel needs finite rho >= 0, got {rho}")
     four_t = 4.0 * t[..., None]
 
     def log_weight(r):
@@ -464,7 +447,7 @@ def _heat_kernel(k: int, t, rho: float, factors: dict):
         return np.subtract(np.log(r), x, out=x)
 
     raw, err = _radial_integral(k, rho, log_weight, _heat_log_tail(k, t, rho),
-                                _heat_width(float(np.min(t)), rho), factors)
+                                _heat_width(float(np.min(t)), rho))
     raw, err = raw.reshape(t.shape), err.reshape(t.shape)
     value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
@@ -491,24 +474,22 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     every later time gets the widest u-panels, which for rho <= 32 is from
     the second panel on, one evaluation takes the 72 times of up to
     _TIME_RUN panels, and never of a panel past the first end where the
-    running total already proves the stop.  Every sum is a row-wise dot, so
-    each time's value is the one it has in a call of its own.  The
-    time-independent factors of a u-panel (r, the Chebyshev factor, the
-    square-root gap, 2u) are computed once per transform and shared by every
-    evaluation whose u-nodes are the same.  The time panels stop at the
-    first end where the bound of _transform_log_tail on the rest is below
-    _PANEL_TINY of the running total.  Raises AccuracyError at once at
-    k = 0, s = 1/2, where no end has a finite bound; and when the error
-    estimate exceeds 1e-7 relative (as at small sigma for many (k, s),
-    where the first time panel does not resolve the peak near
-    t = rho^2/6) or
-    the panels reach their limit, as the 0.25-wide k = 0 time panels do for
-    s near 1/2 (below s = 0.783 at sigma = 1.3).
+    running total already proves the stop.  Every evaluation is a call of
+    heat_kernel, and every sum is a row-wise dot, so each time's value is
+    the one it has in a call of its own.  The time panels stop at the first
+    end where the bound of _transform_log_tail on the rest is below
+    _PANEL_TINY of the running total.  Raises ValueError unless sigma > 1
+    and s > k are finite.  Raises AccuracyError at once at k = 0, s = 1/2,
+    where no end has a finite bound; and when the error estimate exceeds
+    1e-7 relative (as at small sigma for many (k, s), where the first time
+    panel does not resolve the peak near t = rho^2/6) or the panels reach
+    their limit, as the 0.25-wide k = 0 time panels do for s near 1/2
+    (below s = 0.783 at sigma = 1.3).
     """
-    if not sigma > 1.0:
-        raise ValueError(f"transform needs sigma > 1, got {sigma}")
-    if not s > k:
-        raise ValueError(f"transform converges only for s > k, got s={s}, k={k}")
+    if not 1.0 < sigma < math.inf:
+        raise ValueError(f"transform needs finite sigma > 1, got {sigma}")
+    if not k < s < math.inf:
+        raise ValueError(f"transform converges only for finite s > k, got s={s}, k={k}")
     rho = 2.0 * math.acosh(math.sqrt(sigma))
     # (s-1/2)^2 - (k-1/2)^2 is the tail's decay rate for k >= 1; at k = 0 the
     # rate is (s-1/2)^2 (see _transform_log_tail), this expression is not
@@ -519,10 +500,9 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     if log_tail(_PANEL_LIMIT * width) == math.inf:
         raise AccuracyError("panel integration did not terminate: at k = 0, s = 1/2 "
                             "no time panel end has a finite tail bound")
-    factors: dict = {}
 
     def integrand(t):
-        return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * _heat_kernel(k, t, rho, factors)
+        return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho)
 
     # a call's u-panels are sized by its smallest time, so panels share a
     # call only from where every time, from the panel's start on, gets the

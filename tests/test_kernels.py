@@ -14,7 +14,6 @@ from supnorm.forms import _gauss_nodes
 from supnorm.kernels import (
     _DUAL_TOL,
     AccuracyError,
-    _difference_quadrature,
     _difference_series,
     _log_chebyshev,
     _radial_integral,
@@ -153,6 +152,11 @@ class TestResolvent:
             resolvent_G(3, 2.5, 2.0)
 
 
+def _difference_quadrature(k, s, sigma):
+    """kernels._difference_quadratures at one (k, s, sigma)."""
+    return float(kernels._difference_quadratures([k], [s], [sigma])[0])
+
+
 def _difference_routes(k, s, sigma):
     """(series, quadrature) values of G_k(s) - G_k(s+1) at displacement sigma."""
     return _difference_series(k, s, sigma), _difference_quadrature(k, s, sigma)
@@ -163,7 +167,7 @@ def _integrated_exponential_k_form(k, eps, rho):
     s = k + eps
     value, _ = _radial_integral(
         0, rho, lambda r: -(s - 0.5) * r + np.log(-np.expm1(-r)) + k * r,
-        kernels._difference_log_tail(0, eps, rho), 1.0, {},
+        kernels._difference_log_tail(0, eps, rho), 1.0,
     )
     return float(value)
 
@@ -242,7 +246,10 @@ class TestHeatKernel:
         monkeypatch.setattr(kernels, "heat_kernel",
                             lambda k, t, rho: sizes.append(np.size(t)) or heat(k, t, rho))
         results = {r.name: r for r in run_kernel_checks(50)}
-        assert sizes == [2] * 8
+        # the eight monotonicity calls, then each of the three transforms'
+        # calls through the same public heat_kernel: its first time panel
+        # alone, then runs of up to eight panels
+        assert sizes == [2] * 8 + [72, 576, 504, 72, 576, 576, 72, 576, 576]
         assert results["heat_kernel_monotone"].passed is True
 
     def test_array_of_times_matches_scalar_calls(self):
@@ -322,7 +329,7 @@ class TestRadialIntegral:
     )
     def test_against_adaptive_quad(self, k, rho, log_weight, log_tail):
         vector_weight = np.vectorize(log_weight)
-        value, err = _radial_integral(k, rho, vector_weight, log_tail, 1.0, {})
+        value, err = _radial_integral(k, rho, vector_weight, log_tail, 1.0)
         assert value == pytest.approx(_adaptive_radial(k, rho, log_weight), rel=1e-10)
         assert err <= 1e-10 * value
 
@@ -419,12 +426,12 @@ class TestMergedPanelRule:
     @pytest.mark.parametrize(
         "func,args",
         [
-            (kernels._difference_quadrature, (0, 0.1, 1.5)),
-            (kernels._difference_quadrature, (0, 0.5, 2.0)),
-            (kernels._difference_quadrature, (0, 0.9, 10.0)),
-            (kernels._difference_quadrature, (1, 1.1, 1.5)),
-            (kernels._difference_quadrature, (2, 2.5, 2.0)),
-            (kernels._difference_quadrature, (6, 6.5, 10.0)),
+            (_difference_quadrature, (0, 0.1, 1.5)),
+            (_difference_quadrature, (0, 0.5, 2.0)),
+            (_difference_quadrature, (0, 0.9, 10.0)),
+            (_difference_quadrature, (1, 1.1, 1.5)),
+            (_difference_quadrature, (2, 2.5, 2.0)),
+            (_difference_quadrature, (6, 6.5, 10.0)),
             (heat_kernel, (2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7)),
         ],
         # an intexp id names the (k, eps, sigma) grid point of the integrated
@@ -459,14 +466,14 @@ class TestMergedPanelRule:
                 depth -= 1
 
         heat_sizes = []
-        heat = kernels._heat_kernel
+        heat = kernels.heat_kernel
 
-        def counting_heat(k, t, rho, factors):
+        def counting_heat(k, t, rho):
             heat_sizes.append(np.size(t))
-            return heat(k, t, rho, factors)
+            return heat(k, t, rho)
 
         monkeypatch.setattr(kernels, "_integrate_panels", counting)
-        monkeypatch.setattr(kernels, "_heat_kernel", counting_heat)
+        monkeypatch.setattr(kernels, "heat_kernel", counting_heat)
         resolvent_via_heat(1, 2.0, 2.0)
 
         for depth, width, calls in integrations:
@@ -478,9 +485,9 @@ class TestMergedPanelRule:
             assert [int(x.min() // width) for x in rows] == list(range(len(rows)))
             assert all(int(x.max() // width) == i for i, x in enumerate(rows))
         (time_calls,) = [calls for d, _, calls in integrations if d == 0]
-        # the first time panel alone, then four to a heat-kernel call up to
+        # the first time panel alone, then eight to a heat-kernel call up to
         # the 16th panel, where the tail bound stops the transform
-        assert [len(x) for x in time_calls] == [1, 4, 4, 4, 3]
+        assert [len(x) for x in time_calls] == [1, 8, 7]
         assert heat_sizes == [72 * len(x) for x in time_calls]
 
 
@@ -497,7 +504,8 @@ def _transform_through_public_heat(k, s, sigma):
 
 
 class TestSharedRadialFactors:
-    # the transform computes each u-panel's time-independent factors once
+    # the radial integrand's bits against the expression it assembles, and the
+    # transform's runs of time panels against one public call per panel
 
     @pytest.mark.parametrize(
         "k,s,sigma", [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0)]
@@ -509,57 +517,6 @@ class TestSharedRadialFactors:
         assert value == float(ref_value)
         assert raw == ref_value
         assert err == ref_err
-
-    def _count_factor_calls(self, monkeypatch, k, s, sigma):
-        """(Chebyshev-factor r arrays, gap u arrays, u-panel node arrays) of one transform."""
-        cheb, gaps, u_panels = [], [], []
-        depth = 0
-        chebyshev, gap = kernels._log_chebyshev, kernels._log_sqrt_gap
-
-        def counting_chebyshev(k, r, rho):
-            if isinstance(r, np.ndarray):  # not the tail bound's float r = rho + 1
-                cheb.append(r.tobytes())
-            return chebyshev(k, r, rho)
-
-        def counting_gap(rho, u):
-            gaps.append(u.tobytes())
-            return gap(rho, u)
-
-        def counting_panels(f, width, log_tail, run=None):
-            nonlocal depth
-            inner = depth > 0
-
-            def counted(x):
-                if inner:
-                    u_panels.append(x.tobytes())
-                return f(x)
-
-            depth += 1
-            try:
-                return _MERGED_PANELS(counted, width, log_tail, run=run)
-            finally:
-                depth -= 1
-
-        monkeypatch.setattr(kernels, "_log_chebyshev", counting_chebyshev)
-        monkeypatch.setattr(kernels, "_log_sqrt_gap", counting_gap)
-        monkeypatch.setattr(kernels, "_integrate_panels", counting_panels)
-        resolvent_via_heat(k, s, sigma)
-        monkeypatch.undo()
-        return cheb, gaps, u_panels
-
-    @pytest.mark.parametrize("k,s,sigma,distinct,evaluations",
-                             [(1, 2.0, 2.0, 26, 50), (2, 3.0, 2.5, 31, 54)])
-    def test_factors_once_per_distinct_panel(self, monkeypatch, k, s, sigma, distinct,
-                                             evaluations):
-        cheb, gaps, u_panels = self._count_factor_calls(monkeypatch, k, s, sigma)
-        # each distinct u-panel gets its factors exactly once, in first-use order
-        assert gaps == list(dict.fromkeys(u_panels))
-        assert len(cheb) == len(set(cheb)) == len(gaps)
-        # and most u-panel evaluations reuse them, the heat kernel of each
-        # run of time panels stopping on its tail bound
-        assert (len(gaps), len(u_panels)) == (distinct, evaluations)
-        # a second identical transform starts from nothing
-        assert self._count_factor_calls(monkeypatch, k, s, sigma) == (cheb, gaps, u_panels)
 
     @pytest.mark.parametrize("t", [0.3, 2.0, np.array([0.7]), np.array([0.05, 0.3, 1.0, 4.0])],
                              ids=["scalar-0.3", "scalar-2", "one-time", "array"])
@@ -582,7 +539,7 @@ class TestSharedRadialFactors:
             log_cheb = _log_chebyshev(k, r, rho)
             gap = kernels._log_sqrt_gap(rho, x)
             expected = 2.0 * x * np.exp(np.log(r) - r * r / (4.0 * tt) + log_cheb - gap)
-            for _ in range(2):  # computing the factors, then reusing them
+            for _ in range(2):  # a second call sees nothing the first left behind
                 got = f(x.copy())
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
@@ -596,7 +553,7 @@ class TestSharedRadialFactors:
         integrands = []
 
         def capturing(f, width, log_tail, run=None):
-            # integrate nothing, so every panel below starts from an empty dict
+            # integrate nothing: the panels below are evaluated by the test
             integrands.append(f)
             return np.zeros(len(rows)), np.zeros(len(rows))
 
@@ -612,7 +569,7 @@ class TestSharedRadialFactors:
             log_w = -(s - 0.5) * r + np.log(-np.expm1(-r))
             log_cheb = _log_chebyshev(k, r, rho)
             expected = 2.0 * x * np.exp(log_w + log_cheb - kernels._log_sqrt_gap(rho, x))
-            for _ in range(2):  # computing the factors, then reusing them
+            for _ in range(2):  # a second call sees nothing the first left behind
                 got = f(x.copy())
                 assert got.shape == expected.shape == (len(rows), 72)
                 assert got.tobytes() == expected.tobytes()
@@ -623,7 +580,7 @@ class TestSharedRadialFactors:
             (heat_kernel, (2, np.array([0.05, 0.3, 1.0, 4.0]), 0.7), 0),
             (heat_kernel, (1, 0.4, 0.0), 0),
             (resolvent_via_heat, (1, 2.0, 2.0), 1),
-            (kernels._difference_quadrature, (2, 2.5, 2.0), 0),
+            (_difference_quadrature, (2, 2.5, 2.0), 0),
         ],
         ids=["heat-array", "heat-scalar", "transform", "difference"],
     )
@@ -683,16 +640,16 @@ def _panel_runs(func, *args, panels=_MERGED_PANELS):
 
 
 def _heat_calls(func, *args):
-    """func(*args) and the time array of each _heat_kernel call it makes."""
+    """func(*args) and the time array of each heat_kernel call it makes."""
     times = []
-    heat = kernels._heat_kernel
+    heat = kernels.heat_kernel
 
-    def recording(k, t, rho, factors):
+    def recording(k, t, rho):
         times.append(t)
-        return heat(k, t, rho, factors)
+        return heat(k, t, rho)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_heat_kernel", recording)
+        mp.setattr(kernels, "heat_kernel", recording)
         value = func(*args)
     return value, times
 
@@ -761,7 +718,7 @@ class TestTailBounds:
     def test_difference_bound_dominates(self, k):
         for sigma, eps in itertools.product((1.05, 2.0, 10.0, 100.0), (0.05, 0.1, 0.5, 0.9)):
             s = k + eps
-            ((width, count, log_tail),) = _panel_runs(kernels._difference_quadrature, k, s, sigma)
+            ((width, count, log_tail),) = _panel_runs(_difference_quadrature, k, s, sigma)
             rho = 2.0 * math.acosh(math.sqrt(sigma))
             f = _scalar_radial_integrand(
                 k, rho, lambda r: -(s - 0.5) * r + math.log(-math.expm1(-r)))
@@ -822,7 +779,7 @@ class TestTailStopRule:
     @pytest.mark.parametrize("k", [0, 1, 2, 6])
     def test_difference_matches_quiet_rule(self, monkeypatch, k):
         for eps, sigma in itertools.product((0.1, 0.5, 0.9), (1.5, 2.0, 10.0)):
-            new, old = _with_quiet_panels(monkeypatch, kernels._difference_quadrature,
+            new, old = _with_quiet_panels(monkeypatch, _difference_quadrature,
                                           k, k + eps, sigma)
             assert new == old, (eps, sigma)
 
@@ -842,10 +799,10 @@ class TestTailStopRule:
         counts = [_panel_runs(resolvent_via_heat, 1, 2.0, 2.0, panels=panels)[-1][1]
                   for panels in (_MERGED_PANELS, _quiet_panels)]
         assert counts == [16, 21]
-        # the library's 16 panels take five heat-kernel calls, and runs of
+        # the library's 16 panels take three heat-kernel calls, and runs of
         # panels end at the stop: none is evaluated past it
         _, times = _heat_calls(resolvent_via_heat, 1, 2.0, 2.0)
-        assert [t.size for t in times] == [72, 288, 288, 288, 216]
+        assert [t.size for t in times] == [72, 576, 504]
 
     def test_slow_decay_panel_limit(self):
         # at k = 0 the time tail decays at mu = (s-1/2)^2 on 0.25-wide panels,
@@ -861,7 +818,7 @@ class TestTailStopRule:
         # at the default panel limit, not after 2,000 time panels
         assert kernels._PANEL_LIMIT == 2000
         calls = []
-        monkeypatch.setattr(kernels, "_heat_kernel", lambda *args: calls.append(args))
+        monkeypatch.setattr(kernels, "heat_kernel", lambda *args: calls.append(args))
         with pytest.raises(AccuracyError, match="did not terminate"):
             resolvent_via_heat(0, 0.5, 1.3)
         assert calls == []
@@ -914,7 +871,7 @@ class TestBatchedIntegrals:
         sigma = math.cosh(rho / 2.0) ** 2
         value, times = _heat_calls(resolvent_via_heat, k, s, sigma)
         widths = [sorted({kernels._heat_width(float(row.min()), rho) for row in t}) for t in times]
-        assert [len(t) for t in times[:3]] == [1, 1, 4]
+        assert [len(t) for t in times[:3]] == [1, 1, 8]
         assert widths[0][0] < widths[1][0] < 1.0
         assert all(w == [1.0] for w in widths[2:])
         monkeypatch.setattr(kernels, "_TIME_RUN", 1)
@@ -980,14 +937,32 @@ class TestFaddeevTransfer:
         (faddeev_transfer, (2.0, math.nan, 1.0, 2.0), "y"),
         (faddeev_transfer, (2.0, 4.0, math.nan, 2.0), "d1"),
         (faddeev_transfer, (2.0, 4.0, 1.0, math.nan), "d2"),
+        (resolvent_G, (1, 2.0, math.inf), "sigma"),
+        (resolvent_G, (1, math.inf, 2.0), "s"),
+        (resolvent_via_heat, (1, 2.0, math.inf), "sigma"),
+        (resolvent_via_heat, (1, math.inf, 2.0), "s"),
+        (heat_kernel, (1, 1.0, math.inf), "rho"),
+        (heat_kernel, (1, math.inf, 1.0), "t"),
+        (heat_kernel, (1, np.array([0.5, math.inf]), 1.0), "t"),
+        (integrated_exponential_lhs, (0.5, math.inf), "rho"),
+        (integrated_exponential_lhs, (math.inf, 1.0), "eps"),
+        (integrated_exponential_lhs, (math.nan, 1.0), "eps"),
+        (integrated_exponential_lhs, (0.0, 1.0), "eps"),
+        (integrated_exponential_lhs, (-0.5, 1.0), "eps"),
     ],
     ids=["resolvent_G-sigma", "resolvent_via_heat-sigma", "heat_kernel-rho", "heat_kernel-t",
          "integrated_exponential_lhs-rho", "faddeev_transfer-y0", "faddeev_transfer-y",
-         "faddeev_transfer-d1", "faddeev_transfer-d2"],
+         "faddeev_transfer-d1", "faddeev_transfer-d2", "resolvent_G-inf-sigma",
+         "resolvent_G-inf-s", "resolvent_via_heat-inf-sigma", "resolvent_via_heat-inf-s",
+         "heat_kernel-inf-rho", "heat_kernel-inf-t", "heat_kernel-inf-t-array",
+         "integrated_exponential_lhs-inf-rho", "integrated_exponential_lhs-inf-eps",
+         "integrated_exponential_lhs-nan-eps", "integrated_exponential_lhs-zero-eps",
+         "integrated_exponential_lhs-negative-eps"],
 )
 def test_nan_argument_raises_value_error(func, args, name):
-    # a NaN fails every range check at once, naming the argument, before any
-    # series or quadrature runs on it (and before any numpy warning)
+    # a NaN or infinite argument (or an eps <= 0) fails its range check at
+    # once, naming the argument, before any series or quadrature runs on it
+    # (and before any numpy warning)
     with np.errstate(all="raise"), pytest.raises(ValueError, match=rf"\b{name}\b"):
         func(*args)
 
