@@ -2,12 +2,13 @@
 
 Each supported weight w has a one-dimensional space, generated by the
 discriminant form (weight 12) times the Eisenstein series of weight w - 12
-(none for w = 12).  Coefficients are exact integers, 128 stored; Horner reads
-the N of them whose dropped rest is at most 2^-70 (12 to 16 on the standard
-domain) and all of them near a zero of f.  A Petersson norm is an
-incomplete-gamma sum over the strip above y = 1, finite because the weight is
-an integer, plus one fixed Gauss-Legendre rule on the sliver below it,
-cross-checked at doubled order; the kernel panels use the same cached rule.
+(none for w = 12).  Coefficients are exact integers, and each generator
+stores the least N whose Deligne tail is at most 2^-70 at the lowest height
+of the standard domain (12 to 16); one Horner pass reads all of them.  A
+Petersson norm is an incomplete-gamma sum over the strip above y = 1, finite
+because the weight is an integer, plus one fixed Gauss-Legendre rule on the
+sliver below it, cross-checked at doubled order; the kernel panels use the
+same cached rule.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
 verifier compares against the closed-form bounds; s2k_on_grid is its one
 evaluator.  The mass integral, the independent check of the norm, is one
@@ -38,8 +39,8 @@ __all__ = [
 ]
 
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
-#: Stored q-expansion coefficients of each basis generator.
-_N_COEFFS = 128
+#: Lowest height of the standard domain, where the stored count is fixed.
+_Y0 = math.sqrt(3.0) / 2.0
 #: Gauss-Legendre nodes per axis of the tensor rule in mass_integral.
 _MASS_ORDER = 48
 
@@ -117,7 +118,8 @@ def cusp_form_coefficients(weight: int, n: int) -> tuple[int, ...]:
 
 
 def _horner(coeffs, q):
-    """sum a_n q^(n-1) over every given coefficient, in place."""
+    """The form's value divided by q, sum a_n q^(n-1) over every given
+    coefficient at every point of the array q, in place."""
     val = np.zeros_like(q)
     for a in reversed(coeffs):
         val *= q
@@ -125,56 +127,14 @@ def _horner(coeffs, q):
     return val
 
 
-def _cut(coeffs, r: float) -> tuple[int, float]:
-    """Least N with stored terms sum_{N<n} |a_n| r^(n-1) <= 2^-70, and that sum."""
-    if not r < 1.0:
-        return len(coeffs), 0.0
-    dropped = 0.0
-    for n in range(len(coeffs), 0, -1):
-        wider = dropped + abs(float(coeffs[n - 1])) * r ** (n - 1)
-        if not wider <= 2.0**-70:
-            return n, dropped
-        dropped = wider
-    return 0, dropped
-
-
-def _horner_and_rest(coeffs, q):
-    """(_horner_over_q(coeffs, q), the sum of the stored terms it dropped).
-
-    Only the first N terms, N from _cut at the call's largest |q|; a point
-    where the dropped sum exceeds 2^-60 |f_N/q| is redone over all of them.
-    A cut at 2^-60 or 2^-64 flipped last bits, as a small real or imaginary
-    part has a finer ulp than |f/q|; at 2^-70 the library grids match the
-    full sum bit for bit.  The dropped sum is _cut's, at most 2^-70.
-    """
-    q = np.asarray(q)
-    n, dropped = _cut(coeffs, float(np.max(np.abs(q), initial=0.0)))
-    val = _horner(coeffs[:n], q)
-    redo = ~(dropped <= 2.0**-60 * np.abs(val))
-    if np.count_nonzero(redo) == 1:
-        # numpy rounds a lone complex product apart from its vector loop
-        redo = np.ones(q.shape, dtype=bool)
-    if np.any(redo):
-        val[redo] = _horner(coeffs, q[redo])
-    return val, dropped
-
-
-def _horner_over_q(coeffs, q):
-    """sum a_n q^(n-1) at every point of the array q: the form's value divided by q.
-
-    Horner reads the leading terms only, as _horner_and_rest says.
-    """
-    return _horner_and_rest(coeffs, q)[0]
-
-
 def evaluate_form(coeffs, z):
     """Value of sum a_n q^n, q = e^{2 pi i z}, at every point of the array z."""
     q = np.exp(2j * math.pi * np.asarray(z))
-    return _horner_over_q(coeffs, q) * q
+    return _horner(coeffs, q) * q
 
 
-def _tail_over_q(coeffs, weight: int, y):
-    """tail_bound divided by |q| = e^{-2 pi y}, at every height of the array y.
+def _tail_over_q(n: int, weight: int, y):
+    """tail_bound past n terms divided by |q| = e^{-2 pi y}, at every height of the array y.
 
     Every supported space is one-dimensional, so its generator is a Hecke
     eigenform and Deligne's bound |a_n| <= d(n) n^((w-1)/2) applies; with
@@ -183,7 +143,6 @@ def _tail_over_q(coeffs, weight: int, y):
     ratio reaches 1 the bound is infinite.  Flooring the exponent at -700
     only raises the bound, and keeps exp off its slow underflow path.
     """
-    n = len(coeffs)
     w_half = weight / 2.0
     first = 2.0 * (n + 1.0) ** w_half * np.exp(np.maximum(-2.0 * math.pi * n * y, -700.0))
     ratio = ((n + 2.0) / (n + 1.0)) ** w_half * np.exp(-2.0 * math.pi * y)
@@ -193,7 +152,7 @@ def _tail_over_q(coeffs, weight: int, y):
 
 def tail_bound(coeffs, weight: int, y: float) -> float:
     """Upper bound for sum_{n > N} |a_n| e^{-2 pi n y} beyond the stored terms."""
-    return float(_tail_over_q(coeffs, weight, y)) * math.exp(-2.0 * math.pi * y)
+    return float(_tail_over_q(len(coeffs), weight, y)) * math.exp(-2.0 * math.pi * y)
 
 
 # ---------------------------------------------------------------------------
@@ -249,19 +208,20 @@ def _sliver_integral(weight: int, coeffs, nx: int = 64, ny: int = 48) -> float:
 def _truncation_error(weight: int, coeffs) -> float:
     """Bound, via tail_bound, on the norm part of the coefficients beyond the stored ones.
 
-    On the standard domain y >= y0 = sqrt(3)/2.  With T = tail_bound and
-    S(y) = sum |a_n| e^{-2 pi n y}, the truncated form f_N obeys
+    On the standard domain y >= y0 = _Y0 = sqrt(3)/2.  With T = tail_bound
+    and S(y) = sum |a_n| e^{-2 pi n y}, the truncated form f_N obeys
     ||f|^2 - |f_N|^2| <= T(y) (2 S(y0) + T(y)), and T(y) e^{2 pi (N+1) y}
     decreases in y; with y^m <= y0^m e^{m (y - y0) / y0} the domain integral
     is at most T(y0) (2 S(y0) + T(y0)) y0^m / (2 pi (N+1) - m / y0), m = w-2.
+    At the N that build_basis stores, T(y0) <= 2^-70 e^{-2 pi y0}, and the
+    bound is about 1e-29.
     """
-    y0 = math.sqrt(3.0) / 2.0
     n = len(coeffs)
     m = weight - 2.0
-    t0 = tail_bound(coeffs, weight, y0)
-    s0 = sum(abs(float(a)) * math.exp(-2.0 * math.pi * (j + 1) * y0)
+    t0 = tail_bound(coeffs, weight, _Y0)
+    s0 = sum(abs(float(a)) * math.exp(-2.0 * math.pi * (j + 1) * _Y0)
              for j, a in enumerate(coeffs))
-    return t0 * (2.0 * s0 + t0) * y0**m / (2.0 * math.pi * (n + 1) - m / y0)
+    return t0 * (2.0 * s0 + t0) * _Y0**m / (2.0 * math.pi * (n + 1) - m / _Y0)
 
 
 @dataclass(frozen=True)
@@ -281,14 +241,20 @@ class CuspFormBasis:
 
 
 def build_basis(weight: int) -> CuspFormBasis:
-    """Generator coefficients a_1..a_128 plus its Petersson norm with an error estimate.
+    """Generator coefficients a_1..a_N plus its Petersson norm with an error estimate.
 
-    The norm is the exact strip sum above y = 1 plus a 64 x 48 Gauss-Legendre
-    rule on the sliver below.  The error estimate adds the change of the
-    sliver under a 128 x 96 rule to the bound for the coefficients beyond the
-    stored ones.
+    N is the least count whose Deligne tail, divided by |q|, is at most 2^-70
+    at _Y0: 12, 13, 14, 15, 15 and 16 for weights 12 to 26.  Every node the
+    library evaluates lies above _Y0, and the majorant bounds each |a_n|, so
+    the terms past N add less than 2^-70 |q| there.  The norm is the exact
+    strip sum above y = 1 plus a 64 x 48 Gauss-Legendre rule on the sliver
+    below.  The error estimate adds the change of the sliver under a 128 x 96
+    rule to the bound for the coefficients beyond the stored ones.
     """
-    coeffs = cusp_form_coefficients(weight, _N_COEFFS)
+    n = 1
+    while not _tail_over_q(n, weight, _Y0) <= 2.0**-70:
+        n += 1
+    coeffs = cusp_form_coefficients(weight, n)
     sliver = _sliver_integral(weight, coeffs)
     err = abs(_sliver_integral(weight, coeffs, 128, 96) - sliver)
     err += _truncation_error(weight, coeffs)
@@ -308,17 +274,17 @@ def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
     """S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> over an array of points.
 
     Raises unless the stored coefficients pin every value to 1e-10
-    relative.  At each point, with T the tail bound at its own height plus
-    the stored terms Horner dropped (at most 2^-70) and
-    t = T / |f(z)|, the true |f|^2 lies within t (2 + t) |f(z)|^2 of the
-    computed one.  T and |f(z)| are both taken divided by |q| = e^{-2 pi y},
-    so neither underflows high in the cusp; a zero of f fails the check.
+    relative.  At each point, with T the tail bound past the stored terms
+    at its own height and t = T / |f(z)|, the true |f|^2 lies within
+    t (2 + t) |f(z)|^2 of the computed one.  T and |f(z)| are both taken
+    divided by |q| = e^{-2 pi y}, so neither underflows high in the cusp; a
+    zero of f fails the check.
     """
     y = points.imag
     q = np.exp(2j * math.pi * points)
-    f_over_q, dropped = _horner_and_rest(basis.coefficients, q)
+    f_over_q = _horner(basis.coefficients, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t = (_tail_over_q(basis.coefficients, basis.weight, y) + dropped) / np.abs(f_over_q)
+        t = _tail_over_q(len(basis.coefficients), basis.weight, y) / np.abs(f_over_q)
         uncertified = ~(t * (2.0 + t) <= 1e-10)
     if np.any(uncertified):
         raise ValueError(

@@ -431,12 +431,12 @@ def heat_kernel(k: int, t, rho: float):
     _heat_log_tail is below _PANEL_TINY of the integral at every time; a
     time whose own bound passed earlier gets panels that add less than half
     an ulp each, so every value is the one its time has alone at the same
-    width.  Raises ValueError unless every t is finite and positive and rho
-    is finite and nonnegative; raises AccuracyError when a value is not
-    finite or its error estimate exceeds 1e-8 relative.
+    width.  Raises ValueError unless t is nonempty, every t is finite and
+    positive and rho is finite and nonnegative; raises AccuracyError when a
+    value is not finite or its error estimate exceeds 1e-8 relative.
     """
     t = np.asarray(t, dtype=float)
-    if not np.all((0.0 < t) & (t < np.inf)):
+    if t.size == 0 or not np.all((0.0 < t) & (t < np.inf)):
         raise ValueError(f"heat kernel needs finite t > 0, got {t}")
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"heat kernel needs finite rho >= 0, got {rho}")

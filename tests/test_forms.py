@@ -64,6 +64,22 @@ def eta_product_oracle(n: int) -> list[int]:
 MONOMIALS = {12: [], 16: [4], 18: [6], 20: [4, 4], 22: [4, 6], 26: [4, 4, 6]}
 
 
+def library_nodes(weight: int, Y: float) -> list[np.ndarray]:
+    """Every array of points the library evaluates the weight's generator on:
+    the 100 x 100 verify grid with its cusp band, both sliver rules and the
+    mass rule."""
+    zs = [standard_grid(100, Y=Y, k=weight // 2).points]
+    for nx, ny in ((64, 48), (128, 96)):
+        xs, _ = forms._gauss_nodes(-0.5, 0.5, nx)
+        ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
+        zs.append(xs[:, None] + 1j * ys)
+    xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._MASS_ORDER)
+    ss, _ = forms._gauss_nodes(0.0, 1.0, forms._MASS_ORDER)
+    h = np.sqrt(1.0 - xs * xs)
+    zs.append(xs[:, None] + 1j * h[:, None] / ss)
+    return zs
+
+
 def monomial_oracle(weight: int, n: int) -> tuple[int, ...]:
     """Generator coefficients a_1..a_n as Delta times a monomial in E_4 and E_6,
     one schoolbook series product per factor."""
@@ -155,59 +171,56 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_horner_in_place_matches_allocating_form(self, psl2z_constants, weight):
-        # the truncated in-place loop equals the 128-term allocating form bit
-        # for bit on every library grid: the verify grid, both sliver rules and
-        # the mass rule, plus a 0-d and a 1-D input
+        # the in-place loop over the stored terms equals the 128-term
+        # allocating form bit for bit on every library grid: the verify grid,
+        # both sliver rules and the mass rule, plus a 0-d and a 1-D input
         def allocating(coeffs, q):
             val = np.zeros_like(q)
             for a in reversed(coeffs):
                 val = val * q + float(a)
             return val
 
+        stored = build_basis(weight).coefficients
         coeffs = cusp_form_coefficients(weight, 128)
-        zs = [standard_grid(100, Y=psl2z_constants.Y, k=weight // 2).points]
-        for nx, ny in ((64, 48), (128, 96)):
-            xs, _ = forms._gauss_nodes(-0.5, 0.5, nx)
-            ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
-            zs.append(xs[:, None] + 1j * ys)
-        xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._MASS_ORDER)
-        ss, _ = forms._gauss_nodes(0.0, 1.0, forms._MASS_ORDER)
-        h = np.sqrt(1.0 - xs * xs)
-        zs.append(xs[:, None] + 1j * h[:, None] / ss)
+        zs = library_nodes(weight, psl2z_constants.Y)
         zs.append(np.asarray(0.2 + 1.1j))
         zs.append(np.array([-0.45 + 0.9j, 0.05 + 1.2j, 0.31 + 2.4j, 0.5 + 0.87j]))
         for z in zs:
             q = np.exp(2j * math.pi * z)
-            assert np.array_equal(forms._horner_over_q(coeffs, q), allocating(coeffs, q))
+            assert np.array_equal(forms._horner(stored, q), allocating(coeffs, q))
 
     @pytest.mark.parametrize("weight, zero", [(16, complex(-0.5, math.sqrt(3.0) / 2.0)),
                                               (18, 1j)])
     @pytest.mark.parametrize("offset", [1e-12j, 1e-9, 1e-7j, -1e-7])
-    def test_points_near_a_zero_take_all_terms(self, monkeypatch, weight, zero, offset):
-        # E_4 vanishes at rho and E_6 at i, so |f/q| is tiny there; those
-        # points are evaluated again over all 128 terms, alone (0-d and 1-D),
-        # as the one such point among others, and as two of them, and equal
-        # the untruncated in-place loop bit for bit
+    def test_points_near_a_zero_take_all_terms(self, weight, zero, offset):
+        # E_4 vanishes at rho and E_6 at i, so |f/q| is tiny there; the stored
+        # terms still give the 128-term in-place loop bit for bit, alone (0-d
+        # and 1-D), as the one such point among others, and as two of them
+        stored = build_basis(weight).coefficients
         coeffs = cusp_form_coefficients(weight, 128)
         near = zero + offset
         cases = [np.asarray(near), np.array([near]), np.array([near, 0.1 + 1.3j, 0.3 + 0.97j]),
                  np.array([[near, 0.1 + 1.3j, 0.3 + 0.97j], [zero - offset, 0.2 + 1.1j, 2j]])]
-        lengths = []
-        inner = forms._horner
-
-        def counting(c, q):
-            lengths.append(len(c))
-            return inner(c, q)
-
         for z in cases:
             q = np.exp(2j * math.pi * z)
-            oracle = inner(coeffs, q)
-            monkeypatch.setattr(forms, "_horner", counting)
-            lengths.clear()
-            got = forms._horner_over_q(coeffs, q)
-            monkeypatch.undo()
-            assert lengths[0] < 20 and lengths[1:] == [128]
-            assert np.array_equal(got, oracle)
+            assert np.array_equal(forms._horner(stored, q), forms._horner(coeffs, q))
+
+    def test_stored_count_is_least_sufficient(self):
+        # build_basis stores the least N whose Deligne tail past N terms,
+        # divided by |q|, is at most 2^-70 at the domain floor sqrt(3)/2
+        y0 = math.sqrt(3.0) / 2.0
+        counts = tuple(len(build_basis(w).coefficients) for w in SUPPORTED_WEIGHTS)
+        assert counts == (12, 13, 14, 15, 15, 16)
+        for w, n in zip(SUPPORTED_WEIGHTS, counts):
+            assert forms._tail_over_q(n, w, y0) <= 2.0**-70 < forms._tail_over_q(n - 1, w, y0)
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_library_nodes_above_domain_floor(self, psl2z_constants, weight):
+        # the stored count is derived at y0 = sqrt(3)/2 and holds only above
+        # it: every node of the verify grid, of both sliver rules and of the
+        # mass rule lies strictly higher
+        for z in library_nodes(weight, psl2z_constants.Y):
+            assert np.all(z.imag > math.sqrt(3.0) / 2.0)
 
     def test_tail_shrinks_with_height(self):
         coeffs = delta_coefficients(64)
@@ -286,6 +299,9 @@ def basis12():
 
 class TestAveragedQuantity:
     def test_group_invariance(self, basis12):
+        # images go down to y = 0.3, below the floor the stored count is
+        # derived at, so they are evaluated with 128 terms
+        basis = dataclasses.replace(basis12, coefficients=cusp_form_coefficients(12, 128))
         words = [
             IntegerMoebius(1, 1, 0, 1),
             IntegerMoebius(1, -1, 0, 1),
@@ -297,12 +313,12 @@ class TestAveragedQuantity:
         samples = [0.23 + 1.1j, -0.41 + 0.95j, 0.05 + 2.2j]
         checked = 0
         for z in samples:
-            base = s2k_on_grid(basis12, np.array([z]))[0]
+            base = s2k_on_grid(basis, np.array([z]))[0]
             for m in words:
                 image = m.apply(z)
                 if image.imag < 0.3:
                     continue
-                assert s2k_on_grid(basis12, np.array([image]))[0] == pytest.approx(
+                assert s2k_on_grid(basis, np.array([image]))[0] == pytest.approx(
                     base, rel=1e-8
                 )
                 checked += 1
@@ -314,11 +330,12 @@ class TestAveragedQuantity:
 
     @pytest.mark.parametrize("weight", [12, 18, 26])
     def test_short_basis_certifies_verify_grid(self, psl2z_constants, weight):
-        # 32 coefficients pin every grid value, each against its own tail
+        # the stored coefficients pin every grid value, each against its own
+        # tail, to the values of 128 terms
         basis = build_basis(weight)
-        short = dataclasses.replace(basis, coefficients=basis.coefficients[:32])
+        full = dataclasses.replace(basis, coefficients=cusp_form_coefficients(weight, 128))
         points = standard_grid(100, Y=psl2z_constants.Y, k=weight // 2).points
-        assert np.allclose(s2k_on_grid(short, points), s2k_on_grid(basis, points),
+        assert np.allclose(s2k_on_grid(basis, points), s2k_on_grid(full, points),
                            rtol=1e-12, atol=0.0)
 
     def test_too_short_basis_rejected(self, psl2z_constants):
@@ -337,71 +354,35 @@ class TestAveragedQuantity:
             with pytest.raises(ValueError, match="coefficients"):
                 s2k_on_grid(basis12, np.array([z]))
 
-    def test_dropped_terms_enter_the_certificate(self, basis12, psl2z_constants, monkeypatch):
-        # Horner cut at N = 4 gets values wrong by about 1e-6, yet Deligne's
-        # tail past the stored terms alone would certify them; with _cut at
-        # N = 4, the real helper redoes every point over all terms, so only
-        # the dropped rest it hands on makes s2k_on_grid refuse
-        cut = 4
-        coeffs = basis12.coefficients
-        points = standard_grid(20, Y=psl2z_constants.Y, k=6).points
-        q = np.exp(2j * math.pi * points)
-        short = forms._horner(coeffs[:cut], q)
-        full = forms._horner_over_q(coeffs, q)
-        assert np.max(np.abs(short - full) / np.abs(full)) > 1e-7
-        tail = forms._tail_over_q(coeffs, 12, points.imag) / np.abs(short)
-        assert np.all(tail * (2.0 + tail) <= 1e-10)
-
-        def short_cut(c, r):
-            return cut, sum(abs(float(a)) * r ** (n - 1)
-                            for n, a in enumerate(c, start=1) if n > cut)
-
-        monkeypatch.setattr(forms, "_cut", short_cut)
-        assert forms._horner_and_rest(coeffs, q)[1] == short_cut(coeffs, np.max(np.abs(q)))[1]
-        with pytest.raises(ValueError, match="128 terms cannot certify"):
-            s2k_on_grid(basis12, points)
-
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
-    def test_one_cut_per_call(self, psl2z_constants, monkeypatch, weight):
-        # the certificate reuses the dropped rest of the Horner call, and the
-        # values are the ones computed from _horner_over_q, bit for bit
+    def test_one_cut_per_call(self, psl2z_constants, weight):
+        # the values are the ones of one Horner pass over the stored terms,
+        # bit for bit
         basis = build_basis(weight)
         points = standard_grid(100, Y=psl2z_constants.Y, k=weight // 2).points
         q = np.exp(2j * math.pi * points)
-        want = (np.abs(forms._horner_over_q(basis.coefficients, q) * q) ** 2
+        want = (np.abs(forms._horner(basis.coefficients, q) * q) ** 2
                 * points.imag**weight / basis.petersson_norm)
-        cuts = []
-        cut = forms._cut
-
-        def counting(c, r):
-            cuts.append(r)
-            return cut(c, r)
-
-        monkeypatch.setattr(forms, "_cut", counting)
         assert s2k_on_grid(basis, points).tobytes() == want.tobytes()
-        assert len(cuts) == 1
-        rest = forms._horner_and_rest(basis.coefficients, q)[1]
-        assert rest == cut(basis.coefficients, float(np.max(np.abs(q))))[1] > 0.0
 
     def test_verify_battery_reads_few_terms(self, monkeypatch):
-        # every Horner pass of the six-weight verify battery, grids, sliver and
-        # mass rules, reads at most 20 terms, apart from the handful of points
-        # near a zero that take all 128; a count, so no timing is needed
+        # the six-weight verify battery makes one Horner pass per grid, sliver
+        # rule and mass rule, 24 in all, each over the stored count of at most
+        # 16 terms; a count, so no timing is needed
         from supnorm.verify import verify_all
 
+        stored = [len(build_basis(w).coefficients) for w in SUPPORTED_WEIGHTS]
         calls = []
         inner = forms._horner
 
         def counting(c, q):
-            calls.append((len(c), np.size(q)))
+            calls.append(len(c))
             return inner(c, q)
 
         monkeypatch.setattr(forms, "_horner", counting)
         assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
-        cut = [size for terms, size in calls if terms < 128]
-        assert len(cut) == 24
-        assert max(terms for terms, _ in calls if terms < 128) <= 20
-        assert sum(size for terms, size in calls if terms == 128) <= 0.001 * sum(cut)
+        assert sorted(calls) == sorted(4 * stored)
+        assert max(calls) <= 16
 
     def test_mass_identity(self, basis12):
         assert mass_integral(basis12) == pytest.approx(1.0, abs=1e-4)

@@ -944,6 +944,7 @@ class TestFaddeevTransfer:
         (heat_kernel, (1, 1.0, math.inf), "rho"),
         (heat_kernel, (1, math.inf, 1.0), "t"),
         (heat_kernel, (1, np.array([0.5, math.inf]), 1.0), "t"),
+        (heat_kernel, (1, np.array([]), 1.0), "t"),
         (integrated_exponential_lhs, (0.5, math.inf), "rho"),
         (integrated_exponential_lhs, (math.inf, 1.0), "eps"),
         (integrated_exponential_lhs, (math.nan, 1.0), "eps"),
@@ -955,14 +956,15 @@ class TestFaddeevTransfer:
          "faddeev_transfer-d1", "faddeev_transfer-d2", "resolvent_G-inf-sigma",
          "resolvent_G-inf-s", "resolvent_via_heat-inf-sigma", "resolvent_via_heat-inf-s",
          "heat_kernel-inf-rho", "heat_kernel-inf-t", "heat_kernel-inf-t-array",
+         "heat_kernel-empty-t",
          "integrated_exponential_lhs-inf-rho", "integrated_exponential_lhs-inf-eps",
          "integrated_exponential_lhs-nan-eps", "integrated_exponential_lhs-zero-eps",
          "integrated_exponential_lhs-negative-eps"],
 )
 def test_nan_argument_raises_value_error(func, args, name):
-    # a NaN or infinite argument (or an eps <= 0) fails its range check at
-    # once, naming the argument, before any series or quadrature runs on it
-    # (and before any numpy warning)
+    # a NaN or infinite argument (or an eps <= 0, or an empty array of times)
+    # fails its range check at once, naming the argument, before any series
+    # or quadrature runs on it (and before any numpy warning)
     with np.errstate(all="raise"), pytest.raises(ValueError, match=rf"\b{name}\b"):
         func(*args)
 
