@@ -251,6 +251,8 @@ def build_basis(weight: int) -> CuspFormBasis:
     below.  The error estimate adds the change of the sliver under a 128 x 96
     rule to the bound for the coefficients beyond the stored ones.
     """
+    if weight not in SUPPORTED_WEIGHTS:  # before the count, which grows with the weight
+        raise ValueError(f"unsupported weight {weight}; choose from {SUPPORTED_WEIGHTS}")
     n = 1
     while not _tail_over_q(n, weight, _Y0) <= 2.0**-70:
         n += 1
