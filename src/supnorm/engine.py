@@ -202,8 +202,8 @@ def b_k_y0(k: int, Y0: float, B_Y0: float, eps: float) -> float:
     The theorem states it for 0 < eps < 1; eps = 0 gives its limit, which is
     the value the bounds use (see spectral_gap_bound).
     """
-    if k < 1 or Y0 <= 0.0 or eps < 0.0:
-        raise ValueError(f"need k >= 1, Y0 > 0, eps >= 0; got k={k}, Y0={Y0}, eps={eps}")
+    if k < 1 or Y0 <= 0.0 or not 0.0 <= eps < math.inf:
+        raise ValueError(f"need k >= 1, Y0 > 0, finite eps >= 0; got k={k}, Y0={Y0}, eps={eps}")
     return (
         math.pi
         * Y0 ** (-4.0 - 2.0 * eps)
@@ -242,8 +242,8 @@ def parabolic_sum_bound(k: int, eps: float) -> float:
     The theorem states it for 0 < eps < 1; eps = 0 gives its limit
     sqrt(k) e^{5/4} / sqrt(pi), which the eps -> 0 sup-norm bound uses.
     """
-    if k < 1 or eps < 0.0:
-        raise ValueError(f"need k >= 1 and eps >= 0, got k={k}, eps={eps}")
+    if k < 1 or not 0.0 <= eps < math.inf:
+        raise ValueError(f"need k >= 1 and finite eps >= 0, got k={k}, eps={eps}")
     return k * gamma_ratio_bound(k + eps).bound / math.sqrt(math.pi)
 
 
@@ -257,8 +257,8 @@ def poincare_bound_compact(k: int, eps: float, constants: EffectiveConstants) ->
     """
     if k < 2:
         raise ValueError(f"compact series bound needs k >= 2, got {k}")
-    if eps < 0.0:
-        raise ValueError(f"need eps >= 0, got {eps}")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"need finite eps >= 0, got eps={eps}")
     main = (
         4.0 * math.pi * (2.0 + eps) / (1.0 + eps) * constants.B_Y * constants.sigma_Y ** -(k - 2)
     )

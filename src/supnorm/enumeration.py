@@ -10,7 +10,8 @@ closed form.  For c >= 1 each coprime (c, d) is one coset T^n gamma_0 of the
 translations T, and sigma(z, gamma_0 z + n) <= R confines n to an interval
 around Re(z - gamma_0 z).  Coprimality and d^-1 mod c depend only on c
 and d mod c, so they come from one process-wide table of every residue of
-every modulus up to the largest row needed so far.  The rows go in blocks
+every modulus up to the largest row needed so far, each new row filled from
+the rows below it by one Euclid step.  The rows go in blocks
 of whole rows with a fixed cap on their (c, d) candidates, and each block
 is one array pass reading the table: coset bases, shift intervals,
 flattened elements and their exact displacements.  A raw entry-bounded
@@ -83,11 +84,6 @@ class IntegerMoebius:
 #: row be longer than the cap; it is then a pass of its own.
 _BLOCK = 2048
 
-#: Most residues one extended Euclid inverts while the residue table grows
-#: (a modulus with more is a pass of its own).  At R = 1e4 a point of F_Y
-#: needs the moduli up to 230, 26,565 residues: four passes cold, none warm.
-_EUCLID = 8192
-
 #: (C, inverse, coprime): d^-1 mod c and gcd(d, c) == 1 for each residue d
 #: of each modulus c <= C, at index c (c - 1) / 2 + d.  Empty at import.
 _TABLE = (0, np.zeros(0, np.int64), np.zeros(0, bool))
@@ -130,40 +126,36 @@ def _runs(first, sizes):
     return values
 
 
-def _inverse_mod(d, c):
-    """(d^-1 mod c in [0, c), gcd(d, c)) for integer arrays d and c >= 1.
-
-    One extended-Euclid pass on arrays: each remainder r keeps a t with
-    t d = r (mod c), and the two remainders reduce each other in turn until
-    one is 0.  Integer division by 0 gives 0, which leaves a finished pair
-    as it is.  The inverse is meaningful where the gcd is 1 (for c = 1 it
-    is 0).
-    """
-    r0, r1 = c, d % c
-    t0, t1 = np.zeros_like(c), np.ones_like(c)
-    with np.errstate(divide="ignore"):
-        while np.any(r0 * r1):
-            q = r0 // r1
-            r0, t0 = r0 - q * r1, t0 - q * t1
-            q = r1 // r0
-            r1, t1 = r1 - q * r0, t1 - q * t0
-    done = r1 == 0
-    return np.where(done, t0, t1) % c, np.where(done, r0, r1)
-
-
 def _residues(C: int):
-    """_TABLE, first grown to the moduli up to C if short: the missing moduli only, in
-    passes of at most _EUCLID residues (or one modulus), bound in one assignment."""
+    """_TABLE, first grown to the moduli up to C if short.
+
+    Each missing row c is one Euclid step c = q d + (c mod d) on the rows
+    below it, for its residues d = 1, ..., c - 1, reading row d's entry at
+    d (d - 1) / 2 + c mod d:
+    - gcd(d, c) = gcd(c mod d, d), so coprime copies that entry;
+    - its inverse u is c^-1 mod d, so d divides 1 - c u, and
+      d^-1 mod c = (1 - c u) / d mod c is an exact division.
+    The residue 0 is coprime only to c = 1, where its inverse is 0.  An
+    inverse where coprime is False means nothing.  The rows go into new
+    arrays, bound in one assignment, so a concurrent call keeps reading its
+    own snapshot.
+    """
     global _TABLE
     table = _TABLE
     if table[0] < C:
-        moduli = np.arange(table[0] + 1, C + 1)
-        parts = [table[1:]]
-        for start, stop in _chunks(moduli, _EUCLID):
-            run = moduli[start:stop]
-            inverse, gcd = _inverse_mod(_runs(np.zeros_like(run), run), np.repeat(run, run))
-            parts.append((inverse, gcd == 1))
-        _TABLE = table = (C, *map(np.concatenate, zip(*parts)))
+        size = C * (C + 1) // 2
+        inverse = np.zeros(size, np.int64)
+        coprime = np.zeros(size, bool)
+        inverse[:len(table[1])] = table[1]
+        coprime[:len(table[2])] = table[2]
+        coprime[0] = True  # the residue 0 of c = 1
+        for c in range(max(table[0] + 1, 2), C + 1):
+            d = np.arange(1, c)
+            source = d * (d - 1) // 2 + c % d
+            row = slice(c * (c - 1) // 2 + 1, c * (c + 1) // 2)
+            coprime[row] = coprime[source]
+            inverse[row] = (1 - c * inverse[source]) // d % c
+        _TABLE = table = (C, inverse, coprime)
     return table
 
 
@@ -314,10 +306,12 @@ def poincare_direct(
     partial sums sigma^{-(k+eps)} over the enumerated nontrivial elements with
     sigma <= R_cut; the remainder is dominated Stieltjes-style by
     4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises VerificationFailure
-    if partial + tail exceeds the closed-form series bound.
+    if partial + tail exceeds the closed-form series bound.  The bound comes
+    first, so a k or eps it refuses raises ValueError before any enumeration.
     """
     if R_cut < max(constants.sigma_Y, 1.0):
         raise ValueError(f"cutoff {R_cut} below the displacement floor")
+    bound = poincare_bound_compact(k, eps, constants)
     sigmas = displacement_values(z, R_cut)
     partial = float(np.sum(sigmas ** -(k + eps)))
     tail = (
@@ -328,7 +322,6 @@ def poincare_direct(
         / (1.0 + eps)
         * R_cut ** -(k + eps - 1.0)
     )
-    bound = poincare_bound_compact(k, eps, constants)
     if partial + tail > bound:
         raise VerificationFailure(
             f"direct series {partial:.6g} + tail {tail:.6g} exceeds bound {bound:.6g} "
@@ -340,9 +333,13 @@ def poincare_direct(
 def parabolic_direct(z: complex, k: int, eps: float) -> float:
     """Two-sided translation sum 2 sum_{n>=1} (1 + (n/(2y))^2)^{-(k+eps)}.
 
-    Terms are added until they drop below 1e-18 of the running total.
+    Terms are added until they drop below 1e-18 of the running total.  For
+    k < 1, or an eps that is negative, NaN or infinite, the terms need not
+    decrease, so those raise ValueError before the loop.
     """
     z = require_point(z)
+    if k < 1 or not 0.0 <= eps < math.inf:
+        raise ValueError(f"need k >= 1 and finite eps >= 0, got k={k}, eps={eps}")
     y = z.imag
     total = 0.0
     n = 1

@@ -210,12 +210,14 @@ class TestEpsZeroLimit:
             )
 
     def test_negative_eps_rejected(self, psl2z_constants):
-        with pytest.raises(ValueError):
-            poincare_bound_compact(6, -1e-3, psl2z_constants)
-        with pytest.raises(ValueError):
-            b_k_y0(6, 2.0, 4.0, -1e-3)
-        with pytest.raises(ValueError):
-            parabolic_sum_bound(6, -1e-3)
+        # NaN and inf used to pass an eps < 0 test and come out as NaN bounds
+        for eps in (-1e-3, -math.inf, math.nan, math.inf):
+            with pytest.raises(ValueError, match="eps"):
+                poincare_bound_compact(6, eps, psl2z_constants)
+            with pytest.raises(ValueError, match="eps"):
+                b_k_y0(6, 2.0, 4.0, eps)
+            with pytest.raises(ValueError, match="eps"):
+                parabolic_sum_bound(6, eps)
 
 
 class TestCompactBound:

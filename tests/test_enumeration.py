@@ -246,63 +246,8 @@ class TestBlocksAgainstRowScan:
 
 
 #: At each ORACLE_POINTS entry, the moduli the residue table holds after one
-#: displacement_values(z, 1e4) (the last row of that ball), and the Euclid
-#: passes that grow an empty table to them with _EUCLID = 8192.
+#: displacement_values(z, 1e4): the last row of that ball.
 ROWS_AT_1E4 = (175, 146, 99, 68, 199, 230, 222)
-GROWTH_PASSES_AT_1E4 = (2, 2, 1, 1, 3, 4, 4)
-
-
-def counted_inverses(monkeypatch, func, *args):
-    """(length, distinct moduli) of each _inverse_mod call that func(*args) makes, and its value."""
-    calls = []
-    inverse_mod = enumeration._inverse_mod
-
-    def counting(d, c):
-        calls.append((len(d), len(np.unique(c))))
-        return inverse_mod(d, c)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(enumeration, "_inverse_mod", counting)
-        value = func(*args)
-    return calls, value
-
-
-class TestEuclidRuns:
-    @pytest.mark.parametrize("z,passes", zip(ORACLE_POINTS, GROWTH_PASSES_AT_1E4))
-    def test_inverse_mod_calls_at_1e4(self, monkeypatch, z, passes):
-        rows = ROWS_AT_1E4[ORACLE_POINTS.index(z)]
-        cold, first = counted_inverses(monkeypatch, displacement_values, z, 1e4)
-        assert len(cold) == passes
-        assert all(size <= enumeration._EUCLID for size, _ in cold)
-        assert enumeration._TABLE[0] == rows
-        assert len(enumeration._TABLE[1]) == len(enumeration._TABLE[2]) == rows * (rows + 1) // 2
-        # a repeated call reads the grown table and runs no Euclid
-        warm, again = counted_inverses(monkeypatch, displacement_values, z, 1e4)
-        assert warm == []
-        assert np.array_equal(first, again)
-
-    @pytest.mark.parametrize("z", ORACLE_POINTS)
-    @pytest.mark.parametrize("cap", [1, 300])
-    def test_small_cap_matches_row_scan(self, block_cap, monkeypatch, z, cap):
-        # a cap of 1 gives every modulus a pass of its own; at 300 a pass is
-        # either under the cap or one longer modulus
-        monkeypatch.setattr(enumeration, "_EUCLID", cap)
-        calls = []
-        for R in (30.0, 1e4):
-            grown, values = counted_inverses(monkeypatch, displacement_values, z, R)
-            calls += grown
-            want, sigmas = row_scan_arrays(z, R)
-            assert np.array_equal(values, sigmas)
-            got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
-                                   for block in enumeration._scan(z, R)]) for i in range(4)]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert all(size <= cap or moduli == 1 for size, moduli in calls)
-        # together the passes invert each modulus 1..rows once
-        rows = ROWS_AT_1E4[ORACLE_POINTS.index(z)]
-        assert sum(moduli for _, moduli in calls) == rows
-        assert sum(size for size, _ in calls) == rows * (rows + 1) // 2
-        if cap == 1:
-            assert len(calls) == rows
 
 
 class TestResidueTable:
@@ -318,13 +263,28 @@ class TestResidueTable:
                 if co:
                     assert inv == pow(d, -1, c)
 
+    @pytest.mark.parametrize("z,rows", zip(ORACLE_POINTS, ROWS_AT_1E4))
+    def test_rows_at_1e4(self, z, rows):
+        first = displacement_values(z, 1e4)
+        table = enumeration._TABLE
+        assert table[0] == rows
+        assert len(table[1]) == len(table[2]) == rows * (rows + 1) // 2
+        # a repeated call reads the grown table and leaves it as it is
+        again = displacement_values(z, 1e4)
+        assert enumeration._TABLE is table
+        assert np.array_equal(first, again)
+
     def test_grown_in_steps_equals_one_go(self, monkeypatch):
         enumeration._residues(7)
-        enumeration._residues(50)
-        calls, stepped = counted_inverses(monkeypatch, enumeration._residues, 230)
-        # only the missing moduli 51..230 are inverted, and the table never shrinks
-        assert sum(size for size, _ in calls) == sum(range(51, 231))
+        small = enumeration._residues(50)
+        stepped = enumeration._residues(230)
+        # the table never shrinks; growth fills new arrays and leaves the
+        # entries of the moduli it had, and the old snapshot, as they were
         assert enumeration._residues(50) is stepped is enumeration._TABLE
+        head = 50 * 51 // 2
+        assert small[0] == 50 and len(small[1]) == len(small[2]) == head
+        assert np.array_equal(stepped[1][:head], small[1])
+        assert np.array_equal(stepped[2][:head], small[2])
         monkeypatch.setattr(enumeration, "_TABLE", empty_table())
         whole = enumeration._residues(230)
         assert stepped[0] == whole[0] == 230
@@ -394,24 +354,24 @@ class TestNonFiniteRadius:
 
 
 @st.composite
-def moduli_and_entries(draw):
-    """(c, d) with c >= 1; c = 1, d = 0 (mod c) and negative d drawn often."""
-    c = draw(st.one_of(st.just(1), st.integers(1, 400)))
-    d = draw(st.one_of(st.integers(-2000, 2000), st.integers(-5, 5).map(lambda k: k * c)))
+def moduli_and_residues(draw):
+    """(c, d) with 0 <= d < c <= 2000; c = 1 and d = 0 drawn often."""
+    c = draw(st.one_of(st.just(1), st.integers(1, 2000)))
+    d = draw(st.one_of(st.just(0), st.integers(0, c - 1)))
     return c, d
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(pairs=st.lists(moduli_and_entries(), min_size=1, max_size=30))
-@example(pairs=[(1, 0), (1, -7), (6, 0), (6, -12), (7, -1), (89, 55), (144, -89)])
-def test_inverse_mod_matches_gcd_and_pow(pairs):
-    c = np.array([p[0] for p in pairs], dtype=np.int64)
-    d = np.array([p[1] for p in pairs], dtype=np.int64)
-    inverse, gcd = enumeration._inverse_mod(d, c)
-    for ci, di, inv, g in zip(c.tolist(), d.tolist(), inverse.tolist(), gcd.tolist()):
-        assert g == math.gcd(di, ci)
-        if g == 1:
-            assert inv == pow(di, -1, ci)
+@given(pairs=st.lists(moduli_and_residues(), min_size=1, max_size=30))
+@example(pairs=[(1, 0), (2, 0), (2, 1), (6, 0), (6, 4), (7, 6), (89, 55), (144, 89)])
+def test_table_matches_gcd_and_pow(pairs):
+    # the table grows across examples, from whatever the earlier ones left
+    _, inverse, coprime = enumeration._residues(max(c for c, _ in pairs))
+    for c, d in pairs:
+        index = c * (c - 1) // 2 + d
+        assert coprime[index] == (math.gcd(d, c) == 1)
+        if coprime[index]:
+            assert inverse[index] == pow(d, -1, c)
 
 
 def materialised_translations(z: complex, R: float) -> int:
@@ -506,8 +466,35 @@ class TestPoincareDirect:
         with pytest.raises(ValueError):
             poincare_direct(1j, 2, 0.1, 0.5, psl2z_constants)
 
+    @pytest.mark.parametrize("eps", [-0.5, math.nan, math.inf])
+    def test_bad_eps_refused_before_enumeration(self, psl2z_constants, eps):
+        # a NaN eps used to come back as PoincareCheck(nan, nan, nan)
+        with pytest.raises(ValueError, match="eps"):
+            poincare_direct(1j, 2, eps, 1e4, psl2z_constants)
+        assert enumeration._TABLE[0] == 0
+
 
 class TestParabolicDirect:
+    @pytest.mark.parametrize("k,eps", [(0, 0.1), (-1, 0.5), (1, math.nan), (2, -2.5),
+                                       (2, math.inf)])
+    def test_divergent_arguments_refused_at_once(self, k, eps):
+        # the finite ones used to loop forever, with terms that never fall
+        # below the stop ratio or NaN terms that compare False against it;
+        # an infinite eps used to return 0.0
+        errors = []
+
+        def call():
+            try:
+                parabolic_direct(1j, k, eps)
+            except ValueError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=call, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and "k >= 1 and finite eps >= 0" in str(errors[0])
+
     def test_vanishes_at_small_height(self):
         # every term carries (n/2y)^2 -> infinity as y -> 0
         at_001 = parabolic_direct(0.2 + 0.01j, 4, 0.1)
