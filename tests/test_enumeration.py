@@ -291,6 +291,26 @@ class TestResidueTable:
         assert np.array_equal(stepped[1], whole[1]) and np.array_equal(stepped[2], whole[2])
 
     @pytest.mark.parametrize("z", ORACLE_POINTS)
+    @pytest.mark.parametrize("step", [1, 37])
+    def test_stepped_growth_matches_row_scan(self, block_cap, monkeypatch, z, step):
+        # grow the table a few moduli per call, so that each new row reads
+        # rows made by earlier calls; at a step of 1 every modulus is a call
+        rows = ROWS_AT_1E4[ORACLE_POINTS.index(z)]
+        for c in range(step, rows, step):
+            assert enumeration._residues(c)[0] == c
+        for R in (30.0, 1e4):
+            want, sigmas = row_scan_arrays(z, R)
+            assert np.array_equal(displacement_values(z, R), sigmas)
+            got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
+                                   for block in enumeration._scan(z, R)]) for i in range(4)]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        stepped = enumeration._TABLE
+        monkeypatch.setattr(enumeration, "_TABLE", empty_table())
+        whole = enumeration._residues(rows)
+        assert stepped[0] == whole[0] == rows
+        assert np.array_equal(stepped[1], whole[1]) and np.array_equal(stepped[2], whole[2])
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
     def test_grown_table_matches_row_scan(self, psl2z_constants, z):
         # the oracle tests above start from an empty table; here every row
         # is already there, so nothing grows
