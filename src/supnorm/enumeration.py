@@ -333,13 +333,13 @@ def poincare_direct(
 def parabolic_direct(z: complex, k: int, eps: float) -> float:
     """Two-sided translation sum 2 sum_{n>=1} (1 + (n/(2y))^2)^{-(k+eps)}.
 
-    Terms are added until they drop below 1e-18 of the running total.  For
-    k < 1, or an eps that is negative, NaN or infinite, the terms need not
-    decrease, so those raise ValueError before the loop.
+    Terms are added until they drop below 1e-18 of the running total; k < 2
+    (about 1e9 terms at k = 1, y = 1) and an eps that is negative, NaN or
+    infinite, where the terms need not decrease, raise ValueError first.
     """
     z = require_point(z)
-    if k < 1 or not 0.0 <= eps < math.inf:
-        raise ValueError(f"need k >= 1 and finite eps >= 0, got k={k}, eps={eps}")
+    if k < 2 or not 0.0 <= eps < math.inf:
+        raise ValueError(f"need k >= 2 and finite eps >= 0, got k={k}, eps={eps}")
     y = z.imag
     total = 0.0
     n = 1

@@ -7,8 +7,8 @@ stores the least N whose Deligne tail is at most 2^-70 at the lowest height
 of the standard domain (12 to 16); one Horner pass reads all of them.  A
 Petersson norm is an incomplete-gamma sum over the strip above y = 1, finite
 because the weight is an integer, plus one fixed Gauss-Legendre rule on the
-sliver below it, cross-checked at doubled order; the kernel panels use the
-same cached rule.
+sliver below it, cross-checked at half its order; every rule in the library,
+the kernel panels' too, has order _ORDER or _ORDER // 2.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
 verifier compares against the closed-form bounds; s2k_on_grid is its one
 evaluator.  The mass integral, the independent check of the norm, is one
@@ -41,8 +41,9 @@ __all__ = [
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 #: Lowest height of the standard domain, where the stored count is fixed.
 _Y0 = math.sqrt(3.0) / 2.0
-#: Gauss-Legendre nodes per axis of the tensor rule in mass_integral.
-_MASS_ORDER = 48
+#: Gauss-Legendre nodes per axis of every rule in the library; an error
+#: estimate is the change against the rule of order _ORDER // 2.
+_ORDER = 48
 
 
 def _series_multiply(a: list[int], b: list[int], n: int) -> list[int]:
@@ -133,8 +134,8 @@ def evaluate_form(coeffs, z):
     return _horner(coeffs, q) * q
 
 
-def _tail_over_q(n: int, weight: int, y):
-    """tail_bound past n terms divided by |q| = e^{-2 pi y}, at every height of the array y.
+def _tail_over_q(n, weight: int, y):
+    """tail_bound past n terms divided by |q| = e^{-2 pi y}, broadcast over arrays n and y.
 
     Every supported space is one-dimensional, so its generator is a Hecke
     eigenform and Deligne's bound |a_n| <= d(n) n^((w-1)/2) applies; with
@@ -193,14 +194,14 @@ def _strip_integral(weight: int, coeffs) -> float:
     return float(np.sum(a * a * np.exp(-t) * acc / t))
 
 
-def _sliver_integral(weight: int, coeffs, nx: int = 64, ny: int = 48) -> float:
+def _sliver_integral(weight: int, coeffs, order: int) -> float:
     """Integral of |f|^2 y^(weight-2) over sqrt(1 - x^2) <= y <= 1, |x| <= 1/2.
 
-    One tensor Gauss-Legendre rule: nx nodes in x, ny nodes in y on each
-    column; the integrand and the floor curve are analytic on the region.
+    One tensor Gauss-Legendre rule, order nodes in x and in y on each column;
+    the integrand and the floor curve are analytic on the region.
     """
-    xs, wx = _gauss_nodes(-0.5, 0.5, nx)
-    ys, wy = _gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
+    xs, wx = _gauss_nodes(-0.5, 0.5, order)
+    ys, wy = _gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, order)
     fv = evaluate_form(coeffs, xs[:, None] + 1j * ys)
     return float(wx @ np.sum(wy * np.abs(fv) ** 2 * ys ** (weight - 2), axis=1))
 
@@ -243,22 +244,21 @@ class CuspFormBasis:
 def build_basis(weight: int) -> CuspFormBasis:
     """Generator coefficients a_1..a_N plus its Petersson norm with an error estimate.
 
-    N is the least count whose Deligne tail, divided by |q|, is at most 2^-70
-    at _Y0: 12, 13, 14, 15, 15 and 16 for weights 12 to 26.  Every node the
-    library evaluates lies above _Y0, and the majorant bounds each |a_n|, so
-    the terms past N add less than 2^-70 |q| there.  The norm is the exact
-    strip sum above y = 1 plus a 64 x 48 Gauss-Legendre rule on the sliver
-    below.  The error estimate adds the change of the sliver under a 128 x 96
-    rule to the bound for the coefficients beyond the stored ones.
+    N is the least of 1..64 whose Deligne tail, divided by |q|, is at most
+    2^-70 at _Y0: 12, 13, 14, 15, 15 and 16 for weights 12 to 26.  Every
+    node the library evaluates lies above _Y0, and the majorant bounds each
+    |a_n|, so the terms past N add less than 2^-70 |q| there.  The norm is
+    the exact strip sum above y = 1 plus a 48 x 48 Gauss-Legendre rule on
+    the sliver below.  The error estimate adds the change of the sliver
+    under the 24 x 24 rule to the bound for the coefficients beyond the
+    stored ones.
     """
-    if weight not in SUPPORTED_WEIGHTS:  # before the count, which grows with the weight
+    if weight not in SUPPORTED_WEIGHTS:  # before the count, searched only up to 64
         raise ValueError(f"unsupported weight {weight}; choose from {SUPPORTED_WEIGHTS}")
-    n = 1
-    while not _tail_over_q(n, weight, _Y0) <= 2.0**-70:
-        n += 1
-    coeffs = cusp_form_coefficients(weight, n)
-    sliver = _sliver_integral(weight, coeffs)
-    err = abs(_sliver_integral(weight, coeffs, 128, 96) - sliver)
+    tails = _tail_over_q(np.arange(1, 65), weight, _Y0)
+    coeffs = cusp_form_coefficients(weight, 1 + int(np.argmax(tails <= 2.0**-70)))
+    sliver = _sliver_integral(weight, coeffs, _ORDER)
+    err = abs(_sliver_integral(weight, coeffs, _ORDER // 2) - sliver)
     err += _truncation_error(weight, coeffs)
     return CuspFormBasis(
         weight=weight,
@@ -333,8 +333,8 @@ def mass_integral(basis: CuspFormBasis) -> float:
     independent of the strip sum and the sliver rule behind the stored norm,
     evaluates S_{2k} through s2k_on_grid only.
     """
-    xs, wx = _gauss_nodes(-0.5, 0.5, _MASS_ORDER)
-    ss, ws = _gauss_nodes(0.0, 1.0, _MASS_ORDER)
+    xs, wx = _gauss_nodes(-0.5, 0.5, _ORDER)
+    ss, ws = _gauss_nodes(0.0, 1.0, _ORDER)
     h = np.sqrt(1.0 - xs * xs)
     values = s2k_on_grid(basis, xs[:, None] + 1j * h[:, None] / ss)
     return float((wx / h) @ values @ ws)

@@ -5,8 +5,8 @@ together, and the kernel-check grids of the paper's inequalities.
 All kernel integrals share the same endpoint structure: an integrable
 1/sqrt(cosh r - cosh rho) singularity at r = rho, removed by the
 substitution r = rho + u^2, and an exponentially decaying tail handled by
-fixed-width panels.  Every panel, radial or in time, uses one fixed 48-node
-Gauss-Legendre rule, the one the Petersson norm uses; the change against the
+fixed-width panels.  Every panel, radial or in time, uses forms._ORDER, the
+48-node Gauss-Legendre rule the Petersson norm uses; the change against the
 24-node rule on the same panel is the error estimate.  One integrand call
 per panel, on the 72 nodes of both rules, covers the two, and each rule's
 sum is a row-wise np.vecdot, so a row's value never depends on the rows it
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import gamma_ratio_bound
-from .forms import _legendre_rule
+from .forms import _ORDER, _legendre_rule
 
 __all__ = [
     "AccuracyError",
@@ -61,8 +61,6 @@ _SERIES_GUARD = 10**6
 #: fraction of the running total.
 _PANEL_TINY = 1e-20
 _PANEL_LIMIT = 2000
-#: Gauss-Legendre order on every panel; half of it gives the error estimate.
-_PANEL_ORDER = 48
 #: Time panels the heat-to-resolvent transform evaluates in one heat-kernel
 #: call: 8 x 72 = 576 times, so the heat integrand array on a u-panel holds at
 #: most 576 x 72 doubles (332 kB).
@@ -141,7 +139,7 @@ def _integrate_panels(f, width: float, log_tail, run=None):
     """Integrate f over [0, inf) with fixed-width panels and a certified tail.
 
     f maps an array of nodes to values along its last axis, so the integral
-    may be an array.  f is called once per panel, on the _PANEL_ORDER
+    may be an array.  f is called once per panel, on the _ORDER
     Gauss-Legendre nodes followed by the half-order ones: the first rule
     gives the panel value, and its distance to the second adds to the error
     estimate.  Each rule's sum is np.vecdot over the last axis, the same 1-D
@@ -164,8 +162,8 @@ def _integrate_panels(f, width: float, log_tail, run=None):
     value is not finite or no bound falls low enough within _PANEL_LIMIT
     panels.
     """
-    x_full, w_full = _legendre_rule(_PANEL_ORDER)
-    x_half, w_half = _legendre_rule(_PANEL_ORDER // 2)
+    x_full, w_full = _legendre_rule(_ORDER)
+    x_half, w_half = _legendre_rule(_ORDER // 2)
     nodes = np.concatenate((x_full, x_half))
 
     def panel(i):
@@ -190,11 +188,11 @@ def _integrate_panels(f, width: float, log_tail, run=None):
                     n += 1
                 ahead = list(f(np.stack([x] + [panel(j)[2] for j in range(i + 1, i + n)])))
             fx = ahead.pop(0)
-        val = np.vecdot(fx[..., :_PANEL_ORDER], half * w_full)
+        val = np.vecdot(fx[..., :_ORDER], half * w_full)
         total = total + val
         if not np.isfinite(total).all():
             raise AccuracyError("panel integral is not finite")
-        err = err + np.abs(val - np.vecdot(fx[..., _PANEL_ORDER:], half * w_half))
+        err = err + np.abs(val - np.vecdot(fx[..., _ORDER:], half * w_half))
         if stops(hi, total):
             return total, err
     raise AccuracyError("panel integration did not terminate")

@@ -66,15 +66,15 @@ MONOMIALS = {12: [], 16: [4], 18: [6], 20: [4, 4], 22: [4, 6], 26: [4, 4, 6]}
 
 def library_nodes(weight: int, Y: float) -> list[np.ndarray]:
     """Every array of points the library evaluates the weight's generator on:
-    the 100 x 100 verify grid with its cusp band, both sliver rules and the
-    mass rule."""
+    the 100 x 100 verify grid with its cusp band, both sliver rules (orders
+    _ORDER and _ORDER // 2) and the mass rule."""
     zs = [standard_grid(100, Y=Y, k=weight // 2).points]
-    for nx, ny in ((64, 48), (128, 96)):
-        xs, _ = forms._gauss_nodes(-0.5, 0.5, nx)
-        ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, ny)
+    for order in (forms._ORDER, forms._ORDER // 2):
+        xs, _ = forms._gauss_nodes(-0.5, 0.5, order)
+        ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, order)
         zs.append(xs[:, None] + 1j * ys)
-    xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._MASS_ORDER)
-    ss, _ = forms._gauss_nodes(0.0, 1.0, forms._MASS_ORDER)
+    xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._ORDER)
+    ss, _ = forms._gauss_nodes(0.0, 1.0, forms._ORDER)
     h = np.sqrt(1.0 - xs * xs)
     zs.append(xs[:, None] + 1j * h[:, None] / ss)
     return zs
@@ -134,7 +134,7 @@ class TestQExpansions:
     @pytest.mark.parametrize("weight", [4, 10, 13, 14, 24, 28, 10**9])
     def test_unsupported_weights(self, weight, monkeypatch):
         # build_basis refuses before it sizes the stored count, whose search
-        # would run about 10^8 steps at weight 10^9
+        # over the counts 1 to 64 is sized for the supported weights only
         message = f"unsupported weight {weight}; choose from (12, 16, 18, 20, 22, 26)"
         with pytest.raises(ValueError) as coeffs_error:
             cusp_form_coefficients(weight, 8)
@@ -255,9 +255,11 @@ class TestPeterssonNorm:
 
     @pytest.mark.parametrize("weight", [12, 26])
     def test_sliver_order_doubling(self, weight):
+        # the library's 48 x 48 sliver rule against the 96 x 96 one, which
+        # only this test builds
         coeffs = cusp_form_coefficients(weight, 128)
-        coarse = _sliver_integral(weight, coeffs, 64, 48)
-        fine = _sliver_integral(weight, coeffs, 128, 96)
+        coarse = _sliver_integral(weight, coeffs, forms._ORDER)
+        fine = _sliver_integral(weight, coeffs, 2 * forms._ORDER)
         assert fine == pytest.approx(coarse, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("weight", [12, 26])
@@ -293,6 +295,28 @@ class TestPeterssonNorm:
             basis = build_basis(w)
             assert basis.petersson_norm > 0.0
             assert basis.norm_error < 1e-6 * basis.petersson_norm
+
+    def test_library_builds_two_rule_orders(self, monkeypatch):
+        # every quadrature of the six-weight battery and the kernel checks
+        # takes the rule of order _ORDER, with _ORDER // 2 as its estimate
+        from supnorm.kernels import run_kernel_checks
+        from supnorm.verify import verify_all
+
+        orders = []
+        inner = np.polynomial.legendre.leggauss
+
+        def recording(order):
+            orders.append(order)
+            return inner(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
+        forms._legendre_rule.cache_clear()
+        try:
+            assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
+            assert all(check.passed for check in run_kernel_checks(50))
+        finally:
+            forms._legendre_rule.cache_clear()
+        assert set(orders) == {24, 48}
 
 
 @pytest.fixture(scope="module")
@@ -399,7 +423,7 @@ class TestAveragedQuantity:
     def test_mass_order_doubling(self, weight, monkeypatch):
         basis = build_basis(weight)
         coarse = mass_integral(basis)
-        monkeypatch.setattr(forms, "_MASS_ORDER", 2 * forms._MASS_ORDER)
+        monkeypatch.setattr(forms, "_ORDER", 2 * forms._ORDER)
         assert mass_integral(basis) == pytest.approx(coarse, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
