@@ -311,11 +311,8 @@ class TestPeterssonNorm:
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", recording)
         forms._legendre_rule.cache_clear()
-        try:
-            assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
-            assert all(check.passed for check in run_kernel_checks(50))
-        finally:
-            forms._legendre_rule.cache_clear()
+        assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
+        assert all(check.passed for check in run_kernel_checks(50))
         assert set(orders) == {24, 48}
 
 
