@@ -7,15 +7,21 @@ discarding nonnegative squares gives sigma >= |c z + d|^2 / 4 + 1/2, so c and
 then d run over finite ranges.  Row c = 0 is the translation coset of the
 identity, and sigma(z, z + n) = 1 + n^2 / (4 y^2) gives its range of n in
 closed form.  For c >= 1 each coprime (c, d) is one coset T^n gamma_0 of the
-translations T, and sigma(z, gamma_0 z + n) <= R confines n to an interval
-around Re(z - gamma_0 z).  Coprimality and d^-1 mod c depend only on c
-and d mod c, so they come from one process-wide table of every residue of
-every modulus up to the largest row needed so far, each new row filled from
-the rows below it by one Euclid step.  The rows go in blocks
-of whole rows with a fixed cap on their (c, d) candidates, and each block
-is one array pass reading the table: coset bases, shift intervals,
-flattened elements and their exact displacements.  A raw entry-bounded
-search stays in the test suite as the oracle for this enumeration.
+translations T, and with s = Re(z - gamma_0 z) and v = Im gamma_0 z,
+    sigma(z, gamma_0 z + n) = 1 + ((s - n)^2 + (y - v)^2) / (4 y v)
+(cosh d(z, w) = 1 + |z - w|^2 / (2 Im z Im w); Beardon, The Geometry of
+Discrete Groups, ch. 7), which confines n to an interval around s and gives
+each element's displacement from its coset's s and v.  Coprimality and
+d^-1 mod c depend only on c and d mod c, so they come from one process-wide
+table of every residue of every modulus up to the largest row needed so far,
+each new row filled from the rows below it by one Euclid step.  The rows go
+in blocks of whole rows with a fixed cap on their (c, d) candidates, and each
+block is one array pass reading the table: coset bases, their images, shift
+intervals, and the elements' shifts and displacements, cut at R.  The entry
+identity (_sigma_batch) gives row 0 and decides the elements within a
+rounding band of R; only enumerate_ball builds the entries of the elements.
+A raw entry-bounded search stays in the test suite as the oracle for this
+enumeration.
 """
 
 from __future__ import annotations
@@ -80,9 +86,9 @@ class IntegerMoebius:
 
 
 #: Most (c, d) candidates one array pass takes, which bounds its arrays.  A
-#: row has at most about 4 sqrt(R) of them, so only above R = 2.6e5 can a
+#: row has at most about 4 sqrt(R) of them, so only above R = 1.05e6 can a
 #: row be longer than the cap; it is then a pass of its own.
-_BLOCK = 2048
+_BLOCK = 4096
 
 #: (C, inverse, coprime): d^-1 mod c and gcd(d, c) == 1 for each residue d
 #: of each modulus c <= C, at index c (c - 1) / 2 + d.  Empty at import.
@@ -92,7 +98,9 @@ _TABLE = (0, np.zeros(0, np.int64), np.zeros(0, bool))
 def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2, in real parts.
 
-    a, b, c, d are integers or integer arrays of one block of elements.  The
+    a, b, c, d are integers or integer arrays.  It gives row 0 and _max_shift
+    their values, and the blocks the values of the elements in the band at
+    R (see _shifts); every other element takes its coset's form.  The
     raw-entry test oracle evaluates the same identity in complex arithmetic.
     """
     x, y = z.real, z.imag
@@ -159,40 +167,90 @@ def _residues(C: int):
     return table
 
 
+def _images(z: complex, a0, c, d):
+    """(s, v) = (Re(z - gamma_0 z), Im gamma_0 z) for coset bases (a0, *, c, d) with c >= 1.
+
+    From gamma_0 z = a0 / c - 1 / (c (c z + d)) and |c z + d|^2 = norm.
+    """
+    x, y = z.real, z.imag
+    t = c * x + d
+    norm = t * t + (c * y) ** 2
+    return x - a0 / c + t / (c * norm), y / norm
+
+
+def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
+    """(counts, n, sigmas) of the shifts T^n gamma_0 of the cosets with sigma <= R.
+
+    Coset i has base (a0, *, c, d)[i], image (s, v)[i] from _images and
+    shifts n in lo[i] + [0, counts[i]); the counts returned are those of the
+    shifts kept, and n and sigmas run coset after coset.  Each element
+    w = gamma_0 z + n takes its sigma from its coset's image,
+        sigma = 1 + ((s - n)^2 + (y - v)^2) / (4 y v),
+    the identity cosh d(z, w) = 1 + |z - w|^2 / (2 y v) with
+    sigma = cosh^2(d / 2): three coset arrays repeated and five operations
+    per element, and no entries.
+
+    Rounding, with u = 2^-53.  s and v come from a few roundings of numbers
+    of size at most about 1, so s is off by a few u and v by a few u of
+    itself.  In 4 y v sigma = 4 y v + (s - n)^2 + (y - v)^2 an error e in s
+    moves (s - n)^2 by 2 e |s - n| <= 2 e sqrt(4 y v sigma), and as
+    sigma >= (y + v)^2 / (4 y v) >= y / (4 v), that is at most 2 e / y of
+    4 y v sigma, whatever R is.  _sigma_batch's real and imaginary parts are
+    short sums of terms the size of the entries, about sqrt(sigma), against
+    a modulus 2 y sqrt(sigma - 1), so its value is also within a few dozen u
+    of sigma.  Measured, the two are within 1.1e-15 relative of each other
+    over whole balls at R = 1e4 and 1.2e-15 at R = 1e5, and the tests hold
+    them to 1e-14.  So an element whose coset value lies more than 1e-12 R
+    from R, about 800 times that, is on the same side of R in both.  In that
+    band the coset form alone would split ties sigma = R (at z = i, R = 5 it
+    drops 5 elements of the closed ball), so there _sigma_batch is evaluated
+    on the element's entries, decides the cut and is the value kept: the
+    cut is the one the entry identity makes on every element.
+    """
+    y = z.imag
+    n = _runs(lo, counts)
+    sigmas = np.repeat(s, counts) - n
+    sigmas *= sigmas
+    sigmas += np.repeat((y - v) ** 2, counts)
+    sigmas /= np.repeat(4.0 * y * v, counts)
+    sigmas += 1.0
+    width = 1e-12 * R
+    high = np.flatnonzero(sigmas > R - width)
+    if len(high):
+        ends = np.cumsum(counts)
+        band = high[sigmas[high] <= R + width]
+        i = np.searchsorted(ends, band, "right")
+        a = a0[i] + n[band] * c[i]
+        sigmas[band] = _sigma_batch(a, (a * d[i] - 1) // c[i], c[i], d[i], z)
+        out = high[sigmas[high] > R]
+        if len(out):
+            counts = counts - np.bincount(np.searchsorted(ends, out, "right"),
+                                          minlength=len(counts))
+            n, sigmas = np.delete(n, out), np.delete(sigmas, out)
+    return counts, n, sigmas
+
+
 def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
-    """(a, b, c, d, sigmas) of the ball in rows c, with candidates d in first + [0, sizes).
+    """(a0, c, d, counts, n, sigmas) of the ball in rows c, candidates d in first + [0, sizes).
 
     inverse and coprime are the residue table's, read at c (c - 1) / 2 + d mod c.
-    The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c).  The
-    padded necessary condition, its discriminant clipped at zero, leaves the
-    shifts n of T^n gamma_0 in [lo, hi], and one displacement batch is cut
-    exactly at R.  The elements come in ascending c, then d, then shift.
+    The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
+    images, and the padded necessary condition sigma <= pad, its
+    discriminant clipped at zero, leaves the shifts n of T^n gamma_0 in
+    [lo, hi].  _shifts cuts them at R, rounding band included.  The elements
+    come in ascending c, then d, then shift; (a0, c, d) are per coset, with
+    counts[i] shifts each, and n and sigmas per element.
     """
     d, c = _runs(first, sizes), np.repeat(c, sizes)
     pick = c * (c - 1) // 2 + d % c
     keep = coprime[pick]
     a0, c, d = inverse[pick[keep]], c[keep], d[keep]
-    b0 = (a0 * d - 1) // c
-    # shift = Re(z - gamma_0 z) and v = Im(gamma_0 z), from
-    # gamma_0 z = a0 / c - 1 / (c (c z + d)) and |c z + d|^2 = norm
-    x, y = z.real, z.imag
-    t = c * x + d
-    norm = t * t + (c * y) ** 2
-    shift = x - a0 / c + t / (c * norm)
-    v = y / norm
+    s, v = _images(z, a0, c, d)
+    y = z.imag
     spread = np.sqrt(np.maximum(4.0 * pad * y * v - (y + v) ** 2, 0.0))
-    lo = np.ceil(shift - spread).astype(np.int64)
-    counts = np.maximum(np.floor(shift + spread).astype(np.int64) - lo + 1, 0)
-    n = _runs(lo, counts)
-    c, d = np.repeat(c, counts), np.repeat(d, counts)
-    a = np.repeat(a0, counts) + n * c
-    b = np.repeat(b0, counts) + n * d
-    del n  # the pass's peak memory is in the displacement batch
-    sigmas = _sigma_batch(a, b, c, d, z)
-    keep = sigmas <= R
-    if keep.all():
-        return a, b, c, d, sigmas
-    return a[keep], b[keep], c[keep], d[keep], sigmas[keep]
+    lo = np.ceil(s - spread).astype(np.int64)
+    counts = np.maximum(np.floor(s + spread).astype(np.int64) - lo + 1, 0)
+    return (a0, c, d, *_shifts(z, R, a0, c, d, s, v, lo, counts))
 
 
 def _chunks(sizes, cap: int):
@@ -226,18 +284,31 @@ def _blocks(z: complex, R: float):
         yield _block(z, pad, R, rows[block], first[block], sizes[block], inverse, coprime)
 
 
+def _row_zero(z: complex, R: float):
+    """Shifts n and sigmas of row 0, the translations T^n for |n| up to _max_shift, ascending.
+
+    Row 0 is the translation coset of the identity; it needs no inverse and
+    no padded range.
+    """
+    m = _max_shift(z, R)
+    n = np.arange(-m, m + 1)
+    return n, _sigma_batch(1, n, 0, 1, z)
+
+
 def _scan(z: complex, R: float):
     """Yield (a, b, c, d, sigmas) over the ball: row 0, then the _blocks of rows c >= 1.
 
-    Row 0 is the translation coset of the identity, T^n for |n| up to
-    _max_shift in ascending n; it needs no inverse and no padded range.
+    The only place the entries of the elements are built: a = a0 + n c and
+    b = (a d - 1) / c, an exact division, for the rows c >= 1.
     """
     z = require_point(z)
-    m = _max_shift(z, R)
-    n = np.arange(-m, m + 1)
+    n, sigmas = _row_zero(z, R)
     ones = np.ones_like(n)
-    yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
-    yield from _blocks(z, R)
+    yield ones, n, np.zeros_like(n), ones, sigmas
+    for a0, c, d, counts, n, sigmas in _blocks(z, R):
+        c, d = np.repeat(c, counts), np.repeat(d, counts)
+        a = np.repeat(a0, counts) + n * c
+        yield a, (a * d - 1) // c, c, d, sigmas
 
 
 def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
@@ -255,10 +326,13 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 def displacement_values(z: complex, R: float) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    The blocks of _scan are joined and sorted in place, and the first value
-    goes: the identity's sigma is exactly 1.0, and no sigma is smaller.
+    Row 0 and the sigmas of the _blocks are joined, with no entry arrays,
+    and sorted in place, and the first value goes: the identity's sigma is
+    exactly 1.0, and no sigma is smaller.
     """
-    values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
+    z = require_point(z)
+    _, row = _row_zero(z, R)
+    values = np.concatenate([row, *(sigmas for *_, sigmas in _blocks(z, R))])
     values.sort()
     return values[1:]
 

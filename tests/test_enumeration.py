@@ -8,6 +8,7 @@ import sys
 import threading
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -140,8 +141,14 @@ def row_scan(z: complex, R: float):
 
     The per-row enumeration that the block passes replaced, kept as their
     oracle: one array pass per row, with the coset bases a0 = pow(d, -1, c)
-    of the coprime d (np.gcd) and the translation row taken from the same
-    padded shift range as the other rows.
+    of the coprime d (np.gcd) and the shift ranges from the images
+    gamma_0 z in complex arithmetic, the translation row taken from the same
+    padded range as the other rows.  Row 0 takes its displacements from the
+    library's entry evaluator _sigma_batch, as the library's row 0 does, and
+    the rows c >= 1 from its coset evaluator (_images, then _shifts with its
+    band at R) applied to these cosets and ranges: the values are the
+    library's bit for bit, and which elements come, in which order, is this
+    scan's own.
     """
     x, y = z.real, z.imag
     pad = R * (1.0 + 1e-9) + 1e-9
@@ -159,16 +166,19 @@ def row_scan(z: complex, R: float):
         spread = np.sqrt(np.maximum(4.0 * pad * y * w.imag - (y + w.imag) ** 2, 0.0))
         lo = np.ceil(x - w.real - spread).astype(np.int64)
         counts = np.maximum(np.floor(x - w.real + spread).astype(np.int64) - lo + 1, 0)
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        n = np.repeat(lo, counts) + np.arange(len(starts)) - starts
+        if c == 0:
+            n = lo[0] + np.arange(counts[0])
+            sigmas = enumeration._sigma_batch(1, n, 0, 1, z)
+            n, sigmas = n[sigmas <= R], sigmas[sigmas <= R]
+            counts = np.array([len(n)])
+        else:
+            rows = np.full_like(d, c)
+            s, v = enumeration._images(z, a0, rows, d)
+            counts, n, sigmas = enumeration._shifts(z, R, a0, rows, d, s, v, lo, counts)
         a = np.repeat(a0, counts) + n * c
         d = np.repeat(d, counts)
         b = np.repeat(b0, counts) + n * d
-        re = c * (x * x - y * y) + (d - a) * x - b
-        im = y * (2.0 * c * x + d - a)
-        sigmas = 1.0 + (re * re + im * im) / (4.0 * y * y)
-        keep = sigmas <= R
-        yield a[keep], b[keep], c, d[keep], sigmas[keep]
+        yield a, b, c, d, sigmas
 
 
 @functools.lru_cache(maxsize=None)
@@ -354,6 +364,106 @@ class TestResidueTable:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path), check=True)
         assert proc.stdout.split() == ["0", "0", "0"]
+
+
+@pytest.fixture
+def band_sizes(monkeypatch):
+    """Sizes of the entry arrays _sigma_batch gets from the blocks' band at R.
+
+    Row 0 and _max_shift pass the scalar c = 0; the band passes an array of
+    the bottom rows of the elements it re-evaluates.
+    """
+    sizes = []
+    exact = enumeration._sigma_batch
+
+    def record(a, b, c, d, z):
+        if np.ndim(c):
+            sizes.append(np.size(c))
+        return exact(a, b, c, d, z)
+
+    monkeypatch.setattr(enumeration, "_sigma_batch", record)
+    return sizes
+
+
+def sum_of_squares_ball(bound: int) -> set:
+    """Canonical PSL(2, Z) matrices with a^2 + b^2 + c^2 + d^2 <= bound, in exact integers."""
+    B = math.isqrt(bound)
+    a, b, c, d = np.meshgrid(*[np.arange(-B, B + 1)] * 4, indexing="ij")
+    lead = np.where(c != 0, c, np.where(d != 0, d, np.where(a != 0, a, b)))
+    keep = (a * d - b * c == 1) & (a * a + b * b + c * c + d * d <= bound) & (lead > 0)
+    return set(zip(*(m[keep].tolist() for m in (a, b, c, d))))
+
+
+class TestExactTiesAtI:
+    """At z = i, sigma = (a^2 + b^2 + c^2 + d^2) / 4 + 1/2 exactly.
+
+    So the closed ball sigma <= r is the ball a^2 + b^2 + c^2 + d^2 <= 4 r - 2
+    in exact integers, and at these radii a whole shell of elements lies on
+    its boundary, sigma = r: ties that the coset values alone split (61
+    elements at r = 5 instead of 66) and the band at R decides.
+    """
+
+    @pytest.mark.parametrize("r", [2.5, 5.0, 10.0, 50.0])
+    def test_count_is_the_integer_ball(self, psl2z_constants, r):
+        want = sum_of_squares_ball(int(4 * r - 2))
+        assert counting_check(1j, r, psl2z_constants).count == len(want)
+
+    def test_ball_at_five_is_the_integer_ball(self):
+        want = sum_of_squares_ball(18)
+        assert len(want) == 66
+        assert as_tuples(enumerate_ball(1j, 5.0)) == want
+
+    def test_band_takes_the_boundary_shell(self, band_sizes):
+        # the shell sigma = 5 has 16 elements; row 0 holds (1, +-4, 0, 1) and
+        # cuts on entries anyway, the band re-evaluates the 14 in the blocks
+        shell = sum_of_squares_ball(18) - sum_of_squares_ball(17)
+        values = displacement_values(1j, 5.0)
+        assert sum(band_sizes) == sum(c >= 1 for _, _, c, _ in shell) == 14
+        assert np.count_nonzero(values == 5.0) == len(shell) == 16
+
+
+class TestCosetValues:
+    """The blocks' coset values against exact and entry evaluations."""
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    def test_sampled_elements_against_exact(self, z):
+        # z is a binary number, so sigma(z, gamma z) has an exact value that
+        # 50 digits resolve far below the 2e-15 asked
+        rng = np.random.default_rng(30)
+        with mpmath.workdps(50):
+            x, y = mpmath.mpf(z.real), mpmath.mpf(z.imag)
+            for block in enumeration._scan(z, 1e4):
+                sigmas = block[-1]
+                picks = {int(np.argmin(sigmas)), int(np.argmax(sigmas))}
+                picks.update(rng.integers(len(sigmas), size=24).tolist())
+                for i in picks:
+                    a, b, c, d = (int(m[i]) for m in block[:4])
+                    re = c * (x * x - y * y) + (d - a) * x - b
+                    im = y * (2 * c * x + d - a)
+                    exact = 1 + (re * re + im * im) / (4 * y * y)
+                    assert abs(sigmas[i] - exact) <= 2e-15 * exact, (a, b, c, d)
+
+    @pytest.mark.parametrize("z,R", [(z, 1e4) for z in ORACLE_POINTS]
+                             + [(ORACLE_POINTS[0], 1e5), (1j, 1e5)])
+    def test_whole_balls_against_entries(self, z, R):
+        # the margin behind the band: 1e-14 here, 1e-12 R there
+        for a, b, c, d, sigmas in enumeration._scan(z, R):
+            entries = enumeration._sigma_batch(a, b, c, d, z)
+            assert np.all(np.abs(sigmas - entries) <= 1e-14 * sigmas)
+
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    def test_no_entries_in_the_blocks_at_1e4(self, band_sizes, psl2z_constants, z):
+        displacement_values(z, 1e4)
+        counting_check(z, 30.0, psl2z_constants)
+        assert band_sizes == []
+
+    def test_near_tie_pair_at_radius_ten(self, band_sizes):
+        # sigma = 10 - 3.3e-16 for both: inside the ball, and decided by the band
+        ball = as_tuples(enumerate_ball(0.1 + 1.2j, 10.0))
+        assert {(-1, -1, 4, 3), (-3, -1, 4, 1)} <= ball
+        band_sizes.clear()
+        displacement_values(0.1 + 1.2j, 10.0)
+        assert band_sizes == [2]
 
 
 class TestNonFiniteRadius:
