@@ -298,8 +298,9 @@ def _row_zero(z: complex, R: float):
 def _scan(z: complex, R: float):
     """Yield (a, b, c, d, sigmas) over the ball: row 0, then the _blocks of rows c >= 1.
 
-    The only place the entries of the elements are built: a = a0 + n c and
-    b = (a d - 1) / c, an exact division, for the rows c >= 1.
+    The one place that builds the entries of every element (the blocks
+    build them only in the band at R): a = a0 + n c and b = (a d - 1) / c,
+    an exact division, for the rows c >= 1.
     """
     z = require_point(z)
     n, sigmas = _row_zero(z, R)
