@@ -19,7 +19,8 @@ in blocks of whole rows with a fixed cap on their (c, d) candidates, and each
 block is one array pass reading the table: coset bases, their images, shift
 intervals, and the elements' shifts and displacements, cut at R.  The entry
 identity (_sigma_batch) gives row 0 and decides the elements within a
-rounding band of R; only enumerate_ball builds the entries of the elements.
+rounding band of R.  _scan builds the entries and is the one whole-ball
+array; the checks sum or count the _blocks directly.
 A raw entry-bounded search stays in the test suite as the oracle for this
 enumeration.
 """
@@ -98,10 +99,11 @@ _TABLE = (0, np.zeros(0, np.int64), np.zeros(0, bool))
 def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2, in real parts.
 
-    a, b, c, d are integers or integer arrays.  It gives row 0 and _max_shift
-    their values, and the blocks the values of the elements in the band at
-    R (see _shifts); every other element takes its coset's form.  The
-    raw-entry test oracle evaluates the same identity in complex arithmetic.
+    a, b, c, d are integers or integer arrays.  It gives row 0, _max_shift
+    and parabolic_direct their values, and the blocks the values of the
+    elements in the band at R (see _shifts); every other element takes its
+    coset's form.  The raw-entry test oracle evaluates the same identity in
+    complex arithmetic.
     """
     x, y = z.real, z.imag
     re = c * (x * x - y * y) + (d - a) * x - b
@@ -284,28 +286,18 @@ def _blocks(z: complex, R: float):
         yield _block(z, pad, R, rows[block], first[block], sizes[block], inverse, coprime)
 
 
-def _row_zero(z: complex, R: float):
-    """Shifts n and sigmas of row 0, the translations T^n for |n| up to _max_shift, ascending.
-
-    Row 0 is the translation coset of the identity; it needs no inverse and
-    no padded range.
-    """
-    m = _max_shift(z, R)
-    n = np.arange(-m, m + 1)
-    return n, _sigma_batch(1, n, 0, 1, z)
-
-
 def _scan(z: complex, R: float):
     """Yield (a, b, c, d, sigmas) over the ball: row 0, then the _blocks of rows c >= 1.
 
-    The one place that builds the entries of every element (the blocks
-    build them only in the band at R): a = a0 + n c and b = (a d - 1) / c,
-    an exact division, for the rows c >= 1.
+    The one place that builds a whole ball, entries included: row 0 is T^n
+    for |n| up to _max_shift, ascending, and the rows c >= 1 get
+    a = a0 + n c and b = (a d - 1) / c, an exact division.
     """
     z = require_point(z)
-    n, sigmas = _row_zero(z, R)
+    m = _max_shift(z, R)
+    n = np.arange(-m, m + 1)
     ones = np.ones_like(n)
-    yield ones, n, np.zeros_like(n), ones, sigmas
+    yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
     for a0, c, d, counts, n, sigmas in _blocks(z, R):
         c, d = np.repeat(c, counts), np.repeat(d, counts)
         a = np.repeat(a0, counts) + n * c
@@ -327,13 +319,10 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 def displacement_values(z: complex, R: float) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    Row 0 and the sigmas of the _blocks are joined, with no entry arrays,
-    and sorted in place, and the first value goes: the identity's sigma is
-    exactly 1.0, and no sigma is smaller.
+    _scan's values, sorted, without the first: the identity's sigma is
+    exactly 1.0, and no sigma is smaller.  A view for the tests and tracing.
     """
-    z = require_point(z)
-    _, row = _row_zero(z, R)
-    values = np.concatenate([row, *(sigmas for *_, sigmas in _blocks(z, R))])
+    values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
     values.sort()
     return values[1:]
 
@@ -379,16 +368,24 @@ def poincare_direct(
     """Directly summed displacement series against its compact-region bound.
 
     partial sums sigma^{-(k+eps)} over the enumerated nontrivial elements with
-    sigma <= R_cut; the remainder is dominated Stieltjes-style by
-    4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises VerificationFailure
-    if partial + tail exceeds the closed-form series bound.  The bound comes
-    first, so a k or eps it refuses raises ValueError before any enumeration.
+    sigma <= R_cut, block by block: row 0 without the identity (n and -n give
+    the same value, so one is doubled), then each of the _blocks, each by
+    np.sum, and math.fsum adds the sums.  The block order and _BLOCK are
+    fixed, so the partial is reproducible.  The remainder is dominated
+    Stieltjes-style by 4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises
+    VerificationFailure if partial + tail exceeds the closed-form series
+    bound.  The bound comes first, so a k or eps it refuses raises
+    ValueError before any enumeration.
     """
     if R_cut < max(constants.sigma_Y, 1.0):
         raise ValueError(f"cutoff {R_cut} below the displacement floor")
     bound = poincare_bound_compact(k, eps, constants)
-    sigmas = displacement_values(z, R_cut)
-    partial = float(np.sum(sigmas ** -(k + eps)))
+    z = require_point(z)
+    power = -(k + eps)
+    n = np.arange(1, _max_shift(z, R_cut) + 1)
+    sums = [2.0 * np.sum(_sigma_batch(1, n, 0, 1, z) ** power)]
+    sums += [np.sum(sigmas ** power) for *_, sigmas in _blocks(z, R_cut)]
+    partial = math.fsum(sums)
     tail = (
         4.0
         * math.pi
@@ -406,20 +403,20 @@ def poincare_direct(
 
 
 def parabolic_direct(z: complex, k: int, eps: float) -> float:
-    """Two-sided translation sum 2 sum_{n>=1} (1 + (n/(2y))^2)^{-(k+eps)}.
+    """Two-sided translation sum 2 sum_{n>=1} sigma(z, z + n)^{-(k+eps)}, by _sigma_batch.
 
-    Terms are added until they drop below 1e-18 of the running total; k < 2
-    (about 1e9 terms at k = 1, y = 1) and an eps that is negative, NaN or
-    infinite, where the terms need not decrease, raise ValueError first.
+    Terms are added until one drops below 1e-18 of the running total, a stop
+    that is not a bound on the rest; k < 2 (about 1e9 terms at k = 1, y = 1)
+    and an eps that is negative, NaN or infinite, where the terms need not
+    decrease, raise ValueError first.
     """
     z = require_point(z)
     if k < 2 or not 0.0 <= eps < math.inf:
         raise ValueError(f"need k >= 2 and finite eps >= 0, got k={k}, eps={eps}")
-    y = z.imag
     total = 0.0
     n = 1
     while True:
-        term = (1.0 + (n / (2.0 * y)) ** 2) ** -(k + eps)
+        term = _sigma_batch(1, n, 0, 1, z) ** -(k + eps)
         total += term
         if term < 1e-18 * total or term == 0.0:
             break

@@ -18,6 +18,7 @@ KEPT_FOR_TESTS = {
     "enumerate_ball": "coset enumeration checked element by element against raw entry search",
     "faddeev_transfer": "transfer factor checked against exact enumerated sums",
     "displacement": "test oracle for the enumeration and the geometry primitives",
+    "displacement_values": "sorted view of the ball for the row-scan tests and a perfbench span target",
 }
 
 

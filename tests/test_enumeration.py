@@ -483,6 +483,23 @@ class TestNonFiniteRadius:
             poincare_direct(1j, 2, 0.1, R, psl2z_constants)
 
 
+@pytest.mark.parametrize("z", [0.1 - 1j, 0.5, complex(math.nan, 1.0), complex(0.0, math.inf)])
+@pytest.mark.parametrize("call", ["counting_check", "poincare_direct", "displacement_values",
+                                  "enumerate_ball", "parabolic_direct"])
+def test_bad_point_refused_before_the_table_grows(psl2z_constants, call, z):
+    calls = {
+        "counting_check": lambda z: counting_check(z, 10.0, psl2z_constants),
+        "poincare_direct": lambda z: poincare_direct(z, 2, 0.1, 1e4, psl2z_constants),
+        "displacement_values": lambda z: displacement_values(z, 10.0),
+        "enumerate_ball": lambda z: enumerate_ball(z, 10.0),
+        "parabolic_direct": lambda z: parabolic_direct(z, 6, 0.1),
+    }
+    refusal = "^point (has non-finite coordinates|must have positive imaginary part)"
+    with pytest.raises(ValueError, match=refusal):
+        calls[call](z)
+    assert enumeration._TABLE[0] == 0
+
+
 @st.composite
 def moduli_and_residues(draw):
     """(c, d) with 0 <= d < c <= 2000; c = 1 and d = 0 drawn often."""
@@ -596,6 +613,24 @@ class TestPoincareDirect:
         with pytest.raises(ValueError):
             poincare_direct(1j, 2, 0.1, 0.5, psl2z_constants)
 
+    @pytest.mark.parametrize("z", ORACLE_POINTS)
+    @pytest.mark.parametrize("k,eps", [(2, 0.1), (3, 0.1), (10, 0.5)])
+    @pytest.mark.parametrize("R", [2.5, 30.0, 1e4])
+    def test_partial_against_exactly_rounded_sum(self, block_cap, psl2z_constants, z, k, eps, R):
+        # the same terms as the row scan's, so the partial differs from their
+        # exactly rounded sum only by np.sum within each block and the fsum
+        want = math.fsum((row_scan_arrays(z, R)[1] ** -(k + eps)).tolist())
+        got = poincare_direct(z, k, eps, R, psl2z_constants).partial
+        assert abs(got - want) <= 1e-15 * want
+
+    def test_sums_the_blocks_not_the_sorted_ball(self, psl2z_constants, monkeypatch):
+        def refuse(z, R):
+            raise AssertionError("poincare_direct asked for the whole sorted ball")
+
+        monkeypatch.setattr(enumeration, "displacement_values", refuse)
+        res = poincare_direct(1j, 2, 0.1, 1e4, psl2z_constants)
+        assert res.partial + res.tail_bound <= res.series_bound
+
     @pytest.mark.parametrize("eps", [-0.5, math.nan, math.inf])
     def test_bad_eps_refused_before_enumeration(self, psl2z_constants, eps):
         # a NaN eps used to come back as PoincareCheck(nan, nan, nan)
@@ -642,6 +677,19 @@ class TestParabolicDirect:
         k, eps = 26, 0.01
         y = k / (2 * math.pi)
         assert parabolic_direct(complex(0.0, y), k, eps) <= parabolic_sum_bound(k, eps)
+
+    @pytest.mark.parametrize("k,eps,y", [(26, 0.01, 26 / (2 * math.pi)), (5, 0.2, 2.3),
+                                         (30, 0.05, None), (30, 0.05, 30 / (2 * math.pi))])
+    def test_against_mpmath(self, psl2z_constants, k, eps, y):
+        # the oracle takes the float exponent k + eps the library uses; k = 2,
+        # eps = 0 is left out, as the 1e-18 stop, which is no bound on the
+        # rest, leaves some 1e-13 of that sum behind
+        y = psl2z_constants.Y if y is None else y
+        with mpmath.workdps(40):
+            s, a = mpmath.mpf(k + eps), 2 * mpmath.mpf(y)
+            want = 2 * mpmath.nsum(lambda n: (1 + (n / a) ** 2) ** -s, [1, mpmath.inf])
+        got = parabolic_direct(complex(0.0, y), k, eps)
+        assert abs(got - want) <= 1e-15 * want
 
     def test_bound_across_band(self, psl2z_constants):
         k, eps = 30, 0.05
