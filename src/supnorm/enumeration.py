@@ -20,9 +20,9 @@ block is one array pass reading the table: coset bases, their images, shift
 intervals, and the elements' shifts and displacements, cut at R.  The entry
 identity (_sigma_batch) gives row 0 and decides the elements within a
 rounding band of R.  _scan builds the entries and is the one whole-ball
-array; the checks sum or count the _blocks directly.
-A raw entry-bounded search stays in the test suite as the oracle for this
-enumeration.
+array; the checks sum or count the _blocks, and _translation_sums both
+translation sums, at most _BLOCK shifts an array.  A raw entry-bounded
+search stays in the test suite as the oracle for this enumeration.
 """
 
 from __future__ import annotations
@@ -86,9 +86,9 @@ class IntegerMoebius:
         return (self.a, self.b, self.c, self.d)
 
 
-#: Most (c, d) candidates one array pass takes, which bounds its arrays.  A
-#: row has at most about 4 sqrt(R) of them, so only above R = 1.05e6 can a
-#: row be longer than the cap; it is then a pass of its own.
+#: Most (c, d) candidates one array pass takes, or shifts one translation chunk,
+#: which bounds their arrays.  A row has at most about 4 sqrt(R) candidates, so
+#: only above R = 1.05e6 can it be longer than the cap, and a pass of its own.
 _BLOCK = 4096
 
 #: (C, inverse, coprime): d^-1 mod c and gcd(d, c) == 1 for each residue d
@@ -99,8 +99,8 @@ _TABLE = (0, np.zeros(0, np.int64), np.zeros(0, bool))
 def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2, in real parts.
 
-    a, b, c, d are integers or integer arrays.  It gives row 0, _max_shift
-    and parabolic_direct their values, and the blocks the values of the
+    a, b, c, d are integers or integer arrays.  It gives _max_shift, _scan's
+    row 0 and _translation_sums their values, and the blocks the values of the
     elements in the band at R (see _shifts); every other element takes its
     coset's form.  The raw-entry test oracle evaluates the same identity in
     complex arithmetic.
@@ -117,16 +117,24 @@ def _max_shift(z: complex, R: float) -> int:
     On (1, n, 0, 1) _sigma_batch evaluates 1 + n^2 / (4 y^2), which is
     monotone in |n| in floating point, so its values at the estimate
     floor(2 y sqrt(R - 1)) and one above it settle the exact cut.  Every
-    ball starts here, so a radius that is not finite raises ValueError here.
+    ball starts here, so R not finite or 4 y^2 = 0 raises ValueError here.
     """
     if not math.isfinite(R):
         raise ValueError(f"ball radius R must be finite, got R = {R}")
+    if 4.0 * z.imag * z.imag == 0.0:
+        raise ValueError(f"Im z = {z.imag} is too small: 4 (Im z)^2 underflows to 0")
     if R < 1.0:
         return -1
     n = math.floor(2.0 * z.imag * math.sqrt(R - 1.0))
     if _sigma_batch(1, n + 1, 0, 1, z) <= R:
         return n + 1
     return n if _sigma_batch(1, n, 0, 1, z) <= R else n - 1
+
+
+def _translation_sums(z: complex, power: float, m: int) -> list:
+    """2 np.sum(sigma(z, z + n)^power) over each run of at most _BLOCK shifts n in 1..m."""
+    return [2.0 * np.sum(_sigma_batch(1, np.arange(lo, min(lo + _BLOCK, m + 1)), 0, 1, z) ** power)
+            for lo in range(1, m + 1, _BLOCK)]
 
 
 def _runs(first, sizes):
@@ -368,22 +376,20 @@ def poincare_direct(
     """Directly summed displacement series against its compact-region bound.
 
     partial sums sigma^{-(k+eps)} over the enumerated nontrivial elements with
-    sigma <= R_cut, block by block: row 0 without the identity (n and -n give
-    the same value, so one is doubled), then each of the _blocks, each by
-    np.sum, and math.fsum adds the sums.  The block order and _BLOCK are
-    fixed, so the partial is reproducible.  The remainder is dominated
-    Stieltjes-style by 4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises
-    VerificationFailure if partial + tail exceeds the closed-form series
-    bound.  The bound comes first, so a k or eps it refuses raises
-    ValueError before any enumeration.
+    sigma <= R_cut, block by block: row 0 without the identity by
+    _translation_sums (one chunk in F_Y), then each of the _blocks by np.sum,
+    and math.fsum adds the sums.  Block order and _BLOCK are fixed, so the
+    partial is reproducible.  The remainder is dominated Stieltjes-style by
+    4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises VerificationFailure
+    if partial + tail exceeds the closed-form series bound.  The bound comes
+    first, so a k or eps it refuses raises ValueError before any enumeration.
     """
     if R_cut < max(constants.sigma_Y, 1.0):
         raise ValueError(f"cutoff {R_cut} below the displacement floor")
     bound = poincare_bound_compact(k, eps, constants)
     z = require_point(z)
     power = -(k + eps)
-    n = np.arange(1, _max_shift(z, R_cut) + 1)
-    sums = [2.0 * np.sum(_sigma_batch(1, n, 0, 1, z) ** power)]
+    sums = _translation_sums(z, power, _max_shift(z, R_cut))
     sums += [np.sum(sigmas ** power) for *_, sigmas in _blocks(z, R_cut)]
     partial = math.fsum(sums)
     tail = (
@@ -403,22 +409,21 @@ def poincare_direct(
 
 
 def parabolic_direct(z: complex, k: int, eps: float) -> float:
-    """Two-sided translation sum 2 sum_{n>=1} sigma(z, z + n)^{-(k+eps)}, by _sigma_batch.
+    """Two-sided translation sum 2 sum_{n>=1} sigma(z, z + n)^{-(k+eps)}, to half an ulp.
 
-    Terms are added until one drops below 1e-18 of the running total, a stop
-    that is not a bound on the rest; k < 2 (about 1e9 terms at k = 1, y = 1)
-    and an eps that is negative, NaN or infinite, where the terms need not
-    decrease, raise ValueError first.
+    With a = 2y and s = k + eps the terms f(n) = (1 + (n/a)^2)^{-s} decrease in
+    n > 0, so sum_{n>N} f(n) <= int_N^inf (x/a)^{-2s} dx = a (N/a)^{1-2s} / (2s-1).
+    N is the least integer with that at most 2^-54 f(1), under half an ulp of
+    the sum (at least 2 f(1)), solved in logs, nudged by 1e-9 and rounded up
+    so that rounding can only raise it; math.fsum adds the _translation_sums
+    to N.  When f(1) rounds to 0 the sum is 0.0.  k < 2 and eps negative,
+    NaN or infinite, where terms need not decrease, raise ValueError first.
     """
     z = require_point(z)
     if k < 2 or not 0.0 <= eps < math.inf:
         raise ValueError(f"need k >= 2 and finite eps >= 0, got k={k}, eps={eps}")
-    total = 0.0
-    n = 1
-    while True:
-        term = _sigma_batch(1, n, 0, 1, z) ** -(k + eps)
-        total += term
-        if term < 1e-18 * total or term == 0.0:
-            break
-        n += 1
-    return 2.0 * total
+    s, a = k + eps, 2.0 * z.imag
+    log_f1, log_a = -s * math.log1p(1.0 / a / a), math.log(a)
+    log_n = log_a + (log_a - math.log(2 * s - 1) + 54 * math.log(2) - log_f1) / (2 * s - 1)
+    m = math.ceil(math.exp(log_n + 1e-9)) if math.exp(log_f1) > 0.0 else 0
+    return math.fsum(_translation_sums(z, -s, m))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -500,6 +501,22 @@ def test_bad_point_refused_before_the_table_grows(psl2z_constants, call, z):
     assert enumeration._TABLE[0] == 0
 
 
+@pytest.mark.parametrize("call", ["counting_check", "poincare_direct", "displacement_values",
+                                  "enumerate_ball"])
+def test_underflowing_height_refused_before_the_table_grows(psl2z_constants, call):
+    # 4 y^2 underflows to 0 here; _max_shift used to raise ZeroDivisionError
+    z = 0.1 + 1e-200j
+    calls = {
+        "counting_check": lambda: counting_check(z, 10.0, psl2z_constants),
+        "poincare_direct": lambda: poincare_direct(z, 2, 0.1, 1e4, psl2z_constants),
+        "displacement_values": lambda: displacement_values(z, 10.0),
+        "enumerate_ball": lambda: enumerate_ball(z, 10.0),
+    }
+    with pytest.raises(ValueError, match=r"^Im z = 1e-200 is too small"):
+        calls[call]()
+    assert enumeration._TABLE[0] == 0
+
+
 @st.composite
 def moduli_and_residues(draw):
     """(c, d) with 0 <= d < c <= 2000; c = 1 and d = 0 drawn often."""
@@ -661,6 +678,15 @@ class TestParabolicDirect:
         assert not thread.is_alive()
         assert len(errors) == 1 and "k >= 2 and finite eps >= 0" in str(errors[0])
 
+    @pytest.mark.parametrize("y", [1e-150, 1e-200, 5e-324])
+    @pytest.mark.parametrize("k", [4, 60])
+    def test_underflowing_first_term_gives_zero(self, k, y):
+        # f(1) = (1 + 1/(4 y^2))^-(k+eps) rounds to 0; at 1e-200 this used to
+        # raise ZeroDivisionError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parabolic_direct(complex(0.1, y), k, 0.1) == 0.0
+
     def test_vanishes_at_small_height(self):
         # every term carries (n/2y)^2 -> infinity as y -> 0
         at_001 = parabolic_direct(0.2 + 0.01j, 4, 0.1)
@@ -679,17 +705,60 @@ class TestParabolicDirect:
         assert parabolic_direct(complex(0.0, y), k, eps) <= parabolic_sum_bound(k, eps)
 
     @pytest.mark.parametrize("k,eps,y", [(26, 0.01, 26 / (2 * math.pi)), (5, 0.2, 2.3),
-                                         (30, 0.05, None), (30, 0.05, 30 / (2 * math.pi))])
+                                         (30, 0.05, None), (30, 0.05, 30 / (2 * math.pi)),
+                                         (2, 0.0, 1.0), (2, 0.0, None)])
     def test_against_mpmath(self, psl2z_constants, k, eps, y):
-        # the oracle takes the float exponent k + eps the library uses; k = 2,
-        # eps = 0 is left out, as the 1e-18 stop, which is no bound on the
-        # rest, leaves some 1e-13 of that sum behind
+        # the oracle takes the float exponent k + eps the library uses
         y = psl2z_constants.Y if y is None else y
         with mpmath.workdps(40):
             s, a = mpmath.mpf(k + eps), 2 * mpmath.mpf(y)
             want = 2 * mpmath.nsum(lambda n: (1 + (n / a) ** 2) ** -s, [1, mpmath.inf])
         got = parabolic_direct(complex(0.0, y), k, eps)
         assert abs(got - want) <= 1e-15 * want
+
+    @pytest.mark.parametrize("k", [2, 6, 26, 60])
+    @pytest.mark.parametrize("height", ["0.5", "k/(2 pi)", "Y"])
+    def test_cutoff_leaves_a_proven_rest(self, monkeypatch, psl2z_constants, k, height):
+        # the rest past the cutoff m is at most 2^-54 f(1), and m is the
+        # least integer whose integral bound a (m/a)^(1-2s)/(2s-1) says so
+        y = {"0.5": 0.5, "k/(2 pi)": k / (2 * math.pi), "Y": psl2z_constants.Y}[height]
+        cutoffs = []
+        sums = enumeration._translation_sums
+
+        def record(z, power, m):
+            cutoffs.append(m)
+            return sums(z, power, m)
+
+        monkeypatch.setattr(enumeration, "_translation_sums", record)
+        parabolic_direct(complex(0.0, y), k, 0.0)
+        [m] = cutoffs
+        with mpmath.workdps(30):
+            s, a = mpmath.mpf(k), 2 * mpmath.mpf(y)
+            f = lambda n: (1 + (n / a) ** 2) ** -s
+            rest = mpmath.nsum(f, [m + 1, mpmath.inf])
+            bound = lambda n: a * (n / a) ** (1 - 2 * s) / (2 * s - 1)
+            assert rest <= bound(m) <= mpmath.mpf(2) ** -54 * f(1) < bound(m - 1)
+
+    def test_no_array_longer_than_a_block(self, monkeypatch, psl2z_constants):
+        # the translation sums go in chunks of _BLOCK shifts: about 4e6 terms
+        # at y = 5, k = 2, and a row 0 of 2e5 shifts at y = 1e3, R_cut = 1e4,
+        # were one array each
+        sizes = []
+        exact = enumeration._sigma_batch
+
+        def record(a, b, c, d, z):
+            values = exact(a, b, c, d, z)
+            sizes.append(np.size(values))
+            return values
+
+        monkeypatch.setattr(enumeration, "_sigma_batch", record)
+        parabolic_direct(5j, 2, 0.0)
+        assert sum(sizes) > 3_000_000
+        sizes.clear()
+        with pytest.raises(VerificationFailure, match="direct series 3025.73"):
+            poincare_direct(0.1 + 1e3j, 2, 0.1, 1e4, psl2z_constants)
+        assert sum(sizes) > 190_000
+        assert max(sizes) <= enumeration._BLOCK
 
     def test_bound_across_band(self, psl2z_constants):
         k, eps = 30, 0.05
