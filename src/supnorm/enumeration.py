@@ -409,15 +409,15 @@ def poincare_direct(
 
 
 def parabolic_direct(z: complex, k: int, eps: float) -> float:
-    """Two-sided translation sum 2 sum_{n>=1} sigma(z, z + n)^{-(k+eps)}, to half an ulp.
+    """Two-sided translation sum 2 sum_{n>=1} sigma(z, z + n)^{-(k+eps)}, rest under half an ulp.
 
     With a = 2y and s = k + eps the terms f(n) = (1 + (n/a)^2)^{-s} decrease in
     n > 0, so sum_{n>N} f(n) <= int_N^inf (x/a)^{-2s} dx = a (N/a)^{1-2s} / (2s-1).
-    N is the least integer with that at most 2^-54 f(1), under half an ulp of
-    the sum (at least 2 f(1)), solved in logs, nudged by 1e-9 and rounded up
-    so that rounding can only raise it; math.fsum adds the _translation_sums
-    to N.  When f(1) rounds to 0 the sum is 0.0.  k < 2 and eps negative,
-    NaN or infinite, where terms need not decrease, raise ValueError first.
+    N is the least integer with that at most 2^-54 f(1), and the sum is at
+    least 2 f(1), so the rest is under half its ulp.  N is solved in logs,
+    nudged by 1e-9 and rounded up so rounding can only raise it; math.fsum
+    adds the _translation_sums to N, 0.0 if f(1) rounds to 0.  k < 2 and eps
+    negative, NaN or infinite, where terms need not decrease, raise ValueError.
     """
     z = require_point(z)
     if k < 2 or not 0.0 <= eps < math.inf:
