@@ -2,13 +2,14 @@
 
 Subcommands: ``constants`` (effective-constants ledger), ``bounds``
 (per-weight bound table), ``verify`` (direct numerical verification on the
-modular group), ``kernel-check`` (kernel inequality grids).
+modular group), ``kernel-check`` (kernel inequality grids).  Each command
+imports only the layer it runs: ``constants`` and ``bounds`` load no numpy.
 
 Exit status: 0 success, 1 verification failure, 2 input error (an input too
 large for memory included) or unwritable output path, 4 kernel-check
 failure: a failed check, or a kernel quadrature that missed its accuracy
-target (one ``error:`` line).  A run that ends in an error leaves an
-existing ``--out`` file as it was and creates none.
+target (one ``error:`` line, mapped by ``kernel-check`` itself).  A run
+ending in an error keeps an existing ``--out`` file and creates none.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import engine, kernels
+from . import engine
 from .domain import LoadError, load_domain, modular_group
 from .engine import format_float
-from .verify import verify_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -119,6 +119,13 @@ def _parse_weights(text: str) -> tuple[int, ...]:
         raise ValueError(f"--weights takes comma-separated integers, got {text!r}") from None
 
 
+def verify_all(**kwargs):
+    """``verify.verify_all``, imported on the first call so other commands load no numpy."""
+    from .verify import verify_all as run
+
+    return run(**kwargs)
+
+
 def cmd_verify(args) -> int:
     weights = _parse_weights(args.weights)
     with _open_out(args.out) as out:
@@ -130,12 +137,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernel_check(args) -> int:
-    with _open_out(args.out) as out:
-        results = kernels.run_kernel_checks(k_max=args.k_max)
-        for res in results:
-            print(res.line())
-        if out:
-            _write_out(out, _json_dumps([asdict(r) for r in results]))
+    from . import kernels
+
+    try:
+        with _open_out(args.out) as out:
+            results = kernels.run_kernel_checks(k_max=args.k_max)
+            for res in results:
+                print(res.line())
+            if out:
+                _write_out(out, _json_dumps([asdict(r) for r in results]))
+    except kernels.AccuracyError as exc:
+        return _fail(exc, EXIT_KERNEL)
     return EXIT_OK if all(res.passed for res in results) else EXIT_KERNEL
 
 
@@ -186,13 +198,12 @@ def _fail(message: object, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; bad input, inputs too large for memory, unwritable
-    output paths and kernel accuracy errors end in a one-line error."""
+    """Run one subcommand; bad input, inputs too large for memory and
+    unwritable output paths end in a one-line error (``kernel-check`` maps
+    its own kernel accuracy errors)."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except kernels.AccuracyError as exc:
-        return _fail(exc, EXIT_KERNEL)
     except (LoadError, ValueError, OSError) as exc:
         return _fail(exc, EXIT_INPUT)
     except MemoryError as exc:

@@ -9,7 +9,8 @@ counting constants built from them, then per-weight bound rows (9)-(10).
 
 Every constant and bound here is a closed form in ``math``, the Stirling
 ratio bound and the translation-sum bound built on it included, so this
-module and the domain layer under it load no numpy.
+module and the domain layer under it load no numpy.  CheckResult, the
+verdict line shared by the kernel checks and the verifier, lives here too.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "GammaRatio",
     "BoundRow",
     "BoundReport",
+    "CheckResult",
     "Y_FLOOR",
     "mu_gamma",
     "sigma_y_branches",
@@ -457,6 +459,20 @@ class BoundReport:
 def format_float(x: float) -> str:
     """Fixed 12-significant-digit rendering for reproducible artifacts."""
     return f"{x:.12g}"
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    passed: bool
+    detail: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", bool(self.passed))
+
+    def line(self) -> str:
+        """The report line ``[PASS] name: detail`` (or ``[FAIL]``)."""
+        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
 def run_algorithm(

@@ -37,11 +37,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import gamma_ratio_bound
+from .engine import CheckResult, gamma_ratio_bound
 from .forms import _ORDER, _legendre_rule
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "resolvent_via_heat",
     "integrated_exponential_lhs",
     "faddeev_transfer",
-    "CheckResult",
     "run_kernel_checks",
 ]
 
@@ -517,20 +515,6 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Property-grid suite (also driven by the CLI kernel-check command)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "passed", bool(self.passed))
-
-    def line(self) -> str:
-        """The report line ``[PASS] name: detail`` (or ``[FAIL]``)."""
-        return f"[{'PASS' if self.passed else 'FAIL'}] {self.name}: {self.detail}"
 
 
 def run_kernel_checks(k_max: int = 12) -> list[CheckResult]:

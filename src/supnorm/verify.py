@@ -25,7 +25,6 @@ from .enumeration import (
     poincare_direct,
 )
 from .forms import SUPPORTED_WEIGHTS, build_basis, mass_integral, s2k_on_grid, standard_grid
-from .kernels import CheckResult
 
 __all__ = [
     "VerificationItem",
@@ -43,7 +42,7 @@ _R_CUT = 1e4
 
 
 @dataclass(frozen=True)
-class VerificationItem(CheckResult):
+class VerificationItem(engine.CheckResult):
     """A check verdict, tagged with its weight unless the check is global."""
 
     weight: int | None = None

@@ -68,6 +68,19 @@ def test_every_export_has_a_package_caller():
     assert sorted(uncalled) == sorted(KEPT_FOR_TESTS)
 
 
+def _loaded_under(package: str, code: str) -> list[str]:
+    """Modules named package or under it that a fresh interpreter holds after running code.
+
+    The interpreter imports supnorm from this checkout's src/.
+    """
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    return [m for m in loaded if m == package or m.startswith(package + ".")]
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -80,35 +93,37 @@ def test_every_export_has_a_package_caller():
 )
 def test_cli_runs_without_scipy(call):
     """No CLI command imports scipy; only the tests use it, as an oracle."""
-    code = (
-        "import json, sys\n"
-        "from supnorm.cli import main\n"
-        f"{call}\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
-    )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert _loaded_under("scipy", f"from supnorm.cli import main\n{call}") == []
 
 
 def test_constants_and_bounds_run_without_numpy():
     """The domain, constants and bounds API is pure math: no numpy module loads."""
     fixture = str(SRC / "data" / "genus2_cocompact.json")
     code = (
-        "import json, sys\n"
         "import supnorm\n"
         "import supnorm.geometry\n"
         "from supnorm import compute_constants, load_domain, modular_group, run_algorithm\n"
         f"for domain in (modular_group(), load_domain({fixture!r})):\n"
         "    compute_constants(domain)\n"
         "    run_algorithm(domain, k_max=60)\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')))\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert _loaded_under("numpy", code) == []
+
+
+@pytest.mark.parametrize(
+    "argv,absent",
+    [
+        (["constants"], ["numpy"]),
+        (["bounds", "--k-max", "60"], ["numpy"]),
+        (["verify", "--grid", "10"], ["supnorm.kernels"]),
+        (["kernel-check", "--k-max", "2"], ["supnorm.verify", "supnorm.enumeration"]),
+    ],
+    ids=["constants", "bounds", "verify", "kernel_check"],
+)
+def test_each_command_loads_only_its_layer(argv, absent):
+    """constants and bounds load no numpy, verify no kernels, kernel-check no verifier."""
+    code = f"from supnorm.cli import main\nassert main({argv!r}) == 0"
+    assert [m for name in absent for m in _loaded_under(name, code)] == []
 
 
 def test_lazy_verify_all_export():

@@ -375,6 +375,20 @@ def test_failed_run_keeps_existing_output(capsys, tmp_path, argv):
     assert not fresh.exists()
 
 
+def test_accuracy_error_keeps_existing_output(capsys, monkeypatch, tmp_path):
+    # kernel-check maps its accuracy error after --out is closed and, if new, removed
+    monkeypatch.setattr(kernels, "_TRANSFORM_REL_TARGET", 1e-12)
+    path = tmp_path / "report.json"
+    path.write_bytes(EARLIER_REPORT)
+    fresh = tmp_path / "fresh.json"
+    for out_path in (path, fresh):
+        code, out, err = run(capsys, "kernel-check", "--k-max", "2", "--out", str(out_path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: heat-to-resolvent transform") and err.count("\n") == 1
+    assert path.read_bytes() == EARLIER_REPORT
+    assert not fresh.exists()
+
+
 def test_finished_run_replaces_existing_output(capsys, tmp_path):
     path = tmp_path / "report.json"
     path.write_bytes(EARLIER_REPORT * 1000)
