@@ -120,7 +120,7 @@ def _parse_weights(text: str) -> tuple[int, ...]:
 
 
 def verify_all(**kwargs):
-    """``verify.verify_all``, imported on the first call so other commands load no numpy."""
+    """Import and run ``verify.verify_all``; a module global, so traces and patches see it."""
     from .verify import verify_all as run
 
     return run(**kwargs)

@@ -68,8 +68,8 @@ def test_every_export_has_a_package_caller():
     assert sorted(uncalled) == sorted(KEPT_FOR_TESTS)
 
 
-def _loaded_under(package: str, code: str) -> list[str]:
-    """Modules named package or under it that a fresh interpreter holds after running code.
+def _loaded_under(code: str, *packages: str) -> list[str]:
+    """Modules in or under packages that a fresh interpreter holds after running code.
 
     The interpreter imports supnorm from this checkout's src/.
     """
@@ -78,7 +78,7 @@ def _loaded_under(package: str, code: str) -> list[str]:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
     loaded = json.loads(proc.stdout.splitlines()[-1])
-    return [m for m in loaded if m == package or m.startswith(package + ".")]
+    return [m for m in loaded if any(m == p or m.startswith(p + ".") for p in packages)]
 
 
 @pytest.mark.parametrize(
@@ -93,7 +93,7 @@ def _loaded_under(package: str, code: str) -> list[str]:
 )
 def test_cli_runs_without_scipy(call):
     """No CLI command imports scipy; only the tests use it, as an oracle."""
-    assert _loaded_under("scipy", f"from supnorm.cli import main\n{call}") == []
+    assert _loaded_under(f"from supnorm.cli import main\n{call}", "scipy") == []
 
 
 def test_constants_and_bounds_run_without_numpy():
@@ -107,7 +107,7 @@ def test_constants_and_bounds_run_without_numpy():
         "    compute_constants(domain)\n"
         "    run_algorithm(domain, k_max=60)\n"
     )
-    assert _loaded_under("numpy", code) == []
+    assert _loaded_under(code, "numpy") == []
 
 
 @pytest.mark.parametrize(
@@ -123,7 +123,7 @@ def test_constants_and_bounds_run_without_numpy():
 def test_each_command_loads_only_its_layer(argv, absent):
     """constants and bounds load no numpy, verify no kernels, kernel-check no verifier."""
     code = f"from supnorm.cli import main\nassert main({argv!r}) == 0"
-    assert [m for name in absent for m in _loaded_under(name, code)] == []
+    assert _loaded_under(code, *absent) == []
 
 
 def test_lazy_verify_all_export():
