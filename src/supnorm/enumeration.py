@@ -117,12 +117,15 @@ def _max_shift(z: complex, R: float) -> int:
     On (1, n, 0, 1) _sigma_batch evaluates 1 + n^2 / (4 y^2), which is
     monotone in |n| in floating point, so its values at the estimate
     floor(2 y sqrt(R - 1)) and one above it settle the exact cut.  Every
-    ball starts here, so R not finite or 4 y^2 = 0 raises ValueError here.
+    ball starts here, so R not finite, 4 y^2 = 0, or 2^32 rows under _blocks'
+    pad (where the table index c (c - 1) / 2 leaves int64) raise ValueError.
     """
     if not math.isfinite(R):
         raise ValueError(f"ball radius R must be finite, got R = {R}")
     if 4.0 * z.imag * z.imag == 0.0:
         raise ValueError(f"Im z = {z.imag} is too small: 4 (Im z)^2 underflows to 0")
+    if math.sqrt(max(4.0 * (R * (1.0 + 1e-9) + 1e-9) - 2.0, 0.0)) / z.imag >= 2**32:
+        raise ValueError(f"Im z = {z.imag} is too small for R = {R}: 2^32 rows or more")
     if R < 1.0:
         return -1
     n = math.floor(2.0 * z.imag * math.sqrt(R - 1.0))
@@ -417,7 +420,9 @@ def parabolic_direct(z: complex, k: int, eps: float) -> float:
     least 2 f(1), so the rest is under half its ulp.  N is solved in logs,
     nudged by 1e-9 and rounded up so rounding can only raise it; math.fsum
     adds the _translation_sums to N, 0.0 if f(1) rounds to 0.  k < 2 and eps
-    negative, NaN or infinite, where terms need not decrease, raise ValueError.
+    negative, NaN or infinite, where terms need not decrease, raise ValueError,
+    as does log N past 53 ln 2, where the shifts stop being exact floats.  High
+    points below that are slow: at k = 2, N is 4.6e9 at y = 1e3, 4.6e13 at 1e6.
     """
     z = require_point(z)
     if k < 2 or not 0.0 <= eps < math.inf:
@@ -425,5 +430,8 @@ def parabolic_direct(z: complex, k: int, eps: float) -> float:
     s, a = k + eps, 2.0 * z.imag
     log_f1, log_a = -s * math.log1p(1.0 / a / a), math.log(a)
     log_n = log_a + (log_a - math.log(2 * s - 1) + 54 * math.log(2) - log_f1) / (2 * s - 1)
-    m = math.ceil(math.exp(log_n + 1e-9)) if math.exp(log_f1) > 0.0 else 0
-    return math.fsum(_translation_sums(z, -s, m))
+    if math.exp(log_f1) == 0.0:
+        return 0.0
+    if log_n > 53 * math.log(2):
+        raise ValueError(f"Im z = {z.imag} is too large: the cutoff passes 2^53 shifts")
+    return math.fsum(_translation_sums(z, -s, math.ceil(math.exp(log_n + 1e-9))))

@@ -5,20 +5,19 @@ discriminant form (weight 12) times the Eisenstein series of weight w - 12
 (none for w = 12).  Coefficients are exact integers, and each generator
 stores the least N whose Deligne tail is at most 2^-70 at the lowest height
 of the standard domain (12 to 16); one Horner pass reads all of them.  A
-Petersson norm is an incomplete-gamma sum over the strip above y = 1, finite
-because the weight is an integer, plus one fixed Gauss-Legendre rule on the
-sliver below it, cross-checked at half its order; every rule in the library,
-the kernel panels' too, has order _ORDER or _ORDER // 2.
+Petersson norm is one finite sum over the periods of the form (Haberland;
+Kohnen and Zagier), summed in Decimal, with a proven error under one ulp.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
 verifier compares against the closed-form bounds; s2k_on_grid is its one
 evaluator.  The mass integral, the independent check of the norm, is one
-tensor rule of the same kind over the whole domain mapped to a rectangle.
+Gauss-Legendre tensor rule over the whole domain mapped to a rectangle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import ROUND_HALF_EVEN, Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -41,9 +40,12 @@ __all__ = [
 SUPPORTED_WEIGHTS = (12, 16, 18, 20, 22, 26)
 #: Lowest height of the standard domain, where the stored count is fixed.
 _Y0 = math.sqrt(3.0) / 2.0
-#: Gauss-Legendre nodes per axis of every rule in the library; an error
-#: estimate is the change against the rule of order _ORDER // 2.
+#: Gauss-Legendre nodes per axis of every rule in the library; the kernel
+#: panels estimate their error by the change against order _ORDER // 2.
 _ORDER = 48
+#: pi to 60 digits, and the 50-digit context the Petersson norm is summed in.
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+_CONTEXT = Context(prec=50, rounding=ROUND_HALF_EVEN)
 
 
 def _series_multiply(a: list[int], b: list[int], n: int) -> list[int]:
@@ -158,71 +160,64 @@ def tail_bound(coeffs, weight: int, y: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Petersson norm
-#
-# The standard domain splits at y = 1 into the full strip |x| <= 1/2 above
-# and the sliver sqrt(1 - x^2) <= y <= 1 below.
 
 
-@lru_cache(maxsize=None)
-def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one eigensolve per order."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+def _periods(weight: int, coeffs) -> tuple[list[Decimal], Decimal]:
+    """Lambda_s = int_0^inf f(iy) y^(s-1) dy for s = 1..weight-1, and top, in Decimal.
 
-
-def _gauss_nodes(lo, hi, order: int):
-    x, w = _legendre_rule(order)
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return mid + half * x, half * w
-
-
-def _strip_integral(weight: int, coeffs) -> float:
-    """Integral of |f|^2 y^(weight-2) over the strip |x| <= 1/2, y >= 1.
-
-    Parseval in x leaves sum a_n^2 int_1^inf e^{-4 pi n y} y^(w-2) dy
-    = sum a_n^2 Gamma(w-1, 4 pi n) / (4 pi n)^(w-1).  For the integer
-    s = w - 1 that ratio is the finite positive sum
-    e^{-t} sum_{m=1}^{s} (s-1)!/(s-m)! t^{-m} at t = 4 pi n, here in Horner form.
+    Split at y = 1 and fold with f(-1/z) = z^k f(z): Lambda_s is
+    sum a_n (G_s + i^k G_{k-s}) at t = 2 pi n, G_s = int_1^inf e^{-ty} y^(s-1) dy,
+    with G_1 = e^-t / t and G_{s+1} = (s G_s + e^-t) / t.  G_s grows with s,
+    so top = 2 sum |a_n| G_{k-1} is at least every sum |a_n| (G_s + G_{k-s}).
     """
-    a = np.array([float(c) for c in coeffs])
-    t = 4.0 * math.pi * np.arange(1, len(a) + 1)
-    acc = np.ones_like(t)
-    for i in range(1, weight - 1):
-        acc = 1.0 + i / t * acc
-    return float(np.sum(a * a * np.exp(-t) * acc / t))
+    with localcontext(_CONTEXT):
+        e = (-2 * _PI).exp()
+        h, top, q = [Decimal(0)] * (weight - 1), Decimal(0), Decimal(1)
+        for n, a in enumerate(coeffs, start=1):  # h[s - 1] = sum a_n G_s
+            q, t = q * e, 2 * _PI * n
+            g = q / t
+            h[0] += a * g
+            for s in range(1, weight - 1):
+                g = (s * g + q) / t
+                h[s] += a * g
+            top += 2 * abs(a) * g
+        lam = [h[s] + (-1) ** (weight // 2) * h[-1 - s] for s in range(weight - 1)]
+    return lam, top
 
 
-def _sliver_integral(weight: int, coeffs, order: int) -> float:
-    """Integral of |f|^2 y^(weight-2) over sqrt(1 - x^2) <= y <= 1, |x| <= 1/2.
+def _petersson(weight: int, coeffs) -> tuple[float, float]:
+    """<f, f> over the standard domain, correctly rounded, and a proven bound on its error.
 
-    One tensor Gauss-Legendre rule, order nodes in x and in y on each column;
-    the integrand and the floor curve are analytic on the region.
+    Haberland's formula (Math. Nachr. 112, 1983; Kohnen and Zagier, Modular
+    forms with rational periods, 1984) in the periods r_n = i^(n+1) Lambda_{n+1},
+    with w = k - 2 and r_n conj(r_a) = i^(n-a) Lambda_{n+1} Lambda_{a+1}, reads
+        <f, f> = sum_{j < w odd} (-1)^((j+1)/2 + k/2) C(w, j)
+                 sum_{n <= j} C(j, n) Lambda_{n+1} Lambda_{j+1-n} / (3 2^(k-1)),
+    whose absolute coefficients sum to K = (3^w - 1) / (6 2^(k-1)).  It is
+    summed in Decimal at 50 digits and rounded to a float once.
+    - Coefficients past N: T(y) e^{2 pi (N+1) y} decreases, T = tail_bound,
+      and y^(s-1) <= y^w <= e^{w (y-1)} for y >= 1, so each Lambda_s moves by
+      at most pad = 2 T(1) / (2 pi (N+1) - w), and <f, f> by K pad (2 top + pad).
+    - Decimal rounding: each operation, exp too, is within u = 10^-49 / 2
+      relative.  Counting e^{-2 pi} as 8, e^{-2 pi n} as 9 n and a recurrence
+      step as 5, no term of the expanded sum meets more than
+      2 (10 N + 5 k - 6) + 2 + w (w + 2) / 4 <= 726 of them (N <= 16, k <= 26),
+      so the sum moves by at most 1001 u K top^2 <= 1e-46 K top^2 (Higham,
+      Accuracy and Stability of Numerical Algorithms, ch. 3).
+    - The float: half an ulp.
+    The first two are doubled, which covers their own evaluation, and stay
+    below 1e-20 relative; nextafter rounds the float sum up, under one ulp.
     """
-    xs, wx = _gauss_nodes(-0.5, 0.5, order)
-    ys, wy = _gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, order)
-    fv = evaluate_form(coeffs, xs[:, None] + 1j * ys)
-    return float(wx @ np.sum(wy * np.abs(fv) ** 2 * ys ** (weight - 2), axis=1))
-
-
-def _truncation_error(weight: int, coeffs) -> float:
-    """Bound, via tail_bound, on the norm part of the coefficients beyond the stored ones.
-
-    On the standard domain y >= y0 = _Y0 = sqrt(3)/2.  With T = tail_bound
-    and S(y) = sum |a_n| e^{-2 pi n y}, the truncated form f_N obeys
-    ||f|^2 - |f_N|^2| <= T(y) (2 S(y0) + T(y)), and T(y) e^{2 pi (N+1) y}
-    decreases in y; with y^m <= y0^m e^{m (y - y0) / y0} the domain integral
-    is at most T(y0) (2 S(y0) + T(y0)) y0^m / (2 pi (N+1) - m / y0), m = w-2.
-    At the N that build_basis stores, T(y0) <= 2^-70 e^{-2 pi y0}, and the
-    bound is about 1e-29.
-    """
-    n = len(coeffs)
-    m = weight - 2.0
-    t0 = tail_bound(coeffs, weight, _Y0)
-    s0 = sum(abs(float(a)) * math.exp(-2.0 * math.pi * (j + 1) * _Y0)
-             for j, a in enumerate(coeffs))
-    return t0 * (2.0 * s0 + t0) * _Y0**m / (2.0 * math.pi * (n + 1) - m / _Y0)
+    w = weight - 2
+    lam, top = _periods(weight, coeffs)
+    pad = Decimal(2.0 * tail_bound(coeffs, weight, 1.0) / (2.0 * math.pi * (len(coeffs) + 1) - w))
+    with localcontext(_CONTEXT):
+        total = sum((-1) ** ((j + 1) // 2 + weight // 2) * math.comb(w, j) * math.comb(j, n)
+                    * lam[n] * lam[j - n] for j in range(1, w, 2) for n in range(j + 1))
+        scale = 3 * 2 ** (weight - 1)  # (3^w - 1) / scale = 2 K doubles both terms
+        norm = float(total / scale)
+        err = float((3**w - 1) * (pad * (2 * top + pad) + Decimal("1e-46") * top * top) / scale)
+    return norm, math.nextafter(math.ulp(norm) / 2.0 + err, math.inf)
 
 
 @dataclass(frozen=True)
@@ -242,30 +237,21 @@ class CuspFormBasis:
 
 
 def build_basis(weight: int) -> CuspFormBasis:
-    """Generator coefficients a_1..a_N plus its Petersson norm with an error estimate.
+    """Generator coefficients a_1..a_N plus its Petersson norm and a proven error bound.
 
     N is the least of 1..64 whose Deligne tail, divided by |q|, is at most
     2^-70 at _Y0: 12, 13, 14, 15, 15 and 16 for weights 12 to 26.  Every
     node the library evaluates lies above _Y0, and the majorant bounds each
     |a_n|, so the terms past N add less than 2^-70 |q| there.  The norm is
-    the exact strip sum above y = 1 plus a 48 x 48 Gauss-Legendre rule on
-    the sliver below.  The error estimate adds the change of the sliver
-    under the 24 x 24 rule to the bound for the coefficients beyond the
-    stored ones.
+    _petersson's sum over the periods, and its error bound, under one ulp,
+    covers the terms past N, the Decimal rounding and the final float.
     """
     if weight not in SUPPORTED_WEIGHTS:  # before the count, searched only up to 64
         raise ValueError(f"unsupported weight {weight}; choose from {SUPPORTED_WEIGHTS}")
     tails = _tail_over_q(np.arange(1, 65), weight, _Y0)
     coeffs = cusp_form_coefficients(weight, 1 + int(np.argmax(tails <= 2.0**-70)))
-    sliver = _sliver_integral(weight, coeffs, _ORDER)
-    err = abs(_sliver_integral(weight, coeffs, _ORDER // 2) - sliver)
-    err += _truncation_error(weight, coeffs)
-    return CuspFormBasis(
-        weight=weight,
-        coefficients=coeffs,
-        petersson_norm=_strip_integral(weight, coeffs) + sliver,
-        norm_error=err,
-    )
+    norm, err = _petersson(weight, coeffs)
+    return CuspFormBasis(weight=weight, coefficients=coeffs, petersson_norm=norm, norm_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +308,21 @@ def standard_grid(n: int, Y: float, k: int) -> SampleGrid:
     return SampleGrid(points=np.concatenate(cols))
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], one eigensolve per order."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+def _gauss_nodes(lo, hi, order: int):
+    x, w = _legendre_rule(order)
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    return mid + half * x, half * w
+
+
 def mass_integral(basis: CuspFormBasis) -> float:
     """Integral of S_{2k} over the standard domain against the hyperbolic area.
 
@@ -329,9 +330,8 @@ def mass_integral(basis: CuspFormBasis) -> float:
     this the strongest end-to-end consistency check of the normalization.
     With h(x) = sqrt(1 - x^2) and y = h(x)/s the domain becomes the rectangle
     |x| <= 1/2, 0 < s <= 1 with dx dy / y^2 = dx ds / h(x).  One 48 x 48
-    Gauss-Legendre tensor rule over it, with no split at y = 1 and so
-    independent of the strip sum and the sliver rule behind the stored norm,
-    evaluates S_{2k} through s2k_on_grid only.
+    Gauss-Legendre tensor rule over it, independent of the period sum
+    behind the stored norm, evaluates S_{2k} through s2k_on_grid only.
     """
     xs, wx = _gauss_nodes(-0.5, 0.5, _ORDER)
     ss, ws = _gauss_nodes(0.0, 1.0, _ORDER)

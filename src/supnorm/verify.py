@@ -120,7 +120,7 @@ def _weight_items(weight: int, constants, domain, grid_size: int) -> list[Verifi
         VerificationItem(
             "petersson_norm",
             basis.norm_error <= 1e-6 * basis.petersson_norm,
-            f"norm {basis.petersson_norm:.10g} (error estimate {basis.norm_error:.2g})",
+            f"norm {basis.petersson_norm:.10g} (error bound {basis.norm_error:.2g})",
             weight,
         )
     )

@@ -19,6 +19,7 @@ KEPT_FOR_TESTS = {
     "faddeev_transfer": "transfer factor checked against exact enumerated sums",
     "displacement": "test oracle for the enumeration and the geometry primitives",
     "displacement_values": "sorted view of the ball for the row-scan tests and a perfbench span target",
+    "evaluate_form": "value of the form for the tests; a perfbench span target",
 }
 
 

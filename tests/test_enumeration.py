@@ -3,6 +3,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -501,18 +502,21 @@ def test_bad_point_refused_before_the_table_grows(psl2z_constants, call, z):
     assert enumeration._TABLE[0] == 0
 
 
+@pytest.mark.parametrize("y", [1e-200, 1e-150])
 @pytest.mark.parametrize("call", ["counting_check", "poincare_direct", "displacement_values",
                                   "enumerate_ball"])
-def test_underflowing_height_refused_before_the_table_grows(psl2z_constants, call):
-    # 4 y^2 underflows to 0 here; _max_shift used to raise ZeroDivisionError
-    z = 0.1 + 1e-200j
+def test_underflowing_height_refused_before_the_table_grows(psl2z_constants, call, y):
+    # at 1e-200 4 y^2 underflows to 0, and _max_shift used to raise
+    # ZeroDivisionError; at 1e-150 the ball has about 6e150 rows, and numpy
+    # used to refuse their np.arange with "Maximum allowed size exceeded"
+    z = complex(0.1, y)
     calls = {
         "counting_check": lambda: counting_check(z, 10.0, psl2z_constants),
         "poincare_direct": lambda: poincare_direct(z, 2, 0.1, 1e4, psl2z_constants),
         "displacement_values": lambda: displacement_values(z, 10.0),
         "enumerate_ball": lambda: enumerate_ball(z, 10.0),
     }
-    with pytest.raises(ValueError, match=r"^Im z = 1e-200 is too small"):
+    with pytest.raises(ValueError, match=rf"^Im z = {y} is too small"):
         calls[call]()
     assert enumeration._TABLE[0] == 0
 
@@ -686,6 +690,15 @@ class TestParabolicDirect:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parabolic_direct(complex(0.1, y), k, 0.1) == 0.0
+
+    @pytest.mark.parametrize("y", [1e100, 1e300])
+    @pytest.mark.parametrize("k", [2, 26])
+    def test_great_height_refused(self, k, y):
+        # the cutoff passes 2^53 shifts, past exact float shifts; at 1e300
+        # math.exp used to raise OverflowError, and at 1e100 the sum would
+        # have run for longer than the age of the universe
+        with pytest.raises(ValueError, match=rf"^Im z = {re.escape(str(y))} is too large"):
+            parabolic_direct(complex(0.1, y), k, 0.0)
 
     def test_vanishes_at_small_height(self):
         # every term carries (n/2y)^2 -> infinity as y -> 0

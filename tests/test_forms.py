@@ -3,19 +3,16 @@
 import dataclasses
 import math
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.special import gamma, gammaincc
 
 from supnorm import forms
 from supnorm.enumeration import IntegerMoebius
 from supnorm.forms import (
     SUPPORTED_WEIGHTS,
-    _sliver_integral,
-    _strip_integral,
     build_basis,
     cusp_form_coefficients,
     delta_coefficients,
@@ -66,18 +63,41 @@ MONOMIALS = {12: [], 16: [4], 18: [6], 20: [4, 4], 22: [4, 6], 26: [4, 4, 6]}
 
 def library_nodes(weight: int, Y: float) -> list[np.ndarray]:
     """Every array of points the library evaluates the weight's generator on:
-    the 100 x 100 verify grid with its cusp band, both sliver rules (orders
-    _ORDER and _ORDER // 2) and the mass rule."""
-    zs = [standard_grid(100, Y=Y, k=weight // 2).points]
-    for order in (forms._ORDER, forms._ORDER // 2):
-        xs, _ = forms._gauss_nodes(-0.5, 0.5, order)
-        ys, _ = forms._gauss_nodes(np.sqrt(1.0 - xs * xs)[:, None], 1.0, order)
-        zs.append(xs[:, None] + 1j * ys)
+    the 100 x 100 verify grid with its cusp band, and the mass rule."""
     xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._ORDER)
     ss, _ = forms._gauss_nodes(0.0, 1.0, forms._ORDER)
     h = np.sqrt(1.0 - xs * xs)
-    zs.append(xs[:, None] + 1j * h[:, None] / ss)
-    return zs
+    return [standard_grid(100, Y=Y, k=weight // 2).points, xs[:, None] + 1j * h[:, None] / ss]
+
+
+def mp_periods(weight: int, coeffs) -> list:
+    """Lambda_1..Lambda_{weight-1} in mpmath at the working precision, each
+    int_1^inf e^{-ty} y^(s-1) dy = Gamma(s, t) / t^s from mpmath.gammainc."""
+    sign = (-1) ** (weight // 2)
+    lam = []
+    for s in range(1, weight):
+        terms = []
+        for n, a in enumerate(coeffs, start=1):
+            t = 2 * mpmath.pi * n
+            g = [mpmath.gammainc(r, t) / t**r for r in (s, weight - s)]
+            terms.append(a * (g[0] + sign * g[1]))
+        lam.append(mpmath.fsum(terms))
+    return lam
+
+
+def mp_norm(weight: int, coeffs) -> mpmath.mpf:
+    """<f, f> from Haberland's formula over mp_periods, with the complex
+    periods r_n = i^(n+1) Lambda_{n+1} and the formula as Kohnen and Zagier
+    state it: -(6 (2i)^(k-1))^-1 sum 2 (-1)^n C(w, n) C(w-n, a) r_n conj(r_a)
+    over n, a >= 0 with n + a <= w - 1 odd, w = k - 2."""
+    w, lam = weight - 2, mp_periods(weight, coeffs)
+    r = [mpmath.mpc(0, 1) ** (n + 1) * lam[n] for n in range(w + 1)]
+    total = mpmath.fsum(2 * (-1) ** n * math.comb(w, n) * math.comb(w - n, a)
+                        * r[n] * mpmath.conj(r[a])
+                        for n in range(w) for a in range(w - n) if (n + a) % 2)
+    value = -total / (6 * mpmath.mpc(0, 2) ** (weight - 1))
+    assert abs(value.imag) <= mpmath.mpf(10) ** (5 - mpmath.mp.dps) * abs(value.real)
+    return value.real
 
 
 def monomial_oracle(weight: int, n: int) -> tuple[int, ...]:
@@ -175,8 +195,8 @@ class TestEvaluation:
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_horner_in_place_matches_allocating_form(self, psl2z_constants, weight):
         # the in-place loop over the stored terms equals the 128-term
-        # allocating form bit for bit on every library grid: the verify grid,
-        # both sliver rules and the mass rule, plus a 0-d and a 1-D input
+        # allocating form bit for bit on every library grid: the verify grid
+        # and the mass rule, plus a 0-d and a 1-D input
         def allocating(coeffs, q):
             val = np.zeros_like(q)
             for a in reversed(coeffs):
@@ -220,8 +240,8 @@ class TestEvaluation:
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_library_nodes_above_domain_floor(self, psl2z_constants, weight):
         # the stored count is derived at y0 = sqrt(3)/2 and holds only above
-        # it: every node of the verify grid, of both sliver rules and of the
-        # mass rule lies strictly higher
+        # it: every node of the verify grid and of the mass rule lies
+        # strictly higher
         for z in library_nodes(weight, psl2z_constants.Y):
             assert np.all(z.imag > math.sqrt(3.0) / 2.0)
 
@@ -253,37 +273,60 @@ class TestPeterssonNorm:
         assert basis.petersson_norm == pytest.approx(1.0353620568e-6, rel=1e-7)
         assert basis.norm_error < 1e-12
 
-    @pytest.mark.parametrize("weight", [12, 26])
-    def test_sliver_order_doubling(self, weight):
-        # the library's 48 x 48 sliver rule against the 96 x 96 one, which
-        # only this test builds
-        coeffs = cusp_form_coefficients(weight, 128)
-        coarse = _sliver_integral(weight, coeffs, forms._ORDER)
-        fine = _sliver_integral(weight, coeffs, 2 * forms._ORDER)
-        assert fine == pytest.approx(coarse, rel=1e-12, abs=0.0)
-
-    @pytest.mark.parametrize("weight", [12, 26])
-    def test_strip_sum_against_quadrature(self, weight):
-        # Parseval in x: the strip y >= 1 contributes int_1^inf sum a_n^2 e^{-4 pi n y} y^(w-2)
-        coeffs = cusp_form_coefficients(weight, 128)
-        a2 = np.array([float(a) for a in coeffs]) ** 2
-        n = np.arange(1, len(a2) + 1)
-
-        def integrand(y):
-            return float(np.sum(a2 * np.exp(-4.0 * math.pi * n * y))) * y ** (weight - 2)
-
-        oracle, _ = quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
-        assert _strip_integral(weight, coeffs) == pytest.approx(oracle, rel=1e-10, abs=0.0)
-
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_strip_sum_against_incomplete_gamma(self, weight):
-        # the regularized incomplete gamma function of scipy, against the finite sum
-        s = weight - 1.0
-        coeffs = cusp_form_coefficients(weight, 128)
-        a2 = np.array([float(a) for a in coeffs]) ** 2
-        t = 4.0 * math.pi * np.arange(1, len(a2) + 1)
-        oracle = float(np.sum(a2 * gamma(s) * gammaincc(s, t) / t**s))
-        assert _strip_integral(weight, coeffs) == pytest.approx(oracle, rel=1e-14, abs=0.0)
+        # each period Lambda_s sums the strip integrals int_1^inf e^{-ty} y^(s-1) dy
+        # at s and k - s; from mpmath's incomplete gamma at 60 digits they
+        # agree with the Decimal recurrence to its rounding, 1e-45 of top
+        coeffs = build_basis(weight).coefficients
+        lam, top = forms._periods(weight, coeffs)
+        with mpmath.workdps(60):
+            oracle = mp_periods(weight, coeffs)
+            tol = mpmath.mpf("1e-45") * mpmath.mpf(str(top))
+            for got, want in zip(lam, oracle, strict=True):
+                assert abs(mpmath.mpf(str(got)) - want) <= tol
+
+    def test_delta_period_ratios(self):
+        # Manin's rational period ratios of Delta: Lambda_2 : Lambda_4 : Lambda_6
+        # = 1 : 25/48 : 5/12 and Lambda_3 : Lambda_5 = 1 : 9/14, here to the
+        # 1e-25 left by 12 stored coefficients
+        lam, _ = forms._periods(12, build_basis(12).coefficients)
+        for num, den, ratio in [(3, 1, (25, 48)), (5, 1, (5, 12)), (4, 2, (9, 14))]:
+            got = lam[num] / lam[den]
+            assert abs(got - Decimal(ratio[0]) / Decimal(ratio[1])) <= Decimal("1e-25")
+
+    def test_norm_error_is_a_bound(self):
+        # the exact norm, Haberland's formula at 40 digits over 30
+        # coefficients, lies within norm_error of the float at every weight;
+        # the bound is under one ulp
+        for weight in SUPPORTED_WEIGHTS:
+            basis = build_basis(weight)
+            with mpmath.workdps(40):
+                exact = mp_norm(weight, cusp_form_coefficients(weight, 30))
+                assert abs(mpmath.mpf(basis.petersson_norm) - exact) <= basis.norm_error
+            assert basis.norm_error < math.ulp(basis.petersson_norm)
+
+    def test_weight_twelve_against_strip_and_sliver(self):
+        # an oracle with no periods: Parseval in x above y = 1, each term an
+        # incomplete gamma value, plus nested adaptive quadrature on the
+        # sliver below, at 22 digits; even in x, so the sliver is twice its
+        # half x >= 0
+        basis = build_basis(12)
+        coeffs = cusp_form_coefficients(12, 30)
+        with mpmath.workdps(22):
+            t = [4 * mpmath.pi * n for n in range(1, len(coeffs) + 1)]
+            strip = mpmath.fsum(a * a * mpmath.gammainc(11, tn) / tn**11
+                                for a, tn in zip(coeffs, t))
+
+            def integrand(x, y):
+                q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(x, y))
+                return abs(mpmath.polyval(coeffs[::-1], q) * q) ** 2 * y**10
+
+            sliver = 2 * mpmath.quad(lambda x: mpmath.quad(lambda y: integrand(x, y),
+                                                           [mpmath.sqrt(1 - x * x), 1]), [0, 0.5])
+            oracle = strip + sliver
+            gap = abs(mpmath.mpf(basis.petersson_norm) - oracle)
+            assert gap <= basis.norm_error + 1e-20 * oracle
 
     @pytest.mark.parametrize("weight", sorted(SEED_NORMS))
     def test_matches_seed_quadrature(self, weight):
@@ -298,7 +341,8 @@ class TestPeterssonNorm:
 
     def test_library_builds_two_rule_orders(self, monkeypatch):
         # every quadrature of the six-weight battery and the kernel checks
-        # takes the rule of order _ORDER, with _ORDER // 2 as its estimate
+        # takes the rule of order _ORDER; only the kernel panels build
+        # _ORDER // 2, as their estimate, and the norm builds none
         from supnorm.kernels import run_kernel_checks
         from supnorm.verify import verify_all
 
@@ -390,9 +434,9 @@ class TestAveragedQuantity:
         assert s2k_on_grid(basis, points).tobytes() == want.tobytes()
 
     def test_verify_battery_reads_few_terms(self, monkeypatch):
-        # the six-weight verify battery makes one Horner pass per grid, sliver
-        # rule and mass rule, 24 in all, each over the stored count of at most
-        # 16 terms; a count, so no timing is needed
+        # the six-weight verify battery makes one Horner pass per grid and
+        # mass rule, 12 in all, each over the stored count of at most 16
+        # terms; a count, so no timing is needed
         from supnorm.verify import verify_all
 
         stored = [len(build_basis(w).coefficients) for w in SUPPORTED_WEIGHTS]
@@ -405,7 +449,7 @@ class TestAveragedQuantity:
 
         monkeypatch.setattr(forms, "_horner", counting)
         assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
-        assert sorted(calls) == sorted(4 * stored)
+        assert sorted(calls) == sorted(2 * stored)
         assert max(calls) <= 16
 
     def test_mass_identity(self, basis12):
