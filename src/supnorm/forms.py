@@ -186,7 +186,7 @@ def _periods(weight: int, coeffs) -> tuple[list[Decimal], Decimal]:
 
 
 def _petersson(weight: int, coeffs) -> tuple[float, float]:
-    """<f, f> over the standard domain, correctly rounded, and a proven bound on its error.
+    """<f, f> over the standard domain as a float, and a proven bound on its error.
 
     Haberland's formula (Math. Nachr. 112, 1983; Kohnen and Zagier, Modular
     forms with rational periods, 1984) in the periods r_n = i^(n+1) Lambda_{n+1},
@@ -195,18 +195,18 @@ def _petersson(weight: int, coeffs) -> tuple[float, float]:
                  sum_{n <= j} C(j, n) Lambda_{n+1} Lambda_{j+1-n} / (3 2^(k-1)),
     whose absolute coefficients sum to K = (3^w - 1) / (6 2^(k-1)).  It is
     summed in Decimal at 50 digits and rounded to a float once.
-    - Coefficients past N: T(y) e^{2 pi (N+1) y} decreases, T = tail_bound,
-      and y^(s-1) <= y^w <= e^{w (y-1)} for y >= 1, so each Lambda_s moves by
-      at most pad = 2 T(1) / (2 pi (N+1) - w), and <f, f> by K pad (2 top + pad).
+    - Coefficients past N: the majorant T of tail_bound (before its exp
+      floor) has T(y) e^{2 pi (N+1) y} decreasing, and y^(s-1) <= y^w <=
+      e^{w (y-1)} for y >= 1, so each Lambda_s moves by at most
+      pad = 2 T(1) / (2 pi (N+1) - w), and <f, f> by K pad (2 top + pad).
     - Decimal rounding: each operation, exp too, is within u = 10^-49 / 2
       relative.  Counting e^{-2 pi} as 8, e^{-2 pi n} as 9 n and a recurrence
       step as 5, no term of the expanded sum meets more than
       2 (10 N + 5 k - 6) + 2 + w (w + 2) / 4 <= 726 of them (N <= 16, k <= 26),
       so the sum moves by at most 1001 u K top^2 <= 1e-46 K top^2 (Higham,
       Accuracy and Stability of Numerical Algorithms, ch. 3).
-    - The float: half an ulp.
-    The first two are doubled, which covers their own evaluation, and stay
-    below 1e-20 relative; nextafter rounds the float sum up, under one ulp.
+    Both are doubled, which covers their own evaluation, and stay below 1e-20
+    relative; the float adds half an ulp, and nextafter rounds the sum up.
     """
     w = weight - 2
     lam, top = _periods(weight, coeffs)

@@ -502,9 +502,11 @@ def test_bad_point_refused_before_the_table_grows(psl2z_constants, call, z):
     assert enumeration._TABLE[0] == 0
 
 
-@pytest.mark.parametrize("y", [1e-200, 1e-150])
-@pytest.mark.parametrize("call", ["counting_check", "poincare_direct", "displacement_values",
-                                  "enumerate_ball"])
+BALL_CALLS = ["counting_check", "poincare_direct", "displacement_values", "enumerate_ball"]
+
+
+@pytest.mark.parametrize("call,y", [pytest.param(c, 1e-200, id=c) for c in BALL_CALLS]
+                         + [pytest.param(c, 1e-150, id=f"{c}-1e-150") for c in BALL_CALLS])
 def test_underflowing_height_refused_before_the_table_grows(psl2z_constants, call, y):
     # at 1e-200 4 y^2 underflows to 0, and _max_shift used to raise
     # ZeroDivisionError; at 1e-150 the ball has about 6e150 rows, and numpy

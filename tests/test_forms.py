@@ -308,9 +308,10 @@ class TestPeterssonNorm:
 
     def test_weight_twelve_against_strip_and_sliver(self):
         # an oracle with no periods: Parseval in x above y = 1, each term an
-        # incomplete gamma value, plus nested adaptive quadrature on the
-        # sliver below, at 22 digits; even in x, so the sliver is twice its
-        # half x >= 0
+        # incomplete gamma value, plus nested mpmath quadrature on the sliver
+        # below (Gauss-Legendre raised in degree until it settles; tanh-sinh
+        # gives the same value ten times slower), at 22 digits; even in x,
+        # so the sliver is twice its half x >= 0
         basis = build_basis(12)
         coeffs = cusp_form_coefficients(12, 30)
         with mpmath.workdps(22):
@@ -322,8 +323,11 @@ class TestPeterssonNorm:
                 q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(x, y))
                 return abs(mpmath.polyval(coeffs[::-1], q) * q) ** 2 * y**10
 
-            sliver = 2 * mpmath.quad(lambda x: mpmath.quad(lambda y: integrand(x, y),
-                                                           [mpmath.sqrt(1 - x * x), 1]), [0, 0.5])
+            def column(x):
+                return mpmath.quad(lambda y: integrand(x, y), [mpmath.sqrt(1 - x * x), 1],
+                                   method="gauss-legendre")
+
+            sliver = 2 * mpmath.quad(column, [0, 0.5], method="gauss-legendre")
             oracle = strip + sliver
             gap = abs(mpmath.mpf(basis.petersson_norm) - oracle)
             assert gap <= basis.norm_error + 1e-20 * oracle
