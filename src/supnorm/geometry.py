@@ -46,12 +46,14 @@ def displacement(z: complex, w: complex) -> float:
 
 
 def dist_hyp(z: complex, w: complex) -> float:
-    """Hyperbolic distance, via cosh(d) = 1 + |z-w|^2 / (2 Im z Im w)."""
+    """Hyperbolic distance, via sinh(d/2) = |z-w| / (2 sqrt(Im z Im w)).
+
+    The half-angle form keeps its digits for near points, where
+    cosh(d) = 1 + |z-w|^2 / (2 Im z Im w) rounds to 1 and arccosh cancels.
+    """
     z = require_point(z)
     w = require_point(w)
-    c = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    # Guard against cosh values dipping below 1 through rounding.
-    return math.acosh(max(c, 1.0))
+    return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag * w.imag)))
 
 
 @dataclass(frozen=True)

@@ -11,21 +11,24 @@ fixed-width panels.  Every panel, radial or in time, uses forms._ORDER, the
 per panel, on the 72 nodes of both rules, covers the two, and each rule's
 sum is a row-wise np.vecdot, so a row's value never depends on the rows it
 is integrated with.  A panel integral stops at the first panel end past
-which a closed-form bound on the integral of |f| is below _PANEL_TINY of the
-running total, less than half an ulp of it: each integrand passes its own
-bound, built from the far factor of _log_far_factor and elementary Gaussian
-and exponential tail integrals.  Integrands are numpy array functions
-assembled in log space because the Chebyshev factor grows like e^{k r} while
-the exponential weights shrink faster, and the two must cancel before
-exponentiation; _log_chebyshev is that factor, for the integrands and the
-Chebyshev check alike.  Every radial integral goes through one evaluator,
-_radial_integral, which computes the weight-independent factors of each
-u-panel (r, the Chebyshev factor, the square-root gap, 2u) on that panel's
-nodes.  The difference kernel passes its weight with k, s and rho as
-columns, so the kernel-check grid is one array integral whose panels stop
-when every row's bound passes.  The heat kernel passes log r - r^2/(4t) at
-every time of its array; resolvent_via_heat calls it on the first time
-panel alone and then on up to _TIME_RUN time panels per call.  The
+which a closed-form bound on the integral of |f| is below _PANEL_TINY =
+2^-54 of the running total: every integrand is nonnegative, so each later
+panel adds less than half an ulp and round-to-nearest leaves the total as
+it is.  Each integrand passes its own bound, built from the far factor of
+_log_far_factor and elementary Gaussian and exponential tail integrals.
+Integrands are numpy array functions assembled in log space because the
+Chebyshev factor grows like e^{k r} while the exponential weights shrink
+faster, and the two must cancel before exponentiation; _log_chebyshev is
+that factor, for the integrands and the Chebyshev check alike.  Every
+radial integral goes through one evaluator, _radial_integral, which adds
+the weight-free log terms of each u-panel (log 2u, the Chebyshev factor,
+the square-root gap) to the log weight as one vector on that panel's nodes
+and exponentiates once.  The difference kernel passes its weight with k, s
+and rho as columns, so the kernel-check grid is one array integral whose
+panels stop when every row's bound passes.  The heat kernel passes
+log r - r^2/(4t), one row per time, and integrates the times of each u-panel
+width (_heat_width, sized per time) together; resolvent_via_heat calls it
+on up to _TIME_RUN time panels per call, the first one included.  The
 integrated exponential of the sup-norm argument is the k = 0 difference
 kernel, summed as series.  Gamma prefactors use math.lgamma.  The Stirling
 check tests engine's gamma_ratio_bound, the one the bound tables use.  A
@@ -56,8 +59,8 @@ __all__ = [
 _LOG2 = math.log(2.0)
 _SERIES_GUARD = 10**6
 #: A panel integral stops once the bound on its tail falls below this
-#: fraction of the running total.
-_PANEL_TINY = 1e-20
+#: fraction of the running total, less than half an ulp of it.
+_PANEL_TINY = 2.0**-54
 _PANEL_LIMIT = 2000
 #: Time panels the heat-to-resolvent transform evaluates in one heat-kernel
 #: call: 8 x 72 = 576 times, so the heat integrand array on a u-panel holds at
@@ -145,17 +148,23 @@ def _integrate_panels(f, width: float, log_tail, run=None):
     depend on the rows it is integrated with.  log_tail maps a panel end x
     to the log of an upper bound on the integral of |f| over (x, inf), one
     per row of the integral.  Panels stop at the first end where that bound
-    is below _PANEL_TINY of the running total in every row: the rest is
-    then less than half an ulp of the total, so further panels could not
-    change it.
+    is below _PANEL_TINY = 2^-54 of the running total in every row.  For a
+    total in [2^e, 2^(e+1)), 2^-54 |total| < 2^(e-53), half an ulp; the
+    integrand is nonnegative, so the total only grows and each later panel
+    adds less than half an ulp of it, which round-to-nearest drops: further
+    panels could not change the total.  (Two caveats, both as for any
+    smaller fraction: a panel's rule value may exceed its exact integral by
+    the rule's own error, and where 2^-54 |total| is subnormal, below a
+    total of 2^-968, or the total is below the 1e-300 floor, the comparison
+    is rounded or floored, not exact.)
 
-    run, if given, maps a panel index i to the number of panels from i that
-    one call of f may evaluate; f then takes the nodes of those panels as
-    one array, a panel per row, and returns their values with the panel
-    axis first.  A call never reaches past the first panel end whose bound
-    is already below _PANEL_TINY of the running total: the total of a
-    nonnegative integrand only grows, so the panels stop there at the
-    latest.  The panels used, and so the value, do not depend on run.
+    run, if given, is the number of panels one call of f may evaluate; f
+    then takes the nodes of those panels as one array, a panel per row, and
+    returns their values with the panel axis first.  A call never reaches
+    past the first panel end whose bound is already below _PANEL_TINY of the
+    running total: the total of a nonnegative integrand only grows, so the
+    panels stop there at the latest.  The panels used, and so the value, do
+    not depend on run.
     Returns (value, error_estimate).  Raises AccuracyError if the
     value is not finite or no bound falls low enough within _PANEL_LIMIT
     panels.
@@ -182,7 +191,7 @@ def _integrate_panels(f, width: float, log_tail, run=None):
         else:
             if not ahead:
                 n = 1
-                while n < min(run(i), _PANEL_LIMIT - i) and not stops((i + n) * width, total):
+                while n < min(run, _PANEL_LIMIT - i) and not stops((i + n) * width, total):
                     n += 1
                 ahead = list(f(np.stack([x] + [panel(j)[2] for j in range(i + 1, i + n)])))
             fx = ahead.pop(0)
@@ -209,15 +218,12 @@ def _radial_integral(k, rho, log_weight, log_tail, width: float):
 
     def integrand(u):
         r = rho + u * u
-        # 2u exp(log_weight(r) + log T_2k - log sqrt-gap) in place, operation
-        # by operation in the expression's order, so every bit is the expression's
+        # exp(log_weight(r) + (log 2u + log T_2k - log sqrt-gap)): the weight-free
+        # terms make one vector on the nodes, then one pass adds it and one exponentiates
         x = log_weight(r)
-        x += _log_chebyshev(k, r, rho)
-        x -= _log_sqrt_gap(rho, u)
+        x += np.log(2.0 * u) + _log_chebyshev(k, r, rho) - _log_sqrt_gap(rho, u)
         with np.errstate(over="ignore"):
-            np.exp(x, out=x)
-            x *= 2.0 * u
-        return x
+            return np.exp(x, out=x)
 
     return _integrate_panels(integrand, width, log_tail)
 
@@ -420,67 +426,70 @@ def heat_kernel(k: int, t, rho: float):
 
     sqrt(2) e^{-t/4} (4 pi t)^{-3/2} times the radial integral of
     r e^{-r^2/(4t)} / sqrt(cosh r - cosh rho) weighted by the Chebyshev factor.
-    An array of times, of any shape, shares the radial nodes: the integral
-    goes through _radial_integral with the log weight log r - r^2/(4t), one
-    row per time.  The u-panels are sized by the smallest time (_heat_width)
-    and stop at the first end where the Gaussian tail bound of
-    _heat_log_tail is below _PANEL_TINY of the integral at every time; a
-    time whose own bound passed earlier gets panels that add less than half
-    an ulp each, so every value is the one its time has alone at the same
-    width.  Raises ValueError unless t is nonempty, every t is finite and
-    positive and rho is finite and nonnegative; raises AccuracyError when a
-    value is not finite or its error estimate exceeds 1e-8 relative.
+    An array of times, of any shape, is integrated through _radial_integral
+    with the log weight log r - r^2/(4t), one row per time; the times that
+    _heat_width gives the same u-panel width share one integral on those
+    panels, which stop at the first end where the Gaussian tail bound of
+    _heat_log_tail is below _PANEL_TINY of the integral at every time of
+    the group.  A time whose own bound passed earlier gets panels that add
+    less than half an ulp each, and the prefactor is taken on the times as
+    an array, so every value is the one its time has in a call of its own,
+    bit for bit.  Raises ValueError unless t is nonempty, every t is finite
+    and positive and rho is finite and nonnegative; raises AccuracyError
+    when a value is not finite or its error estimate exceeds 1e-8 relative.
     """
     t = np.asarray(t, dtype=float)
     if t.size == 0 or not np.all((0.0 < t) & (t < np.inf)):
         raise ValueError(f"heat kernel needs finite t > 0, got {t}")
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"heat kernel needs finite rho >= 0, got {rho}")
-    four_t = 4.0 * t[..., None]
+    times = t.ravel()
+    widths = _heat_width(times, rho)
+    raw, err = np.empty_like(times), np.empty_like(times)
+    for width in sorted(set(widths.tolist())):
+        rows = widths == width
+        scale = -0.25 / times[rows, None]
 
-    def log_weight(r):
-        x = r * r / four_t
-        return np.subtract(np.log(r), x, out=x)
+        def log_weight(r):
+            x = r * r * scale
+            x += np.log(r)
+            return x
 
-    raw, err = _radial_integral(k, rho, log_weight, _heat_log_tail(k, t, rho),
-                                _heat_width(float(np.min(t)), rho))
-    raw, err = raw.reshape(t.shape), err.reshape(t.shape)
-    value = np.sqrt(2.0) * np.exp(-t / 4.0) / (4.0 * np.pi * t) ** 1.5 * raw
+        raw[rows], err[rows] = _radial_integral(k, rho, log_weight,
+                                                _heat_log_tail(k, times[rows], rho), width)
+    value = np.sqrt(2.0) * np.exp(-times / 4.0) / (4.0 * np.pi * times) ** 1.5 * raw
     rel = err / np.maximum(np.abs(raw), 1e-300)
     if np.any(rel > _HEAT_REL_TARGET):
         raise AccuracyError(f"heat kernel quadrature reached only {np.max(rel):.2e} relative")
-    return float(value) if value.ndim == 0 else value
+    return float(value[0]) if t.ndim == 0 else value.reshape(t.shape)
 
 
-def _heat_width(t_min: float, rho: float) -> float:
-    """Width of the heat kernel's u-panels when its smallest time is t_min:
+def _heat_width(t, rho: float):
+    """Width of the heat kernel's u-panels at time t, a float or an array:
     e^{-r^2/(4t)} falls off within min(2t/rho, 2 sqrt t) of r = rho, that is
     within the square root of it in u; eight such lengths fill a panel, of
-    width at most 1.  The width does not decrease as t_min grows."""
-    return min(1.0, 8.0 * math.sqrt(2.0 * min(t_min / max(rho, 1e-300), math.sqrt(t_min))))
+    width at most 1.  The width does not decrease as t grows."""
+    return np.minimum(1.0, 8.0 * np.sqrt(2.0 * np.minimum(t / max(rho, 1e-300), np.sqrt(t))))
 
 
 def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     """Resolvent value recovered as the time integral of the heat kernel.
 
     Integrates e^{-(s-1/2)^2 t} e^{t/4} K_k(t; rho) over t > 0 with
-    sigma = cosh^2(rho/2); requires s > k for convergence.  The first time
-    panel makes one heat-kernel evaluation on its 72 times, the nodes of
-    both panel rules, with u-panels narrowed by its smallest time.  Once
-    every later time gets the widest u-panels, which for rho <= 32 is from
-    the second panel on, one evaluation takes the 72 times of up to
-    _TIME_RUN panels, and never of a panel past the first end where the
-    running total already proves the stop.  Every evaluation is a call of
-    heat_kernel, and every sum is a row-wise dot, so each time's value is
-    the one it has in a call of its own.  The time panels stop at the first
-    end where the bound of _transform_log_tail on the rest is below
-    _PANEL_TINY of the running total.  Raises ValueError unless sigma > 1
-    and s > k are finite.  Raises AccuracyError at once at k = 0, s = 1/2,
+    sigma = cosh^2(rho/2); requires s > k for convergence.  One heat-kernel
+    evaluation takes the 72 times, the nodes of both panel rules, of up to
+    _TIME_RUN time panels, the first one included, and never of a panel
+    past the first end where the running total already proves the stop.
+    heat_kernel sizes the u-panels of each time by that time alone, so each
+    time's value is the one it has in a call of its own.  The time panels
+    stop at the first end where the bound of _transform_log_tail on the rest
+    is below _PANEL_TINY of the running total.  Raises ValueError unless
+    sigma > 1 and s > k are finite.  Raises AccuracyError at once at k = 0, s = 1/2,
     where no end has a finite bound; and when the error estimate exceeds
     1e-7 relative (as at small sigma for many (k, s), where the first time
     panel does not resolve the peak near t = rho^2/6) or the panels reach
     their limit, as the 0.25-wide k = 0 time panels do for s near 1/2
-    (below s = 0.783 at sigma = 1.3).
+    (below s = 0.7503 at sigma = 1.3).
     """
     if not 1.0 < sigma < math.inf:
         raise ValueError(f"transform needs finite sigma > 1, got {sigma}")
@@ -500,12 +509,7 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     def integrand(t):
         return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho)
 
-    # a call's u-panels are sized by its smallest time, so panels share a
-    # call only from where every time, from the panel's start on, gets the
-    # widest u-panels; the first panel, from t = 0, always runs alone
-    value, err = _integrate_panels(
-        integrand, width, log_tail,
-        run=lambda i: _TIME_RUN if _heat_width(i * width, rho) == 1.0 else 1)
+    value, err = _integrate_panels(integrand, width, log_tail, run=_TIME_RUN)
     if err > _TRANSFORM_REL_TARGET * abs(value):
         raise AccuracyError(
             f"heat-to-resolvent transform reached only {err / abs(value):.2e} relative"

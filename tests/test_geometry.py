@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -27,9 +27,8 @@ points = st.builds(
 
 
 def _dist_hyp_array(z, w):
-    """dist_hyp over numpy arrays, with the same cosh formula and guard."""
-    c = 1.0 + np.abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
-    return np.arccosh(np.maximum(c, 1.0))
+    """dist_hyp over numpy arrays, with the same half-angle sinh formula."""
+    return 2.0 * np.arcsinh(np.abs(z - w) / (2.0 * np.sqrt(z.imag * w.imag)))
 
 
 def random_moebius(seed: int) -> MoebiusMap:
@@ -71,6 +70,10 @@ class TestDistance:
     def test_vertical(self):
         assert dist_hyp(I, 2j) == pytest.approx(math.log(2.0), rel=1e-14)
 
+    def test_near_points(self):
+        # 2 asinh(8e-10); 1 + |z-w|^2 / (2 y y') rounds to 1 here
+        assert dist_hyp(0.0625j, 1e-10 + 0.0625j) == pytest.approx(1.6e-9, rel=1e-15)
+
     def test_corner_to_center(self):
         # cosh(d) = 2*sqrt(3)/3 between i and the left corner point
         expected = math.acosh(2.0 * math.sqrt(3.0) / 3.0)
@@ -83,6 +86,7 @@ class TestDistance:
         assert dist_hyp(z, w) == pytest.approx(dist_hyp(w, z), abs=1e-12)
 
     @given(points, points, points)
+    @example(0.0625j, 0.125 + 0.0625j, 1e-10 + 0.0625j)  # the arccosh form lost d(z, v)
     @settings(max_examples=200, deadline=None)
     def test_triangle_inequality(self, z, w, v):
         assert dist_hyp(z, w) <= dist_hyp(z, v) + dist_hyp(v, w) + 1e-9

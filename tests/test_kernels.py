@@ -247,17 +247,17 @@ class TestHeatKernel:
                             lambda k, t, rho: sizes.append(np.size(t)) or heat(k, t, rho))
         results = {r.name: r for r in run_kernel_checks(50)}
         # the eight monotonicity calls, then each of the three transforms'
-        # calls through the same public heat_kernel: its first time panel
-        # alone, then runs of up to eight panels
-        assert sizes == [2] * 8 + [72, 576, 504, 72, 576, 576, 72, 576, 576]
+        # calls through the same public heat_kernel: runs of up to eight time
+        # panels from the first one on
+        assert sizes == [2] * 8 + [576, 432] * 3
         assert results["heat_kernel_monotone"].passed is True
 
     def test_array_of_times_matches_scalar_calls(self):
         ts = np.array([0.05, 0.3, 1.0, 4.0])
         values = heat_kernel(2, ts, 0.7)
         assert values.shape == ts.shape
-        for t, v in zip(ts, values):
-            assert v == pytest.approx(heat_kernel(2, float(t), 0.7), rel=1e-12)
+        # each time integrates on its own u-panels, so the array changes no bit
+        assert values.tolist() == [heat_kernel(2, float(t), 0.7) for t in ts]
 
     @pytest.mark.parametrize("k,s,sigma", [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5)])
     def test_transform_recovers_resolvent(self, k, s, sigma):
@@ -357,8 +357,8 @@ def _two_call_panels(f, width, log_tail, run=None):
 def _quiet_panels(f, width, log_tail, run=None):
     """Reference panel loop with the stop rule the tail bounds replaced: the
     merged 72-node call, one panel per call, stopped once five panels in a
-    row each add less than 1e-20 of the running total; log_tail and run are
-    ignored."""
+    row each add less than _PANEL_TINY of the running total; log_tail and run
+    are ignored."""
     x_full, w_full = kernels._legendre_rule(48)
     x_half, w_half = kernels._legendre_rule(24)
     nodes = np.concatenate((x_full, x_half))
@@ -485,9 +485,9 @@ class TestMergedPanelRule:
             assert [int(x.min() // width) for x in rows] == list(range(len(rows)))
             assert all(int(x.max() // width) == i for i, x in enumerate(rows))
         (time_calls,) = [calls for d, _, calls in integrations if d == 0]
-        # the first time panel alone, then eight to a heat-kernel call up to
-        # the 16th panel, where the tail bound stops the transform
-        assert [len(x) for x in time_calls] == [1, 8, 7]
+        # eight time panels to a heat-kernel call up to the 14th, where the
+        # tail bound stops the transform
+        assert [len(x) for x in time_calls] == [8, 6]
         assert heat_sizes == [72 * len(x) for x in time_calls]
 
 
@@ -531,14 +531,16 @@ class TestSharedRadialFactors:
         monkeypatch.setattr(kernels, "_integrate_panels", capturing)
         heat_kernel(k, t, rho)
         (f,) = integrands
-        tt = np.asarray(t, dtype=float)[..., None]
+        # the integrand takes the times as a column, one row per time
+        tt = np.asarray(t, dtype=float).reshape(-1, 1)
         for lo, hi in [(0.0, 0.25), (0.0, 1.0), (3.0, 4.0), (9.0, 10.0)]:
             # the 72 nodes of one panel, as the panel loop passes them
             x = np.concatenate((_gauss_nodes(lo, hi, 48)[0], _gauss_nodes(lo, hi, 24)[0]))
             r = rho + x * x
             log_cheb = _log_chebyshev(k, r, rho)
             gap = kernels._log_sqrt_gap(rho, x)
-            expected = 2.0 * x * np.exp(np.log(r) - r * r / (4.0 * tt) + log_cheb - gap)
+            log_w = r * r * (-0.25 / tt) + np.log(r)
+            expected = np.exp(log_w + (np.log(2.0 * x) + log_cheb - gap))
             for _ in range(2):  # a second call sees nothing the first left behind
                 got = f(x.copy())
                 assert got.shape == expected.shape
@@ -568,7 +570,8 @@ class TestSharedRadialFactors:
             r = rho + x * x
             log_w = -(s - 0.5) * r + np.log(-np.expm1(-r))
             log_cheb = _log_chebyshev(k, r, rho)
-            expected = 2.0 * x * np.exp(log_w + log_cheb - kernels._log_sqrt_gap(rho, x))
+            expected = np.exp(log_w + (np.log(2.0 * x) + log_cheb
+                                       - kernels._log_sqrt_gap(rho, x)))
             for _ in range(2):  # a second call sees nothing the first left behind
                 got = f(x.copy())
                 assert got.shape == expected.shape == (len(rows), 72)
@@ -749,7 +752,7 @@ class TestTailBounds:
         rho = 2.0 * math.acosh(math.sqrt(sigma))
         mu = (s - 0.5) ** 2
         ends = _panel_ends(width, count)
-        if k == 0:  # 1,772 ends; every 100th and the stop
+        if k == 0:  # 1,405 ends; every 100th and the stop
             ends = ends[::100] + ends[-1:]
         tails = []
         for big_t in ends:
@@ -798,21 +801,23 @@ class TestTailStopRule:
     def test_transform_time_panels(self):
         counts = [_panel_runs(resolvent_via_heat, 1, 2.0, 2.0, panels=panels)[-1][1]
                   for panels in (_MERGED_PANELS, _quiet_panels)]
-        assert counts == [16, 21]
-        # the library's 16 panels take three heat-kernel calls, and runs of
+        assert counts == [14, 18]
+        # the library's 14 panels take two heat-kernel calls, and runs of
         # panels end at the stop: none is evaluated past it
         _, times = _heat_calls(resolvent_via_heat, 1, 2.0, 2.0)
-        assert [t.size for t in times] == [72, 576, 504]
+        assert [t.size for t in times] == [576, 432]
 
     def test_slow_decay_panel_limit(self):
         # at k = 0 the time tail decays at mu = (s-1/2)^2 on 0.25-wide panels,
-        # and a bound on the whole rest stops about ln(4/mu)/mu later than five
-        # quiet panels did: at sigma = 1.3 the transform runs out of panels
-        # below s = 0.783, where the five-quiet-panel rule ran out below 0.767
+        # and a bound on the whole rest falls below 2^-54 of the total about
+        # ln(4/mu)/mu later than five quiet panels: at sigma = 1.3 the
+        # transform runs out of panels below s = 0.7503
         _, count, _ = _panel_runs(resolvent_via_heat, 0, 0.783, 1.3)[-1]
-        assert count == 1987 <= kernels._PANEL_LIMIT
+        assert count == 1574
+        _, count, _ = _panel_runs(resolvent_via_heat, 0, 0.7504, 1.3)[-1]
+        assert count == 1999 <= kernels._PANEL_LIMIT
         with pytest.raises(AccuracyError, match="did not terminate"):
-            resolvent_via_heat(0, 0.782, 1.3)
+            resolvent_via_heat(0, 0.7503, 1.3)
 
     def test_zero_decay_refused_before_any_heat_kernel(self, monkeypatch):
         # at the default panel limit, not after 2,000 time panels
@@ -865,18 +870,79 @@ class TestBatchedIntegrals:
         assert resolvent_via_heat(k, s, sigma) == value
 
     def test_runs_keep_one_u_width(self, monkeypatch):
-        # at rho = 250 the second time panel's times still get narrow
-        # u-panels, so it runs alone like the first
+        # at rho = 250 the times of the first two time panels need u-panels
+        # narrower than 1, each its own; a heat-kernel call integrates the
+        # times of each width on one set of panels, so the runs start at the
+        # first time panel
         k, s, rho = 1, 2.0, 250.0
         sigma = math.cosh(rho / 2.0) ** 2
+        groups = []  # (times, width) of each radial integral
+        heat_log_tail, radial = kernels._heat_log_tail, kernels._radial_integral
+        monkeypatch.setattr(kernels, "_heat_log_tail",
+                            lambda k, t, rho: groups.append([t]) or heat_log_tail(k, t, rho))
+        monkeypatch.setattr(kernels, "_radial_integral",
+                            lambda *a: groups[-1].append(a[-1]) or radial(*a))
         value, times = _heat_calls(resolvent_via_heat, k, s, sigma)
-        widths = [sorted({kernels._heat_width(float(row.min()), rho) for row in t}) for t in times]
-        assert [len(t) for t in times[:3]] == [1, 1, 8]
-        assert widths[0][0] < widths[1][0] < 1.0
-        assert all(w == [1.0] for w in widths[2:])
+        assert [len(t) for t in times[:2]] == [8, 8]
+        # every time in one group, and every group's times share their own width
+        assert sorted(np.concatenate([t for t, _ in groups])) == sorted(
+            np.concatenate([t.ravel() for t in times]))
+        assert all(np.all(kernels._heat_width(t, rho) == w) for t, w in groups)
+        # the first call's groups, one per width its times need
+        n_first = len(set(kernels._heat_width(times[0], rho).flat))
+        first_widths = [w for _, w in groups[:n_first]]
+        assert len(set(first_widths)) == n_first > 2
+        assert min(first_widths) < 0.5 and max(first_widths) == 1.0
         monkeypatch.setattr(kernels, "_TIME_RUN", 1)
         assert resolvent_via_heat(k, s, sigma) == value
         assert resolvent_G(k, s, sigma) == pytest.approx(value, rel=1e-13)
+
+    def test_first_panel_times_match_their_own_calls(self, monkeypatch):
+        # the 72 times of the first time panel share a heat-kernel call with
+        # seven more panels, yet each value is the one its time has alone
+        calls = []
+        heat = kernels.heat_kernel
+        monkeypatch.setattr(kernels, "heat_kernel",
+                            lambda k, t, rho: calls.append((t, heat(k, t, rho))) or calls[-1][1])
+        resolvent_via_heat(1, 2.0, 2.0)
+        rho = 2.0 * math.acosh(math.sqrt(2.0))
+        (first_times, first_values) = calls[0][0][0], calls[0][1][0]
+        assert first_times.shape == (72,)
+        assert first_values.tolist() == [heat(1, float(t), rho) for t in first_times]
+
+
+class TestHalfUlpStop:
+    # a tail below 2^-54 of the running total leaves the total unchanged, so
+    # the stop at 2^-54 gives the values of the old stop at 1e-20
+
+    def test_half_ulp_lemma(self):
+        # binades where 2^-54 x is still a normal number, as it is for every
+        # total above 2^-968 (about 4e-292)
+        rng = np.random.default_rng(54)
+        xs = rng.uniform(1.0, 2.0, 4000) * np.exp2(rng.integers(-968, 1023, 4000))
+        xs = np.append(xs, [np.nextafter(2.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 2.0**-968])
+        assert kernels._PANEL_TINY == 2.0**-54
+        assert np.all(xs + kernels._PANEL_TINY * np.abs(xs) == xs)
+        # twice the fraction is a full half ulp and moves the total
+        assert 1.5 + 2.0**-53 * 1.5 != 1.5
+
+    @pytest.mark.parametrize("k,s,sigma", TRANSFORM_PROBES)
+    def test_transform_matches_1e20_stop(self, monkeypatch, k, s, sigma):
+        value = resolvent_via_heat(k, s, sigma)
+        monkeypatch.setattr(kernels, "_PANEL_TINY", 1e-20)
+        assert resolvent_via_heat(k, s, sigma) == value
+
+    def test_heat_grid_matches_1e20_stop(self, monkeypatch):
+        ts = np.array([0.01, 0.2, 1.0, 5.0, 30.0])
+        cases = list(itertools.product((0, 1, 3), (0.0, 0.1, 0.9, 3.0)))
+        values = [heat_kernel(k, ts, rho).tobytes() for k, rho in cases]
+        monkeypatch.setattr(kernels, "_PANEL_TINY", 1e-20)
+        assert [heat_kernel(k, ts, rho).tobytes() for k, rho in cases] == values
+
+    def test_difference_grid_matches_1e20_stop(self, monkeypatch):
+        values = kernels._difference_quadratures(*zip(*DIFFERENCE_GRID))
+        monkeypatch.setattr(kernels, "_PANEL_TINY", 1e-20)
+        assert kernels._difference_quadratures(*zip(*DIFFERENCE_GRID)).tobytes() == values.tobytes()
 
 
 class TestParabolicBound:
