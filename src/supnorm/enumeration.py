@@ -99,15 +99,17 @@ _TABLE = (0, np.zeros(0, np.int64), np.zeros(0, bool))
 def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     """Displacement via 4 y^2 (sigma - 1) = |c z^2 + (d - a) z - b|^2, in real parts.
 
-    a, b, c, d are integers or integer arrays.  It gives _max_shift, _scan's
-    row 0 and _translation_sums their values, and the blocks the values of the
-    elements in the band at R (see _shifts); every other element takes its
-    coset's form.  The raw-entry test oracle evaluates the same identity in
-    complex arithmetic.
+    a, b, c, d are integers or integer arrays, read only as c, d - a and b,
+    so an element and its inverse (-d, b, c, -a) get the same bits.  It
+    gives _max_shift, _scan's row 0 and _translation_sums their values, and
+    the blocks the values of the elements in the band at R (see _shifts);
+    every other element takes its coset's form.  The raw-entry test oracle
+    evaluates the same identity in complex arithmetic.
     """
     x, y = z.real, z.imag
-    re = c * (x * x - y * y) + (d - a) * x - b
-    im = y * (2.0 * c * x + d - a)
+    e = d - a
+    re = c * (x * x - y * y) + e * x - b
+    im = y * (2.0 * c * x + e)
     return 1.0 + (re * re + im * im) / (4.0 * y * y)
 
 
@@ -244,7 +246,7 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
 
 
 def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
-    """(a0, c, d, counts, n, sigmas) of the ball in rows c, candidates d in first + [0, sizes).
+    """(a0, c, d, counts, n, sigmas, zero) of the ball's half with trace >= 0 in rows c, d in first + [0, sizes).
 
     inverse and coprime are the residue table's, read at c (c - 1) / 2 + d mod c.
     The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
@@ -252,7 +254,20 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     discriminant clipped at zero, leaves the shifts n of T^n gamma_0 in
     [lo, hi].  _shifts cuts them at R, rounding band included.  The elements
     come in ascending c, then d, then shift; (a0, c, d) are per coset, with
-    counts[i] shifts each, and n and sigmas per element.
+    counts[i] shifts each, n and sigmas per element, and zero holds the
+    positions in n of the elements with trace 0.
+
+    Pairs.  For c >= 1 the inverse of (a, b, c, d) is (-d, b, c, -a) after
+    sign normalization: the same row, trace -(a + d) and the same sigma.
+    _sigma_batch reads only c, d - a and b, which the two share, so their
+    entry values agree bit for bit and the band at R decides both alike.  So
+    the block keeps the elements with trace a + d >= 0, and the ball is
+    those and the inverses of those with trace > 0; the trace-0 elements,
+    the involutions, are their own inverses.  Shift n of coset (c, d) has
+    trace a0 + d + n c, which is >= 0 for n >= -q with
+    (q, r) = divmod(a0 + d, c); at n = -q the trace is r, so a trace-0
+    element, if any, is the coset's first shift, and only where c divides
+    a0 + d.
     """
     d, c = _runs(first, sizes), np.repeat(c, sizes)
     pick = c * (c - 1) // 2 + d % c
@@ -261,9 +276,16 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     s, v = _images(z, a0, c, d)
     y = z.imag
     spread = np.sqrt(np.maximum(4.0 * pad * y * v - (y + v) ** 2, 0.0))
-    lo = np.ceil(s - spread).astype(np.int64)
+    q, r = np.divmod(a0 + d, c)
+    q = -q
+    lo = np.maximum(np.ceil(s - spread).astype(np.int64), q)
     counts = np.maximum(np.floor(s + spread).astype(np.int64) - lo + 1, 0)
-    return (a0, c, d, *_shifts(z, R, a0, c, d, s, v, lo, counts))
+    counts, n, sigmas = _shifts(z, R, a0, c, d, s, v, lo, counts)
+    zero = np.flatnonzero((r == 0) & (lo == q) & (counts > 0))
+    if len(zero):
+        starts = (np.cumsum(counts) - counts)[zero]
+        zero = starts[n[starts] == q[zero]]
+    return a0, c, d, counts, n, sigmas, zero
 
 
 def _chunks(sizes, cap: int):
@@ -282,14 +304,26 @@ def _blocks(z: complex, R: float):
 
     The candidates d of row c come from sigma >= |c z + d|^2 / 4 + 1/2,
     padded; every block reads the residue table, grown to the last row
-    first.  A row longer than the cap is a block of its own.
+    first.  A row longer than the cap is a block of its own.  Each block
+    holds the half of its rows with trace >= 0 (see _block), so the
+    candidates start at a column bound.  With p = c x + d, q = c x - a and
+    C = c^2 y^2, multiplying out c (c z^2 + (d - a) z - b)
+    = (c z - a)(c z + d) + 1 gives
+        4 C (sigma - 1) = (p q + 1 - C)^2 + C (p + q)^2.
+    Trace >= 0 is q <= p.  For p < 0 the right side decreases in q on
+    q <= p, its minimum lying at q = -p / (p^2 + C) > 0, so it is at least
+    its value at q = p, (p^2 + 1 + C)^2 - 4 C, and sigma <= R forces
+    p^2 <= 2 c y sqrt(R) - 1 - C.  Row c's candidates start there, the
+    radius padded and the bound capped by the spread above.
     """
     z = require_point(z)
     y = z.imag
     pad = R * (1.0 + 1e-9) + 1e-9
     rows = np.arange(1, math.floor(math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y) + 1)
-    spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - (rows * y) ** 2, 0.0))
-    first = np.ceil(-rows * z.real - spread).astype(np.int64)
+    cy = rows * y
+    spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - cy * cy, 0.0))
+    column = np.sqrt(np.maximum((2.0 * math.sqrt(pad) - cy) * cy - 1.0, 0.0))
+    first = np.ceil(-rows * z.real - np.minimum(column, spread)).astype(np.int64)
     sizes = np.maximum(np.floor(-rows * z.real + spread).astype(np.int64) - first + 1, 0)
     _, inverse, coprime = _residues(len(rows))
     for start, stop in _chunks(sizes, _BLOCK):
@@ -298,26 +332,35 @@ def _blocks(z: complex, R: float):
 
 
 def _scan(z: complex, R: float):
-    """Yield (a, b, c, d, sigmas) over the ball: row 0, then the _blocks of rows c >= 1.
+    """Yield (a, b, c, d, sigmas) over the ball: row 0, then per block its half and their inverses.
 
     The one place that builds a whole ball, entries included: row 0 is T^n
-    for |n| up to _max_shift, ascending, and the rows c >= 1 get
-    a = a0 + n c and b = (a d - 1) / c, an exact division.
+    for |n| up to _max_shift, ascending.  Each of the _blocks gives its
+    elements with trace >= 0, with a = a0 + n c and b = (a d - 1) / c, an
+    exact division, and then their inverses (-d, b, c, -a) in the same
+    order with the same sigmas, the trace-0 elements left out.
     """
     z = require_point(z)
     m = _max_shift(z, R)
     n = np.arange(-m, m + 1)
     ones = np.ones_like(n)
     yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
-    for a0, c, d, counts, n, sigmas in _blocks(z, R):
+    for a0, c, d, counts, n, sigmas, zero in _blocks(z, R):
         c, d = np.repeat(c, counts), np.repeat(d, counts)
         a = np.repeat(a0, counts) + n * c
-        yield a, (a * d - 1) // c, c, d, sigmas
+        b = (a * d - 1) // c
+        yield a, b, c, d, sigmas
+        mirror = np.ones(len(n), bool)
+        mirror[zero] = False
+        yield -d[mirror], b[mirror], c[mirror], -a[mirror], sigmas[mirror]
 
 
 def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
-    """All modular-group elements with displacement(z, gamma z) <= R.
+    """All modular-group elements with displacement(z, gamma z) <= R, in _scan's order.
 
+    That is the translations T^n, n ascending, then block by block the
+    elements with c >= 1 and trace a + d >= 0 (ascending c, then d, then a),
+    each block followed by the inverses of its elements of trace > 0.
     Returns the empty list for R < 1 (the displacement never drops below 1).
     """
     return [
@@ -330,12 +373,17 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 def displacement_values(z: complex, R: float) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    _scan's values, sorted, without the first: the identity's sigma is
-    exactly 1.0, and no sigma is smaller.  A view for the tests and tracing.
+    Row 0 without the identity is sigma(z, z + n) for n = 1, ..., _max_shift
+    twice (_sigma_batch squares n), and each of the _blocks gives its
+    sigmas, then again without its trace-0 elements for the inverses; no
+    entries are built.  A view for the tests and tracing.
     """
-    values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
+    z = require_point(z)
+    row = _sigma_batch(1, np.arange(1, _max_shift(z, R) + 1), 0, 1, z)
+    values = np.concatenate([row, row, *(values for *_, sigmas, zero in _blocks(z, R)
+                                         for values in (sigmas, np.delete(sigmas, zero)))])
     values.sort()
-    return values[1:]
+    return values
 
 
 @dataclass(frozen=True)
@@ -350,10 +398,12 @@ def counting_check(z: complex, r: float, constants: EffectiveConstants) -> Count
     Valid for z in the truncated region the constants were computed on;
     raises VerificationFailure when the enumeration exceeds the bound.  Row
     0 is counted in closed form and the other rows without a sort, so the
-    count needs no array of the translations, however high z is.
+    count needs no array of the translations, however high z is: each
+    block's half counts twice, less its trace-0 elements, its own inverses.
     """
     z = require_point(z)
-    count = max(2 * _max_shift(z, r) + 1, 0) + sum(len(s) for *_, s in _blocks(z, r))
+    count = max(2 * _max_shift(z, r) + 1, 0) + sum(
+        2 * len(sigmas) - len(zero) for *_, sigmas, zero in _blocks(z, r))
     bound = 4.0 * math.pi * constants.B_Y * r
     if count > bound:
         raise VerificationFailure(
@@ -380,7 +430,8 @@ def poincare_direct(
 
     partial sums sigma^{-(k+eps)} over the enumerated nontrivial elements with
     sigma <= R_cut, block by block: row 0 without the identity by
-    _translation_sums (one chunk in F_Y), then each of the _blocks by np.sum,
+    _translation_sums (one chunk in F_Y), then each of the _blocks' halves
+    by np.sum, doubled for the inverses, less np.sum of its trace-0 terms,
     and math.fsum adds the sums.  Block order and _BLOCK are fixed, so the
     partial is reproducible.  The remainder is dominated Stieltjes-style by
     4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises VerificationFailure
@@ -393,7 +444,9 @@ def poincare_direct(
     z = require_point(z)
     power = -(k + eps)
     sums = _translation_sums(z, power, _max_shift(z, R_cut))
-    sums += [np.sum(sigmas ** power) for *_, sigmas in _blocks(z, R_cut)]
+    for *_, sigmas, zero in _blocks(z, R_cut):
+        terms = sigmas ** power
+        sums += [2.0 * np.sum(terms), -np.sum(terms[zero])]
     partial = math.fsum(sums)
     tail = (
         4.0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -142,15 +143,18 @@ def row_scan(z: complex, R: float):
     """Yield (a, b, c, d, sigmas) per bottom row c = 0, 1, ..., c_max.
 
     The per-row enumeration that the block passes replaced, kept as their
-    oracle: one array pass per row, with the coset bases a0 = pow(d, -1, c)
-    of the coprime d (np.gcd) and the shift ranges from the images
-    gamma_0 z in complex arithmetic, the translation row taken from the same
-    padded range as the other rows.  Row 0 takes its displacements from the
-    library's entry evaluator _sigma_batch, as the library's row 0 does, and
-    the rows c >= 1 from its coset evaluator (_images, then _shifts with its
-    band at R) applied to these cosets and ranges: the values are the
-    library's bit for bit, and which elements come, in which order, is this
-    scan's own.
+    oracle: one array pass per row over every element, both halves, with
+    the coset bases a0 = pow(d, -1, c) of the coprime d (np.gcd) and the
+    shift ranges from the images gamma_0 z in complex arithmetic, the
+    translation row taken from the same padded range as the other rows.
+    Row 0 takes its displacements from the library's entry evaluator
+    _sigma_batch, as the library's row 0 does, and the rows c >= 1 from its
+    coset evaluator (_images, then _shifts with its band at R) applied to
+    these cosets and ranges; the library evaluates only the elements with
+    trace a + d >= 0 and gives each inverse (-d, b, c, -a) their value, so
+    each element of trace < 0 here takes the value scanned for its
+    inverse.  The values are the library's bit for bit, and which elements
+    come, in which order, is this scan's own.
     """
     x, y = z.real, z.imag
     pad = R * (1.0 + 1e-9) + 1e-9
@@ -180,6 +184,11 @@ def row_scan(z: complex, R: float):
         a = np.repeat(a0, counts) + n * c
         d = np.repeat(d, counts)
         b = np.repeat(b0, counts) + n * d
+        if c:
+            value = dict(zip(zip(a.tolist(), b.tolist(), d.tolist()), sigmas.tolist()))
+            mirror = np.flatnonzero(a + d < 0)
+            sigmas = sigmas.copy()
+            sigmas[mirror] = [value[-d[i], b[i], -a[i]] for i in mirror.tolist()]
         yield a, b, c, d, sigmas
 
 
@@ -192,6 +201,33 @@ def row_scan_arrays(z: complex, R: float):
     )
     chunks = [sigmas if c else sigmas[b != 0] for _, b, c, _, sigmas in rows]
     return entries, np.sort(np.concatenate(chunks))
+
+
+def in_scan_order(z: complex, R: float):
+    """The row scan's (a, b, c, d) in _scan's order.
+
+    Row 0, then for each of the library's _blocks, whose lengths are all
+    this takes from the library, the next run of the scan's elements with
+    trace a + d >= 0 in the scan's order, then their inverses
+    (-d, b, c, -a) of trace other than 0.
+    """
+    (a, b, c, d), _ = row_scan_arrays(z, R)
+    half = [m[a + d >= 0] for m in (a, b, c, d)]
+    start = int(np.count_nonzero(c == 0))
+    parts = [[m[:start] for m in half]]
+    for *_, n, _, _ in enumeration._blocks(z, R):
+        ha, hb, hc, hd = (m[start:start + len(n)] for m in half)
+        start += len(n)
+        pair = ha + hd != 0
+        parts += [[ha, hb, hc, hd], [-hd[pair], hb[pair], hc[pair], -ha[pair]]]
+    assert start == len(half[0])
+    return [np.concatenate([part[i] for part in parts]) for i in range(4)]
+
+
+def scanned_entries(z: complex, R: float):
+    """_scan's (a, b, c, d), joined over its blocks."""
+    return [np.concatenate([np.broadcast_to(block[i], block[0].shape)
+                            for block in enumeration._scan(z, R)]) for i in range(4)]
 
 
 #: One point per height stratum of the benchmark's ball workload, then i, rho
@@ -239,9 +275,8 @@ class TestBlocksAgainstRowScan:
     @pytest.mark.parametrize("z", ORACLE_POINTS)
     @pytest.mark.parametrize("R", [1.0, 2.5, 30.0, 1e4])
     def test_same_elements_in_same_order(self, block_cap, z, R):
-        want, _ = row_scan_arrays(z, R)
-        got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
-                               for block in enumeration._scan(z, R)]) for i in range(4)]
+        got = scanned_entries(z, R)
+        want = in_scan_order(z, R)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         if R <= 30.0:
             ball = [m.entries() for m in enumerate_ball(z, R)]
@@ -255,6 +290,54 @@ class TestBlocksAgainstRowScan:
 
     def test_below_one(self, block_cap):
         assert len(displacement_values(1j, 0.99)) == 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(z=standard_domain_points(), R=st.floats(1.0, 50.0))
+def test_inverse_pairs_and_column_bound(z, R):
+    # the lemmas behind the blocks' half, on the row scan's elements c >= 1
+    none = np.zeros(0, np.int64)
+    rows = [(a, b, np.full_like(a, c), d) for a, b, c, d, _ in row_scan(z, R) if c]
+    rows = rows or [(none, none, none, none)]
+    a, b, c, d = (np.concatenate(m) for m in zip(*rows))
+    ball = set(zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
+    # each inverse (-d, b, c, -a) is in the ball, with the same entry value
+    assert set(zip((-d).tolist(), b.tolist(), c.tolist(), (-a).tolist())) == ball
+    assert np.array_equal(enumeration._sigma_batch(a, b, c, d, z),
+                          enumeration._sigma_batch(-d, b, c, -a, z))
+    # trace >= 0 and p = c x + d < 0 give (p^2 + 1 + C)^2 <= 4 C sigma with
+    # C = c^2 y^2, in exact rationals: p^2 <= 2 c y sqrt(R) - 1 - C in the ball
+    x, y = Fraction(z.real), Fraction(z.imag)
+    for ai, bi, ci, di in ball:
+        re = ci * (x * x - y * y) + (di - ai) * x - bi
+        im = y * (2 * ci * x + di - ai)
+        sigma = 1 + (re * re + im * im) / (4 * y * y)
+        assert sigma <= Fraction(R) * (1 + Fraction(1, 10**12))
+        p, C = ci * x + di, (ci * y) ** 2
+        if ai + di >= 0 and p < 0:
+            assert (p * p + 1 + C) ** 2 <= 4 * C * sigma
+    # the blocks hold the elements of trace >= 0, and mark as trace 0
+    # exactly those with a = -d, the involutions of the ball
+    zeros = 0
+    for a0, c, d, counts, n, _, zero in enumeration._blocks(z, R):
+        a, d = np.repeat(a0, counts) + n * np.repeat(c, counts), np.repeat(d, counts)
+        assert np.all(a + d >= 0)
+        assert np.array_equal(zero, np.flatnonzero(a == -d))
+        zeros += len(zero)
+    assert zeros == sum(ai == -di for ai, _, _, di in ball)
+
+
+@pytest.mark.parametrize("z", ORACLE_POINTS[:4])
+def test_blocks_hold_half_the_ball(psl2z_constants, z):
+    # the elements the blocks yield, doubled, less their trace-0 ones, plus
+    # the 2 m + 1 translations of row 0 are the ball; a count, not a timing
+    R = 1e4
+    blocks = list(enumeration._blocks(z, R))
+    held = sum(len(n) for *_, n, _, _ in blocks)
+    zeros = sum(len(zero) for *_, zero in blocks)
+    count = counting_check(z, R, psl2z_constants).count
+    assert 2 * held - zeros + 2 * enumeration._max_shift(z, R) + 1 == count
+    assert held <= 0.51 * count
 
 
 #: At each ORACLE_POINTS entry, the moduli the residue table holds after one
@@ -311,11 +394,9 @@ class TestResidueTable:
         for c in range(step, rows, step):
             assert enumeration._residues(c)[0] == c
         for R in (30.0, 1e4):
-            want, sigmas = row_scan_arrays(z, R)
-            assert np.array_equal(displacement_values(z, R), sigmas)
-            got = [np.concatenate([np.broadcast_to(block[i], block[0].shape)
-                                   for block in enumeration._scan(z, R)]) for i in range(4)]
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            assert np.array_equal(displacement_values(z, R), row_scan_arrays(z, R)[1])
+            got = scanned_entries(z, R)
+            assert all(np.array_equal(g, w) for g, w in zip(got, in_scan_order(z, R)))
         stepped = enumeration._TABLE
         monkeypatch.setattr(enumeration, "_TABLE", empty_table())
         whole = enumeration._residues(rows)
@@ -401,7 +482,7 @@ class TestExactTiesAtI:
 
     So the closed ball sigma <= r is the ball a^2 + b^2 + c^2 + d^2 <= 4 r - 2
     in exact integers, and at these radii a whole shell of elements lies on
-    its boundary, sigma = r: ties that the coset values alone split (61
+    its boundary, sigma = r: ties that the coset values alone split (62
     elements at r = 5 instead of 66) and the band at R decides.
     """
 
@@ -417,10 +498,13 @@ class TestExactTiesAtI:
 
     def test_band_takes_the_boundary_shell(self, band_sizes):
         # the shell sigma = 5 has 16 elements; row 0 holds (1, +-4, 0, 1) and
-        # cuts on entries anyway, the band re-evaluates the 14 in the blocks
+        # cuts on entries anyway, the 14 in the blocks are 7 inverse pairs
+        # (no trace 0), and the band re-evaluates the one of each pair with
+        # trace > 0
         shell = sum_of_squares_ball(18) - sum_of_squares_ball(17)
         values = displacement_values(1j, 5.0)
-        assert sum(band_sizes) == sum(c >= 1 for _, _, c, _ in shell) == 14
+        assert sum(c >= 1 for _, _, c, _ in shell) == 14
+        assert sum(band_sizes) == sum(c >= 1 and a + d >= 0 for a, _, c, d in shell) == 7
         assert np.count_nonzero(values == 5.0) == len(shell) == 16
 
 
@@ -460,12 +544,14 @@ class TestCosetValues:
         assert band_sizes == []
 
     def test_near_tie_pair_at_radius_ten(self, band_sizes):
-        # sigma = 10 - 3.3e-16 for both: inside the ball, and decided by the band
+        # sigma = 10 - 3.3e-16 for both: inside the ball, and decided by the
+        # band; they are each other's inverses, so the band evaluates the one
+        # of trace >= 0
         ball = as_tuples(enumerate_ball(0.1 + 1.2j, 10.0))
         assert {(-1, -1, 4, 3), (-3, -1, 4, 1)} <= ball
         band_sizes.clear()
         displacement_values(0.1 + 1.2j, 10.0)
-        assert band_sizes == [2]
+        assert band_sizes == [1]
 
 
 class TestNonFiniteRadius:
