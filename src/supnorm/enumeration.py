@@ -14,15 +14,19 @@ Discrete Groups, ch. 7), which confines n to an interval around s and gives
 each element's displacement from its coset's s and v.  Coprimality and
 d^-1 mod c depend only on c and d mod c, so they come from one process-wide
 table of every residue of every modulus up to the largest row needed so far,
-each new row filled from the rows below it by one Euclid step.  The rows go
+each new row filled from the rows below it by one Euclid step.  An element
+with c >= 1 and its inverse lie in the same row with the same displacement
+and opposite traces, so only the elements with trace a + d >= 0 are
+enumerated, and each consumer accounts for the inverses itself.  The rows go
 in blocks of whole rows with a fixed cap on their (c, d) candidates, and each
 block is one array pass reading the table: coset bases, their images, shift
-intervals, and the elements' shifts and displacements, cut at R.  The entry
-identity (_sigma_batch) gives row 0 and decides the elements within a
-rounding band of R.  _scan builds the entries and is the one whole-ball
-array; the checks sum or count the _blocks, and _translation_sums both
-translation sums, at most _BLOCK shifts an array.  A raw entry-bounded
-search stays in the test suite as the oracle for this enumeration.
+intervals from the trace >= 0 on, and the elements' shifts and
+displacements, cut at R.  The entry identity (_sigma_batch) gives row 0 and
+decides the elements within a rounding band of R.  _scan builds the entries
+and is the one whole-ball array; the checks sum or count the _blocks, and
+_translation_sums both translation sums, at most _BLOCK shifts an array.  A
+raw entry-bounded search stays in the test suite as the oracle for this
+enumeration.
 """
 
 from __future__ import annotations
@@ -213,12 +217,13 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
     4 y v sigma, whatever R is.  _sigma_batch's real and imaginary parts are
     short sums of terms the size of the entries, about sqrt(sigma), against
     a modulus 2 y sqrt(sigma - 1), so its value is also within a few dozen u
-    of sigma.  Measured, the two are within 1.1e-15 relative of each other
-    over whole balls at R = 1e4 and 1.2e-15 at R = 1e5, and the tests hold
-    them to 1e-14.  So an element whose coset value lies more than 1e-12 R
-    from R, about 800 times that, is on the same side of R in both.  In that
-    band the coset form alone would split ties sigma = R (at z = i, R = 5 it
-    drops 5 elements of the closed ball), so there _sigma_batch is evaluated
+    of sigma.  Measured, the two are within 9.8e-16 relative of each other
+    over the trace >= 0 halves of whole balls at R = 1e4 and 1.1e-15 at
+    R = 1e5, and the tests hold them to 1e-14.  So an element whose coset
+    value lies more than 1e-12 R from R, about 900 times that, is on the same
+    side of R in both.  In that band the coset form alone would split ties
+    sigma = R (at z = i, R = 5 it drops 2 elements of the half, and so 4 of
+    the closed ball), so there _sigma_batch is evaluated
     on the element's entries, decides the cut and is the value kept: the
     cut is the one the entry identity makes on every element.
     """
@@ -246,7 +251,7 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
 
 
 def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
-    """(a0, c, d, counts, n, sigmas, zero) of the ball's half with trace >= 0 in rows c, d in first + [0, sizes).
+    """(a0, c, d, counts, n, sigmas, zero) of the ball's trace >= 0 half, rows c, d in first + [0, sizes).
 
     inverse and coprime are the residue table's, read at c (c - 1) / 2 + d mod c.
     The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
@@ -264,10 +269,9 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     the block keeps the elements with trace a + d >= 0, and the ball is
     those and the inverses of those with trace > 0; the trace-0 elements,
     the involutions, are their own inverses.  Shift n of coset (c, d) has
-    trace a0 + d + n c, which is >= 0 for n >= -q with
-    (q, r) = divmod(a0 + d, c); at n = -q the trace is r, so a trace-0
-    element, if any, is the coset's first shift, and only where c divides
-    a0 + d.
+    trace a0 + d + n c, which is >= 0 for n >= n0 = -floor((a0 + d) / c);
+    at n0 the trace is (a0 + d) mod c, so a trace-0 element, if any, is the
+    coset's first shift n0, and only where c divides a0 + d.
     """
     d, c = _runs(first, sizes), np.repeat(c, sizes)
     pick = c * (c - 1) // 2 + d % c
@@ -276,15 +280,15 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     s, v = _images(z, a0, c, d)
     y = z.imag
     spread = np.sqrt(np.maximum(4.0 * pad * y * v - (y + v) ** 2, 0.0))
-    q, r = np.divmod(a0 + d, c)
-    q = -q
-    lo = np.maximum(np.ceil(s - spread).astype(np.int64), q)
+    n0, trace = np.divmod(a0 + d, c)
+    n0 = -n0
+    lo = np.maximum(np.ceil(s - spread).astype(np.int64), n0)
     counts = np.maximum(np.floor(s + spread).astype(np.int64) - lo + 1, 0)
     counts, n, sigmas = _shifts(z, R, a0, c, d, s, v, lo, counts)
-    zero = np.flatnonzero((r == 0) & (lo == q) & (counts > 0))
+    zero = np.flatnonzero((trace == 0) & (lo == n0) & (counts > 0))
     if len(zero):
         starts = (np.cumsum(counts) - counts)[zero]
-        zero = starts[n[starts] == q[zero]]
+        zero = starts[n[starts] == n0[zero]]
     return a0, c, d, counts, n, sigmas, zero
 
 
@@ -380,8 +384,8 @@ def displacement_values(z: complex, R: float) -> np.ndarray:
     """
     z = require_point(z)
     row = _sigma_batch(1, np.arange(1, _max_shift(z, R) + 1), 0, 1, z)
-    values = np.concatenate([row, row, *(values for *_, sigmas, zero in _blocks(z, R)
-                                         for values in (sigmas, np.delete(sigmas, zero)))])
+    values = np.concatenate([row, row, *(part for *_, sigmas, zero in _blocks(z, R)
+                                         for part in (sigmas, np.delete(sigmas, zero)))])
     values.sort()
     return values
 
