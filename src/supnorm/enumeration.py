@@ -270,8 +270,9 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     those and the inverses of those with trace > 0; the trace-0 elements,
     the involutions, are their own inverses.  Shift n of coset (c, d) has
     trace a0 + d + n c, which is >= 0 for n >= n0 = -floor((a0 + d) / c);
-    at n0 the trace is (a0 + d) mod c, so a trace-0 element, if any, is the
-    coset's first shift n0, and only where c divides a0 + d.
+    at n0 the trace is (a0 + d) mod c, so a trace-0 element exists only
+    where c divides a0 + d, and it is kept exactly when the coset's first
+    kept shift is n0, every kept shift being at least lo >= n0.
     """
     d, c = _runs(first, sizes), np.repeat(c, sizes)
     pick = c * (c - 1) // 2 + d % c
@@ -285,9 +286,9 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     lo = np.maximum(np.ceil(s - spread).astype(np.int64), n0)
     counts = np.maximum(np.floor(s + spread).astype(np.int64) - lo + 1, 0)
     counts, n, sigmas = _shifts(z, R, a0, c, d, s, v, lo, counts)
-    zero = np.flatnonzero((trace == 0) & (lo == n0) & (counts > 0))
+    zero = np.flatnonzero((trace == 0) & (counts > 0))
     if len(zero):
-        starts = (np.cumsum(counts) - counts)[zero]
+        starts = np.cumsum(counts)[zero] - counts[zero]
         zero = starts[n[starts] == n0[zero]]
     return a0, c, d, counts, n, sigmas, zero
 
