@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -151,7 +152,9 @@ def cmd_kernel_check(args) -> int:
     return EXIT_OK if all(res.passed for res in results) else EXIT_KERNEL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The four-subcommand parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="supnorm",
         description="Effective averaged sup-norm bounds for even-weight cusp forms",

@@ -229,7 +229,15 @@ class GammaRatio:
 
 
 def gamma_ratio_bound(Z: float) -> GammaRatio:
-    """Gamma(Z-1/2)/Gamma(Z) with its effective Stirling bound e^{5/4}/sqrt(Z)."""
+    """Gamma(Z-1/2)/Gamma(Z) with its effective Stirling bound e^{5/4}/sqrt(Z).
+
+    The bound holds for every Z >= 1, in exact arithmetic (the rounding of
+    the floats is not covered).  Wendel's inequality (Amer. Math. Monthly
+    55, 1948), Gamma(x+s) >= (x/(x+s))^(1-s) x^s Gamma(x), at x = Z - 1/2
+    and s = 1/2 gives Gamma(Z-1/2)/Gamma(Z) <= sqrt(Z)/(Z - 1/2).  That is
+    at most e^{5/4}/sqrt(Z) exactly when Z (e^{5/4} - 1) >= e^{5/4}/2, that
+    is Z >= 0.7008, so on the whole domain.
+    """
     if Z < 1.0:
         raise ValueError(f"Stirling ratio bound requires Z >= 1, got {Z}")
     ratio = math.exp(math.lgamma(Z - 0.5) - math.lgamma(Z))

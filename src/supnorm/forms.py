@@ -9,8 +9,10 @@ Petersson norm is one finite sum over the periods of the form (Haberland;
 Kohnen and Zagier), summed in Decimal, with a proven error under one ulp.
 The averaged quantity S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> is what the
 verifier compares against the closed-form bounds; s2k_on_grid is its one
-evaluator.  The mass integral, the independent check of the norm, is one
-Gauss-Legendre tensor rule over the whole domain mapped to a rectangle.
+evaluator, and takes q = e^{2 pi i z} from a caller that shares it between
+weights.  The mass integral, the independent check of the norm, is one
+Gauss-Legendre tensor rule over the whole domain mapped to a rectangle,
+whose nodes and their q are built once per process.
 """
 
 from __future__ import annotations
@@ -258,8 +260,14 @@ def build_basis(weight: int) -> CuspFormBasis:
 # The averaged sup-norm quantity
 
 
-def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
+def s2k_on_grid(
+    basis: CuspFormBasis, points: np.ndarray, q: np.ndarray | None = None
+) -> np.ndarray:
     """S_{2k}(z) = |f(z)|^2 y^{2k} / <f, f> over an array of points.
+
+    q, if given, is e^{2 pi i z} at the same points, computed by the caller
+    as np.exp(2j * math.pi * points) so that several weights share it; it is
+    taken as given, not checked.  Without it the function computes it so.
 
     Raises unless the stored coefficients pin every value to 1e-10
     relative.  At each point, with T the tail bound past the stored terms
@@ -269,7 +277,8 @@ def s2k_on_grid(basis: CuspFormBasis, points: np.ndarray) -> np.ndarray:
     zero of f fails the check.
     """
     y = points.imag
-    q = np.exp(2j * math.pi * points)
+    if q is None:
+        q = np.exp(2j * math.pi * points)
     f_over_q = _horner(basis.coefficients, q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = _tail_over_q(len(basis.coefficients), basis.weight, y) / np.abs(f_over_q)
@@ -323,6 +332,19 @@ def _gauss_nodes(lo, hi, order: int):
     return mid + half * x, half * w
 
 
+@lru_cache(maxsize=None)
+def _mass_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only nodes of mass_integral's rule, their q, wx / h and ws, once per order."""
+    xs, wx = _gauss_nodes(-0.5, 0.5, order)
+    ss, ws = _gauss_nodes(0.0, 1.0, order)
+    h = np.sqrt(1.0 - xs * xs)
+    points = xs[:, None] + 1j * h[:, None] / ss
+    rule = points, np.exp(2j * math.pi * points), wx / h, ws
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def mass_integral(basis: CuspFormBasis) -> float:
     """Integral of S_{2k} over the standard domain against the hyperbolic area.
 
@@ -331,10 +353,9 @@ def mass_integral(basis: CuspFormBasis) -> float:
     With h(x) = sqrt(1 - x^2) and y = h(x)/s the domain becomes the rectangle
     |x| <= 1/2, 0 < s <= 1 with dx dy / y^2 = dx ds / h(x).  One 48 x 48
     Gauss-Legendre tensor rule over it, independent of the period sum
-    behind the stored norm, evaluates S_{2k} through s2k_on_grid only.
+    behind the stored norm, evaluates S_{2k} through s2k_on_grid only.  The
+    rule's nodes, their q and its weights depend on no weight, so _mass_rule
+    builds them once per process, read-only.
     """
-    xs, wx = _gauss_nodes(-0.5, 0.5, _ORDER)
-    ss, ws = _gauss_nodes(0.0, 1.0, _ORDER)
-    h = np.sqrt(1.0 - xs * xs)
-    values = s2k_on_grid(basis, xs[:, None] + 1j * h[:, None] / ss)
-    return float((wx / h) @ values @ ws)
+    points, q, wxh, ws = _mass_rule(_ORDER)
+    return float(wxh @ s2k_on_grid(basis, points, q) @ ws)

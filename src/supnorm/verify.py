@@ -112,7 +112,7 @@ def _parabolic_item(k: int, eps: float) -> VerificationItem:
     )
 
 
-def _weight_items(weight: int, constants, domain, grid_size: int) -> list[VerificationItem]:
+def _weight_items(weight: int, constants, domain, grid, q) -> list[VerificationItem]:
     k = weight // 2
     items: list[VerificationItem] = []
     basis = build_basis(weight)
@@ -135,8 +135,7 @@ def _weight_items(weight: int, constants, domain, grid_size: int) -> list[Verifi
         )
     )
 
-    grid = standard_grid(grid_size, Y=constants.Y, k=k)
-    values = s2k_on_grid(basis, grid.points)
+    values = s2k_on_grid(basis, grid.points, q)
     grid_max = float(np.max(values))
     argmax = grid.points[int(np.argmax(values))]
 
@@ -182,7 +181,12 @@ def verify_all(weights=(12,), grid_size: int = 100, Y0: float = 2.0) -> Verifica
     """Run the full battery on the modular group; empty weight list yields an empty pass.
 
     The global checks come first, then each distinct weight's checks in
-    ascending weight order, computed one weight after another.
+    ascending weight order, computed one weight after another.  Every weight
+    reads one sample grid and one q = e^{2 pi i z} on it, built once per
+    call.  standard_grid depends on k only through its cusp band line, added
+    when Y < k/(2 pi); the engine's Y is at least 16/sqrt(15) > 4.13, and
+    every supported k is at most 13, with 13/(2 pi) < 2.07, so the line never
+    appears here.  The grid takes k of the largest weight all the same.
     """
     weights = tuple(weights)
     for w in weights:
@@ -200,6 +204,8 @@ def verify_all(weights=(12,), grid_size: int = 100, Y0: float = 2.0) -> Verifica
         _parabolic_item(k=26, eps=0.01),
     ]
 
+    grid = standard_grid(grid_size, Y=constants.Y, k=max(weights) // 2)
+    q = np.exp(2j * math.pi * grid.points)
     for w in sorted(set(weights)):
-        items.extend(_weight_items(w, constants, domain, grid_size))
+        items.extend(_weight_items(w, constants, domain, grid, q))
     return VerificationReport(items=tuple(items))

@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,6 +272,36 @@ class TestVerify:
         assert "overall: PASS" in out
         doc = json.loads(out_path.read_text())
         assert doc["passed"] is True
+
+
+class TestParserOnce:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_commands_in_one_process_match_fresh_processes(self, capsys):
+        # the shared parser carries nothing from one call to the next
+        argvs = [["constants"], ["bounds", "--k-max", "12"], ["constants"]]
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            alone = subprocess.run([sys.executable, "-m", "supnorm.cli", *argv],
+                                   capture_output=True, text=True, check=True,
+                                   env=dict(os.environ, PYTHONPATH=path))
+            assert (code, out, err) == (0, alone.stdout, alone.stderr)
+
+    def test_bad_argument_after_a_good_call(self, capsys, monkeypatch):
+        # argparse wraps its usage line to COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(capsys, "constants")[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--grid", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "",
+            "usage: supnorm verify [-h] [--Y0 Y0] [--out PATH] [--grid GRID]\n"
+            "                      [--weights WEIGHTS]\n"
+            "supnorm verify: error: argument --grid: invalid int value: 'x'\n",
+        )
 
 
 class TestKernelCheck:

@@ -456,6 +456,33 @@ class TestAveragedQuantity:
         assert sorted(calls) == sorted(2 * stored)
         assert max(calls) <= 16
 
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_shared_q_changes_no_bit(self, psl2z_constants, weight):
+        # a caller's q, computed as the function computes it, gives its values
+        # bit for bit, on both library node sets and on a lone point
+        basis = build_basis(weight)
+        for points in [*library_nodes(weight, psl2z_constants.Y), np.array([0.1 + 1.2j])]:
+            q = np.exp(2j * math.pi * points)
+            assert s2k_on_grid(basis, points, q).tobytes() == s2k_on_grid(basis, points).tobytes()
+
+    @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
+    def test_mass_rule_built_once_matches_fresh_nodes(self, weight):
+        # the process-wide nodes give the value of a rule built afresh
+        basis = build_basis(weight)
+        xs, wx = forms._gauss_nodes(-0.5, 0.5, forms._ORDER)
+        ss, ws = forms._gauss_nodes(0.0, 1.0, forms._ORDER)
+        h = np.sqrt(1.0 - xs * xs)
+        values = s2k_on_grid(basis, xs[:, None] + 1j * h[:, None] / ss)
+        assert mass_integral(basis) == float((wx / h) @ values @ ws)
+
+    def test_mass_rule_is_read_only(self):
+        # no caller can change the process-wide copy
+        mass_integral(build_basis(12))
+        for a in forms._mass_rule(forms._ORDER):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
     def test_mass_identity(self, basis12):
         assert mass_integral(basis12) == pytest.approx(1.0, abs=1e-4)
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -129,6 +130,19 @@ class TestGammaRatio:
     def test_domain(self):
         with pytest.raises(ValueError):
             gamma_ratio_bound(0.5)
+
+    def test_wendel_proves_the_bound(self):
+        # the docstring's proof: Wendel's bound sqrt(Z)/(Z - 1/2) lies between
+        # the ratio and e^{5/4}/sqrt(Z) from Z = 0.7008 on, here at 30 digits
+        # on 200 log-spaced Z in [1, 1e8]
+        with mpmath.workdps(30):
+            e54 = mpmath.exp(mpmath.mpf(5) / 4)
+            assert e54 / (2 * (e54 - 1)) < 1
+            for Z in np.logspace(0.0, 8.0, 200):
+                Z = mpmath.mpf(float(Z))
+                ratio = mpmath.exp(mpmath.loggamma(Z - 0.5) - mpmath.loggamma(Z))
+                wendel = mpmath.sqrt(Z) / (Z - 0.5)
+                assert ratio <= wendel <= e54 / mpmath.sqrt(Z)
 
 
 class TestResolvent:

@@ -1,9 +1,14 @@
 """Tests for the verification orchestration layer."""
 
 import json
+import math
 
 import pytest
 
+from supnorm import verify
+from supnorm.domain import modular_group
+from supnorm.engine import compute_constants
+from supnorm.forms import SUPPORTED_WEIGHTS, standard_grid
 from supnorm.verify import (
     VerificationItem,
     VerificationReport,
@@ -24,8 +29,6 @@ def test_unknown_weight():
 
 
 def test_rounded_bound_weight_twelve():
-    import math
-
     expected = 31 * 11 / (4 * math.pi) + 72 * 11 * 1.014**-4
     assert rounded_modular_bound(6) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(776.2938, abs=1e-3)
@@ -76,3 +79,28 @@ def test_all_supported_weights():
     # weight 26 means k = 13, still below the branch threshold 2*pi*Y
     w26 = [i for i in report.items if i.weight == 26 and i.name == "upper_bound"][0]
     assert "inherits the compact bound" in w26.detail
+
+
+def test_one_grid_per_call(monkeypatch):
+    # every weight reads the same grid and q, built once per call; a count,
+    # so no timing is needed
+    calls = []
+    inner = verify.standard_grid
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("k"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "standard_grid", counting)
+    assert verify_all(weights=SUPPORTED_WEIGHTS, grid_size=100).passed
+    assert calls == [13]
+
+
+@pytest.mark.parametrize("Y0", [0.87, 2.0, 3.0, 10.0])
+def test_one_grid_fits_every_weight(Y0):
+    # the engine's Y keeps every supported weight's cusp band line, added
+    # for Y < k/(2 pi) with k <= 13, out of the grid
+    Y = compute_constants(modular_group(), Y0).Y
+    assert Y >= 16 / math.sqrt(15)
+    assert max(SUPPORTED_WEIGHTS) // 2 / (2 * math.pi) < 16 / math.sqrt(15)
+    assert len(standard_grid(100, 16 / math.sqrt(15), 13).points) == 10_000
