@@ -29,6 +29,8 @@ def test_unknown_weight():
 
 
 def test_rounded_bound_weight_twelve():
+    import math
+
     expected = 31 * 11 / (4 * math.pi) + 72 * 11 * 1.014**-4
     assert rounded_modular_bound(6) == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(776.2938, abs=1e-3)
