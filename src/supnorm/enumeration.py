@@ -117,21 +117,34 @@ def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     return 1.0 + (re * re + im * im) / (4.0 * y * y)
 
 
+def _padded_rows(y: float, R: float) -> tuple[float, int]:
+    """(pad, C): R padded against rounding, and the last row c of its ball at height y.
+
+    sigma >= c^2 y^2 / 4 + 1/2 bounds c by sqrt(4 pad - 2) / y.  Raises
+    ValueError at 2^32 rows or more, where the table index c (c - 1) / 2
+    leaves int64.
+    """
+    pad = R * (1.0 + 1e-9) + 1e-9
+    last = math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y
+    if last >= 2**32:
+        raise ValueError(f"Im z = {y} is too small for R = {R}: 2^32 rows or more")
+    return pad, math.floor(last)
+
+
 def _max_shift(z: complex, R: float) -> int:
     """Largest n >= 0 with sigma(z, z + n) <= R, or -1 when R < 1.
 
     On (1, n, 0, 1) _sigma_batch evaluates 1 + n^2 / (4 y^2), which is
     monotone in |n| in floating point, so its values at the estimate
     floor(2 y sqrt(R - 1)) and one above it settle the exact cut.  Every
-    ball starts here, so R not finite, 4 y^2 = 0, or 2^32 rows under _blocks'
-    pad (where the table index c (c - 1) / 2 leaves int64) raise ValueError.
+    ball starts here, so R not finite, 4 y^2 = 0, or the 2^32 rows that
+    _padded_rows refuses raise ValueError before the residue table grows.
     """
     if not math.isfinite(R):
         raise ValueError(f"ball radius R must be finite, got R = {R}")
     if 4.0 * z.imag * z.imag == 0.0:
         raise ValueError(f"Im z = {z.imag} is too small: 4 (Im z)^2 underflows to 0")
-    if math.sqrt(max(4.0 * (R * (1.0 + 1e-9) + 1e-9) - 2.0, 0.0)) / z.imag >= 2**32:
-        raise ValueError(f"Im z = {z.imag} is too small for R = {R}: 2^32 rows or more")
+    _padded_rows(z.imag, R)
     if R < 1.0:
         return -1
     n = math.floor(2.0 * z.imag * math.sqrt(R - 1.0))
@@ -323,8 +336,8 @@ def _blocks(z: complex, R: float):
     """
     z = require_point(z)
     y = z.imag
-    pad = R * (1.0 + 1e-9) + 1e-9
-    rows = np.arange(1, math.floor(math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y) + 1)
+    pad, last = _padded_rows(y, R)
+    rows = np.arange(1, last + 1)
     cy = rows * y
     spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - cy * cy, 0.0))
     column = np.sqrt(np.maximum((2.0 * math.sqrt(pad) - cy) * cy - 1.0, 0.0))
@@ -378,17 +391,12 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 def displacement_values(z: complex, R: float) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    Row 0 without the identity is sigma(z, z + n) for n = 1, ..., _max_shift
-    twice (_sigma_batch squares n), and each of the _blocks gives its
-    sigmas, then again without its trace-0 elements for the inverses; no
-    entries are built.  A view for the tests and tracing.
+    The sigmas of _scan, sorted, less the first: the identity's 1.0, the
+    least displacement there is.  A view for the tests and tracing.
     """
-    z = require_point(z)
-    row = _sigma_batch(1, np.arange(1, _max_shift(z, R) + 1), 0, 1, z)
-    values = np.concatenate([row, row, *(part for *_, sigmas, zero in _blocks(z, R)
-                                         for part in (sigmas, np.delete(sigmas, zero)))])
+    values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
     values.sort()
-    return values
+    return values[1:]
 
 
 @dataclass(frozen=True)

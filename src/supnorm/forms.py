@@ -61,7 +61,6 @@ def _series_multiply(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def _eta_cube(n: int) -> tuple[int, ...]:
     # prod (1-q^m)^3 = sum_{m>=0} (-1)^m (2m+1) q^{m(m+1)/2}
     out = [0] * (n + 1)

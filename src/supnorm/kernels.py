@@ -310,30 +310,18 @@ def _transform_log_tail(k: int, s: float, rho: float):
         sqrt(2) (4 pi)^{-3/2} [N T^{-3/2} e^{-mu T}/mu
                                + A (4 T^{-1/2} + 4 (k-1/2) sqrt(pi)) e^{-lam T}/lam]
 
-    with lam = mu - (k-1/2)^2 > 0 because s > k.  At k = 0 the second
-    bracket turns negative for large t, so the far part is bounded without
-    the Gaussian instead: A times the integral of r e^{-r/2} over
-    r > R1 = rho + 1, which is e^{-R1/2} (2 R1 + 4), independent of t; it
-    joins N in front of T^{-3/2} e^{-mu T}/mu.  The bound is +inf when
-    mu = 0 (k = 0, s = 1/2), where the integrand decays only like t^{-3/2}.
+    with lam = mu - (k-1/2)^2 > 0 because s > k.
     """
     mu = (s - 0.5) ** 2
-    if mu == 0.0:
-        return lambda big_t: math.inf
     log_pref = 0.5 * _LOG2 - 1.5 * math.log(4.0 * math.pi)
     log_cheb = float(_log_chebyshev(k, rho + 1.0, rho))
     log_near = _LOG2 + math.log(rho + 1.0) + log_cheb - 0.5 * float(_logsinh(rho))
     log_far = _log_far_factor(k, rho, 1.0)
-    if k == 0:
-        log_near = np.logaddexp(log_near, log_far - 0.5 * (rho + 1.0)
-                                + math.log(2.0 * (rho + 1.0) + 4.0))
     log_mu = math.log(mu)
     lam = mu - (k - 0.5) ** 2
 
     def log_tail(big_t):
         near = log_pref + log_near - 1.5 * math.log(big_t) - mu * big_t - log_mu
-        if k == 0:
-            return near
         far = (log_pref + log_far
                + math.log(4.0 / math.sqrt(big_t) + 4.0 * (k - 0.5) * math.sqrt(math.pi))
                - lam * big_t - math.log(lam))
@@ -484,27 +472,22 @@ def resolvent_via_heat(k: int, s: float, sigma: float) -> float:
     time's value is the one it has in a call of its own.  The time panels
     stop at the first end where the bound of _transform_log_tail on the rest
     is below _PANEL_TINY of the running total.  Raises ValueError unless
-    sigma > 1 and s > k are finite.  Raises AccuracyError at once at k = 0, s = 1/2,
-    where no end has a finite bound; and when the error estimate exceeds
-    1e-7 relative (as at small sigma for many (k, s), where the first time
-    panel does not resolve the peak near t = rho^2/6) or the panels reach
-    their limit, as the 0.25-wide k = 0 time panels do for s near 1/2
-    (below s = 0.7503 at sigma = 1.3).
+    k >= 1, and sigma > 1 and s > k are finite.  Raises AccuracyError when the
+    error estimate exceeds 1e-7 relative (as at small sigma for many (k, s),
+    where the first time panel does not resolve the peak near t = rho^2/6)
+    or the panels reach their limit.
     """
+    if k < 1:
+        raise ValueError(f"transform needs k >= 1, got k={k}")
     if not 1.0 < sigma < math.inf:
         raise ValueError(f"transform needs finite sigma > 1, got {sigma}")
     if not k < s < math.inf:
         raise ValueError(f"transform converges only for finite s > k, got s={s}, k={k}")
     rho = 2.0 * math.acosh(math.sqrt(sigma))
-    # (s-1/2)^2 - (k-1/2)^2 is the tail's decay rate for k >= 1; at k = 0 the
-    # rate is (s-1/2)^2 (see _transform_log_tail), this expression is not
-    # positive for s <= 1, and the width takes its 0.25 floor.
+    # the tail's decay rate, positive for s > k >= 1
     rate = (s - 0.5) ** 2 - (k - 0.5) ** 2
-    width = max(0.25, min(2.0, 3.0 / rate)) if rate > 0.0 else 0.25
+    width = max(0.25, min(2.0, 3.0 / rate))
     log_tail = _transform_log_tail(k, s, rho)
-    if log_tail(_PANEL_LIMIT * width) == math.inf:
-        raise AccuracyError("panel integration did not terminate: at k = 0, s = 1/2 "
-                            "no time panel end has a finite tail bound")
 
     def integrand(t):
         return np.exp((-((s - 0.5) ** 2) + 0.25) * t) * heat_kernel(k, t, rho)

@@ -63,7 +63,8 @@ MONOMIALS = {12: [], 16: [4], 18: [6], 20: [4, 4], 22: [4, 6], 26: [4, 4, 6]}
 
 def library_nodes(weight: int, Y: float) -> list[np.ndarray]:
     """Every array of points the library evaluates the weight's generator on:
-    the 100 x 100 verify grid with its cusp band, and the mass rule."""
+    the 100 x 100 verify grid, and the mass rule.  At the Y given, which is
+    above k / (2 pi), the grid has no cusp band."""
     xs, _ = forms._gauss_nodes(-0.5, 0.5, forms._ORDER)
     ss, _ = forms._gauss_nodes(0.0, 1.0, forms._ORDER)
     h = np.sqrt(1.0 - xs * xs)

@@ -279,12 +279,16 @@ class TestHeatKernel:
         via_heat = resolvent_via_heat(k, s, sigma)
         assert via_heat == pytest.approx(direct, rel=1e-4)
 
-    @pytest.mark.parametrize("sigma", [1.3, 2.0, 5.0])
-    def test_transform_at_zero_rate(self, sigma):
-        # at k = 0, s = 1 the rate (s-1/2)^2 - (k-1/2)^2 that sizes the time
-        # panels is 0; the panels take the 0.25 width of negative rates
-        assert resolvent_via_heat(0, 1.0, sigma) == pytest.approx(
-            resolvent_G(0, 1.0, sigma), rel=1e-14)
+    def test_transform_refuses_k_zero_before_any_heat_kernel(self, monkeypatch):
+        # the transform takes k >= 1; k = 0 is refused by its range check,
+        # before any tail bound or heat-kernel call
+        calls = []
+        monkeypatch.setattr(kernels, "heat_kernel", lambda *args: calls.append(args))
+        monkeypatch.setattr(kernels, "_transform_log_tail", lambda *args: calls.append(args))
+        for s, sigma in [(0.5, 1.3), (0.8, 1.3), (1.0, 2.0)]:
+            with pytest.raises(ValueError, match=r"\bk\b"):
+                resolvent_via_heat(0, s, sigma)
+        assert calls == []
 
     def test_transform_error_estimate_gated(self, monkeypatch):
         # the estimate for (1, 2.0, 2.0) is about 3e-8 relative
@@ -628,8 +632,7 @@ class TestSharedRadialFactors:
         assert outside == time_integrals
 
 
-TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0),
-                    (0, 0.8, 1.3)]
+TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0)]
 
 
 def _panel_runs(func, *args, panels=_MERGED_PANELS):
@@ -766,8 +769,6 @@ class TestTailBounds:
         rho = 2.0 * math.acosh(math.sqrt(sigma))
         mu = (s - 0.5) ** 2
         ends = _panel_ends(width, count)
-        if k == 0:  # 1,405 ends; every 100th and the stop
-            ends = ends[::100] + ends[-1:]
         tails = []
         for big_t in ends:
             f = _scalar_radial_integrand(
@@ -821,34 +822,18 @@ class TestTailStopRule:
         _, times = _heat_calls(resolvent_via_heat, 1, 2.0, 2.0)
         assert [t.size for t in times] == [576, 432]
 
-    def test_slow_decay_panel_limit(self):
-        # at k = 0 the time tail decays at mu = (s-1/2)^2 on 0.25-wide panels,
-        # and a bound on the whole rest falls below 2^-54 of the total about
-        # ln(4/mu)/mu later than five quiet panels: at sigma = 1.3 the
-        # transform runs out of panels below s = 0.7503
-        _, count, _ = _panel_runs(resolvent_via_heat, 0, 0.783, 1.3)[-1]
-        assert count == 1574
-        _, count, _ = _panel_runs(resolvent_via_heat, 0, 0.7504, 1.3)[-1]
-        assert count == 1999 <= kernels._PANEL_LIMIT
+    def test_slow_decay_panel_limit(self, monkeypatch):
+        # a bound on the rest still has to fall below 2^-54 of the total
+        # within _PANEL_LIMIT time panels; (1, 2.0, 2.0) stops after 14, so a
+        # limit of 13 ends it, as the 2,000 panels end a transform with s
+        # close enough to k
+        _, count, _ = _panel_runs(resolvent_via_heat, 1, 2.0, 2.0)[-1]
+        assert count == 14
+        monkeypatch.setattr(kernels, "_PANEL_LIMIT", 14)
+        resolvent_via_heat(1, 2.0, 2.0)
+        monkeypatch.setattr(kernels, "_PANEL_LIMIT", 13)
         with pytest.raises(AccuracyError, match="did not terminate"):
-            resolvent_via_heat(0, 0.7503, 1.3)
-
-    def test_zero_decay_refused_before_any_heat_kernel(self, monkeypatch):
-        # at the default panel limit, not after 2,000 time panels
-        assert kernels._PANEL_LIMIT == 2000
-        calls = []
-        monkeypatch.setattr(kernels, "heat_kernel", lambda *args: calls.append(args))
-        with pytest.raises(AccuracyError, match="did not terminate"):
-            resolvent_via_heat(0, 0.5, 1.3)
-        assert calls == []
-
-    def test_zero_decay_keeps_accuracy_error(self, monkeypatch):
-        # at (k, s) = (0, 1/2) the integrand decays only like t^{-3/2}: no panel
-        # end has a finite tail bound, so the panel limit ends the transform
-        assert kernels._transform_log_tail(0, 0.5, 1.0)(1e6) == math.inf
-        monkeypatch.setattr(kernels, "_PANEL_LIMIT", 40)
-        with pytest.raises(AccuracyError, match="did not terminate"):
-            resolvent_via_heat(0, 0.5, 1.3)
+            resolvent_via_heat(1, 2.0, 2.0)
 
 
 DIFFERENCE_GRID = [(k, k + eps, sigma) for k, eps, sigma
