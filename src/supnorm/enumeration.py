@@ -118,7 +118,7 @@ def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
 
 
 def _padded_rows(y: float, R: float) -> tuple[float, int]:
-    """(pad, C): R padded against rounding, and the last row c of its ball at height y.
+    """(pad, last): R padded against rounding, and the last row c of its ball at height y.
 
     sigma >= c^2 y^2 / 4 + 1/2 bounds c by sqrt(4 pad - 2) / y.  Raises
     ValueError at 2^32 rows or more, where the table index c (c - 1) / 2
