@@ -279,15 +279,26 @@ class TestHeatKernel:
         via_heat = resolvent_via_heat(k, s, sigma)
         assert via_heat == pytest.approx(direct, rel=1e-4)
 
-    def test_transform_refuses_k_zero_before_any_heat_kernel(self, monkeypatch):
-        # the transform takes k >= 1; k = 0 is refused by its range check,
-        # before any tail bound or heat-kernel call
+    @pytest.mark.parametrize("sigma", [1.3, 2.0, 5.0])
+    def test_transform_at_width_floor(self, sigma):
+        # at k = 1, s = 4.5 the rate (s-1/2)^2 - (k-1/2)^2 that sizes the time
+        # panels is 15.75; 3/rate is below 0.25, so the panels take the floor
+        width, _, _ = _panel_runs(resolvent_via_heat, 1, 4.5, sigma)[-1]
+        assert width == 0.25
+        assert resolvent_via_heat(1, 4.5, sigma) == pytest.approx(
+            resolvent_G(1, 4.5, sigma), rel=1e-12)
+
+    @pytest.mark.parametrize("k,s,sigma", [(0, 0.5, 1.3), (0, 0.8, 1.3), (0, 1.0, 2.0),
+                                           (-1, 2.0, 2.0)])
+    def test_transform_refuses_k_below_one_before_any_heat_kernel(self, monkeypatch,
+                                                                  k, s, sigma):
+        # the transform takes k >= 1; a smaller k is refused by its range
+        # check, before any tail bound or heat-kernel call
         calls = []
         monkeypatch.setattr(kernels, "heat_kernel", lambda *args: calls.append(args))
         monkeypatch.setattr(kernels, "_transform_log_tail", lambda *args: calls.append(args))
-        for s, sigma in [(0.5, 1.3), (0.8, 1.3), (1.0, 2.0)]:
-            with pytest.raises(ValueError, match=r"\bk\b"):
-                resolvent_via_heat(0, s, sigma)
+        with pytest.raises(ValueError, match=r"\bk\b"):
+            resolvent_via_heat(k, s, sigma)
         assert calls == []
 
     def test_transform_error_estimate_gated(self, monkeypatch):
@@ -632,7 +643,8 @@ class TestSharedRadialFactors:
         assert outside == time_integrals
 
 
-TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0)]
+TRANSFORM_PROBES = [(1, 2.0, 2.0), (1, 1.8, 3.5), (2, 3.0, 2.5), (3, 4.5, 1.7), (6, 7.0, 5.0),
+                    (1, 1.1, 2.0)]
 
 
 def _panel_runs(func, *args, panels=_MERGED_PANELS):
