@@ -7,12 +7,15 @@ pure functions of it.  Every one of them is a closed form: region volumes
 are sums of arcsines between breakpoints of the region floor.  No quadrature
 runs here.
 
+A domain is cocompact or has exactly one cusp, at infinity of the base
+chart; the document's one scaling matrix is the identity (up to sign).
 The boundary segments are the only description of the domain's shape.
 They must close up: each finite end meets one other, and there are two
-unbounded rays (the sides of a cusp at infinity) or none.  The region in
-the base chart is derived from them: the strip between the least and the
-greatest foot of the rays, outside the disks whose circles carry the arc
-segments.  The diameter bound uses the box that holds the segments.
+unbounded rays (the sides of the cusp) or none.  The region in the base
+chart is derived from them: the strip between the least and the greatest
+foot of the rays, outside the disks whose circles carry the arc segments.
+Its area must equal the Gauss-Bonnet covolume of the signature.  The
+diameter bound uses the box that holds the segments.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .geometry import GeodesicSegment, MoebiusMap, require_point
+from .geometry import GeodesicSegment, require_point
 
 __all__ = [
     "LoadError",
-    "CuspData",
     "EllipticPoint",
     "FundamentalDomain",
     "load_domain",
@@ -42,18 +44,14 @@ __all__ = [
 ]
 
 _MEMBERSHIP_TOL = 1e-6
+# Entrywise tolerance of a cusp's scaling matrix against +-identity.
+_IDENTITY_TOL = 1e-9
+# Relative tolerance of the region area against the Gauss-Bonnet covolume.
+_AREA_RTOL = 1e-9
 
 
 class LoadError(ValueError):
     """A domain document violates the schema or a domain invariant."""
-
-
-@dataclass(frozen=True)
-class CuspData:
-    """A cusp together with the map sending i*infinity to it."""
-
-    label: str
-    scaling: MoebiusMap
 
 
 @dataclass(frozen=True)
@@ -65,22 +63,22 @@ class EllipticPoint:
 
 @dataclass(frozen=True)
 class FundamentalDomain:
-    """Closed connected fundamental domain of a Fuchsian group of the first kind."""
+    """Closed connected fundamental domain of a Fuchsian group of the first kind.
+
+    ``n_cusps`` is 0 (cocompact) or 1: the one cusp sits at infinity of the
+    base chart.
+    """
 
     genus: int
     boundary: tuple[GeodesicSegment, ...]
-    cusps: tuple[CuspData, ...]
+    n_cusps: int
     elliptic: tuple[EllipticPoint, ...]
     min_hyperbolic_trace: float | None = None
     name: str = "domain"
 
     @property
-    def n_cusps(self) -> int:
-        return len(self.cusps)
-
-    @property
     def cocompact(self) -> bool:
-        return not self.cusps
+        return self.n_cusps == 0
 
     @property
     def torsionfree(self) -> bool:
@@ -156,15 +154,26 @@ def _as_list(doc: dict, key: str, item_type: type, what: str) -> list:
     return value
 
 
-def _parse_scaling(rows, index: int) -> MoebiusMap:
-    try:
-        (a, b), (c, d) = rows
-    except (TypeError, ValueError):
-        raise LoadError(f"cusp {index}: scaling matrix must be two rows of two numbers")
-    try:
-        return MoebiusMap(*(_as_number(v, "scaling entry") for v in (a, b, c, d)))
-    except ValueError as exc:
-        raise LoadError(f"cusp {index}: {exc}") from exc
+def _count_cusps(doc: dict) -> int:
+    """Check the cusps' scaling matrices: at most one, and that one +-identity."""
+    matrices = _as_list(doc, "cusps", list, "scaling matrices")
+    for index, rows in enumerate(matrices, 1):
+        if index > 1:
+            raise LoadError(
+                f"cusp {index}: a domain has at most one cusp, at infinity of the base chart"
+            )
+        try:
+            (a, b), (c, d) = rows
+        except (TypeError, ValueError):
+            raise LoadError(f"cusp {index}: scaling matrix must be two rows of two numbers")
+        entries = [_as_number(v, f"cusp {index}: scaling entry") for v in (a, b, c, d)]
+        sign = math.copysign(1.0, entries[0])
+        if any(abs(sign * v - e) > _IDENTITY_TOL for v, e in zip(entries, (1, 0, 0, 1))):
+            raise LoadError(
+                f"cusp {index}: scaling matrix {rows!r} is not +-identity; "
+                "the one cusp must sit at infinity of the base chart"
+            )
+    return len(matrices)
 
 
 def _parse_segment(desc: dict, index: int) -> GeodesicSegment:
@@ -209,10 +218,7 @@ def load_domain(source) -> FundamentalDomain:
         raise LoadError("domain document lacks the required field 'genus'")
     genus = _as_integer(doc["genus"], 0, "genus")
 
-    cusps = tuple(
-        CuspData(label=f"cusp{i + 1}", scaling=_parse_scaling(rows, i + 1))
-        for i, rows in enumerate(_as_list(doc, "cusps", list, "scaling matrices"))
-    )
+    n_cusps = _count_cusps(doc)
 
     elliptic = []
     for i, desc in enumerate(_as_list(doc, "elliptic", dict, "objects")):
@@ -239,7 +245,7 @@ def load_domain(source) -> FundamentalDomain:
     domain = FundamentalDomain(
         genus=genus,
         boundary=boundary,
-        cusps=cusps,
+        n_cusps=n_cusps,
         elliptic=elliptic,
         min_hyperbolic_trace=trace,
         name=str(doc.get("name", "domain")),
@@ -279,6 +285,15 @@ def _validate(domain: FundamentalDomain) -> None:
                 raise LoadError(
                     f"elliptic point {i + 1} at {e.location} lies outside the domain region"
                 )
+        try:
+            area = volume_region(domain, math.inf)
+        except (ArithmeticError, ValueError) as exc:
+            raise LoadError(f"domain {domain.name!r}: {exc}") from exc
+        if not math.isclose(area, volume, rel_tol=_AREA_RTOL):
+            raise LoadError(
+                f"domain {domain.name!r}: region area {area:.12g} does not match the "
+                f"Gauss-Bonnet covolume {volume:.12g} of its signature"
+            )
 
 
 _PSL2Z_RESOURCE = "psl2z.json"
@@ -340,42 +355,26 @@ def _truncated_boundary(domain: FundamentalDomain, Y: float) -> list[GeodesicSeg
 
 
 def truncation_heights(domain: FundamentalDomain, Y: float) -> tuple[float, float]:
-    """Constants (m_Y, M_Y) framing Im(sigma_j^{-1} z) on the truncated region.
+    """Constants (m_Y, M_Y) framing Im z on the region truncated at height Y.
 
-    The height function is harmonic, so its minimum over the compact region
-    sits on the boundary.  sigma_j^{-1} maps each boundary piece into a
-    geodesic, along which Im is monotone (vertical line) or has a single
-    interior maximum (semicircle), so the minimum over a piece is attained
-    at one of its endpoints and m_Y is an exact endpoint minimum.  The
-    horizontal cut y = Y has the same endpoints as the tops of the cut
-    vertical rays, so it adds no candidates (its image is a horocycle arc
-    that avoids its point of tangency, where Im is also least at an
-    endpoint).  M_Y equals Y by construction of the cusp zones.
+    The domain's one cusp sits at infinity, so the height function is Im z
+    itself.  It is harmonic, so its minimum over the compact region sits on
+    the boundary.  Along a vertical segment Im is monotone and along an arc
+    it has a single interior maximum, so the minimum over a piece is
+    attained at one of its endpoints and m_Y is an exact endpoint minimum.
+    The horizontal cut y = Y has the same endpoints as the tops of the cut
+    vertical rays, so it adds no candidates.  M_Y equals Y by construction
+    of the cusp zone.
     """
     if domain.cocompact:
         raise ValueError("truncation heights only apply to domains with cusps")
-    inverses = [c.scaling.inverse() for c in domain.cusps]
-    heights = [
-        inv.apply(p).imag
-        for seg in _truncated_boundary(domain, Y)
-        for p in seg.endpoints()
-        for inv in inverses
-    ]
+    heights = [p.imag for seg in _truncated_boundary(domain, Y) for p in seg.endpoints()]
     m_y = min([Y, *heights])
     if not 0.0 < m_y < Y:
         raise ValueError(
             f"the truncated region is empty: m_Y={m_y!r} does not lie in (0, Y={Y!r})"
         )
     return m_y, Y
-
-
-def _base_chart_ok(domain: FundamentalDomain) -> None:
-    for cusp in domain.cusps:
-        if not cusp.scaling.is_identity():
-            raise ValueError(
-                "region geometry supports cusps placed at infinity in the base chart; "
-                f"{cusp.label} has a nontrivial scaling map"
-            )
 
 
 def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
@@ -388,7 +387,6 @@ def diameter_upper_bound(domain: FundamentalDomain, Y: float) -> float:
     the box have |z-w|^2 <= (x1-x0)^2 + (b-a)^2 and Im(z) Im(w) >= a^2, so
     arccosh(1 + ((x1-x0)^2+(b-a)^2)/(2a^2)) bounds the diameter from above.
     """
-    _base_chart_ok(domain)
     pieces = _truncated_boundary(domain, Y)
     if not pieces:
         raise ValueError(f"domain {domain.name!r} has no boundary segments")
@@ -415,7 +413,6 @@ def volume_region(domain: FundamentalDomain, Y: float) -> float:
     pieces on which one arc is highest and h stays on one side of Y, so each
     piece integrates in closed form through arcsin((x-c)/r).
     """
-    _base_chart_ok(domain)
     x0, x1 = domain.strip_bounds()
     disks = domain.disks()
     cuts = {x0, x1}

@@ -166,7 +166,7 @@ def sigma_y_branches(
     if domain.elliptic and math.isfinite(mu):
         theta = domain.theta_gamma()
         branches["elliptic"] = math.sinh(mu) ** 2 * math.sin(theta / 2.0) ** 2 + 1.0
-    if domain.cusps:
+    if domain.n_cusps:
         if m_y is None or M_y is None:
             raise ValueError("parabolic branches need the truncation heights m_Y, M_Y")
         branches["parabolic_other_cusp"] = m_y**2 / 4.0 + 1.0

@@ -61,7 +61,7 @@ class IntegerMoebius:
     """Integer matrix of determinant one, sign-normalized for PSL(2,Z).
 
     The canonical representative makes the first nonzero entry among
-    (c, d, a, b) positive, matching the real-matrix convention.
+    (c, d, a, b) positive.
     """
 
     a: int

@@ -11,17 +11,13 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "MoebiusMap",
     "GeodesicSegment",
     "require_point",
     "displacement",
     "dist_hyp",
 ]
 
-# Tolerance for the unit-determinant check after sign normalization.
-_DET_TOL = 1e-12
-_SIGN_TOL = 1e-12
-# Tolerance of MoebiusMap.is_identity (entrywise) and GeodesicSegment.contains.
+# Tolerance of GeodesicSegment.contains.
 _MATCH_TOL = 1e-9
 
 
@@ -54,53 +50,6 @@ def dist_hyp(z: complex, w: complex) -> float:
     z = require_point(z)
     w = require_point(w)
     return 2.0 * math.asinh(abs(z - w) / (2.0 * math.sqrt(z.imag * w.imag)))
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """Unit-determinant real 2x2 matrix acting by fractional linear maps.
-
-    The matrix and its negation act identically, so the constructor picks a
-    canonical sign: the first entry among (c, d, a, b) larger than 1e-12 in
-    absolute value is made positive.
-    """
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self) -> None:
-        a, b, c, d = (float(self.a), float(self.b), float(self.c), float(self.d))
-        det = a * d - b * c
-        if abs(det - 1.0) > _DET_TOL:
-            raise ValueError(f"matrix determinant {det!r} is not 1")
-        sign = 1.0
-        for entry in (c, d, a, b):
-            if abs(entry) > _SIGN_TOL:
-                sign = 1.0 if entry > 0.0 else -1.0
-                break
-        object.__setattr__(self, "a", sign * a)
-        object.__setattr__(self, "b", sign * b)
-        object.__setattr__(self, "c", sign * c)
-        object.__setattr__(self, "d", sign * d)
-
-    def apply(self, z: complex) -> complex:
-        """Image (a z + b) / (c z + d) of an upper half-plane point."""
-        z = require_point(z)
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def is_identity(self) -> bool:
-        """Whether every entry is within 1e-9 of the identity matrix's."""
-        return (
-            abs(self.a - 1.0) <= _MATCH_TOL
-            and abs(self.d - 1.0) <= _MATCH_TOL
-            and abs(self.b) <= _MATCH_TOL
-            and abs(self.c) <= _MATCH_TOL
-        )
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,11 @@ ONE_RAY_DOC = {"genus": 1, "cusps": [[[1.0, 0.0], [0.0, 1.0]]], "min_hyperbolic_
                "boundary": [{"type": "vertical", "x": -0.5, "y_min": math.sqrt(1.21 - 0.25)},
                             {"type": "arc", "center": 0.0, "radius": 1.1,
                              "x_min": -0.5, "x_max": 0.5}]}
+#: psl2z's boundary under cusp data or signatures it does not fit.
+IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+ORDER_FOUR_ELLIPTIC = [
+    {**e, "order": 4} if e["order"] == 3 else e for e in PSL2Z_DOC["elliptic"]
+]
 
 
 def run(capsys, *argv):
@@ -153,6 +158,39 @@ class TestConstants:
         code, out, err = run(capsys, command, "--domain", str(path))
         assert_input_error(code, out, err)
         assert "has 1 unbounded rays" in err and "step" not in err
+
+    @pytest.mark.parametrize("command", ["constants", "bounds"])
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({**PSL2Z_DOC, "cusps": [[[0, -1], [1, 0]]]}, "error: cusp 1: scaling matrix"),
+            ({**PSL2Z_DOC, "cusps": [IDENTITY, IDENTITY]}, "error: cusp 2: "),
+            ({**PSL2Z_DOC, "genus": 1}, "does not match the Gauss-Bonnet covolume"),
+            ({**PSL2Z_DOC, "elliptic": ORDER_FOUR_ELLIPTIC},
+             "does not match the Gauss-Bonnet covolume"),
+        ],
+        ids=["inversion_cusp", "two_cusps", "genus_one", "order_four"],
+    )
+    def test_cusp_and_signature_refused_at_load(self, capsys, tmp_path, command, doc, message):
+        # each printed a bound table with exit 0, or stopped at step 6, before the load checks
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, command, "--domain", str(path))
+        assert_input_error(code, out, err)
+        assert message in err and "step" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("constants",), ("constants", "--format", "json"),
+         ("bounds", "--k-max", "60"), ("bounds", "--k-max", "60", "--format", "json")],
+        ids=["constants_csv", "constants_json", "bounds_csv", "bounds_json"],
+    )
+    def test_negated_identity_cusp_matches_builtin(self, capsys, tmp_path, argv):
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({**PSL2Z_DOC, "cusps": [[[-1, 0], [0, -1]]]}))
+        code, out, err = run(capsys, *argv, "--domain", str(path))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *argv)[1]
 
     def test_json_format(self, capsys, tmp_path):
         out_path = tmp_path / "constants.json"

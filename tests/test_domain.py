@@ -62,6 +62,22 @@ OFF_CENTER_DOC = {
     ],
 }
 
+#: psl2z's signature with its order-3 points relabelled order 4: covolume pi/2, not pi/3.
+ORDER_FOUR_ELLIPTIC = [
+    {**e, "order": 4} if e["order"] == 3 else e for e in PSL2Z_DOC["elliptic"]
+]
+#: Two rays on x = 0, closed by arcs through 1 on the real axis: a strip of width 0.
+ZERO_WIDTH_DOC = {
+    "genus": 1,
+    "cusps": [[[1, 0], [0, 1]]],
+    "boundary": [
+        {"type": "vertical", "x": 0.0, "y_min": 1.0},
+        {"type": "arc", "center": 0.0, "radius": 1.0, "x_min": 0.0, "x_max": 1.0},
+        {"type": "vertical", "x": 0.0, "y_min": 2.0},
+        {"type": "arc", "center": -1.5, "radius": 2.5, "x_min": 0.0, "x_max": 1.0},
+    ],
+}
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -106,7 +122,6 @@ class TestLoading:
     def test_builtin_modular_group(self, psl2z):
         assert psl2z.genus == 0
         assert psl2z.n_cusps == 1
-        assert psl2z.cusps[0].scaling.is_identity()
         orders = sorted(e.order for e in psl2z.elliptic)
         assert orders == [2, 3, 3]
         locs = sorted((e.location.real, e.location.imag) for e in psl2z.elliptic)
@@ -138,6 +153,45 @@ class TestLoading:
         doc = {"genus": 1, "cusps": [[[2, 0], [0, 1]]]}
         with pytest.raises(LoadError):
             load_domain(doc)
+
+    @pytest.mark.parametrize(
+        "cusps,match",
+        [
+            ([[[0, -1], [1, 0]]], r"^cusp 1: scaling matrix \[\[0, -1\], \[1, 0\]\] is not \+-identity"),
+            ([[[1, 2e-9], [0, 1]]], "^cusp 1: scaling matrix .* is not"),
+            ([[[1, 0], [0, 1]], [[1, 0], [0, 1]]], "^cusp 2: a domain has at most one cusp"),
+            ([[[1, 0], [0, 1]], [[0, -1], [1, 0]]], "^cusp 2: a domain has at most one cusp"),
+            ([[["1", 0], [0, 1]]], "^cusp 1: scaling entry must be a number"),
+        ],
+        ids=["inversion", "off_by_2e-9", "two_identities", "second_cusp", "string_entry"],
+    )
+    def test_cusp_off_infinity_refused(self, cusps, match):
+        with pytest.raises(LoadError, match=match):
+            load_domain({**PSL2Z_DOC, "cusps": cusps})
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[-1, 0], [0, -1]], [[1 + 5e-10, -5e-10], [5e-10, 1 - 5e-10]]],
+        ids=["negated", "within_1e-9"],
+    )
+    def test_identity_up_to_sign_loads(self, psl2z, matrix):
+        assert load_domain({**PSL2Z_DOC, "cusps": [matrix]}) == psl2z
+
+    @pytest.mark.parametrize(
+        "doc,covolume",
+        [({**PSL2Z_DOC, "genus": 1}, "13.6135681656"),
+         ({**PSL2Z_DOC, "elliptic": ORDER_FOUR_ELLIPTIC}, "1.57079632679")],
+        ids=["genus_one", "order_four"],
+    )
+    def test_signature_must_match_region_area(self, doc, covolume):
+        with pytest.raises(LoadError, match=re.escape(
+            f"region area 1.0471975512 does not match the Gauss-Bonnet covolume {covolume}"
+        )):
+            load_domain(doc)
+
+    def test_region_area_error_is_load_error(self):
+        with pytest.raises(LoadError, match="sits below the domain floor"):
+            load_domain(ZERO_WIDTH_DOC)
 
     def test_missing_genus(self):
         with pytest.raises(LoadError, match="genus"):

@@ -70,7 +70,7 @@ class TestMuGamma:
         d = FundamentalDomain(
             genus=1,
             boundary=(GeodesicSegment.vertical(0.0, 1.0),),
-            cusps=(),
+            n_cusps=0,
             elliptic=(EllipticPoint(location=2j, order=2, is_class_rep=True),),
         )
         assert mu_gamma(d) == math.inf
