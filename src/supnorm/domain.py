@@ -287,7 +287,7 @@ def _validate(domain: FundamentalDomain) -> None:
                 )
         try:
             area = volume_region(domain, math.inf)
-        except (ArithmeticError, ValueError) as exc:
+        except ValueError as exc:
             raise LoadError(f"domain {domain.name!r}: {exc}") from exc
         if not math.isclose(area, volume, rel_tol=_AREA_RTOL):
             raise LoadError(
@@ -372,7 +372,8 @@ def truncation_heights(domain: FundamentalDomain, Y: float) -> tuple[float, floa
     m_y = min([Y, *heights])
     if not 0.0 < m_y < Y:
         raise ValueError(
-            f"the truncated region is empty: m_Y={m_y!r} does not lie in (0, Y={Y!r})"
+            f"m_Y={m_y!r} does not lie in (0, Y={Y!r}): the truncated region is empty "
+            "or its boundary reaches the real axis"
         )
     return m_y, Y
 

@@ -77,6 +77,19 @@ ZERO_WIDTH_DOC = {
         {"type": "arc", "center": -1.5, "radius": 2.5, "x_min": 0.0, "x_max": 1.0},
     ],
 }
+#: |x| <= 1 outside |z + 1| = 1 and |z - 1| = 1: area pi, which three order-2 points
+#: match, but the arcs meet at 0 on the real axis, a point the one cusp is not.
+REAL_AXIS_DOC = {
+    "genus": 0,
+    "cusps": [[[1, 0], [0, 1]]],
+    "elliptic": [{"x": x, "y": y, "order": 2} for x, y in ((-0.5, 0.9), (0.0, 1.5), (0.5, 0.9))],
+    "boundary": [
+        {"type": "vertical", "x": -1.0, "y_min": 1.0},
+        {"type": "arc", "center": -1.0, "radius": 1.0, "x_min": -1.0, "x_max": 0.0},
+        {"type": "arc", "center": 1.0, "radius": 1.0, "x_min": 0.0, "x_max": 1.0},
+        {"type": "vertical", "x": 1.0, "y_min": 1.0},
+    ],
+}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -322,6 +335,10 @@ class TestTruncation:
             truncation_heights(psl2z, ROOT3_HALF)
         with pytest.raises(ValueError, match="empty"):
             truncation_heights(psl2z, 0.5)
+
+    def test_boundary_on_the_real_axis_rejected(self):
+        with pytest.raises(ValueError, match=r"^m_Y=0\.0 .* reaches the real axis$"):
+            truncation_heights(load_domain(REAL_AXIS_DOC), Y_STD)
 
     def test_cocompact_rejected(self, genus2_domain):
         with pytest.raises(ValueError):
