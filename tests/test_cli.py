@@ -37,8 +37,9 @@ ONE_RAY_DOC = {"genus": 1, "cusps": [[[1.0, 0.0], [0.0, 1.0]]], "min_hyperbolic_
                "boundary": [{"type": "vertical", "x": -0.5, "y_min": math.sqrt(1.21 - 0.25)},
                             {"type": "arc", "center": 0.0, "radius": 1.1,
                              "x_min": -0.5, "x_max": 0.5}]}
-#: psl2z's boundary under cusp data or signatures it does not fit.
+#: The scaling matrix of a cusp at infinity.
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+#: psl2z's elliptic points with the order-3 pair relabelled order 4: covolume pi/2, area pi/3.
 ORDER_FOUR_ELLIPTIC = [
     {**e, "order": 4} if e["order"] == 3 else e for e in PSL2Z_DOC["elliptic"]
 ]
@@ -172,7 +173,7 @@ class TestConstants:
         ids=["inversion_cusp", "two_cusps", "genus_one", "order_four"],
     )
     def test_cusp_and_signature_refused_at_load(self, capsys, tmp_path, command, doc, message):
-        # each printed a bound table with exit 0, or stopped at step 6, before the load checks
+        # refused by load_domain, so no pipeline step runs
         path = tmp_path / "domain.json"
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, command, "--domain", str(path))
