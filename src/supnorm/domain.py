@@ -11,7 +11,8 @@ A domain is cocompact or has exactly one cusp, at infinity of the base
 chart; the document's one scaling matrix is the identity (up to sign).
 The boundary segments are the only description of the domain's shape.
 They must close up: each finite end meets one other, and there are two
-unbounded rays (the sides of the cusp) or none.  The region in the base
+unbounded rays (the sides of the cusp) or none.  No end lies on the real
+axis, a point the one cusp is not.  The region in the base
 chart is derived from them: the strip between the least and the greatest
 foot of the rays, outside the disks whose circles carry the arc segments.
 Its area must equal the Gauss-Bonnet covolume of the signature.  The
@@ -294,6 +295,12 @@ def _validate(domain: FundamentalDomain) -> None:
                 f"domain {domain.name!r}: region area {area:.12g} does not match the "
                 f"Gauss-Bonnet covolume {volume:.12g} of its signature"
             )
+    for i, p in ends:
+        if p.imag <= _MEMBERSHIP_TOL:
+            raise LoadError(
+                f"boundary segment {i}: its end at {p} lies on the real axis; "
+                "the one cusp sits at infinity of the base chart"
+            )
 
 
 _PSL2Z_RESOURCE = "psl2z.json"
@@ -368,12 +375,12 @@ def truncation_heights(domain: FundamentalDomain, Y: float) -> tuple[float, floa
     """
     if domain.cocompact:
         raise ValueError("truncation heights only apply to domains with cusps")
+    domain.strip_bounds()  # refuses a boundary that fixes no region
     heights = [p.imag for seg in _truncated_boundary(domain, Y) for p in seg.endpoints()]
     m_y = min([Y, *heights])
     if not 0.0 < m_y < Y:
         raise ValueError(
-            f"m_Y={m_y!r} does not lie in (0, Y={Y!r}): the truncated region is empty "
-            "or its boundary reaches the real axis"
+            f"m_Y={m_y!r} does not lie in (0, Y={Y!r}): the truncated region is empty"
         )
     return m_y, Y
 

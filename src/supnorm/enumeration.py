@@ -17,7 +17,7 @@ table of every residue of every modulus up to the largest row needed so far,
 each new row filled from the rows below it by one Euclid step.  An element
 with c >= 1 and its inverse lie in the same row with the same displacement
 and opposite traces, so only the elements with trace a + d >= 0 are
-enumerated, and each consumer accounts for the inverses itself.  The rows go
+enumerated, each with the number of ball elements it stands for.  The rows go
 in blocks of whole rows with a fixed cap on their (c, d) candidates, and each
 block is one array pass reading the table: coset bases, their images, shift
 intervals from the trace >= 0 on, and the elements' shifts and
@@ -264,7 +264,7 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
 
 
 def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
-    """(a0, c, d, counts, n, sigmas, zero) of the ball's trace >= 0 half, rows c, d in first + [0, sizes).
+    """(a0, c, d, counts, n, sigmas, mult) of the ball's trace >= 0 half, rows c, d in first + [0, sizes).
 
     inverse and coprime are the residue table's, read at c (c - 1) / 2 + d mod c.
     The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
@@ -272,8 +272,7 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     discriminant clipped at zero, leaves the shifts n of T^n gamma_0 in
     [lo, hi].  _shifts cuts them at R, rounding band included.  The elements
     come in ascending c, then d, then shift; (a0, c, d) are per coset, with
-    counts[i] shifts each, n and sigmas per element, and zero holds the
-    positions in n of the elements with trace 0.
+    counts[i] shifts each, and n, sigmas and mult per element.
 
     Pairs.  For c >= 1 the inverse of (a, b, c, d) is (-d, b, c, -a) after
     sign normalization: the same row, trace -(a + d) and the same sigma.
@@ -281,7 +280,9 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     entry values agree bit for bit and the band at R decides both alike.  So
     the block keeps the elements with trace a + d >= 0, and the ball is
     those and the inverses of those with trace > 0; the trace-0 elements,
-    the involutions, are their own inverses.  Shift n of coset (c, d) has
+    the involutions, are their own inverses.  mult, all the consumers read
+    of this, is the number of ball elements each kept element stands for:
+    2.0 for trace > 0, 1.0 for an involution.  Shift n of coset (c, d) has
     trace a0 + d + n c, which is >= 0 for n >= n0 = -floor((a0 + d) / c);
     at n0 the trace is (a0 + d) mod c, so a trace-0 element exists only
     where c divides a0 + d, and it is kept exactly when the coset's first
@@ -299,11 +300,12 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     lo = np.maximum(np.ceil(s - spread).astype(np.int64), n0)
     counts = np.maximum(np.floor(s + spread).astype(np.int64) - lo + 1, 0)
     counts, n, sigmas = _shifts(z, R, a0, c, d, s, v, lo, counts)
-    zero = np.flatnonzero((trace == 0) & (counts > 0))
-    if len(zero):
-        starts = np.cumsum(counts)[zero] - counts[zero]
-        zero = starts[n[starts] == n0[zero]]
-    return a0, c, d, counts, n, sigmas, zero
+    mult = np.full(len(n), 2.0)
+    pairs = np.flatnonzero((trace == 0) & (counts > 0))
+    if len(pairs):
+        starts = np.cumsum(counts)[pairs] - counts[pairs]
+        mult[starts[n[starts] == n0[pairs]]] = 1.0
+    return a0, c, d, counts, n, sigmas, mult
 
 
 def _chunks(sizes, cap: int):
@@ -355,21 +357,20 @@ def _scan(z: complex, R: float):
     The one place that builds a whole ball, entries included: row 0 is T^n
     for |n| up to _max_shift, ascending.  Each of the _blocks gives its
     elements with trace >= 0, with a = a0 + n c and b = (a d - 1) / c, an
-    exact division, and then their inverses (-d, b, c, -a) in the same
-    order with the same sigmas, the trace-0 elements left out.
+    exact division, and then the inverses (-d, b, c, -a) of those of mult
+    2.0 in the same order with the same sigmas.
     """
     z = require_point(z)
     m = _max_shift(z, R)
     n = np.arange(-m, m + 1)
     ones = np.ones_like(n)
     yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
-    for a0, c, d, counts, n, sigmas, zero in _blocks(z, R):
+    for a0, c, d, counts, n, sigmas, mult in _blocks(z, R):
         c, d = np.repeat(c, counts), np.repeat(d, counts)
         a = np.repeat(a0, counts) + n * c
         b = (a * d - 1) // c
         yield a, b, c, d, sigmas
-        mirror = np.ones(len(n), bool)
-        mirror[zero] = False
+        mirror = mult == 2.0
         yield -d[mirror], b[mirror], c[mirror], -a[mirror], sigmas[mirror]
 
 
@@ -378,7 +379,7 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 
     That is the translations T^n, n ascending, then block by block the
     elements with c >= 1 and trace a + d >= 0 (ascending c, then d, then a),
-    each block followed by the inverses of its elements of trace > 0.
+    each block followed by the inverses _scan adds.
     Returns the empty list for R < 1 (the displacement never drops below 1).
     """
     return [
@@ -412,11 +413,11 @@ def counting_check(z: complex, r: float, constants: EffectiveConstants) -> Count
     raises VerificationFailure when the enumeration exceeds the bound.  Row
     0 is counted in closed form and the other rows without a sort, so the
     count needs no array of the translations, however high z is: each
-    block's half counts twice, less its trace-0 elements, its own inverses.
+    block adds up its mult.
     """
     z = require_point(z)
     count = max(2 * _max_shift(z, r) + 1, 0) + sum(
-        2 * len(sigmas) - len(zero) for *_, sigmas, zero in _blocks(z, r))
+        int(mult.sum()) for *_, mult in _blocks(z, r))
     bound = 4.0 * math.pi * constants.B_Y * r
     if count > bound:
         raise VerificationFailure(
@@ -443,13 +444,13 @@ def poincare_direct(
 
     partial sums sigma^{-(k+eps)} over the enumerated nontrivial elements with
     sigma <= R_cut, block by block: row 0 without the identity by
-    _translation_sums (one chunk in F_Y), then each of the _blocks' halves
-    by np.sum, doubled for the inverses, less np.sum of its trace-0 terms,
-    and math.fsum adds the sums.  Block order and _BLOCK are fixed, so the
-    partial is reproducible.  The remainder is dominated Stieltjes-style by
-    4 pi B_Y (2+eps)/(1+eps) R_cut^{-(k+eps-1)}.  Raises VerificationFailure
-    if partial + tail exceeds the closed-form series bound.  The bound comes
-    first, so a k or eps it refuses raises ValueError before any enumeration.
+    _translation_sums (one chunk in F_Y), then each of the _blocks by
+    np.sum of its terms weighted by mult, and math.fsum adds the sums.  Block
+    order and _BLOCK are fixed, so the partial is reproducible.  The
+    remainder is dominated Stieltjes-style by 4 pi B_Y (2+eps)/(1+eps)
+    R_cut^{-(k+eps-1)}.  Raises VerificationFailure if partial + tail exceeds
+    the closed-form series bound.  The bound comes first, so a k or eps it
+    refuses raises ValueError before any enumeration.
     """
     if R_cut < max(constants.sigma_Y, 1.0):
         raise ValueError(f"cutoff {R_cut} below the displacement floor")
@@ -457,9 +458,8 @@ def poincare_direct(
     z = require_point(z)
     power = -(k + eps)
     sums = _translation_sums(z, power, _max_shift(z, R_cut))
-    for *_, sigmas, zero in _blocks(z, R_cut):
-        terms = sigmas ** power
-        sums += [2.0 * np.sum(terms), -np.sum(terms[zero])]
+    for *_, sigmas, mult in _blocks(z, R_cut):
+        sums.append(np.sum(mult * sigmas ** power))
     partial = math.fsum(sums)
     tail = (
         4.0

@@ -39,6 +39,18 @@ ONE_RAY_DOC = {"genus": 1, "cusps": [[[1.0, 0.0], [0.0, 1.0]]], "min_hyperbolic_
                              "x_min": -0.5, "x_max": 0.5}]}
 #: The scaling matrix of a cusp at infinity.
 IDENTITY = [[1.0, 0.0], [0.0, 1.0]]
+#: |x| <= 1 outside |z + 1| = 1 and |z - 1| = 1, area pi as three order-2 points ask,
+#: but the arcs meet at 0 on the real axis.
+REAL_AXIS_DOC = {
+    "genus": 0, "cusps": [IDENTITY], "min_hyperbolic_trace": 3.0,
+    "elliptic": [{"x": x, "y": y, "order": 2} for x, y in ((-0.5, 0.9), (0.0, 1.5), (0.5, 0.9))],
+    "boundary": [
+        {"type": "vertical", "x": -1.0, "y_min": 1.0},
+        {"type": "arc", "center": -1.0, "radius": 1.0, "x_min": -1.0, "x_max": 0.0},
+        {"type": "arc", "center": 1.0, "radius": 1.0, "x_min": 0.0, "x_max": 1.0},
+        {"type": "vertical", "x": 1.0, "y_min": 1.0},
+    ],
+}
 #: psl2z's elliptic points with the order-3 pair relabelled order 4: covolume pi/2, area pi/3.
 ORDER_FOUR_ELLIPTIC = [
     {**e, "order": 4} if e["order"] == 3 else e for e in PSL2Z_DOC["elliptic"]
@@ -169,8 +181,9 @@ class TestConstants:
             ({**PSL2Z_DOC, "genus": 1}, "does not match the Gauss-Bonnet covolume"),
             ({**PSL2Z_DOC, "elliptic": ORDER_FOUR_ELLIPTIC},
              "does not match the Gauss-Bonnet covolume"),
+            (REAL_AXIS_DOC, "error: boundary segment 2: its end at 0j lies on the real axis"),
         ],
-        ids=["inversion_cusp", "two_cusps", "genus_one", "order_four"],
+        ids=["inversion_cusp", "two_cusps", "genus_one", "order_four", "real_axis"],
     )
     def test_cusp_and_signature_refused_at_load(self, capsys, tmp_path, command, doc, message):
         # refused by load_domain, so no pipeline step runs
@@ -179,6 +192,16 @@ class TestConstants:
         code, out, err = run(capsys, command, "--domain", str(path))
         assert_input_error(code, out, err)
         assert message in err and "step" not in err
+
+    def test_cusp_without_region_refused_as_such(self, capsys, tmp_path):
+        # no boundary rays, so no region: said so, not as an m_Y out of range
+        path = tmp_path / "domain.json"
+        path.write_text(json.dumps({"genus": 1, "cusps": [IDENTITY],
+                                    "min_hyperbolic_trace": 3.0}))
+        code, out, err = run(capsys, "constants", "--domain", str(path))
+        assert_input_error(code, out, err)
+        assert err.startswith("error: step 3 (truncation heights): ")
+        assert "has no region description" in err and "m_Y" not in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -337,8 +337,16 @@ class TestTruncation:
             truncation_heights(psl2z, 0.5)
 
     def test_boundary_on_the_real_axis_rejected(self):
-        with pytest.raises(ValueError, match=r"^m_Y=0\.0 .* reaches the real axis$"):
-            truncation_heights(load_domain(REAL_AXIS_DOC), Y_STD)
+        # refused at load, so no truncation height is ever asked of it
+        with pytest.raises(LoadError, match=r"^boundary segment 2: its end at 0j lies on the "
+                                            r"real axis; the one cusp sits at infinity"):
+            load_domain(REAL_AXIS_DOC)
+
+    def test_no_region_refused_before_m_y(self):
+        # no boundary ray, so no region to truncate: said before any m_Y
+        domain = load_domain({"genus": 1, "cusps": [[[1, 0], [0, 1]]]})
+        with pytest.raises(LoadError, match="has no region description"):
+            truncation_heights(domain, Y_STD)
 
     def test_cocompact_rejected(self, genus2_domain):
         with pytest.raises(ValueError):

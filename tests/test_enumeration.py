@@ -316,28 +316,42 @@ def test_inverse_pairs_and_column_bound(z, R):
         p, C = ci * x + di, (ci * y) ** 2
         if ai + di >= 0 and p < 0:
             assert (p * p + 1 + C) ** 2 <= 4 * C * sigma
-    # the blocks hold the elements of trace >= 0, and mark as trace 0
-    # exactly those with a = -d, the involutions of the ball
-    zeros = 0
-    for a0, c, d, counts, n, _, zero in enumeration._blocks(z, R):
+    # the blocks hold the elements of trace >= 0, each of mult 2.0 but the
+    # involutions a = -d of the ball, of mult 1.0
+    ones = 0
+    for a0, c, d, counts, n, _, mult in enumeration._blocks(z, R):
         a, d = np.repeat(a0, counts) + n * np.repeat(c, counts), np.repeat(d, counts)
         assert np.all(a + d >= 0)
-        assert np.array_equal(zero, np.flatnonzero(a == -d))
-        zeros += len(zero)
-    assert zeros == sum(ai == -di for ai, _, _, di in ball)
+        assert mult.dtype == np.float64 and len(mult) == len(n)
+        assert np.array_equal(mult, np.where(a == -d, 1.0, 2.0))
+        ones += int(np.count_nonzero(mult == 1.0))
+    assert ones == sum(ai == -di for ai, _, _, di in ball)
 
 
 @pytest.mark.parametrize("z", ORACLE_POINTS[:4])
 def test_blocks_hold_half_the_ball(psl2z_constants, z):
-    # the elements the blocks yield, doubled, less their trace-0 ones, plus
-    # the 2 m + 1 translations of row 0 are the ball; a count, not a timing
+    # the blocks' mults plus the 2 m + 1 translations of row 0 are the ball,
+    # and the blocks hold about half of it; a count, not a timing
     R = 1e4
     blocks = list(enumeration._blocks(z, R))
     held = sum(len(n) for *_, n, _, _ in blocks)
-    zeros = sum(len(zero) for *_, zero in blocks)
+    weight = sum(mult.sum() for *_, mult in blocks)
     count = counting_check(z, R, psl2z_constants).count
-    assert 2 * held - zeros + 2 * enumeration._max_shift(z, R) + 1 == count
+    assert weight + 2 * enumeration._max_shift(z, R) + 1 == count
     assert held <= 0.51 * count
+
+
+@pytest.mark.parametrize("z", ORACLE_POINTS)
+@pytest.mark.parametrize("R", [2.5, 30.0, 1e4])
+def test_mults_repeat_to_the_ball(block_cap, z, R):
+    # row 0 and each block's sigmas, each repeated mult times, are the row
+    # scan's sigmas with the identity's 1.0, as a multiset
+    m = enumeration._max_shift(z, R)
+    parts = [enumeration._sigma_batch(1, np.arange(-m, m + 1), 0, 1, z)]
+    parts += [np.repeat(sigmas, mult.astype(int))
+              for *_, sigmas, mult in enumeration._blocks(z, R)]
+    got = np.sort(np.concatenate(parts))
+    assert np.array_equal(got, np.sort(np.append(row_scan_arrays(z, R)[1], 1.0)))
 
 
 #: At each ORACLE_POINTS entry, the moduli the residue table holds after one
