@@ -17,16 +17,19 @@ table of every residue of every modulus up to the largest row needed so far,
 each new row filled from the rows below it by one Euclid step.  An element
 with c >= 1 and its inverse lie in the same row with the same displacement
 and opposite traces, so only the elements with trace a + d >= 0 are
-enumerated, each with the number of ball elements it stands for.  The rows go
-in blocks of whole rows with a fixed cap on their (c, d) candidates, and each
+enumerated, each with the number of ball elements it stands for.  The rows
+of one or many balls go in one row array, each row carrying its ball, and
+in blocks of whole rows with a fixed cap on their (c, d) candidates; each
 block is one array pass reading the table: coset bases, their images, shift
 intervals from the trace >= 0 on, and the elements' shifts and
-displacements, cut at R.  The entry identity (_sigma_batch) gives row 0 and
-decides the elements within a rounding band of R.  _scan builds the entries
-and is the one whole-ball array; the checks sum or count the _blocks, and
-_translation_sums both translation sums, at most _BLOCK shifts an array.  A
-raw entry-bounded search stays in the test suite as the oracle for this
-enumeration.
+displacements, cut at their ball's R.  A block of one ball reads its z and R
+as scalars, a block of several per coset.  The entry identity (_sigma_batch)
+gives row 0 and decides the elements within a rounding band of R.  _scan
+builds the entries for enumerate_ball and is the one whole-ball array;
+ball_counts counts many balls in one pass, the other checks sum or repeat
+the _blocks of one, and _translation_sums both translation sums, at most
+_BLOCK shifts an array.  A raw entry-bounded search stays in the test suite
+as the oracle for this enumeration.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "IntegerMoebius",
     "enumerate_ball",
     "displacement_values",
+    "ball_counts",
     "CountingCheck",
     "counting_check",
     "PoincareCheck",
@@ -210,21 +214,29 @@ def _images(z: complex, a0, c, d):
     return x - a0 / c + t / (c * norm), y / norm
 
 
-def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
+def _at(values, i):
+    """values[i] of an array with one entry per coset or element; a one-ball scalar as is."""
+    return values[i] if isinstance(values, np.ndarray) else values
+
+
+def _shifts(z, R, a0, c, d, s, v, lo, counts):
     """(counts, n, sigmas) of the shifts T^n gamma_0 of the cosets with sigma <= R.
 
     Coset i has base (a0, *, c, d)[i], image (s, v)[i] from _images and
     shifts n in lo[i] + [0, counts[i]); the counts returned are those of the
-    shifts kept, and n and sigmas run coset after coset.  Each element
-    w = gamma_0 z + n takes its sigma from its coset's image,
+    shifts kept, and n and sigmas run coset after coset.  z and R are
+    scalars when the cosets belong to one ball, else arrays with the entries
+    of each coset's ball.  Each element w = gamma_0 z + n takes its sigma
+    from its coset's image,
         sigma = 1 + ((s - n)^2 + (y - v)^2) / (4 y v),
     the identity cosh d(z, w) = 1 + |z - w|^2 / (2 y v) with
     sigma = cosh^2(d / 2): three coset arrays repeated and five operations
     per element, and no entries.
 
-    Rounding, with u = 2^-53.  s and v come from a few roundings of numbers
-    of size at most about 1, so s is off by a few u and v by a few u of
-    itself.  In 4 y v sigma = 4 y v + (s - n)^2 + (y - v)^2 an error e in s
+    Rounding, with u = 2^-53, and y and R those of the element's ball.  s
+    and v come from a few roundings of numbers of size at most about 1, so
+    s is off by a few u and v by a few u of itself.  In
+    4 y v sigma = 4 y v + (s - n)^2 + (y - v)^2 an error e in s
     moves (s - n)^2 by 2 e |s - n| <= 2 e sqrt(4 y v sigma), and as
     sigma >= (y + v)^2 / (4 y v) >= y / (4 v), that is at most 2 e / y of
     4 y v sigma, whatever R is.  _sigma_batch's real and imaginary parts are
@@ -233,12 +245,13 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
     of sigma.  Measured, the two are within 9.8e-16 relative of each other
     over the trace >= 0 halves of whole balls at R = 1e4 and 1.1e-15 at
     R = 1e5, and the tests hold them to 1e-14.  So an element whose coset
-    value lies more than 1e-12 R from R, about 900 times that, is on the same
-    side of R in both.  In that band the coset form alone would split ties
-    sigma = R (at z = i, R = 5 it drops 2 elements of the half, and so 4 of
-    the closed ball), so there _sigma_batch is evaluated
-    on the element's entries, decides the cut and is the value kept: the
-    cut is the one the entry identity makes on every element.
+    value lies more than 1e-12 R from R, about 900 times that, is on the
+    same side of R in both; the band is per ball.  In that band the coset
+    form alone would split ties sigma = R (at z = i, R = 5 it drops 2
+    elements of the half, and so 4 of the closed ball), so there
+    _sigma_batch is evaluated on the element's entries, decides the cut and
+    is the value kept: the cut is the one the entry identity makes on every
+    element.
     """
     y = z.imag
     n = _runs(lo, counts)
@@ -247,15 +260,17 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
     sigmas += np.repeat((y - v) ** 2, counts)
     sigmas /= np.repeat(4.0 * y * v, counts)
     sigmas += 1.0
+    if isinstance(R, np.ndarray):
+        R = np.repeat(R, counts)
     width = 1e-12 * R
     high = np.flatnonzero(sigmas > R - width)
     if len(high):
         ends = np.cumsum(counts)
-        band = high[sigmas[high] <= R + width]
+        band = high[sigmas[high] <= _at(R + width, high)]
         i = np.searchsorted(ends, band, "right")
         a = a0[i] + n[band] * c[i]
-        sigmas[band] = _sigma_batch(a, (a * d[i] - 1) // c[i], c[i], d[i], z)
-        out = high[sigmas[high] > R]
+        sigmas[band] = _sigma_batch(a, (a * d[i] - 1) // c[i], c[i], d[i], _at(z, i))
+        out = high[sigmas[high] > _at(R, high)]
         if len(out):
             counts = counts - np.bincount(np.searchsorted(ends, out, "right"),
                                           minlength=len(counts))
@@ -263,16 +278,22 @@ def _shifts(z: complex, R: float, a0, c, d, s, v, lo, counts):
     return counts, n, sigmas
 
 
-def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
-    """(a0, c, d, counts, n, sigmas, mult) of the ball's trace >= 0 half, rows c, d in first + [0, sizes).
+def _block(z, pad, R, ball, c, first, sizes, inverse, coprime):
+    """(ball, a0, c, d, counts, n, sigmas, mult) of the trace >= 0 half of rows c, d in first + [0, sizes).
 
-    inverse and coprime are the residue table's, read at c (c - 1) / 2 + d mod c.
-    The coprime (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and
-    images, and the padded necessary condition sigma <= pad, its
-    discriminant clipped at zero, leaves the shifts n of T^n gamma_0 in
-    [lo, hi].  _shifts cuts them at R, rounding band included.  The elements
-    come in ascending c, then d, then shift; (a0, c, d) are per coset, with
-    counts[i] shifts each, and n, sigmas and mult per element.
+    Rows of one ball take its point z, padded radius pad, radius R and index
+    ball as scalars.  Rows of several balls take z, pad and R as arrays over
+    the balls and ball as an array per row, and only then does each coset
+    gather its ball's entries; numpy broadcasting runs the same arithmetic
+    on both.  inverse and coprime are the residue table's, read at
+    c (c - 1) / 2 + d mod c, the offset taken once per row.  The coprime
+    (c, d) get their coset bases gamma_0 (a0 = d^-1 mod c) and images, and
+    the padded necessary condition sigma <= pad, its discriminant clipped
+    at zero, leaves the shifts n of T^n gamma_0 in [lo, hi].  _shifts cuts
+    them at R, rounding band included.  The elements come in ascending c,
+    then d, then shift; (a0, c, d) are per coset, with counts[i] shifts
+    each, and n, sigmas and mult per element.  ball is the scalar given or
+    the ball of each coset.
 
     Pairs.  For c >= 1 the inverse of (a, b, c, d) is (-d, b, c, -a) after
     sign normalization: the same row, trace -(a + d) and the same sigma.
@@ -288,10 +309,15 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     where c divides a0 + d, and it is kept exactly when the coset's first
     kept shift is n0, every kept shift being at least lo >= n0.
     """
-    d, c = _runs(first, sizes), np.repeat(c, sizes)
-    pick = c * (c - 1) // 2 + d % c
+    d = _runs(first, sizes)
+    pick = np.repeat(c * (c - 1) // 2, sizes)
+    c = np.repeat(c, sizes)
+    pick += d % c
     keep = coprime[pick]
     a0, c, d = inverse[pick[keep]], c[keep], d[keep]
+    if isinstance(ball, np.ndarray):
+        ball = np.repeat(ball, sizes)[keep]
+        z, pad, R = z[ball], pad[ball], R[ball]
     s, v = _images(z, a0, c, d)
     y = z.imag
     spread = np.sqrt(np.maximum(4.0 * pad * y * v - (y + v) ** 2, 0.0))
@@ -305,7 +331,7 @@ def _block(z: complex, pad: float, R: float, c, first, sizes, inverse, coprime):
     if len(pairs):
         starts = np.cumsum(counts)[pairs] - counts[pairs]
         mult[starts[n[starts] == n0[pairs]]] = 1.0
-    return a0, c, d, counts, n, sigmas, mult
+    return ball, a0, c, d, counts, n, sigmas, mult
 
 
 def _chunks(sizes, cap: int):
@@ -319,16 +345,22 @@ def _chunks(sizes, cap: int):
         start = stop
 
 
-def _blocks(z: complex, R: float):
+def _blocks(points, radii):
     """Yield the _block of each run of whole rows c >= 1 with at most _BLOCK candidates.
 
-    The candidates d of row c come from sigma >= |c z + d|^2 / 4 + 1/2,
-    padded; every block reads the residue table, grown to the last row
-    first.  A row longer than the cap is a block of its own.  Each block
-    holds the half of its rows with trace >= 0 (see _block), so the
-    candidates start at a column bound.  With p = c x + d, q = c x - a and
-    C = c^2 y^2, multiplying out c (c z^2 + (d - a) z - b)
-    = (c z - a)(c z + d) + 1 gives
+    The balls are the pairs (points[j], radii[j]), and the rows of all of
+    them go in one row array, ball after ball, each row carrying its ball
+    index j; a block may hold the rows of several balls, and a long ball
+    spans several blocks.  A block of one ball's rows gets that ball's z,
+    pad, R and j as scalars, and so does every row of a single ball; a block
+    of several gets them as arrays over the balls, with j per row (see
+    _block).  The points are require_point's.  The candidates d of row c
+    come from sigma >= |c z + d|^2 / 4 + 1/2, padded; every block reads the
+    residue table, grown to the last row first.  A row longer than the cap
+    is a block of its own.  Each block holds the half of its rows with
+    trace >= 0 (see _block), so the candidates start at a column bound.
+    With p = c x + d, q = c x - a and C = c^2 y^2, multiplying out
+    c (c z^2 + (d - a) z - b) = (c z - a)(c z + d) + 1 gives
         4 C (sigma - 1) = (p q + 1 - C)^2 + C (p + q)^2.
     Trace >= 0 is q <= p.  For p < 0 the right side decreases in q on
     q <= p, its minimum lying at q = -p / (p^2 + C) > 0, so it is at least
@@ -336,27 +368,41 @@ def _blocks(z: complex, R: float):
     p^2 <= 2 c y sqrt(R) - 1 - C.  Row c's candidates start there, the
     radius padded and the bound capped by the spread above.
     """
-    z = require_point(z)
-    y = z.imag
-    pad, last = _padded_rows(y, R)
-    rows = np.arange(1, last + 1)
+    pads, lasts = [], []
+    for z, R in zip(points, radii, strict=True):
+        pad, last = _padded_rows(z.imag, R)
+        pads.append(pad)
+        lasts.append(last)
+    if len(points) == 1:
+        z, pad, R, ball = points[0], pads[0], radii[0], 0
+        rows = np.arange(1, lasts[0] + 1)
+    else:
+        z, pad, R = np.array(points, complex), np.array(pads), np.array(radii, float)
+        ball = np.repeat(np.arange(len(points)), lasts)
+        rows = _runs(np.ones(len(points), np.int64), np.array(lasts, np.int64))
+    x, y, row_pad = _at(z.real, ball), _at(z.imag, ball), _at(pad, ball)
     cy = rows * y
-    spread = np.sqrt(np.maximum(4.0 * pad - 2.0 - cy * cy, 0.0))
-    column = np.sqrt(np.maximum((2.0 * math.sqrt(pad) - cy) * cy - 1.0, 0.0))
-    first = np.ceil(-rows * z.real - np.minimum(column, spread)).astype(np.int64)
-    sizes = np.maximum(np.floor(-rows * z.real + spread).astype(np.int64) - first + 1, 0)
-    _, inverse, coprime = _residues(len(rows))
+    spread = np.sqrt(np.maximum(4.0 * row_pad - 2.0 - cy * cy, 0.0))
+    column = np.sqrt(np.maximum((2.0 * np.sqrt(row_pad) - cy) * cy - 1.0, 0.0))
+    first = np.ceil(-rows * x - np.minimum(column, spread)).astype(np.int64)
+    sizes = np.maximum(np.floor(-rows * x + spread).astype(np.int64) - first + 1, 0)
+    _, inverse, coprime = _residues(max(lasts, default=0))
     for start, stop in _chunks(sizes, _BLOCK):
         block = slice(start, stop)
-        yield _block(z, pad, R, rows[block], first[block], sizes[block], inverse, coprime)
+        j = _at(ball, start)
+        if j == _at(ball, stop - 1):
+            one = points[j], pads[j], radii[j], int(j)
+        else:
+            one = z, pad, R, ball[block]
+        yield _block(*one, rows[block], first[block], sizes[block], inverse, coprime)
 
 
 def _scan(z: complex, R: float):
     """Yield (a, b, c, d, sigmas) over the ball: row 0, then per block its half and their inverses.
 
-    The one place that builds a whole ball, entries included: row 0 is T^n
-    for |n| up to _max_shift, ascending.  Each of the _blocks gives its
-    elements with trace >= 0, with a = a0 + n c and b = (a d - 1) / c, an
+    The one place that builds a whole ball, entries included, for
+    enumerate_ball: row 0 is T^n for |n| up to _max_shift, ascending.  Each
+    of the _blocks gives its elements with trace >= 0, with a = a0 + n c and b = (a d - 1) / c, an
     exact division, and then the inverses (-d, b, c, -a) of those of mult
     2.0 in the same order with the same sigmas.
     """
@@ -365,7 +411,7 @@ def _scan(z: complex, R: float):
     n = np.arange(-m, m + 1)
     ones = np.ones_like(n)
     yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
-    for a0, c, d, counts, n, sigmas, mult in _blocks(z, R):
+    for _, a0, c, d, counts, n, sigmas, mult in _blocks([z], [R]):
         c, d = np.repeat(c, counts), np.repeat(d, counts)
         a = np.repeat(a0, counts) + n * c
         b = (a * d - 1) // c
@@ -392,12 +438,39 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 def displacement_values(z: complex, R: float) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    The sigmas of _scan, sorted, less the first: the identity's 1.0, the
-    least displacement there is.  A view for the tests and tracing.
+    Row 0's sigmas for |n| up to _max_shift, and each of the _blocks'
+    sigmas repeated mult times, sorted, less the first: the identity's 1.0,
+    the least displacement there is.  No entries are built.  A view for the
+    tests and tracing.
     """
-    values = np.concatenate([sigmas for *_, sigmas in _scan(z, R)])
+    z = require_point(z)
+    m = _max_shift(z, R)
+    parts = [_sigma_batch(1, np.arange(-m, m + 1), 0, 1, z)]
+    parts += [np.repeat(sigmas, mult.astype(np.int64)) for *_, sigmas, mult in _blocks([z], [R])]
+    values = np.concatenate(parts)
     values.sort()
     return values[1:]
+
+
+def ball_counts(points, radii) -> list[int]:
+    """Exact size of each ball {gamma : sigma(z, gamma z) <= R}, z and R taken pairwise.
+
+    Row 0 of each ball is counted in closed form by _max_shift, so no array
+    of its translations is built, however high z is.  The other rows of all
+    the balls go through the _blocks together, and each ball adds up the
+    mult of its elements: np.bincount over a block of several balls, a sum
+    over a block of one.  Every point and radius is checked, by _max_shift,
+    before the residue table grows.
+    """
+    points = [require_point(z) for z in points]
+    total = [max(2 * _max_shift(z, R) + 1, 0) for z, R in zip(points, radii, strict=True)]
+    for ball, *_, counts, _, _, mult in _blocks(points, radii):
+        if isinstance(ball, np.ndarray):
+            weights = np.bincount(np.repeat(ball, counts), mult, len(total)).tolist()
+            total = [t + int(w) for t, w in zip(total, weights)]
+        else:
+            total[ball] += int(mult.sum())
+    return total
 
 
 @dataclass(frozen=True)
@@ -406,24 +479,25 @@ class CountingCheck:
     bound: float
 
 
-def counting_check(z: complex, r: float, constants: EffectiveConstants) -> CountingCheck:
-    """Compare the exact ball count against the counting bound 4 pi B_Y r.
-
-    Valid for z in the truncated region the constants were computed on;
-    raises VerificationFailure when the enumeration exceeds the bound.  Row
-    0 is counted in closed form and the other rows without a sort, so the
-    count needs no array of the translations, however high z is: each
-    block adds up its mult.
-    """
-    z = require_point(z)
-    count = max(2 * _max_shift(z, r) + 1, 0) + sum(
-        int(mult.sum()) for *_, mult in _blocks(z, r))
+def _checked_count(z: complex, r: float, count: int,
+                   constants: EffectiveConstants) -> CountingCheck:
+    """count against the counting bound 4 pi B_Y r; raises VerificationFailure above it."""
     bound = 4.0 * math.pi * constants.B_Y * r
     if count > bound:
         raise VerificationFailure(
             f"ball count {count} exceeds counting bound {bound:.6g} at z={z}, r={r}"
         )
     return CountingCheck(count=count, bound=bound)
+
+
+def counting_check(z: complex, r: float, constants: EffectiveConstants) -> CountingCheck:
+    """Compare the exact ball count (ball_counts) against the counting bound 4 pi B_Y r.
+
+    Valid for z in the truncated region the constants were computed on;
+    raises VerificationFailure when the enumeration exceeds the bound.
+    """
+    z = require_point(z)
+    return _checked_count(z, r, ball_counts([z], [r])[0], constants)
 
 
 @dataclass(frozen=True)
@@ -458,7 +532,7 @@ def poincare_direct(
     z = require_point(z)
     power = -(k + eps)
     sums = _translation_sums(z, power, _max_shift(z, R_cut))
-    for *_, sigmas, mult in _blocks(z, R_cut):
+    for *_, sigmas, mult in _blocks([z], [R_cut]):
         sums.append(np.sum(mult * sigmas ** power))
     partial = math.fsum(sums)
     tail = (

@@ -16,6 +16,8 @@ SRC = ROOT / "src" / "supnorm"
 # Exported names whose only callers are tests, each kept for a reason.
 KEPT_FOR_TESTS = {
     "enumerate_ball": "coset enumeration checked element by element against raw entry search",
+    "counting_check": "one ball's count against its bound, for the tests and the perfbench "
+                      "ball workload; a perfbench span target",
     "faddeev_transfer": "transfer factor checked against exact enumerated sums",
     "displacement": "test oracle for the enumeration and the geometry primitives",
     "displacement_values": "sorted view of the ball for the row-scan tests and a perfbench span target",

@@ -430,6 +430,70 @@ def test_kernel_check_k_max_50_output_pinned(capsys, tmp_path):
     assert out_path.read_text() == json.dumps(expected, indent=2) + "\n"
 
 
+#: `verify --weights 12,16,18,20,22,26 --grid 100` standard output without its
+#: last line: the three global checks, then five per weight in ascending order.
+VERIFY_SIX = [
+    "[PASS] counting_bound: 50 (z, r) pairs, max count/bound 0.185",
+    "[PASS] poincare_series_bound[k=2]: partial 12.7782 + tail 0.00496 <= bound 129.617",
+    "[PASS] translation_sum_bound[k=26]: sum 1.91858 <= bound 10.0391 at y = k/(2*pi)",
+    "[PASS] petersson_norm: norm 1.035362057e-06 (error bound 1.1e-22)",
+    "[PASS] mass_identity: integral of S over the domain = 1.00000000 (target 1 within 1e-4)",
+    "[PASS] upper_bound: grid max 3.96784 at -0.495+0.8733j <= engine bound 674.057; "
+    "cusp zone inherits the compact bound (Y >= k/(2*pi))",
+    "[PASS] upper_bound_reference: grid max 3.96784 and engine bound 674.057 <= "
+    "rounded reference 776.294",
+    "[PASS] lower_bound: grid max 3.96784 >= dimension/volume floor 0.95493 - 0.05",
+    "[PASS] petersson_norm: norm 2.169061348e-06 (error bound 2.1e-22)",
+    "[PASS] mass_identity: integral of S over the domain = 1.00000000 (target 1 within 1e-4)",
+    "[PASS] upper_bound: grid max 3.11372 at -0.005+1.005j <= engine bound 893.881; "
+    "cusp zone inherits the compact bound (Y >= k/(2*pi))",
+    "[PASS] upper_bound_reference: grid max 3.11372 and engine bound 893.881 <= "
+    "rounded reference 1030.57",
+    "[PASS] lower_bound: grid max 3.11372 >= dimension/volume floor 0.95493 - 0.05",
+    "[PASS] petersson_norm: norm 4.594736198e-06 (error bound 4.2e-22)",
+    "[PASS] mass_identity: integral of S over the domain = 1.00000000 (target 1 within 1e-4)",
+    "[PASS] upper_bound: grid max 3.13149 at -0.495+0.8733j <= engine bound 999.046; "
+    "cusp zone inherits the compact bound (Y >= k/(2*pi))",
+    "[PASS] upper_bound_reference: grid max 3.13149 and engine bound 999.046 <= "
+    "rounded reference 1152.43",
+    "[PASS] lower_bound: grid max 3.13149 >= dimension/volume floor 0.95493 - 0.05",
+    "[PASS] petersson_norm: norm 8.265541532e-06 (error bound 8.5e-22)",
+    "[PASS] mass_identity: integral of S over the domain = 1.00000000 (target 1 within 1e-4)",
+    "[PASS] upper_bound: grid max 2.84057 at -0.005+1.55j <= engine bound 1101.14; "
+    "cusp zone inherits the compact bound (Y >= k/(2*pi))",
+    "[PASS] upper_bound_reference: grid max 2.84057 and engine bound 1101.14 <= "
+    "rounded reference 1270.87",
+    "[PASS] lower_bound: grid max 2.84057 >= dimension/volume floor 0.95493 - 0.05",
+    "[PASS] petersson_norm: norm 2.009981833e-05 (error bound 1.7e-21)",
+    "[PASS] mass_identity: integral of S over the domain = 1.00000000 (target 1 within 1e-4)",
+    "[PASS] upper_bound: grid max 3.14201 at -0.475+1.743j <= engine bound 1200.22; "
+    "cusp zone inherits the compact bound (Y >= k/(2*pi))",
+    "[PASS] upper_bound_reference: grid max 3.14201 and engine bound 1200.22 <= "
+    "rounded reference 1385.97",
+    "[PASS] lower_bound: grid max 3.14201 >= dimension/volume floor 0.95493 - 0.05",
+    "[PASS] petersson_norm: norm 0.0002053347168 (error bound 1.4e-20)",
+    "[PASS] mass_identity: integral of S over the domain = 1.00000000 (target 1 within 1e-4)",
+    "[PASS] upper_bound: grid max 4.03478 at -0.475+2.071j <= engine bound 1389.65; "
+    "cusp zone inherits the compact bound (Y >= k/(2*pi))",
+    "[PASS] upper_bound_reference: grid max 4.03478 and engine bound 1389.65 <= "
+    "rounded reference 1606.41",
+    "[PASS] lower_bound: grid max 4.03478 >= dimension/volume floor 0.95493 - 0.05",
+]
+
+
+def test_verify_six_weights_output_pinned(capsys, tmp_path):
+    out_path = tmp_path / "verify.json"
+    code, out, err = run(capsys, "verify", "--weights", "12,16,18,20,22,26", "--grid", "100",
+                         "--out", str(out_path))
+    assert (code, err) == (0, "")
+    assert out == "".join(line + "\n" for line in VERIFY_SIX) + "overall: PASS (33 checks)\n"
+    rows = [re.fullmatch(r"\[PASS\] ([\w\[\]=]+): (.*)", line).groups() for line in VERIFY_SIX]
+    weights = [None] * 3 + [w for w in (12, 16, 18, 20, 22, 26) for _ in range(5)]
+    items = [{"name": name, "passed": True, "detail": detail, "weight": weight}
+             for (name, detail), weight in zip(rows, weights)]
+    assert out_path.read_text() == json.dumps({"passed": True, "items": items}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -17,10 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supnorm import enumeration
+from supnorm import enumeration, verify
 from supnorm.enumeration import (
     IntegerMoebius,
     VerificationFailure,
+    ball_counts,
     counting_check,
     displacement_values,
     enumerate_ball,
@@ -215,7 +216,7 @@ def in_scan_order(z: complex, R: float):
     half = [m[a + d >= 0] for m in (a, b, c, d)]
     start = int(np.count_nonzero(c == 0))
     parts = [[m[:start] for m in half]]
-    for *_, n, _, _ in enumeration._blocks(z, R):
+    for *_, n, _, _ in enumeration._blocks([z], [R]):
         ha, hb, hc, hd = (m[start:start + len(n)] for m in half)
         start += len(n)
         pair = ha + hd != 0
@@ -319,7 +320,7 @@ def test_inverse_pairs_and_column_bound(z, R):
     # the blocks hold the elements of trace >= 0, each of mult 2.0 but the
     # involutions a = -d of the ball, of mult 1.0
     ones = 0
-    for a0, c, d, counts, n, _, mult in enumeration._blocks(z, R):
+    for _, a0, c, d, counts, n, _, mult in enumeration._blocks([z], [R]):
         a, d = np.repeat(a0, counts) + n * np.repeat(c, counts), np.repeat(d, counts)
         assert np.all(a + d >= 0)
         assert mult.dtype == np.float64 and len(mult) == len(n)
@@ -333,7 +334,7 @@ def test_blocks_hold_half_the_ball(psl2z_constants, z):
     # the blocks' mults plus the 2 m + 1 translations of row 0 are the ball,
     # and the blocks hold about half of it; a count, not a timing
     R = 1e4
-    blocks = list(enumeration._blocks(z, R))
+    blocks = list(enumeration._blocks([z], [R]))
     held = sum(len(n) for *_, n, _, _ in blocks)
     weight = sum(mult.sum() for *_, mult in blocks)
     count = counting_check(z, R, psl2z_constants).count
@@ -349,7 +350,7 @@ def test_mults_repeat_to_the_ball(block_cap, z, R):
     m = enumeration._max_shift(z, R)
     parts = [enumeration._sigma_batch(1, np.arange(-m, m + 1), 0, 1, z)]
     parts += [np.repeat(sigmas, mult.astype(int))
-              for *_, sigmas, mult in enumeration._blocks(z, R)]
+              for *_, sigmas, mult in enumeration._blocks([z], [R])]
     got = np.sort(np.concatenate(parts))
     assert np.array_equal(got, np.sort(np.append(row_scan_arrays(z, R)[1], 1.0)))
 
@@ -702,6 +703,77 @@ class TestCountingCheck:
             y = rng.uniform(lo, psl2z_constants.Y)
             r = rng.uniform(1.0, 30.0)
             counting_check(complex(x, y), r, psl2z_constants)  # raises on failure
+
+
+def verify_pairs(constants, monkeypatch):
+    """The 50 (z, r) pairs verify's counting item draws, in its order."""
+    seen = []
+
+    def record(points, radii):
+        seen.append((list(points), list(radii)))
+        return ball_counts(points, radii)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "ball_counts", record)
+        verify._counting_item(constants, np.random.default_rng(20260809))
+    [(points, radii)] = seen
+    return points, radii
+
+
+#: Balls at the edges of the enumeration: the corner stabilizer at (rho, 1),
+#: R < 1, a ball with no row c >= 1 (sqrt(4 R - 2) < y), the exact ties at
+#: (i, 5) and a ball of several blocks at R = 1e4.  rho's elements come first
+#: in a block of several balls, so a band taken at their R would cut the ties.
+EDGE_BALLS = ((RHO, 1.0), (0.3 + 1.4j, 0.99), (0.05 + 3.9j, 1.5), (1j, 5.0),
+              (0.1 + 1.2j, 1e4))
+
+
+class TestBallCounts:
+    @pytest.fixture(params=["default", 16])
+    def cap(self, request, monkeypatch):
+        """The module's block cap, then 16: blocks of several balls, and a ball over several."""
+        if request.param != "default":
+            monkeypatch.setattr(enumeration, "_BLOCK", request.param)
+        return request.param
+
+    def test_verify_pairs(self, cap, psl2z_constants, monkeypatch):
+        points, radii = verify_pairs(psl2z_constants, monkeypatch)
+        assert len(points) == 50
+        want = [counting_check(z, r, psl2z_constants).count for z, r in zip(points, radii)]
+        assert ball_counts(points, radii) == want
+
+    def test_mixed_balls(self, cap, psl2z_constants, monkeypatch):
+        points, radii = verify_pairs(psl2z_constants, monkeypatch)
+        balls = list(EDGE_BALLS[:4]) + list(zip(points[:10], radii[:10])) + [EDGE_BALLS[4]]
+        points, radii = [z for z, _ in balls], [r for _, r in balls]
+        want = [counting_check(z, r, psl2z_constants).count for z, r in balls]
+        # R < 1 counts nothing, the ball with no row c >= 1 its 11 translations
+        assert want[:4] == [3, 0, 11, 66] and enumeration._padded_rows(3.9, 1.5)[1] == 0
+        assert ball_counts(points, radii) == want
+        # the pass these counts came from: blocks of several balls, and at
+        # cap 16 a ball in several blocks
+        owners = [ball for ball, *_ in enumeration._blocks(points, radii)]
+        assert any(isinstance(ball, np.ndarray) for ball in owners)
+        if cap == 16:
+            singles = [ball for ball in owners if not isinstance(ball, np.ndarray)]
+            assert len(singles) > len(set(singles))
+
+    def test_one_ball_blocks_read_scalars(self):
+        # a block of one ball takes its z, pad and R as scalars, never per candidate
+        owners = [ball for ball, *_ in enumeration._blocks([1j], [1e4])]
+        assert len(owners) > 1 and all(ball == 0 and isinstance(ball, int) for ball in owners)
+
+    def test_empty_and_unpaired(self):
+        assert ball_counts([], []) == []
+        with pytest.raises(ValueError):
+            ball_counts([1j, RHO], [10.0])
+
+    @pytest.mark.parametrize("z,r", [(1j, math.nan), (0.1 + 1e-200j, 10.0), (0.5, 10.0)],
+                             ids=["nan", "underflow", "real"])
+    def test_bad_last_ball_refused_before_the_table_grows(self, z, r):
+        with pytest.raises(ValueError):
+            ball_counts([1j, 0.2 + 1.3j, z], [30.0, 12.0, r])
+        assert enumeration._TABLE[0] == 0
 
 
 class TestPoincareDirect:

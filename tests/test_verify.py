@@ -1,13 +1,16 @@
 """Tests for the verification orchestration layer."""
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
-from supnorm import verify
+from supnorm import enumeration, verify
 from supnorm.domain import modular_group
 from supnorm.engine import compute_constants
+from supnorm.enumeration import VerificationFailure, counting_check
 from supnorm.forms import SUPPORTED_WEIGHTS, standard_grid
 from supnorm.verify import (
     VerificationItem,
@@ -106,3 +109,28 @@ def test_one_grid_fits_every_weight(Y0):
     assert Y >= 16 / math.sqrt(15)
     assert max(SUPPORTED_WEIGHTS) // 2 / (2 * math.pi) < 16 / math.sqrt(15)
     assert len(standard_grid(100, 16 / math.sqrt(15), 13).points) == 10_000
+
+
+def test_counting_item_fails_on_the_first_pair_over_its_bound(monkeypatch):
+    # B_Y between the count/(4 pi r) of a middle pair and the largest of the
+    # pairs before it: the item fails with counting_check's message for it
+    constants = compute_constants(modular_group(), 2.0)
+    seen = []
+
+    def record(points, radii):
+        seen.append((points, radii))
+        return enumeration.ball_counts(points, radii)
+
+    monkeypatch.setattr(verify, "ball_counts", record)
+    assert verify._counting_item(constants, np.random.default_rng(20260809)).passed
+    [(points, radii)] = seen
+    counts = [counting_check(z, r, constants).count for z, r in zip(points, radii)]
+    ratios = [count / (4.0 * math.pi * r) for count, r in zip(counts, radii)]
+    first = next(i for i in range(5, 45) if ratios[i] > max(ratios[:i]))
+    patched = dataclasses.replace(constants, B_Y=(max(ratios[:first]) + ratios[first]) / 2)
+    with pytest.raises(VerificationFailure) as exc:
+        counting_check(points[first], radii[first], patched)
+    item = verify._counting_item(patched, np.random.default_rng(20260809))
+    assert (item.name, item.passed, item.detail) == ("counting_bound", False, str(exc.value))
+    for z, r in zip(points[:first], radii[:first]):
+        counting_check(z, r, patched)  # the pairs before it pass
