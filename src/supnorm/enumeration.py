@@ -24,18 +24,20 @@ block is one array pass reading the table: coset bases, their images, shift
 intervals from the trace >= 0 on, and the elements' shifts and
 displacements, cut at their ball's R.  A block of one ball reads its z and R
 as scalars, a block of several per coset.  The entry identity (_sigma_batch)
-gives row 0 and decides the elements within a rounding band of R.  _scan
-builds the entries for enumerate_ball and is the one whole-ball array;
-ball_counts counts many balls in one pass, the other checks sum or repeat
-the _blocks of one, and _translation_sums both translation sums, at most
-_BLOCK shifts an array.  A raw entry-bounded search stays in the test suite
-as the oracle for this enumeration.
+gives row 0 and decides the elements within a rounding band of R.  Each
+ball is checked and sized once, by _ball, before any of this.  _scan builds
+the entries for enumerate_ball and is the one whole-ball array; ball_counts
+counts many balls in one pass, the other checks sum or repeat the _blocks
+of one, and _translation_sums both translation sums, at most _BLOCK shifts
+an array.  A raw entry-bounded search stays in the test suite as the oracle
+for this enumeration.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,7 +111,7 @@ def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
 
     a, b, c, d are integers or integer arrays, read only as c, d - a and b,
     so an element and its inverse (-d, b, c, -a) get the same bits.  It
-    gives _max_shift, _scan's row 0 and _translation_sums their values, and
+    gives _ball's m, _scan's row 0 and _translation_sums their values, and
     the blocks the values of the elements in the band at R (see _shifts);
     every other element takes its coset's form.  The raw-entry test oracle
     evaluates the same identity in complex arithmetic.
@@ -121,40 +123,39 @@ def _sigma_batch(a, b, c, d, z: complex) -> np.ndarray:
     return 1.0 + (re * re + im * im) / (4.0 * y * y)
 
 
-def _padded_rows(y: float, R: float) -> tuple[float, int]:
-    """(pad, last): R padded against rounding, and the last row c of its ball at height y.
-
-    sigma >= c^2 y^2 / 4 + 1/2 bounds c by sqrt(4 pad - 2) / y.  Raises
-    ValueError at 2^32 rows or more, where the table index c (c - 1) / 2
-    leaves int64.
-    """
-    pad = R * (1.0 + 1e-9) + 1e-9
-    last = math.sqrt(max(4.0 * pad - 2.0, 0.0)) / y
-    if last >= 2**32:
-        raise ValueError(f"Im z = {y} is too small for R = {R}: 2^32 rows or more")
-    return pad, math.floor(last)
+#: A ball as _ball checks and sizes it.
+_Ball = NamedTuple("_Ball", [("z", complex), ("R", float), ("pad", float), ("last", int), ("m", int)])
 
 
-def _max_shift(z: complex, R: float) -> int:
-    """Largest n >= 0 with sigma(z, z + n) <= R, or -1 when R < 1.
+def _ball(z: complex, R: float) -> _Ball:
+    """The ball (z, R) checked and sized: z, R, padded radius pad, last row c and m.
 
-    On (1, n, 0, 1) _sigma_batch evaluates 1 + n^2 / (4 y^2), which is
+    Every ball starts here, so a point require_point refuses, R not finite,
+    4 y^2 = 0, or 2^32 rows or more (the table index c (c - 1) / 2 leaves
+    int64) raise ValueError before the residue table grows.  sigma >=
+    c^2 y^2 / 4 + 1/2 bounds c by sqrt(4 pad - 2) / y.  m is the largest
+    n >= 0 with sigma(z, z + n) <= R: _sigma_batch's 1 + n^2 / (4 y^2) is
     monotone in |n| in floating point, so its values at the estimate
-    floor(2 y sqrt(R - 1)) and one above it settle the exact cut.  Every
-    ball starts here, so R not finite, 4 y^2 = 0, or the 2^32 rows that
-    _padded_rows refuses raise ValueError before the residue table grows.
+    floor(2 y sqrt(R - 1)) and one above settle the exact cut.  Every sigma
+    is at least 1, so R < 1 gives no rows: last 0 and m = -1.
     """
+    z = require_point(z)
     if not math.isfinite(R):
         raise ValueError(f"ball radius R must be finite, got R = {R}")
     if 4.0 * z.imag * z.imag == 0.0:
         raise ValueError(f"Im z = {z.imag} is too small: 4 (Im z)^2 underflows to 0")
-    _padded_rows(z.imag, R)
+    pad = R * (1.0 + 1e-9) + 1e-9
+    last = math.sqrt(max(4.0 * pad - 2.0, 0.0)) / z.imag
+    if last >= 2**32:
+        raise ValueError(f"Im z = {z.imag} is too small for R = {R}: 2^32 rows or more")
     if R < 1.0:
-        return -1
+        return _Ball(z, R, pad, 0, -1)
     n = math.floor(2.0 * z.imag * math.sqrt(R - 1.0))
     if _sigma_batch(1, n + 1, 0, 1, z) <= R:
-        return n + 1
-    return n if _sigma_batch(1, n, 0, 1, z) <= R else n - 1
+        n += 1
+    elif _sigma_batch(1, n, 0, 1, z) > R:
+        n -= 1
+    return _Ball(z, R, pad, math.floor(last), n)
 
 
 def _translation_sums(z: complex, power: float, m: int) -> list:
@@ -345,19 +346,18 @@ def _chunks(sizes, cap: int):
         start = stop
 
 
-def _blocks(points, radii):
+def _blocks(balls):
     """Yield the _block of each run of whole rows c >= 1 with at most _BLOCK candidates.
 
-    The balls are the pairs (points[j], radii[j]), and the rows of all of
-    them go in one row array, ball after ball, each row carrying its ball
-    index j; a block may hold the rows of several balls, and a long ball
-    spans several blocks.  A block of one ball's rows gets that ball's z,
-    pad, R and j as scalars, and so does every row of a single ball; a block
-    of several gets them as arrays over the balls, with j per row (see
-    _block).  The points are require_point's.  The candidates d of row c
-    come from sigma >= |c z + d|^2 / 4 + 1/2, padded; every block reads the
-    residue table, grown to the last row first.  A row longer than the cap
-    is a block of its own.  Each block holds the half of its rows with
+    The balls are _ball's, and the rows 1 to last of all of them go in one
+    row array, ball after ball, each row carrying its ball index j; a block
+    may hold the rows of several balls, and a long ball spans several
+    blocks.  A block of one ball's rows, and every row of a single ball,
+    gets that ball's z, pad, R and j as scalars, a block of several arrays
+    (see _block).  No rows, no blocks.  The candidates d of row c come from
+    sigma >= |c z + d|^2 / 4 + 1/2, padded; every block reads the residue
+    table, grown to the last row first.  A row longer than the cap is a
+    block of its own.  Each block holds the half of its rows with
     trace >= 0 (see _block), so the candidates start at a column bound.
     With p = c x + d, q = c x - a and C = c^2 y^2, multiplying out
     c (c z^2 + (d - a) z - b) = (c z - a)(c z + d) + 1 gives
@@ -368,25 +368,23 @@ def _blocks(points, radii):
     p^2 <= 2 c y sqrt(R) - 1 - C.  Row c's candidates start there, the
     radius padded and the bound capped by the spread above.
     """
-    pads, lasts = [], []
-    for z, R in zip(points, radii, strict=True):
-        pad, last = _padded_rows(z.imag, R)
-        pads.append(pad)
-        lasts.append(last)
-    if len(points) == 1:
+    if not any(ball.last for ball in balls):
+        return
+    points, radii, pads, lasts, _ = zip(*balls)
+    if len(balls) == 1:
         z, pad, R, ball = points[0], pads[0], radii[0], 0
         rows = np.arange(1, lasts[0] + 1)
     else:
         z, pad, R = np.array(points, complex), np.array(pads), np.array(radii, float)
-        ball = np.repeat(np.arange(len(points)), lasts)
-        rows = _runs(np.ones(len(points), np.int64), np.array(lasts, np.int64))
+        ball = np.repeat(np.arange(len(balls)), lasts)
+        rows = _runs(np.ones(len(balls), np.int64), np.array(lasts, np.int64))
     x, y, row_pad = _at(z.real, ball), _at(z.imag, ball), _at(pad, ball)
     cy = rows * y
     spread = np.sqrt(np.maximum(4.0 * row_pad - 2.0 - cy * cy, 0.0))
     column = np.sqrt(np.maximum((2.0 * np.sqrt(row_pad) - cy) * cy - 1.0, 0.0))
     first = np.ceil(-rows * x - np.minimum(column, spread)).astype(np.int64)
     sizes = np.maximum(np.floor(-rows * x + spread).astype(np.int64) - first + 1, 0)
-    _, inverse, coprime = _residues(max(lasts, default=0))
+    _, inverse, coprime = _residues(max(lasts))
     for start, stop in _chunks(sizes, _BLOCK):
         block = slice(start, stop)
         j = _at(ball, start)
@@ -401,17 +399,16 @@ def _scan(z: complex, R: float):
     """Yield (a, b, c, d, sigmas) over the ball: row 0, then per block its half and their inverses.
 
     The one place that builds a whole ball, entries included, for
-    enumerate_ball: row 0 is T^n for |n| up to _max_shift, ascending.  Each
+    enumerate_ball: row 0 is T^n for |n| up to _ball's m, ascending.  Each
     of the _blocks gives its elements with trace >= 0, with a = a0 + n c and b = (a d - 1) / c, an
     exact division, and then the inverses (-d, b, c, -a) of those of mult
     2.0 in the same order with the same sigmas.
     """
-    z = require_point(z)
-    m = _max_shift(z, R)
-    n = np.arange(-m, m + 1)
+    ball = _ball(z, R)
+    n = np.arange(-ball.m, ball.m + 1)
     ones = np.ones_like(n)
-    yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, z)
-    for _, a0, c, d, counts, n, sigmas, mult in _blocks([z], [R]):
+    yield ones, n, np.zeros_like(n), ones, _sigma_batch(1, n, 0, 1, ball.z)
+    for _, a0, c, d, counts, n, sigmas, mult in _blocks([ball]):
         c, d = np.repeat(c, counts), np.repeat(d, counts)
         a = np.repeat(a0, counts) + n * c
         b = (a * d - 1) // c
@@ -438,15 +435,14 @@ def enumerate_ball(z: complex, R: float) -> list[IntegerMoebius]:
 def displacement_values(z: complex, R: float) -> np.ndarray:
     """Displacements sigma(z, gamma z) <= R over the ball without the identity, sorted.
 
-    Row 0's sigmas for |n| up to _max_shift, and each of the _blocks'
-    sigmas repeated mult times, sorted, less the first: the identity's 1.0,
-    the least displacement there is.  No entries are built.  A view for the
-    tests and tracing.
+    Row 0's sigmas for |n| up to _ball's m, and each of the _blocks' sigmas
+    repeated mult times, sorted, less the first: the identity's 1.0, the
+    least displacement there is; empty for R < 1.  No entries are built.  A
+    view for the tests and tracing.
     """
-    z = require_point(z)
-    m = _max_shift(z, R)
-    parts = [_sigma_batch(1, np.arange(-m, m + 1), 0, 1, z)]
-    parts += [np.repeat(sigmas, mult.astype(np.int64)) for *_, sigmas, mult in _blocks([z], [R])]
+    ball = _ball(z, R)
+    parts = [_sigma_batch(1, np.arange(-ball.m, ball.m + 1), 0, 1, ball.z)]
+    parts += [np.repeat(sigmas, mult.astype(np.int64)) for *_, sigmas, mult in _blocks([ball])]
     values = np.concatenate(parts)
     values.sort()
     return values[1:]
@@ -455,16 +451,16 @@ def displacement_values(z: complex, R: float) -> np.ndarray:
 def ball_counts(points, radii) -> list[int]:
     """Exact size of each ball {gamma : sigma(z, gamma z) <= R}, z and R taken pairwise.
 
-    Row 0 of each ball is counted in closed form by _max_shift, so no array
-    of its translations is built, however high z is.  The other rows of all
-    the balls go through the _blocks together, and each ball adds up the
-    mult of its elements: np.bincount over a block of several balls, a sum
-    over a block of one.  Every point and radius is checked, by _max_shift,
-    before the residue table grows.
+    points and radii are read once, and each pair is checked and sized by
+    _ball before the residue table grows.  Row 0 of each ball is counted in
+    closed form from its m, so no array of its translations is built,
+    however high z is.  The other rows of all the balls go through the
+    _blocks together, and each ball adds up the mult of its elements:
+    np.bincount over a block of several balls, a sum over a block of one.
     """
-    points = [require_point(z) for z in points]
-    total = [max(2 * _max_shift(z, R) + 1, 0) for z, R in zip(points, radii, strict=True)]
-    for ball, *_, counts, _, _, mult in _blocks(points, radii):
+    balls = [_ball(z, R) for z, R in zip(points, radii, strict=True)]
+    total = [max(2 * ball.m + 1, 0) for ball in balls]
+    for ball, *_, counts, _, _, mult in _blocks(balls):
         if isinstance(ball, np.ndarray):
             weights = np.bincount(np.repeat(ball, counts), mult, len(total)).tolist()
             total = [t + int(w) for t, w in zip(total, weights)]
@@ -481,7 +477,9 @@ class CountingCheck:
 
 def _checked_count(z: complex, r: float, count: int,
                    constants: EffectiveConstants) -> CountingCheck:
-    """count against the counting bound 4 pi B_Y r; raises VerificationFailure above it."""
+    """count against the counting bound 4 pi B_Y r, r >= 0; raises VerificationFailure above it."""
+    if r < 0.0:
+        raise ValueError(f"counting radius r must be nonnegative, got r = {r}")
     bound = 4.0 * math.pi * constants.B_Y * r
     if count > bound:
         raise VerificationFailure(
@@ -494,10 +492,11 @@ def counting_check(z: complex, r: float, constants: EffectiveConstants) -> Count
     """Compare the exact ball count (ball_counts) against the counting bound 4 pi B_Y r.
 
     Valid for z in the truncated region the constants were computed on;
-    raises VerificationFailure when the enumeration exceeds the bound.
+    raises VerificationFailure when the enumeration exceeds the bound, and
+    ValueError for r < 0, where the bound is not stated.
     """
-    z = require_point(z)
-    return _checked_count(z, r, ball_counts([z], [r])[0], constants)
+    [count] = ball_counts([z], [r])
+    return _checked_count(complex(z), r, count, constants)
 
 
 @dataclass(frozen=True)
@@ -529,10 +528,10 @@ def poincare_direct(
     if R_cut < max(constants.sigma_Y, 1.0):
         raise ValueError(f"cutoff {R_cut} below the displacement floor")
     bound = poincare_bound_compact(k, eps, constants)
-    z = require_point(z)
-    power = -(k + eps)
-    sums = _translation_sums(z, power, _max_shift(z, R_cut))
-    for *_, sigmas, mult in _blocks([z], [R_cut]):
+    ball = _ball(z, R_cut)
+    z, power = ball.z, -(k + eps)
+    sums = _translation_sums(z, power, ball.m)
+    for *_, sigmas, mult in _blocks([ball]):
         sums.append(np.sum(mult * sigmas ** power))
     partial = math.fsum(sums)
     tail = (

@@ -332,10 +332,10 @@ def _gauss_nodes(lo, hi, order: int):
 
 
 @lru_cache(maxsize=None)
-def _mass_rule(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only nodes of mass_integral's rule, their q, wx / h and ws, once per order."""
-    xs, wx = _gauss_nodes(-0.5, 0.5, order)
-    ss, ws = _gauss_nodes(0.0, 1.0, order)
+def _mass_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only nodes of mass_integral's rule of order _ORDER, their q, wx / h and ws, once."""
+    xs, wx = _gauss_nodes(-0.5, 0.5, _ORDER)
+    ss, ws = _gauss_nodes(0.0, 1.0, _ORDER)
     h = np.sqrt(1.0 - xs * xs)
     points = xs[:, None] + 1j * h[:, None] / ss
     rule = points, np.exp(2j * math.pi * points), wx / h, ws
@@ -356,5 +356,5 @@ def mass_integral(basis: CuspFormBasis) -> float:
     rule's nodes, their q and its weights depend on no weight, so _mass_rule
     builds them once per process, read-only.
     """
-    points, q, wxh, ws = _mass_rule(_ORDER)
+    points, q, wxh, ws = _mass_rule()
     return float(wxh @ s2k_on_grid(basis, points, q) @ ws)

@@ -204,6 +204,11 @@ def row_scan_arrays(z: complex, R: float):
     return entries, np.sort(np.concatenate(chunks))
 
 
+def one_ball_blocks(z: complex, R: float):
+    """The library's _blocks of the one ball (z, R)."""
+    return enumeration._blocks([enumeration._ball(z, R)])
+
+
 def in_scan_order(z: complex, R: float):
     """The row scan's (a, b, c, d) in _scan's order.
 
@@ -216,7 +221,7 @@ def in_scan_order(z: complex, R: float):
     half = [m[a + d >= 0] for m in (a, b, c, d)]
     start = int(np.count_nonzero(c == 0))
     parts = [[m[:start] for m in half]]
-    for *_, n, _, _ in enumeration._blocks([z], [R]):
+    for *_, n, _, _ in one_ball_blocks(z, R):
         ha, hb, hc, hd = (m[start:start + len(n)] for m in half)
         start += len(n)
         pair = ha + hd != 0
@@ -320,7 +325,7 @@ def test_inverse_pairs_and_column_bound(z, R):
     # the blocks hold the elements of trace >= 0, each of mult 2.0 but the
     # involutions a = -d of the ball, of mult 1.0
     ones = 0
-    for _, a0, c, d, counts, n, _, mult in enumeration._blocks([z], [R]):
+    for _, a0, c, d, counts, n, _, mult in one_ball_blocks(z, R):
         a, d = np.repeat(a0, counts) + n * np.repeat(c, counts), np.repeat(d, counts)
         assert np.all(a + d >= 0)
         assert mult.dtype == np.float64 and len(mult) == len(n)
@@ -334,11 +339,11 @@ def test_blocks_hold_half_the_ball(psl2z_constants, z):
     # the blocks' mults plus the 2 m + 1 translations of row 0 are the ball,
     # and the blocks hold about half of it; a count, not a timing
     R = 1e4
-    blocks = list(enumeration._blocks([z], [R]))
+    blocks = list(one_ball_blocks(z, R))
     held = sum(len(n) for *_, n, _, _ in blocks)
     weight = sum(mult.sum() for *_, mult in blocks)
     count = counting_check(z, R, psl2z_constants).count
-    assert weight + 2 * enumeration._max_shift(z, R) + 1 == count
+    assert weight + 2 * enumeration._ball(z, R).m + 1 == count
     assert held <= 0.51 * count
 
 
@@ -347,10 +352,9 @@ def test_blocks_hold_half_the_ball(psl2z_constants, z):
 def test_mults_repeat_to_the_ball(block_cap, z, R):
     # row 0 and each block's sigmas, each repeated mult times, are the row
     # scan's sigmas with the identity's 1.0, as a multiset
-    m = enumeration._max_shift(z, R)
+    m = enumeration._ball(z, R).m
     parts = [enumeration._sigma_batch(1, np.arange(-m, m + 1), 0, 1, z)]
-    parts += [np.repeat(sigmas, mult.astype(int))
-              for *_, sigmas, mult in enumeration._blocks([z], [R])]
+    parts += [np.repeat(sigmas, mult.astype(int)) for *_, sigmas, mult in one_ball_blocks(z, R)]
     got = np.sort(np.concatenate(parts))
     assert np.array_equal(got, np.sort(np.append(row_scan_arrays(z, R)[1], 1.0)))
 
@@ -468,7 +472,7 @@ class TestResidueTable:
 def band_sizes(monkeypatch):
     """Sizes of the entry arrays _sigma_batch gets from the blocks' band at R.
 
-    Row 0 and _max_shift pass the scalar c = 0; the band passes an array of
+    Row 0 and _ball pass the scalar c = 0; the band passes an array of
     the bottom rows of the elements it re-evaluates.
     """
     sizes = []
@@ -575,7 +579,8 @@ class TestNonFiniteRadius:
         # inf and nan used to end in an OverflowError or an opaque ValueError
         # from float-to-integer conversion
         for call in (displacement_values, enumerate_ball,
-                     lambda z, r: counting_check(z, r, psl2z_constants)):
+                     lambda z, r: counting_check(z, r, psl2z_constants),
+                     lambda z, r: ball_counts([0.2 + 1.3j, z], [12.0, r])):
             with pytest.raises(ValueError, match="radius R must be finite"):
                 call(1j, R)
         assert enumeration._TABLE[0] == 0
@@ -586,15 +591,32 @@ class TestNonFiniteRadius:
             poincare_direct(1j, 2, 0.1, R, psl2z_constants)
 
 
+@pytest.mark.parametrize("R", [-1.0, 0.5, 0.99])
+def test_ball_below_one_builds_nothing(psl2z_constants, R):
+    # every sigma is at least 1, so the ball has no rows: no warning from a
+    # square root of a negative padded radius, and no residue table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(displacement_values(1j, R)) == 0
+        assert enumerate_ball(1j, R) == []
+        assert ball_counts([1j], [R]) == [0]
+        assert ball_counts([1j, RHO], [R, R]) == [0, 0]
+        if R >= 0.0:
+            assert counting_check(1j, R, psl2z_constants).count == 0
+        assert enumeration._TABLE[0] == 0
+        assert list(one_ball_blocks(1j, R)) == []
+
+
 @pytest.mark.parametrize("z", [0.1 - 1j, 0.5, complex(math.nan, 1.0), complex(0.0, math.inf)])
 @pytest.mark.parametrize("call", ["counting_check", "poincare_direct", "displacement_values",
-                                  "enumerate_ball", "parabolic_direct"])
+                                  "enumerate_ball", "ball_counts", "parabolic_direct"])
 def test_bad_point_refused_before_the_table_grows(psl2z_constants, call, z):
     calls = {
         "counting_check": lambda z: counting_check(z, 10.0, psl2z_constants),
         "poincare_direct": lambda z: poincare_direct(z, 2, 0.1, 1e4, psl2z_constants),
         "displacement_values": lambda z: displacement_values(z, 10.0),
         "enumerate_ball": lambda z: enumerate_ball(z, 10.0),
+        "ball_counts": lambda z: ball_counts([1j, z], [30.0, 10.0]),
         "parabolic_direct": lambda z: parabolic_direct(z, 6, 0.1),
     }
     refusal = "^point (has non-finite coordinates|must have positive imaginary part)"
@@ -603,13 +625,14 @@ def test_bad_point_refused_before_the_table_grows(psl2z_constants, call, z):
     assert enumeration._TABLE[0] == 0
 
 
-BALL_CALLS = ["counting_check", "poincare_direct", "displacement_values", "enumerate_ball"]
+BALL_CALLS = ["counting_check", "poincare_direct", "displacement_values", "enumerate_ball",
+              "ball_counts"]
 
 
 @pytest.mark.parametrize("call,y", [pytest.param(c, 1e-200, id=c) for c in BALL_CALLS]
                          + [pytest.param(c, 1e-150, id=f"{c}-1e-150") for c in BALL_CALLS])
 def test_underflowing_height_refused_before_the_table_grows(psl2z_constants, call, y):
-    # at 1e-200 4 y^2 underflows to 0, and _max_shift used to raise
+    # at 1e-200 4 y^2 underflows to 0, and row 0's shift bound used to raise
     # ZeroDivisionError; at 1e-150 the ball has about 6e150 rows, and numpy
     # used to refuse their np.arange with "Maximum allowed size exceeded"
     z = complex(0.1, y)
@@ -618,6 +641,7 @@ def test_underflowing_height_refused_before_the_table_grows(psl2z_constants, cal
         "poincare_direct": lambda: poincare_direct(z, 2, 0.1, 1e4, psl2z_constants),
         "displacement_values": lambda: displacement_values(z, 10.0),
         "enumerate_ball": lambda: enumerate_ball(z, 10.0),
+        "ball_counts": lambda: ball_counts([1j, z], [30.0, 10.0]),
     }
     with pytest.raises(ValueError, match=rf"^Im z = {y} is too small"):
         calls[call]()
@@ -656,7 +680,7 @@ def materialised_translations(z: complex, R: float) -> int:
 @given(x=st.floats(-0.5, 0.5), y=st.floats(0.05, 500.0), R=st.floats(0.5, 1000.0))
 def test_translation_count_matches_materialised_row(x, y, R):
     z = complex(x, y)
-    assert max(2 * enumeration._max_shift(z, R) + 1, 0) == materialised_translations(z, R)
+    assert max(2 * enumeration._ball(z, R).m + 1, 0) == materialised_translations(z, R)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -666,9 +690,9 @@ def test_translation_count_with_radius_on_a_displacement(y, n):
     # floor(2 y sqrt(R - 1)) often lands one off the exact cut on either side
     z = complex(0.0, y)
     R = float(enumeration._sigma_batch(1, n, 0, 1, z))
-    assert enumeration._max_shift(z, R) >= n
+    assert enumeration._ball(z, R).m >= n
     for radius in (R, math.nextafter(R, 0.0)):
-        count = max(2 * enumeration._max_shift(z, radius) + 1, 0)
+        count = max(2 * enumeration._ball(z, radius).m + 1, 0)
         assert count == materialised_translations(z, radius)
 
 
@@ -676,7 +700,7 @@ def test_translation_count_with_radius_on_a_displacement(y, n):
 def test_translation_count_at_ties(n):
     # at y = 1, sigma(z, z + n) = 1 + (n/2)^2 is exact, so R sits on a tie
     z, R = complex(0.2, 1.0), 1.0 + (n / 2.0) ** 2
-    assert enumeration._max_shift(z, R) == n
+    assert enumeration._ball(z, R).m == n
     assert materialised_translations(z, R) == 2 * n + 1
 
 
@@ -689,6 +713,17 @@ class TestCountingCheck:
 
     def test_below_one_counts_nothing(self, psl2z_constants):
         assert counting_check(0.3 + 1.4j, 0.99, psl2z_constants).count == 0
+
+    @pytest.mark.parametrize("r", [-1e-12, -1.0])
+    def test_negative_radius_refused(self, psl2z_constants, r):
+        # the lemma bounds the ball for r >= 0 only, so a negative r is refused,
+        # not held against the negative 4 pi B_Y r; ball_counts counts it empty
+        with pytest.raises(ValueError, match=f"^counting radius r must be nonnegative, got r = {r}$"):
+            counting_check(1j, r, psl2z_constants)
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumeration._checked_count(1j, r, 0, psl2z_constants)
+        assert ball_counts([1j], [r]) == [0]
+        assert counting_check(1j, 0.0, psl2z_constants).count == 0
 
     def test_identity_always_counted(self, psl2z_constants):
         res = counting_check(0.3 + 1.4j, 1.0, psl2z_constants)
@@ -748,11 +783,12 @@ class TestBallCounts:
         points, radii = [z for z, _ in balls], [r for _, r in balls]
         want = [counting_check(z, r, psl2z_constants).count for z, r in balls]
         # R < 1 counts nothing, the ball with no row c >= 1 its 11 translations
-        assert want[:4] == [3, 0, 11, 66] and enumeration._padded_rows(3.9, 1.5)[1] == 0
+        assert want[:4] == [3, 0, 11, 66] and enumeration._ball(0.05 + 3.9j, 1.5).last == 0
         assert ball_counts(points, radii) == want
         # the pass these counts came from: blocks of several balls, and at
         # cap 16 a ball in several blocks
-        owners = [ball for ball, *_ in enumeration._blocks(points, radii)]
+        balls = [enumeration._ball(z, r) for z, r in zip(points, radii)]
+        owners = [ball for ball, *_ in enumeration._blocks(balls)]
         assert any(isinstance(ball, np.ndarray) for ball in owners)
         if cap == 16:
             singles = [ball for ball in owners if not isinstance(ball, np.ndarray)]
@@ -760,8 +796,16 @@ class TestBallCounts:
 
     def test_one_ball_blocks_read_scalars(self):
         # a block of one ball takes its z, pad and R as scalars, never per candidate
-        owners = [ball for ball, *_ in enumeration._blocks([1j], [1e4])]
+        owners = [ball for ball, *_ in one_ball_blocks(1j, 1e4)]
         assert len(owners) > 1 and all(ball == 0 and isinstance(ball, int) for ball in owners)
+
+    def test_one_pass_over_iterators(self):
+        # points and radii are each read once, so generators and iterators count
+        # as their lists do
+        points, radii = [1j, 0.2 + 1.3j, RHO], [10.0, 12.0, 30.0]
+        want = ball_counts(points, radii)
+        assert ball_counts((z for z in points), iter(radii)) == want
+        assert ball_counts([1j, 0.2 + 1.3j], iter([10.0, 12.0])) == want[:2]
 
     def test_empty_and_unpaired(self):
         assert ball_counts([], []) == []

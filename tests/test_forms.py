@@ -479,7 +479,7 @@ class TestAveragedQuantity:
     def test_mass_rule_is_read_only(self):
         # no caller can change the process-wide copy
         mass_integral(build_basis(12))
-        for a in forms._mass_rule(forms._ORDER):
+        for a in forms._mass_rule():
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -494,10 +494,18 @@ class TestAveragedQuantity:
 
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_mass_order_doubling(self, weight, monkeypatch):
+        # _mass_rule is built once per process, so the doubled rule is built
+        # afresh here and dropped again before _ORDER comes back
         basis = build_basis(weight)
         coarse = mass_integral(basis)
         monkeypatch.setattr(forms, "_ORDER", 2 * forms._ORDER)
-        assert mass_integral(basis) == pytest.approx(coarse, rel=1e-12, abs=0.0)
+        forms._mass_rule.cache_clear()
+        try:
+            fine = mass_integral(basis)
+            assert forms._mass_rule()[0].shape == (forms._ORDER, forms._ORDER)
+        finally:
+            forms._mass_rule.cache_clear()
+        assert fine == pytest.approx(coarse, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("weight", SUPPORTED_WEIGHTS)
     def test_mass_against_adaptive_cubature(self, weight):
